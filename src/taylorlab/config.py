@@ -117,8 +117,14 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
+def _is_a(value, types) -> bool:
+    """isinstance, except that JSON true/false are booleans only, never 1/0."""
+    types = types if isinstance(types, tuple) else (types,)
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def _check_type(value, types, key):
-    if not isinstance(value, types):
+    if not _is_a(value, types):
         raise ConfigError(f"config key {key!r} has wrong type: {type(value).__name__}")
     return value
 
@@ -149,14 +155,14 @@ def validate(raw: dict) -> RunConfig:
         raise ConfigError("'modes' must be a non-empty list of [m1, m2] pairs")
     modes = []
     for m in modes_raw:
-        if (not isinstance(m, list)) or len(m) != 2 or not all(isinstance(c, int) for c in m):
+        if (not isinstance(m, list)) or len(m) != 2 or not all(_is_a(c, int) for c in m):
             raise ConfigError(f"malformed mode entry {m!r}; expected [int, int]")
         if m == [0, 0]:
             raise ConfigError("horizontal mode [0, 0] is reserved for the averaged profile")
         modes.append((m[0], m[1]))
 
     eps_raw = raw.get("eps_modes", [2, 8, 32])
-    if not isinstance(eps_raw, list) or not all(isinstance(v, int) and v > 0 for v in eps_raw):
+    if not isinstance(eps_raw, list) or not all(_is_a(v, int) and v > 0 for v in eps_raw):
         raise ConfigError("'eps_modes' must be a list of positive integers")
 
     background = raw.get("background", "canonical")
@@ -167,9 +173,10 @@ def validate(raw: dict) -> RunConfig:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 3
+                or not _is_a(entry[0], int)
                 or entry[0] not in (1, 2)
-                or not isinstance(entry[1], int)
-                or not isinstance(entry[2], (int, float))
+                or not _is_a(entry[1], int)
+                or not _is_a(entry[2], (int, float))
             ):
                 raise ConfigError(f"malformed background entry {entry!r}")
         background = [list(e) for e in background]
@@ -187,7 +194,7 @@ def validate(raw: dict) -> RunConfig:
     for name, value in tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}")
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _is_a(value, (int, float)) or value <= 0:
             raise ConfigError(f"tolerance {name!r} must be a positive number")
 
     jobs = int(_check_type(raw.get("jobs", 1), int, "jobs"))
@@ -204,7 +211,9 @@ def validate(raw: dict) -> RunConfig:
         t_final=t_final,
         output_step=output_step,
         seed=int(_check_type(raw.get("seed", 0), int, "seed")),
-        include_geostrophic=bool(raw.get("include_geostrophic", True)),
+        include_geostrophic=_check_type(
+            raw.get("include_geostrophic", True), bool, "include_geostrophic"
+        ),
         tolerances=dict(tolerances),
         out_dir=str(_check_type(raw.get("out_dir", "out"), str, "out_dir")),
         jobs=jobs,

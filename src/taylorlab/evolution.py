@@ -249,6 +249,8 @@ class SimulationState:
     diagnostics_log rows: (t, energy, grad_energy, taylor_max, div_max).
     mode_rows: per-mode diagnostics
     (t, mode_index, energy, grad_energy, taylor_res, div_res, power).
+    initial_modes / initial_zero_mode: the data at t = 0.
+    propagators: the per-mode propagators that advanced the modes.
     """
 
     background: BackgroundField
@@ -257,6 +259,9 @@ class SimulationState:
     zero_mode: tuple
     diagnostics_log: list = field(default_factory=list)
     mode_rows: list = field(default_factory=list)
+    initial_modes: dict = field(default_factory=dict)
+    initial_zero_mode: tuple = ()
+    propagators: dict = field(default_factory=dict)
 
     def energy(self) -> float:
         total = sum(b.norm() ** 2 for b in self.modes.values())
@@ -282,7 +287,14 @@ def initial_state(
         zero = random_zero_mode(truncation, rng)
     else:
         zero = tuple(FourierSeries.zeros(truncation) for _ in range(3))
-    return SimulationState(background=bg, time=0.0, modes=modes, zero_mode=zero)
+    return SimulationState(
+        background=bg,
+        time=0.0,
+        modes=modes,
+        zero_mode=zero,
+        initial_modes=dict(modes),
+        initial_zero_mode=zero,
+    )
 
 
 def _log_state(state: SimulationState, contexts: dict, t: float,
@@ -340,8 +352,9 @@ def run_evolution(
     else:
         propagators = {key: make_propagator(key) for key in keys}
 
+    state.propagators = propagators
+
     n_steps = int(round(t_final / output_step))
-    initial_zero = state.zero_mode
     _log_state(state, contexts, 0.0, include_geostrophic)
     for k in range(1, n_steps + 1):
         t = k * output_step
@@ -356,7 +369,7 @@ def run_evolution(
             advanced = [advance(key) for key in keys]
         for key, b in zip(keys, advanced):
             state.modes[key] = b
-        state.zero_mode = heat_zero_mode(initial_zero, t)
+        state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
         state.time = t
         _log_state(state, contexts, t, include_geostrophic)
     return state

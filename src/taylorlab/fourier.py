@@ -16,6 +16,14 @@ Conventions:
 * ``antiderivative_zero_mean`` is the inverse vertical derivative P int P,
   acting as c_n / (2 pi i n) on n != 0 and sending the mean to zero.  It is
   anti-self-adjoint.
+
+Batch axis: coefficients may also have shape ``(2M+1, K)``, a block of K
+series sharing one window (column k is series k).  Linear operations act
+column by column; ``mean`` and ``integrate_product`` then return a length-K
+row, and a series times a length-K row scales each column.  A product of a
+single series (a profile) with a block is a shift-and-add over the profile's
+nonzero coefficients.  Pointwise queries (``coefficient``, ``norm``,
+``inner``, ``is_real``, ``to_triples``) are for single series only.
 """
 
 from __future__ import annotations
@@ -40,16 +48,31 @@ __all__ = [
 ]
 
 
+def _along_modes(values: np.ndarray, ndim: int) -> np.ndarray:
+    """Shape a per-mode vector to broadcast along axis 0 of an ndim array."""
+    return values if ndim == 1 else values[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class FourierSeries:
-    """Dense coefficients c_n over n in [-M, M]; ``coeffs[n + M]`` is c_n."""
+    """Dense coefficients c_n over n in [-M, M]; ``coeffs[n + M]`` is c_n.
+
+    ``coeffs`` has shape ``(2M+1,)`` for one series or ``(2M+1, K)`` for a
+    block of K series (see the module docstring).
+    """
 
     coeffs: np.ndarray
 
+    # ndarray (op) series defers to the series, so a length-K row times a
+    # series scales its columns instead of building an object array
+    __array_ufunc__ = None
+
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size % 2 == 0:
-            raise ValueError("coefficients must form a 1-d array of odd length")
+        if arr.ndim not in (1, 2) or arr.shape[0] % 2 == 0:
+            raise ValueError(
+                "coefficients must have an odd leading axis and at most one batch axis"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -62,8 +85,10 @@ class FourierSeries:
         return cls(np.zeros(2 * truncation + 1, dtype=np.complex128))
 
     @classmethod
-    def constant(cls, value: complex, truncation: int = 0) -> "FourierSeries":
-        c = np.zeros(2 * truncation + 1, dtype=np.complex128)
+    def constant(cls, value, truncation: int = 0) -> "FourierSeries":
+        """The constant ``value``; a length-K row gives a block of K constants."""
+        value = np.asarray(value, dtype=np.complex128)
+        c = np.zeros((2 * truncation + 1,) + value.shape, dtype=np.complex128)
         c[truncation] = value
         return cls(c)
 
@@ -120,7 +145,7 @@ class FourierSeries:
 
     @property
     def truncation(self) -> int:
-        return (self.coeffs.size - 1) // 2
+        return (self.coeffs.shape[0] - 1) // 2
 
     def modes(self) -> np.ndarray:
         m = self.truncation
@@ -132,9 +157,11 @@ class FourierSeries:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + m])
 
-    def mean(self) -> complex:
-        """The integral of the series over one period (the n = 0 coefficient)."""
-        return complex(self.coeffs[self.truncation])
+    def mean(self):
+        """The integral over one period (the n = 0 coefficient); a row for a block."""
+        if self.coeffs.ndim == 1:
+            return complex(self.coeffs[self.truncation])
+        return self.coeffs[self.truncation].copy()
 
     def norm(self) -> float:
         """L2 norm over one period (Parseval)."""
@@ -158,21 +185,36 @@ class FourierSeries:
                 "resample() one operand explicitly"
             )
 
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
+    def _paired(self, other: "FourierSeries"):
+        """Both coefficient arrays, a single series lifted to (2M+1, 1) when
+        the other operand is a block (so it broadcasts over the columns)."""
         self._require_same_window(other)
-        return FourierSeries(self.coeffs + other.coeffs)
+        a, b = self.coeffs, other.coeffs
+        if a.ndim < b.ndim:
+            a = a[:, None]
+        elif b.ndim < a.ndim:
+            b = b[:, None]
+        return a, b
+
+    def __add__(self, other: "FourierSeries") -> "FourierSeries":
+        a, b = self._paired(other)
+        return FourierSeries(a + b)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        self._require_same_window(other)
-        return FourierSeries(self.coeffs - other.coeffs)
+        a, b = self._paired(other)
+        return FourierSeries(a - b)
 
     def __neg__(self) -> "FourierSeries":
         return FourierSeries(-self.coeffs)
 
     def __mul__(self, scalar) -> "FourierSeries":
+        """Scale by a number, or each column k by ``scalar[k]`` for a length-K row."""
         if isinstance(scalar, FourierSeries):
             raise TypeError("use multiply(f, g) for series products")
-        return FourierSeries(self.coeffs * complex(scalar))
+        if np.ndim(scalar) == 0:
+            return FourierSeries(self.coeffs * complex(scalar))
+        column = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
+        return FourierSeries(column * np.asarray(scalar))
 
     __rmul__ = __mul__
 
@@ -180,13 +222,14 @@ class FourierSeries:
         return FourierSeries(self.coeffs / complex(scalar))
 
     def derivative(self) -> "FourierSeries":
-        return FourierSeries(self.coeffs * (TWO_PI * 1j * self.modes()))
+        factor = TWO_PI * 1j * self.modes()
+        return FourierSeries(self.coeffs * _along_modes(factor, self.coeffs.ndim))
 
     def antiderivative_zero_mean(self) -> "FourierSeries":
         """P int P: divide mode n != 0 by 2 pi i n, send the mean to zero."""
         n = self.modes().astype(np.complex128)
         n[self.truncation] = 1.0  # avoid 0/0; the slot is zeroed below
-        out = self.coeffs / (TWO_PI * 1j * n)
+        out = self.coeffs / _along_modes(TWO_PI * 1j * n, self.coeffs.ndim)
         out[self.truncation] = 0.0
         return FourierSeries(out)
 
@@ -210,8 +253,7 @@ class FourierSeries:
         if truncation == m:
             return self
         if truncation > m:
-            pad = truncation - m
-            return FourierSeries(np.pad(self.coeffs, (pad, pad)))
+            return FourierSeries(_pad_modes(self.coeffs, truncation - m))
         cut = m - truncation
         return FourierSeries(self.coeffs[cut:-cut])
 
@@ -231,6 +273,29 @@ class FourierSeries:
         ]
 
 
+def _pad_modes(coeffs: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-pad ``pad`` modes on both ends of axis 0."""
+    return np.pad(coeffs, [(pad, pad)] + [(0, 0)] * (coeffs.ndim - 1))
+
+
+def _convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Linear convolution along axis 0; at most one operand is a block.
+
+    A single profile times a block is a shift-and-add over the profile's
+    nonzero coefficients: background profiles have only a few.
+    """
+    if f.ndim == 1 and g.ndim == 1:
+        return np.convolve(f, g)
+    if f.ndim == 2 and g.ndim == 2:
+        raise ValueError("a product of two blocks is not linear in the block")
+    profile, block = (f, g) if f.ndim == 1 else (g, f)
+    width = block.shape[0]
+    out = np.zeros((profile.size + width - 1, block.shape[1]), dtype=np.complex128)
+    for j in np.flatnonzero(profile):
+        out[j : j + width] += profile[j] * block
+    return out
+
+
 def multiply(
     f: FourierSeries,
     g: FourierSeries,
@@ -242,30 +307,39 @@ def multiply(
     With ``out_truncation=None`` the product keeps its natural window
     M_f + M_g and no information is lost.  Otherwise the result is cut to the
     requested window; pass ``with_tail=True`` to also receive the L2 norm of
-    the discarded coefficients.
+    the discarded coefficients (a length-K row when one factor is a block).
     """
-    full = np.convolve(f.coeffs, g.coeffs)
+    full = _convolve(f.coeffs, g.coeffs)
     natural = f.truncation + g.truncation
+    no_tail = 0.0 if full.ndim == 1 else np.zeros(full.shape[1])
     if out_truncation is None or out_truncation == natural:
         prod = FourierSeries(full)
-        return (prod, 0.0) if with_tail else prod
+        return (prod, no_tail) if with_tail else prod
     if out_truncation > natural:
-        pad = out_truncation - natural
-        prod = FourierSeries(np.pad(full, (pad, pad)))
-        return (prod, 0.0) if with_tail else prod
+        prod = FourierSeries(_pad_modes(full, out_truncation - natural))
+        return (prod, no_tail) if with_tail else prod
     cut = natural - out_truncation
-    kept = full[cut:-cut]
-    tail = float(np.sqrt(np.sum(np.abs(full[:cut]) ** 2) + np.sum(np.abs(full[-cut:]) ** 2)))
-    prod = FourierSeries(kept)
-    return (prod, tail) if with_tail else prod
+    prod = FourierSeries(full[cut:-cut])
+    if not with_tail:
+        return prod
+    dropped = np.abs(full[:cut]) ** 2 + np.abs(full[-cut:]) ** 2
+    tail = np.sqrt(np.sum(dropped, axis=0))
+    return prod, (float(tail) if full.ndim == 1 else tail)
 
 
-def integrate_product(f: FourierSeries, g: FourierSeries) -> complex:
-    """int f g dx (no conjugation) = sum_n c_n d_{-n}; windows may differ."""
+def integrate_product(f: FourierSeries, g: FourierSeries):
+    """int f g dx (no conjugation) = sum_n c_n d_{-n}; windows may differ.
+
+    A number for two single series, a length-K row when one is a block.
+    """
     m = min(f.truncation, g.truncation)
     fc = f.resample(m).coeffs
     gc = g.resample(m).coeffs
-    return complex(np.dot(fc, gc[::-1]))
+    if fc.ndim == 1 and gc.ndim == 1:
+        return complex(np.dot(fc, gc[::-1]))
+    if fc.ndim == 2:  # the pairing is symmetric; put the block second
+        fc, gc = gc, fc
+    return np.dot(fc, gc[::-1])
 
 
 def multiplication_matrix(g: FourierSeries, truncation: int) -> np.ndarray:
@@ -273,12 +347,9 @@ def multiplication_matrix(g: FourierSeries, truncation: int) -> np.ndarray:
 
     Toeplitz structure: entry (m, n) is the coefficient of g at mode m - n.
     """
-    w = 2 * truncation + 1
-    mat = np.zeros((w, w), dtype=np.complex128)
-    for row in range(w):
-        for col in range(w):
-            mat[row, col] = g.coefficient((row - truncation) - (col - truncation))
-    return mat
+    n = np.arange(-truncation, truncation + 1)
+    padded = g.resample(max(g.truncation, 2 * truncation))
+    return padded.coeffs[(n[:, None] - n[None, :]) + padded.truncation]
 
 
 def collocation(f: FourierSeries, n_points: int) -> np.ndarray:

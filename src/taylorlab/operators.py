@@ -23,6 +23,17 @@ exact convolutions at extended windows; results are truncated once, at the
 end, so each operator agrees with its dense-matrix representation to
 rounding accuracy.
 
+Every linear operator has one definition that serves a single field and a
+block of fields alike.  A :class:`ModeField` whose components carry a trailing batch
+axis (coefficients of shape ``(2M+1, K)``, see :mod:`.fourier`) holds K
+fields; each product is a background profile (beta, beta_perp', B',
+beta_xi) times something linear in the field, so an operator applied to a
+block acts column by column.  Dense assembly is the operator applied to
+identity blocks: :func:`assemble_matrix` makes three calls, one per
+component, each on a ``(2M+1, 2M+1)`` identity.  The test suite keeps the
+per-column route (one basis field per call) as the independent oracle that
+the matrix-versus-functional criterion compares against.
+
 The module also owns both formulations of the Taylor constraint (the reduced
 two-scalar residual and the raw averaged-curl form), the divergence
 constraint, and the velocity reconstruction (interior magnetostrophic part
@@ -47,7 +58,6 @@ __all__ = [
     "field_to_vector",
     "vector_to_field",
     "assemble_matrix",
-    "assemble_scalar_matrix",
     "magnetostrophic_skew",
     "magnetostrophic_symmetric",
     "proj_profile",
@@ -81,7 +91,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class ModeField:
-    """A C^3-valued vertical profile: three series sharing one mode window."""
+    """A C^3-valued vertical profile: three series sharing one mode window.
+
+    Components may be blocks of K series (one field per column); a single
+    series next to blocks is broadcast to every column, so all three
+    components always share one batch shape.
+    """
 
     c1: FourierSeries
     c2: FourierSeries
@@ -90,6 +105,14 @@ class ModeField:
     def __post_init__(self):
         if not (self.c1.truncation == self.c2.truncation == self.c3.truncation):
             raise ValueError("components must share one mode window")
+        batch = max((c.coeffs.shape[1:] for c in self.components), key=len)
+        for name in ("c1", "c2", "c3"):
+            coeffs = getattr(self, name).coeffs
+            if coeffs.ndim == 1 and batch:
+                wide = np.broadcast_to(coeffs[:, None], coeffs.shape + batch)
+                object.__setattr__(self, name, FourierSeries(wide))
+        if len({c.coeffs.shape for c in self.components}) > 1:
+            raise ValueError("component blocks must hold the same number of fields")
 
     @classmethod
     def zeros(cls, truncation: int) -> "ModeField":
@@ -138,14 +161,15 @@ class ModeField:
 
 
 def field_to_vector(field: ModeField) -> np.ndarray:
-    """Stack the three coefficient arrays (component-major) into one vector."""
+    """Stack the three coefficient arrays (component-major) into one vector,
+    or into one (3(2M+1), K) array for a block of fields."""
     return np.concatenate([c.coeffs for c in field.components])
 
 
 def vector_to_field(vec: np.ndarray, truncation: int) -> ModeField:
     w = 2 * truncation + 1
-    if vec.size != 3 * w:
-        raise ValueError(f"expected a vector of size {3 * w}, got {vec.size}")
+    if vec.shape[0] != 3 * w:
+        raise ValueError(f"expected a vector of size {3 * w}, got {vec.shape[0]}")
     return ModeField(
         FourierSeries(vec[:w]), FourierSeries(vec[w : 2 * w]), FourierSeries(vec[2 * w :])
     )
@@ -367,10 +391,8 @@ def _lorentz_average_integrand(ctx: ModeContext, b: ModeField) -> ModeField:
     zero = FourierSeries.zeros(0)
     b_vec = (bg.b1, bg.b2, zero)
     curl_bg = (-bg.b2.derivative(), bg.b1.derivative(), zero)
-    cb = curl_mode(ctx, b)
-    return _cross(cb.components, b_vec) + _cross(curl_bg, b.components).resample(
-        _cross(cb.components, b_vec).truncation
-    )
+    first = _cross(curl_mode(ctx, b).components, b_vec)
+    return first + _cross(curl_bg, b.components).resample(first.truncation)
 
 
 def taylor_residual_curl_form(ctx: ModeContext, b: ModeField):
@@ -407,7 +429,7 @@ def proj_profile_from_constraint(
 
     which involves only vertical-component averages.  Raises
     :class:`ConstraintViolated` when the input fails either constraint,
-    relative to its norm.
+    relative to its norm, so it takes a single field, not a block.
     """
     scale = max(1.0, b.norm())
     r_perp, r_3 = taylor_residual(ctx, b)
@@ -450,9 +472,12 @@ def magnetostrophic_velocity(
     return _magnetostrophic_velocity_exact(ctx, b).resample(m)
 
 
-def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField) -> np.ndarray:
-    """Constant velocity solving the averaged balance that freezes the Taylor residual."""
-    u_m = _magnetostrophic_velocity_exact(ctx, b)
+def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField, u_m: ModeField) -> np.ndarray:
+    """Constant velocity solving the averaged balance that freezes the Taylor residual.
+
+    ``u_m`` is the interior velocity of ``b`` at its exact window.  Returns
+    shape (3,), or (3, K) for a block of K fields.
+    """
     beta_xi = ctx.beta_xi
     bp1, bp2 = ctx.b_prime
     xi_norm_sq = ctx.xi_norm**2
@@ -476,13 +501,13 @@ def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField) -> np.ndarray:
     v = np.array([f1.mean(), f2.mean(), f3.mean()]) / beta_xi_norm_sq
 
     eta = np.asarray(ctx.eta)
-    v[:2] -= eta * (eta @ v[:2])
+    v[:2] -= np.multiply.outer(eta, eta @ v[:2])
     return v
 
 
 def geostrophic_velocity(ctx: ModeContext, b: ModeField) -> np.ndarray:
     """Constant C^3 velocity vector with horizontal part orthogonal to xi."""
-    return _geostrophic_velocity_vector(ctx, b)
+    return _geostrophic_velocity_vector(ctx, b, _magnetostrophic_velocity_exact(ctx, b))
 
 
 def _induction_term_exact(
@@ -491,7 +516,7 @@ def _induction_term_exact(
     """curl((u_m + u_g) x B) at exact windows, via i beta_xi u - u3 B'."""
     u = _magnetostrophic_velocity_exact(ctx, b)
     if include_geostrophic:
-        v = _geostrophic_velocity_vector(ctx, b)
+        v = _geostrophic_velocity_vector(ctx, b, u)
         m = u.truncation
         u = ModeField(
             _add(u.c1, FourierSeries.constant(v[0])).resample(m),
@@ -586,35 +611,24 @@ class OperatorMatrix:
 
 
 def assemble_matrix(op, truncation: int, label: str = "") -> OperatorMatrix:
-    """Assemble a dense matrix by applying ``op`` to every coefficient basis field.
+    """Assemble a dense matrix by applying ``op`` to identity blocks.
 
-    ``op`` maps ModeField -> ModeField at the same window; by linearity the
-    matrix action then reproduces the functional application exactly.
+    ``op`` maps ModeField -> ModeField at the same window and accepts blocks
+    of fields, as the linear operators of this module do.  One call per component
+    applies it to the (2M+1, 2M+1) identity in that component, which yields
+    that component's block of columns; by linearity the matrix action then
+    reproduces the functional application exactly.
     """
     w = 2 * truncation + 1
     mat = np.zeros((3 * w, 3 * w), dtype=np.complex128)
     zero = FourierSeries.zeros(truncation)
+    identity = FourierSeries(np.eye(w, dtype=np.complex128))
     for comp in range(3):
-        for idx in range(w):
-            coeffs = np.zeros(w, dtype=np.complex128)
-            coeffs[idx] = 1.0
-            series = FourierSeries(coeffs)
-            comps = [zero, zero, zero]
-            comps[comp] = series
-            col = op(ModeField(*comps))
-            mat[:, comp * w + idx] = field_to_vector(col.resample(truncation))
+        comps = [zero, zero, zero]
+        comps[comp] = identity
+        block = field_to_vector(op(ModeField(*comps)).resample(truncation))
+        mat[:, comp * w : (comp + 1) * w] = block
     return OperatorMatrix(entries=mat, truncation=truncation, label=label)
-
-
-def assemble_scalar_matrix(op, truncation: int) -> np.ndarray:
-    """Dense matrix of a scalar-series operator at the given window."""
-    w = 2 * truncation + 1
-    mat = np.zeros((w, w), dtype=np.complex128)
-    for idx in range(w):
-        coeffs = np.zeros(w, dtype=np.complex128)
-        coeffs[idx] = 1.0
-        mat[:, idx] = op(FourierSeries(coeffs)).resample(truncation).coeffs
-    return mat
 
 
 def divergence_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:

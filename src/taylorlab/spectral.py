@@ -220,7 +220,8 @@ def assemble_core_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
         out = multiply(ctx.beta, multiply(ctx.beta, perp(s)).antiderivative_zero_mean())
         return perp(out.resample(truncation))
 
-    return operators.assemble_scalar_matrix(core, truncation)
+    # the columns of the identity block are the coefficient basis series
+    return core(FourierSeries(np.eye(2 * truncation + 1, dtype=np.complex128))).coeffs
 
 
 def verify_on_basis(ctx: ModeContext, basis: SpectralBasis) -> dict:

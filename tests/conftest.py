@@ -53,6 +53,26 @@ def v_div64(ctx10):
     return op.divergence_null_basis(ctx10, 64)
 
 
+def assemble_by_columns(fn, truncation):
+    """Dense matrix of ``fn`` built one coefficient basis field at a time.
+
+    The per-column route, kept as the oracle for the batched assembly: every
+    call feeds a single (1-d) field, so it never touches the block code path.
+    """
+    from taylorlab.fourier import FourierSeries
+
+    w = 2 * truncation + 1
+    mat = np.zeros((3 * w, 3 * w), dtype=np.complex128)
+    zero = FourierSeries.zeros(truncation)
+    for comp in range(3):
+        for idx in range(w):
+            comps = [zero, zero, zero]
+            comps[comp] = FourierSeries(np.eye(w)[idx])
+            col = fn(op.ModeField(*comps))
+            mat[:, comp * w + idx] = op.field_to_vector(col.resample(truncation))
+    return mat
+
+
 def random_series(truncation, rng, decay=1.5):
     from taylorlab.fourier import FourierSeries
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from taylorlab import cli
 from taylorlab.background import canonical_background
 from taylorlab.config import (
     DEFAULT_TOLERANCES,
@@ -54,6 +55,13 @@ def test_defaults_fill_in():
         (minimal(tolerances={"no_such": 1e-8}), "unknown tolerance"),
         (minimal(tolerances={"resonance": -1.0}), "positive number"),
         (minimal(jobs=0), "at least 1"),
+        # true/false are booleans, never the numbers 1/0
+        (minimal(modes=[[True, 0]]), "malformed mode entry"),
+        (minimal(eps_modes=[2, True]), "positive integers"),
+        (minimal(background=[[True, 1, 1.0]]), "malformed background entry"),
+        (minimal(background=[[1, 1, True]]), "malformed background entry"),
+        (minimal(t_final=True), "wrong type"),
+        (minimal(tolerances={"resonance": True}), "positive number"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -131,3 +139,31 @@ def test_resolve_background():
     )
     assert abs(custom.b2.coefficient(2)) > 0.0
     assert reference.b2.coefficient(2) == 0.0
+
+
+def run_cli_on(tmp_path, raw) -> int:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    return cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_include_geostrophic_must_be_a_json_boolean(tmp_path, capsys, value):
+    # bool("false") is True: a string would run with the balancing velocity on
+    raw = {"kind": "abscissa-sweep", "include_geostrophic": value}
+    with pytest.raises(ConfigError, match="include_geostrophic"):
+        validate(raw)
+    assert run_cli_on(tmp_path, raw) == 2
+    assert "config error" in capsys.readouterr().err
+    assert validate(dict(raw, include_geostrophic=False)).include_geostrophic is False
+
+
+@pytest.mark.parametrize("key", ["seed", "truncation", "band", "jobs"])
+@pytest.mark.parametrize("value", [True, False])
+def test_integer_keys_reject_booleans(tmp_path, capsys, key, value):
+    # true and false are not 1 and 0
+    raw = minimal(**{key: value})
+    with pytest.raises(ConfigError, match="wrong type"):
+        validate(raw)
+    assert run_cli_on(tmp_path, raw) == 2
+    assert "config error" in capsys.readouterr().err

@@ -83,6 +83,15 @@ def test_multiplication_matrix_is_the_product():
     assert np.max(np.abs(via_matrix - direct.coeffs)) < 1e-14
 
 
+def test_multiplication_matrix_window_narrower_than_profile():
+    # the profile reaches past twice the window: entries come from its inner modes
+    rng = np.random.default_rng(10)
+    f = random_series(3, rng)
+    g = random_series(8, rng)
+    via_matrix = multiplication_matrix(g, 3) @ f.coeffs
+    assert np.max(np.abs(via_matrix - multiply(f, g, out_truncation=3).coeffs)) < 1e-14
+
+
 # ----------------------------------------------------------------------
 # calculus and inner products
 # ----------------------------------------------------------------------
@@ -208,3 +217,45 @@ def test_integration_by_parts(f, g):
     lhs = integrate_product(f.derivative(), g)
     rhs = -integrate_product(f, g.derivative())
     assert abs(lhs - rhs) < 1e-10
+
+
+# ----------------------------------------------------------------------
+# batch axis: a block of K series acts column by column
+# ----------------------------------------------------------------------
+
+
+def test_block_operations_act_column_by_column():
+    rng = np.random.default_rng(9)
+    profile = random_series(3, rng)
+    cols = [random_series(4, rng) for _ in range(9)]  # K = 9 = 2M+1: no axis mix-up
+    block = FourierSeries(np.column_stack([c.coeffs for c in cols]))
+    row = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    single = random_series(4, rng)
+
+    prod, tail = multiply(block, profile, out_truncation=5, with_tail=True)
+    pairs = [
+        (prod, [multiply(c, profile, out_truncation=5) for c in cols]),
+        (multiply(profile, block), [multiply(profile, c) for c in cols]),
+        (block.derivative(), [c.derivative() for c in cols]),
+        (block.antiderivative_zero_mean(), [c.antiderivative_zero_mean() for c in cols]),
+        (block.resample(7), [c.resample(7) for c in cols]),
+        (block.resample(2), [c.resample(2) for c in cols]),
+        (block + single, [c + single for c in cols]),
+        (single - block, [single - c for c in cols]),
+        (row * block, [z * c for z, c in zip(row, cols)]),
+        (row * single, [z * single for z in row]),
+        (FourierSeries.constant(row, 4), [FourierSeries.constant(z, 4) for z in row]),
+    ]
+    for batched, per_column in pairs:
+        assert batched.coeffs.shape == (per_column[0].coeffs.size, 9)
+        for k, expected in enumerate(per_column):
+            assert allclose(FourierSeries(batched.coeffs[:, k]), expected, tol=1e-14)
+
+    for k, c in enumerate(cols):
+        _, expected_tail = multiply(c, profile, out_truncation=5, with_tail=True)
+        assert abs(tail[k] - expected_tail) < 1e-14
+        assert abs(integrate_product(profile, block)[k] - integrate_product(profile, c)) < 1e-14
+        assert abs(integrate_product(block, profile)[k] - integrate_product(c, profile)) < 1e-14
+        assert block.mean()[k] == c.mean()
+    with pytest.raises(ValueError):
+        multiply(block, block)

@@ -6,7 +6,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.errors import ConstraintViolated
 from taylorlab.fourier import FourierSeries, allclose
 
-from conftest import random_field
+from conftest import assemble_by_columns, random_field
 
 EXACT = 40  # window wide enough to hold every product in these tests exactly
 
@@ -311,3 +311,57 @@ def test_operator_matrix_apply_and_vector_round_trip(ctx10):
     assert op.field_to_vector(op.vector_to_field(op.field_to_vector(b), m)).size == 3 * (2 * m + 1)
     with pytest.raises(ValueError):
         op.vector_to_field(np.zeros(5), m)
+
+
+# ----------------------------------------------------------------------
+# batched assembly against the per-column oracle
+# ----------------------------------------------------------------------
+
+
+def criterion_10_operators(ctx, m, include_geostrophic):
+    """The nine operators of acceptance criterion 10 at window m."""
+    return {
+        "fast skew": lambda b: op.fast_skew(ctx, b, out_truncation=m),
+        "symmetric drive": lambda b: op.symmetric_drive(ctx, b, out_truncation=m),
+        "skew multiplication": lambda b: op.magnetostrophic_skew(ctx, b, out_truncation=m),
+        "symmetric multiplication": lambda b: op.magnetostrophic_symmetric(
+            ctx, b, out_truncation=m
+        ),
+        "remainder": lambda b: op.induction_remainder(ctx, b, out_truncation=m),
+        "full induction": lambda b: op.full_induction(
+            ctx, b, include_geostrophic=include_geostrophic, out_truncation=m
+        ),
+        "diffusion": lambda b: op.diffusion_term(ctx, b),
+        "profile projection": lambda b: op.proj_profile(ctx, b),
+        "direction-orthogonal projection": lambda b: op.proj_direction_perp(ctx, b),
+    }
+
+
+@pytest.mark.parametrize("include_geostrophic", [True, False])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (32, 0)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg"])
+def test_batched_assembly_matches_per_column_oracle(
+    request, background, mode, include_geostrophic
+):
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    m = 16  # the window of criterion 10
+    for name, fn in criterion_10_operators(ctx, m, include_geostrophic).items():
+        if not include_geostrophic and name != "full induction":
+            continue  # the lane only reaches the full induction operator
+        batched = op.assemble_matrix(fn, m).entries
+        oracle = assemble_by_columns(fn, m)
+        # relative with the floor of 1 that criterion 10 uses: symmetric
+        # multiplication cancels to rounding noise at the canonical background
+        scale = max(1.0, np.max(np.abs(oracle)))
+        assert np.max(np.abs(batched - oracle)) <= 1e-13 * scale, name
+
+
+def test_assemble_matrix_applies_the_operator_once_per_component(ctx10):
+    calls = []
+
+    def counted(b):
+        calls.append(b.c1.coeffs.shape)
+        return op.full_induction(ctx10, b, out_truncation=12)
+
+    op.assemble_matrix(counted, 12)
+    assert calls == [(25, 25)] * 3
