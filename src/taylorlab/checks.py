@@ -3,6 +3,13 @@
 Each runner computes its quantities, writes CSV/SVG artifacts into the
 output directory, and returns a RunReport whose outcomes carry the
 measured values next to the tolerances they were judged against.
+
+The scaling study bounds the resonant term P_perp P_prof L P_prof P_perp / eps
+of the normal form by its numerical radius on constrained fields.  The
+profile projection P_prof has rank 3, so the term is computed from its
+factors (:func:`resonant_term_radius`) and its radius from a matrix of size
+at most 6 (:func:`factored_numerical_radius`), never as a dense operator
+product; the acceptance tests keep the dense route as the oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +63,39 @@ def numerical_radius(mat: np.ndarray, n_angles: int = 72) -> float:
         herm = 0.5 * (z + z.conj().T)
         radius = max(radius, float(np.abs(np.linalg.eigvalsh(herm)).max()))
     return radius
+
+
+def factored_numerical_radius(y: np.ndarray, k: np.ndarray, z: np.ndarray) -> float:
+    """numerical_radius(y @ k @ z) for a thin n x r factor y and r x n factor z.
+
+    Q from a thin QR of [y, z*] spans the ranges of M = y k z and of M*, so
+    M = Q C Q* with C = (Q* y) k (z Q), and every Re(e^{i theta} M) is
+    Q Re(e^{i theta} C) Q*: the same eigenvalues plus zeros.  The radius is
+    therefore that of the 2r x 2r matrix C; QR needs no rank threshold.
+    """
+    q, _ = np.linalg.qr(np.hstack([y, z.conj().T]))
+    return numerical_radius((q.conj().T @ y) @ k @ (z @ q))
+
+
+def resonant_term_radius(ctx, v_con: np.ndarray, truncation: int) -> float:
+    """Numerical radius of V* (P_perp P_prof L P_prof P_perp / eps) V.
+
+    V = ``v_con`` spans the constrained fields, P_perp is the direction
+    complement, L the self-adjoint local part and P_prof = E G_hat the rank-3
+    profile projection (:func:`operators.profile_fields`,
+    :func:`operators.profile_averages`).  The term factors as Y K Z with
+    Y = V* P_perp E, K = G_hat L E / eps and Z = G_hat P_perp V, each built
+    by applying the operators to the 3-field block E or to the block V, so
+    no dense operator matrix is assembled.
+    """
+    e_block = op.profile_fields(ctx, truncation)
+    y = v_con.conj().T @ op.field_to_vector(op.proj_direction_perp(ctx, e_block))
+    local = op.magnetostrophic_symmetric(ctx, e_block, out_truncation=truncation)
+    k = op.profile_averages(ctx, local) / ctx.eps
+    z = op.profile_averages(
+        ctx, op.proj_direction_perp(ctx, op.vector_to_field(v_con, truncation))
+    )
+    return factored_numerical_radius(y, k, z)
 
 
 def hermitian_part_norm(mat: np.ndarray) -> float:
@@ -432,27 +472,25 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
         remainder = op.assemble_matrix(
             lambda b: op.induction_remainder(ctx, b, out_truncation=m_trunc), m_trunc
         )
-        local = op.assemble_matrix(
-            lambda b: op.magnetostrophic_symmetric(ctx, b, out_truncation=m_trunc), m_trunc
-        )
-        profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m_trunc)
         v_div = op.divergence_null_basis(ctx, m_trunc)
         v_con = op.constraint_null_basis(ctx, m_trunc)
 
         diff = drive.entries - perp.entries @ drive.entries @ perp.entries
         c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
         rem_form = hermitian_part_norm(v_con.conj().T @ remainder.entries @ v_con) / ctx.eps
-        t_mat = (
-            perp.entries @ profile.entries @ local.entries @ profile.entries @ perp.entries
-        ) / ctx.eps
-        s_rad = numerical_radius(v_con.conj().T @ t_mat @ v_con)
-        return ctx.eps, c2, rem_form, s_rad
+        s_rad = resonant_term_radius(ctx, v_con, m_trunc)
+        return (ctx.eps, c2, rem_form, s_rad), (ctx, drive, v_div)
 
+    # the band sweep below reuses the drive and divergence-free basis of the
+    # first eps mode; that point runs last, so they are the only ones alive
+    later = cfg.eps_modes[1:]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            eps_rows = list(pool.map(eps_point, cfg.eps_modes))
+            later_rows = [row for row, _ in pool.map(eps_point, later)]
     else:
-        eps_rows = [eps_point(m) for m in cfg.eps_modes]
+        later_rows = [eps_point(m)[0] for m in later]
+    first_row, (ctx, drive, v_div) = eps_point(cfg.eps_modes[0])
+    eps_rows = [first_row] + later_rows
 
     eps_csv = os.path.join(out, "scaling_eps.csv")
     write_csv(
@@ -493,13 +531,8 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
     # band sweep at the first eps mode's direction (band quantities are
     # direction-only, so any mode with the same direction gives the same
     # numbers)
-    ctx = lattice_mode_context(bg, (cfg.eps_modes[0], 0))
     stored = spectral.stored_band_for(cfg.band, m_trunc)
     basis = spectral.build_eigenbasis(ctx, stored, m_trunc)
-    drive = op.assemble_matrix(
-        lambda b: op.symmetric_drive(ctx, b, out_truncation=m_trunc), m_trunc
-    )
-    v_div = op.divergence_null_basis(ctx, m_trunc)
     bands = []
     n = 2
     while n <= cfg.band:

@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, asdict
 
+from .background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background, make_background
 from .errors import ConfigError
 
 KINDS = (
@@ -179,6 +180,12 @@ def validate(raw: dict) -> RunConfig:
                 or not _is_a(entry[2], (int, float))
             ):
                 raise ConfigError(f"malformed background entry {entry!r}")
+            if not 0 < abs(entry[1]) <= DEFAULT_BACKGROUND_TRUNCATION:
+                raise ConfigError(
+                    f"background entry {entry!r}: mode must be nonzero and within "
+                    f"the background window [-{DEFAULT_BACKGROUND_TRUNCATION}, "
+                    f"{DEFAULT_BACKGROUND_TRUNCATION}]"
+                )
         background = [list(e) for e in background]
 
     t_final = float(_check_type(raw.get("t_final", 0.5), (int, float), "t_final"))
@@ -232,8 +239,6 @@ def load_config(path: str) -> RunConfig:
 
 
 def resolve_background(cfg: RunConfig):
-    from .background import canonical_background, make_background
-
     if cfg.background == "canonical":
         return canonical_background()
     return make_background([tuple(e) for e in cfg.background])

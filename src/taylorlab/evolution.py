@@ -14,6 +14,7 @@ computed once per mode.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -110,18 +111,38 @@ def _checked_expm(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
-    """Cached exact propagator exp(h G) of a single horizontal mode."""
+    """One mode's generator G and constraint basis V, with exp(h G) cached per h.
+
+    The compressed generator and the quantities read from it are computed
+    on first read, so a caller pays only for what it uses.
+    """
 
     ctx: ModeContext
     generator: OperatorMatrix
     constraint_basis: np.ndarray
-    restricted_abscissa: float
-    constraint_invariance_defect: float
     propagator_cache: dict = field(default_factory=dict)
 
     @property
     def truncation(self) -> int:
         return self.generator.truncation
+
+    @functools.cached_property
+    def compressed_generator(self) -> np.ndarray:
+        """V* G V, the generator restricted to constrained fields."""
+        basis = self.constraint_basis
+        return basis.conj().T @ self.generator.entries @ basis
+
+    @functools.cached_property
+    def restricted_abscissa(self) -> float:
+        """Largest real part of the spectrum of the compressed generator."""
+        return float(np.linalg.eigvals(self.compressed_generator).real.max())
+
+    @functools.cached_property
+    def constraint_invariance_defect(self) -> float:
+        """||(Id - P) G P||, zero when the flow keeps constrained fields constrained."""
+        basis = self.constraint_basis
+        complement = self.generator.entries @ basis - basis @ self.compressed_generator
+        return float(np.linalg.norm(complement, 2))
 
     def exponential(self, h: float) -> np.ndarray:
         key = float(h)
@@ -135,12 +156,14 @@ def build_propagator(
     truncation: int,
     include_geostrophic: bool = True,
 ) -> ModePropagator:
-    """Assemble the full per-mode generator (induction plus diffusion).
+    """Assemble the full per-mode generator (induction plus diffusion) and
+    the constraint basis.
 
     The restricted abscissa is the largest real part of the generator
     compressed to the constrained subspace; the invariance defect
     ||(Id - P) G P|| is recorded rather than enforced so that runs with
-    the balancing velocity disabled remain expressible.
+    the balancing velocity disabled remain expressible.  Both are computed
+    when first read.
     """
     gen = assemble_matrix(
         lambda b: full_induction(
@@ -149,17 +172,8 @@ def build_propagator(
         truncation,
         label="generator",
     )
-    basis = constraint_null_basis(ctx, truncation)
-    compressed = basis.conj().T @ gen.entries @ basis
-    abscissa = float(np.linalg.eigvals(compressed).real.max())
-    complement = gen.entries @ basis - basis @ compressed
-    defect = float(np.linalg.norm(complement, 2))
     return ModePropagator(
-        ctx=ctx,
-        generator=gen,
-        constraint_basis=basis,
-        restricted_abscissa=abscissa,
-        constraint_invariance_defect=defect,
+        ctx=ctx, generator=gen, constraint_basis=constraint_null_basis(ctx, truncation)
     )
 
 
@@ -275,14 +289,21 @@ def initial_state(
     truncation: int,
     seed: int = 0,
     with_zero_mode: bool = True,
+    bases: dict | None = None,
 ) -> SimulationState:
-    """Constrained random initial data with recorded seed."""
+    """Constrained random initial data with recorded seed.
+
+    ``bases`` maps a mode key to its constraint basis at this truncation
+    (as a propagator holds it); modes without one factorize their own.
+    """
     rng = np.random.default_rng(seed)
+    bases = bases or {}
     modes = {}
     for key in lattice_modes:
+        key = tuple(key)
         ctx = lattice_mode_context(bg, key)
         raw = random_mode_field(truncation, rng)
-        modes[tuple(key)] = project_constraints(ctx, raw)
+        modes[key] = project_constraints(ctx, raw, bases.get(key))
     if with_zero_mode:
         zero = random_zero_mode(truncation, rng)
     else:
@@ -337,7 +358,6 @@ def run_evolution(
     order follows the input mode list, so results are deterministic for a
     fixed seed regardless of the jobs count.
     """
-    state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode)
     contexts = {tuple(k): lattice_mode_context(bg, k) for k in lattice_modes}
 
     def make_propagator(key):
@@ -345,13 +365,15 @@ def run_evolution(
             contexts[key], truncation, include_geostrophic=include_geostrophic
         )
 
-    keys = list(state.modes.keys())
+    keys = list(contexts)
     if jobs > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             propagators = dict(zip(keys, pool.map(make_propagator, keys)))
     else:
         propagators = {key: make_propagator(key) for key in keys}
 
+    bases = {key: prop.constraint_basis for key, prop in propagators.items()}
+    state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode, bases)
     state.propagators = propagators
 
     n_steps = int(round(t_final / output_step))
@@ -395,17 +417,9 @@ def abscissa_sweep(
     rows = []
     for key in lattice_modes:
         ctx = lattice_mode_context(bg, key)
-        gen = assemble_matrix(
-            lambda b: full_induction(
-                ctx, b, include_geostrophic=include_geostrophic,
-                out_truncation=truncation,
-            ),
-            truncation,
-        )
-        basis = constraint_null_basis(ctx, truncation)
-        compressed = basis.conj().T @ gen.entries @ basis
-        restricted = float(np.linalg.eigvals(compressed).real.max())
-        unconstrained = float(np.linalg.eigvals(gen.entries).real.max())
+        prop = build_propagator(ctx, truncation, include_geostrophic=include_geostrophic)
+        restricted = prop.restricted_abscissa
+        unconstrained = float(np.linalg.eigvals(prop.generator.entries).real.max())
         rows.append((float(ctx.xi_norm), restricted, unconstrained))
     return rows
 

@@ -60,6 +60,8 @@ __all__ = [
     "assemble_matrix",
     "magnetostrophic_skew",
     "magnetostrophic_symmetric",
+    "profile_averages",
+    "profile_fields",
     "proj_profile",
     "proj_profile_perp",
     "proj_direction",
@@ -256,12 +258,32 @@ def magnetostrophic_symmetric(
     return ModeField.from_components(comps).resample(m)
 
 
+def profile_averages(ctx: ModeContext, b: ModeField) -> np.ndarray:
+    """The profile averages int e0 b_j of the three components.
+
+    Shape (3,), or (3, K) for a block of K fields: row j is the functional
+    b -> int e0 b_j, so the rows of the 3 x 3(2M+1) matrix G_hat.
+    """
+    return np.array([integrate_product(ctx.e0, s) for s in b.components])
+
+
+def profile_fields(ctx: ModeContext, truncation: int) -> ModeField:
+    """The block E of three fields e0 * (unit vector j), j = 1, 2, 3.
+
+    Its matrix is 3(2M+1) x 3 and :func:`proj_profile` is exactly E G_hat
+    (see :func:`profile_averages`), a matrix of rank 3.
+    """
+    e0 = ctx.e0.resample(truncation).coeffs
+    block = np.zeros((3, e0.size, 3), dtype=np.complex128)
+    for j in range(3):
+        block[j, :, j] = e0
+    return ModeField(*(FourierSeries(c) for c in block))
+
+
 def proj_profile(ctx: ModeContext, b: ModeField) -> ModeField:
     """Componentwise orthogonal projection onto the unit profile e0 = beta/||beta||."""
-    m = b.truncation
-    e0 = ctx.e0.resample(m)
-    comps = [integrate_product(ctx.e0, s) * e0 for s in b.components]
-    return ModeField(*comps)
+    e0 = ctx.e0.resample(b.truncation)
+    return ModeField(*(g * e0 for g in profile_averages(ctx, b)))
 
 
 def proj_profile_perp(ctx: ModeContext, b: ModeField) -> ModeField:

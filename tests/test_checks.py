@@ -1,0 +1,58 @@
+"""The factored numerical radius of the scaling study against the dense route."""
+
+import numpy as np
+import pytest
+
+from taylorlab import operators as op
+from taylorlab.background import lattice_mode_context, make_background
+from taylorlab.checks import factored_numerical_radius, numerical_radius, resonant_term_radius
+
+
+def test_factored_radius_matches_dense_on_random_rank_3():
+    # the real backgrounds give a radius of exactly 0, so this is the check
+    # that the compression to the ranges of M and M* loses nothing
+    rng = np.random.default_rng(11)
+    n = 256
+    for _ in range(3):
+        y, k, z = (
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for shape in ((n, 3), (3, 3), (3, n))
+        )
+        dense = numerical_radius(y @ k @ z)
+        assert dense > 1.0
+        assert abs(factored_numerical_radius(y, k, z) - dense) <= 1e-12 * dense
+
+
+def dense_resonant_term_radius(ctx, m):
+    """The full-matrix route: five assembled 3(2M+1)^2 operators, V* T V."""
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
+    profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m).entries
+    local = op.assemble_matrix(
+        lambda b: op.magnetostrophic_symmetric(ctx, b, out_truncation=m), m
+    ).entries
+    v_con = op.constraint_null_basis(ctx, m)
+    t_mat = (perp @ profile @ local @ profile @ perp) / ctx.eps
+    return numerical_radius(v_con.conj().T @ t_mat @ v_con)
+
+
+# [[1, 1, 1], [1, -2, .5], [2, -1, 1], [2, 3, .4]] mixes cosines and sines in
+# one component, which is what makes the resonant term nonzero
+MIXED_PARITY = [(1, 1, 1.0), (1, -2, 0.5), (2, -1, 1.0), (2, 3, 0.4)]
+
+
+@pytest.mark.parametrize("m_eps", [2, 8, 32])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed"])
+def test_resonant_term_radius_matches_full_matrix_route(request, background, m_eps):
+    if background == "mixed":
+        bg = make_background(MIXED_PARITY)
+    else:
+        bg = request.getfixturevalue(background)
+    ctx = lattice_mode_context(bg, (m_eps, 0))
+    m = 32
+    dense = dense_resonant_term_radius(ctx, m)
+    factored = resonant_term_radius(ctx, op.constraint_null_basis(ctx, m), m)
+    if background == "mixed":
+        assert dense > 1e-3
+        assert abs(factored - dense) <= 1e-12 * dense
+    else:
+        assert factored == dense == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from taylorlab import cli
-from taylorlab.background import canonical_background
+from taylorlab.background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background
 from taylorlab.config import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -62,6 +62,10 @@ def test_defaults_fill_in():
         (minimal(background=[[1, 1, True]]), "malformed background entry"),
         (minimal(t_final=True), "wrong type"),
         (minimal(tolerances={"resonance": True}), "positive number"),
+        # background modes lie in the nonzero part of the background window
+        (minimal(background=[[1, 12, 1.0]]), "background window"),
+        (minimal(background=[[1, 0, 1.0]]), "background window"),
+        (minimal(background=[[2, -9, 1.0]]), "background window"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -167,3 +171,16 @@ def test_integer_keys_reject_booleans(tmp_path, capsys, key, value):
         validate(raw)
     assert run_cli_on(tmp_path, raw) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [[1, 12, 1.0], [1, 0, 1.0], [2, -9, 1.0]])
+def test_background_mode_outside_the_window_exits_2(tmp_path, capsys, entry):
+    raw = minimal(background=[entry])
+    assert run_cli_on(tmp_path, raw) == 2
+    assert "background window" in capsys.readouterr().err
+
+
+def test_background_window_edges_are_accepted():
+    n = DEFAULT_BACKGROUND_TRUNCATION
+    cfg = validate(minimal(background=[[1, n, 1.0], [2, -n, 1.0]]))
+    assert cfg.background == [[1, n, 1.0], [2, -n, 1.0]]

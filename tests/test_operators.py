@@ -365,3 +365,23 @@ def test_assemble_matrix_applies_the_operator_once_per_component(ctx10):
 
     op.assemble_matrix(counted, 12)
     assert calls == [(25, 25)] * 3
+
+
+@pytest.mark.parametrize("mode", [(2, 0), (32, 0)])
+def test_profile_projection_is_the_rank_3_product(bg, mode):
+    # proj_profile = E G_hat: E holds e0 in each component slot, G_hat the
+    # profile averages; the resonant-term radius relies on this factorization
+    ctx = lattice_mode_context(bg, mode)
+    m = 64
+    e = op.field_to_vector(op.profile_fields(ctx, m))
+    zero = FourierSeries.zeros(m)
+    identity = FourierSeries(np.eye(2 * m + 1))
+    g_hat = np.hstack(
+        [
+            op.profile_averages(ctx, op.ModeField(*(identity if j == c else zero for j in range(3))))
+            for c in range(3)
+        ]
+    )
+    assert e.shape == (3 * (2 * m + 1), 3) and g_hat.shape == (3, 3 * (2 * m + 1))
+    profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m)
+    assert np.array_equal(e @ g_hat, profile.entries)
