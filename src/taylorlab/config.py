@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 from .background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background, make_background
@@ -160,6 +161,8 @@ def validate(raw: dict) -> RunConfig:
             raise ConfigError(f"malformed mode entry {m!r}; expected [int, int]")
         if m == [0, 0]:
             raise ConfigError("horizontal mode [0, 0] is reserved for the averaged profile")
+        if (m[0], m[1]) in modes:
+            raise ConfigError(f"duplicate mode entry {m!r}")
         modes.append((m[0], m[1]))
 
     eps_raw = raw.get("eps_modes", [2, 8, 32])
@@ -178,6 +181,7 @@ def validate(raw: dict) -> RunConfig:
                 or entry[0] not in (1, 2)
                 or not _is_a(entry[1], int)
                 or not _is_a(entry[2], (int, float))
+                or not math.isfinite(entry[2])
             ):
                 raise ConfigError(f"malformed background entry {entry!r}")
             if not 0 < abs(entry[1]) <= DEFAULT_BACKGROUND_TRUNCATION:
@@ -190,10 +194,18 @@ def validate(raw: dict) -> RunConfig:
 
     t_final = float(_check_type(raw.get("t_final", 0.5), (int, float), "t_final"))
     output_step = float(_check_type(raw.get("output_step", 0.125), (int, float), "output_step"))
-    if t_final <= 0 or output_step <= 0:
-        raise ConfigError("'t_final' and 'output_step' must be positive")
+    if not (0 < t_final < math.inf and 0 < output_step < math.inf):
+        raise ConfigError("'t_final' and 'output_step' must be positive and finite")
     if output_step > t_final:
         raise ConfigError("'output_step' exceeds 't_final'")
+    # each value is within half a float spacing of the number written, so
+    # k steps of output_step may miss t_final by k spacings of output_step
+    # plus one of t_final, and by nothing more
+    steps = round(t_final / output_step)
+    if abs(steps * output_step - t_final) > steps * math.ulp(output_step) + math.ulp(t_final):
+        raise ConfigError(
+            f"'t_final' {t_final!r} is not a whole number of output steps {output_step!r}"
+        )
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -201,7 +213,7 @@ def validate(raw: dict) -> RunConfig:
     for name, value in tolerances.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}")
-        if not _is_a(value, (int, float)) or value <= 0:
+        if not _is_a(value, (int, float)) or not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be a positive number")
 
     jobs = int(_check_type(raw.get("jobs", 1), int, "jobs"))

@@ -2,7 +2,11 @@
 
 The generator of each horizontal mode is autonomous, so propagation is by
 matrix exponential rather than time stepping: one dense ``expm`` per
-(mode, step size) pair, cached and reused.  A classical Runge-Kutta path
+coupled block of the generator and step size, cached and reused.  The
+blocks are read off the exact nonzero pattern of the generator and the
+constraint basis; at the canonical background they are the even and the
+odd vertical wavenumbers, and one block runs the whole matrix through the
+same kernels.  A classical Runge-Kutta path
 exists only as a cross-check oracle.  The zero horizontal mode decouples
 into a scalar heat equation and is propagated in closed form.
 
@@ -30,6 +34,7 @@ from .operators import (
     OperatorMatrix,
     assemble_matrix,
     constraint_null_basis,
+    coupled_blocks,
     divergence_residual,
     field_to_vector,
     full_induction,
@@ -91,30 +96,58 @@ def induction_power(
 # ----------------------------------------------------------------------
 
 
-def _checked_expm(mat: np.ndarray) -> np.ndarray:
-    """scipy expm with an eigendecomposition cross-check when affordable."""
-    out = scipy.linalg.expm(mat)
-    if not np.all(np.isfinite(out)):
+def _eigen_oracle(block: np.ndarray) -> tuple:
+    """(w, V, V^-1, singular values of V) of one block.
+
+    V^-1 is None where the block's own eigenvector condition already
+    exceeds ``EXPM_ORACLE_CONDITION``: the check will not run, and V may be
+    singular.
+    """
+    w, vecs = np.linalg.eig(block)
+    sigma = np.linalg.svd(vecs, compute_uv=False)
+    inverse = None
+    if sigma[0] <= EXPM_ORACLE_CONDITION * sigma[-1]:
+        inverse = np.linalg.solve(vecs, np.eye(len(w)))
+    return w, vecs, inverse, sigma
+
+
+def _checked_expm(blocks: list, oracles: list, h: float) -> list:
+    """scipy expm of h G_k per block, cross-checked against eigendecompositions.
+
+    ``oracles`` holds :func:`_eigen_oracle` of each G_k, so the check costs
+    no factorization for any h.  The gate reads the quantities of the whole
+    block-diagonal matrix: its eigenvector condition is the largest singular
+    value over all blocks by the smallest, and the relative 2-norm error is
+    the largest block error over the largest block norm.  The check runs
+    only when that condition is affordable.
+    """
+    outs = [scipy.linalg.expm(h * block) for block in blocks]
+    if not all(np.all(np.isfinite(out)) for out in outs):
         raise IllConditioned("matrix exponential produced non-finite entries")
-    w, vecs = np.linalg.eig(mat)
-    cond = np.linalg.cond(vecs)
+    sigma = np.concatenate([oracle[3] for oracle in oracles])
+    cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
     if cond <= EXPM_ORACLE_CONDITION:
-        recon = vecs @ (np.exp(w)[:, None] * np.linalg.solve(vecs, np.eye(len(w))))
-        rel = np.linalg.norm(out - recon, 2) / max(1.0, np.linalg.norm(out, 2))
+        error = max(
+            np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), 2)
+            for out, (w, vecs, inverse, _) in zip(outs, oracles)
+        )
+        rel = error / max(1.0, max(np.linalg.norm(out, 2) for out in outs))
         if rel > EXPM_ORACLE_TOL:
             raise IllConditioned(
                 f"exponential disagrees with eigendecomposition: {rel:.3e} "
                 f"(eigenvector condition {cond:.2e})"
             )
-    return out
+    return outs
 
 
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
     """One mode's generator G and constraint basis V, with exp(h G) cached per h.
 
-    The compressed generator and the quantities read from it are computed
-    on first read, so a caller pays only for what it uses.
+    The dense kernels run on :attr:`blocks`, over which G and V are both
+    block diagonal; exp(h G) is assembled from the blocks' exponentials.
+    The split and the quantities read from it are computed on first read,
+    so a caller pays only for what it uses.
     """
 
     ctx: ModeContext
@@ -127,27 +160,74 @@ class ModePropagator:
         return self.generator.truncation
 
     @functools.cached_property
-    def compressed_generator(self) -> np.ndarray:
-        """V* G V, the generator restricted to constrained fields."""
-        basis = self.constraint_basis
-        return basis.conj().T @ self.generator.entries @ basis
+    def blocks(self) -> tuple:
+        """Index sets of the unknowns coupled by a nonzero of G or by a column of V.
+
+        At the canonical background these are the even and the odd vertical
+        wavenumbers; a background that mixes parities gives one block.
+        """
+        return coupled_blocks(self.generator.entries, self.constraint_basis.T)
+
+    def _generator_blocks(self) -> list:
+        """G_k per block, copied out on each call; the whole G for one block."""
+        if len(self.blocks) == 1:
+            return [self.generator.entries]
+        return [self.generator.entries[np.ix_(idx, idx)] for idx in self.blocks]
+
+    def _basis_blocks(self) -> list:
+        """V_k per block: the rows of V in the block and the columns supported
+        there; the whole V for one block."""
+        if len(self.blocks) == 1:
+            return [self.constraint_basis]
+        out = []
+        for idx in self.blocks:
+            rows = self.constraint_basis[idx]
+            out.append(rows[:, np.any(rows != 0, axis=0)])
+        return out
+
+    @functools.cached_property
+    def compressed_blocks(self) -> tuple:
+        """V_k* G_k V_k per block: up to a permutation, V* G V is their direct sum."""
+        return tuple(
+            basis.conj().T @ gen @ basis
+            for gen, basis in zip(self._generator_blocks(), self._basis_blocks())
+        )
 
     @functools.cached_property
     def restricted_abscissa(self) -> float:
         """Largest real part of the spectrum of the compressed generator."""
-        return float(np.linalg.eigvals(self.compressed_generator).real.max())
+        return max(float(np.linalg.eigvals(c).real.max()) for c in self.compressed_blocks)
+
+    @functools.cached_property
+    def unconstrained_abscissa(self) -> float:
+        """Largest real part of the spectrum of G itself."""
+        return max(float(np.linalg.eigvals(gen).real.max()) for gen in self._generator_blocks())
 
     @functools.cached_property
     def constraint_invariance_defect(self) -> float:
         """||(Id - P) G P||, zero when the flow keeps constrained fields constrained."""
-        basis = self.constraint_basis
-        complement = self.generator.entries @ basis - basis @ self.compressed_generator
-        return float(np.linalg.norm(complement, 2))
+        pieces = zip(self._generator_blocks(), self._basis_blocks(), self.compressed_blocks)
+        return max(
+            float(np.linalg.norm(gen @ basis - basis @ compressed, 2))
+            for gen, basis, compressed in pieces
+        )
+
+    @functools.cached_property
+    def _oracles(self) -> tuple:
+        """The expm oracle's eigendecomposition of each G_k, shared by every h."""
+        return tuple(_eigen_oracle(gen) for gen in self._generator_blocks())
 
     def exponential(self, h: float) -> np.ndarray:
         key = float(h)
         if key not in self.propagator_cache:
-            self.propagator_cache[key] = _checked_expm(key * self.generator.entries)
+            outs = _checked_expm(self._generator_blocks(), self._oracles, key)
+            if len(outs) == 1:
+                full = outs[0]
+            else:
+                full = np.zeros_like(self.generator.entries)
+                for idx, out in zip(self.blocks, outs):
+                    full[np.ix_(idx, idx)] = out
+            self.propagator_cache[key] = full
         return self.propagator_cache[key]
 
 
@@ -418,9 +498,9 @@ def abscissa_sweep(
     for key in lattice_modes:
         ctx = lattice_mode_context(bg, key)
         prop = build_propagator(ctx, truncation, include_geostrophic=include_geostrophic)
-        restricted = prop.restricted_abscissa
-        unconstrained = float(np.linalg.eigvals(prop.generator.entries).real.max())
-        rows.append((float(ctx.xi_norm), restricted, unconstrained))
+        rows.append(
+            (float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa)
+        )
     return rows
 
 

@@ -76,6 +76,18 @@ class FourierSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "FourierSeries":
+        """Wrap a complex coefficient array that nothing else holds, without a copy.
+
+        For results this module has just computed; the public constructor
+        copies, so a caller's array never aliases a series.
+        """
+        arr.setflags(write=False)
+        series = object.__new__(cls)
+        object.__setattr__(series, "coeffs", arr)
+        return series
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -198,32 +210,32 @@ class FourierSeries:
 
     def __add__(self, other: "FourierSeries") -> "FourierSeries":
         a, b = self._paired(other)
-        return FourierSeries(a + b)
+        return FourierSeries._adopt(a + b)
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         a, b = self._paired(other)
-        return FourierSeries(a - b)
+        return FourierSeries._adopt(a - b)
 
     def __neg__(self) -> "FourierSeries":
-        return FourierSeries(-self.coeffs)
+        return FourierSeries._adopt(-self.coeffs)
 
     def __mul__(self, scalar) -> "FourierSeries":
         """Scale by a number, or each column k by ``scalar[k]`` for a length-K row."""
         if isinstance(scalar, FourierSeries):
             raise TypeError("use multiply(f, g) for series products")
         if np.ndim(scalar) == 0:
-            return FourierSeries(self.coeffs * complex(scalar))
+            return FourierSeries._adopt(self.coeffs * complex(scalar))
         column = self.coeffs if self.coeffs.ndim == 2 else self.coeffs[:, None]
         return FourierSeries(column * np.asarray(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "FourierSeries":
-        return FourierSeries(self.coeffs / complex(scalar))
+        return FourierSeries._adopt(self.coeffs / complex(scalar))
 
     def derivative(self) -> "FourierSeries":
         factor = TWO_PI * 1j * self.modes()
-        return FourierSeries(self.coeffs * _along_modes(factor, self.coeffs.ndim))
+        return FourierSeries._adopt(self.coeffs * _along_modes(factor, self.coeffs.ndim))
 
     def antiderivative_zero_mean(self) -> "FourierSeries":
         """P int P: divide mode n != 0 by 2 pi i n, send the mean to zero."""
@@ -231,16 +243,16 @@ class FourierSeries:
         n[self.truncation] = 1.0  # avoid 0/0; the slot is zeroed below
         out = self.coeffs / _along_modes(TWO_PI * 1j * n, self.coeffs.ndim)
         out[self.truncation] = 0.0
-        return FourierSeries(out)
+        return FourierSeries._adopt(out)
 
     def remove_mean(self) -> "FourierSeries":
         out = self.coeffs.copy()
         out[self.truncation] = 0.0
-        return FourierSeries(out)
+        return FourierSeries._adopt(out)
 
     def conj(self) -> "FourierSeries":
         """Series of the complex-conjugate function."""
-        return FourierSeries(np.conj(self.coeffs[::-1]))
+        return FourierSeries._adopt(np.conj(self.coeffs[::-1]))
 
     def inner(self, other: "FourierSeries") -> complex:
         """<f, g> = int f conj(g) = sum_n c_n conj(d_n)."""
@@ -253,9 +265,9 @@ class FourierSeries:
         if truncation == m:
             return self
         if truncation > m:
-            return FourierSeries(_pad_modes(self.coeffs, truncation - m))
+            return FourierSeries._adopt(_pad_modes(self.coeffs, truncation - m))
         cut = m - truncation
-        return FourierSeries(self.coeffs[cut:-cut])
+        return FourierSeries._adopt(self.coeffs[cut:-cut])
 
     def evaluate(self, x):
         """Evaluate the trigonometric polynomial at points x (scalar or array)."""
@@ -313,13 +325,13 @@ def multiply(
     natural = f.truncation + g.truncation
     no_tail = 0.0 if full.ndim == 1 else np.zeros(full.shape[1])
     if out_truncation is None or out_truncation == natural:
-        prod = FourierSeries(full)
+        prod = FourierSeries._adopt(full)
         return (prod, no_tail) if with_tail else prod
     if out_truncation > natural:
-        prod = FourierSeries(_pad_modes(full, out_truncation - natural))
+        prod = FourierSeries._adopt(_pad_modes(full, out_truncation - natural))
         return (prod, no_tail) if with_tail else prod
     cut = natural - out_truncation
-    prod = FourierSeries(full[cut:-cut])
+    prod = FourierSeries._adopt(full[cut:-cut])
     if not with_tail:
         return prod
     dropped = np.abs(full[:cut]) ** 2 + np.abs(full[-cut:]) ** 2

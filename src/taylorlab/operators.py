@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .background import ModeContext
 from .errors import ConstraintViolated
@@ -83,6 +82,7 @@ __all__ = [
     "divergence_matrix",
     "constraint_null_basis",
     "divergence_null_basis",
+    "coupled_blocks",
 ]
 
 
@@ -686,9 +686,74 @@ def constraint_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
 
 def constraint_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
     """Orthonormal basis (columns) of the divergence + Taylor constraint subspace."""
-    return scipy.linalg.null_space(constraint_matrix(ctx, truncation))
+    return _null_space_by_blocks(constraint_matrix(ctx, truncation))
 
 
 def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
     """Orthonormal basis (columns) of the divergence-free subspace alone."""
-    return scipy.linalg.null_space(divergence_matrix(ctx, truncation))
+    return _null_space_by_blocks(divergence_matrix(ctx, truncation))
+
+
+def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = None):
+    """Index sets of the unknowns that the exact nonzero patterns couple.
+
+    Unknowns i and j are coupled when ``square[i, j] != 0``, or when one row
+    of ``rows`` is nonzero at both.  There is no threshold: any nonzero
+    couples, however small.  The blocks are the connected components, so a
+    matrix that is block diagonal up to a permutation splits into its
+    blocks, and an unknown that nothing couples is a block of its own.
+    Blocks come in the order of their smallest index, each listing its
+    indices in increasing order.
+    """
+    patterns = []
+    if square is not None:
+        patterns.append((square != 0) | np.eye(len(square), dtype=bool))
+    if rows is not None:
+        patterns.append(rows != 0)
+    pattern = np.vstack(patterns)
+    edge, unknown = np.nonzero(pattern)
+    n = pattern.shape[1]
+    # every label is an unknown of the same block and at most the own index;
+    # rows and unknowns trade their least labels until nothing moves, and
+    # label[label] jumps ahead along chains
+    label = np.arange(n)
+    while True:
+        least = np.full(len(pattern), n)
+        np.minimum.at(least, edge, label[unknown])
+        new = label.copy()
+        np.minimum.at(new, unknown, least[edge])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+
+def _null_space_by_blocks(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``rows``, one block at a time.
+
+    Each block of :func:`coupled_blocks` of the rows is factored with the
+    rows inside it, by the rule of ``scipy.linalg.null_space``: the right
+    singular vectors beyond the singular values above max(shape) * eps *
+    the largest.  An unknown that no row touches contributes its unit
+    vector.  Every column is supported inside one block, so the basis also
+    splits along any coarser block partition.
+    """
+    blocks = coupled_blocks(rows=rows)
+    touched = rows != 0
+    pieces = []
+    for idx in blocks:
+        inside = rows[touched[:, idx].any(axis=1)][:, idx]
+        if not len(inside):
+            pieces.append(np.eye(len(idx)))
+            continue
+        _, sigma, vh = np.linalg.svd(inside)
+        rank = np.count_nonzero(sigma > max(inside.shape) * np.finfo(float).eps * sigma[0])
+        pieces.append(vh[rank:].conj().T)
+    out = np.zeros((rows.shape[1], sum(p.shape[1] for p in pieces)), dtype=np.complex128)
+    col = 0
+    for idx, piece in zip(blocks, pieces):
+        out[idx, col : col + piece.shape[1]] = piece
+        col += piece.shape[1]
+    return out

@@ -2,12 +2,15 @@
 
 All numbers are serialized with ``repr``, the shortest representation
 that round-trips, so identical inputs yield byte-identical files.  No
-timestamps or environment-dependent values are written.
+timestamps or environment-dependent values are written.  ``report.json``
+is strict JSON: a non-finite measurement is a failed outcome whose number
+is written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +30,14 @@ class CheckOutcome:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "measured": float(self.measured),
-            "tolerance": float(self.tolerance),
+            "measured": _finite_or_none(self.measured),
+            "tolerance": _finite_or_none(self.tolerance),
             "detail": self.detail,
         }
+
+
+def _finite_or_none(value: float):
+    return value if math.isfinite(value) else None
 
 
 @dataclass
@@ -47,7 +54,17 @@ class RunReport:
         return all(o.passed for o in self.outcomes)
 
     def add(self, name, passed, measured, tolerance, detail="") -> CheckOutcome:
-        outcome = CheckOutcome(name, bool(passed), float(measured), float(tolerance), detail)
+        """Record one outcome; a non-finite number fails it, whatever ``passed`` says."""
+        measured, tolerance = float(measured), float(tolerance)
+        non_finite = [
+            f"non-finite {label} ({value!r})"
+            for label, value in (("measurement", measured), ("tolerance", tolerance))
+            if not math.isfinite(value)
+        ]
+        if non_finite:
+            passed = False
+            detail = "; ".join(non_finite + ([detail] if detail else []))
+        outcome = CheckOutcome(name, bool(passed), measured, tolerance, detail)
         self.outcomes.append(outcome)
         return outcome
 
@@ -65,7 +82,7 @@ class RunReport:
 
 def write_report(report: RunReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.as_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -20,6 +20,13 @@ def alt_bg():
 
 
 @pytest.fixture(scope="session")
+def mixed_bg():
+    # cosines and sines mixed in one component: beta has even and odd
+    # vertical modes, so no parity split of the generator survives
+    return make_background([(1, 1, 1.0), (1, -2, 0.5), (2, -1, 1.0), (2, 3, 0.4)])
+
+
+@pytest.fixture(scope="session")
 def ctx10(bg):
     return lattice_mode_context(bg, (1, 0))
 

@@ -53,6 +53,13 @@ def test_rejected_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_t_final_between_output_steps_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, kind="evolve", t_final=0.5, output_step=0.2)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "whole number of output steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, typo_key=1)
     assert cli.main(["run", cfg]) == 2

@@ -66,11 +66,27 @@ def test_defaults_fill_in():
         (minimal(background=[[1, 12, 1.0]]), "background window"),
         (minimal(background=[[1, 0, 1.0]]), "background window"),
         (minimal(background=[[2, -9, 1.0]]), "background window"),
+        # a run stops only at t_final, and every mode is evolved once
+        (minimal(t_final=0.5, output_step=0.2), "whole number of output steps"),
+        (minimal(t_final=0.5, output_step=0.1 + 1e-12), "whole number of output steps"),
+        (minimal(modes=[[1, 0], [0, 1], [1, 0]]), "duplicate mode entry"),
+        # JSON parsers accept NaN and Infinity; the schema does not
+        (minimal(t_final=float("nan")), "positive and finite"),
+        (minimal(output_step=float("inf")), "positive and finite"),
+        (minimal(tolerances={"resonance": float("inf")}), "positive number"),
+        (minimal(background=[[1, 1, float("nan")]]), "malformed background entry"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         validate(raw)
+
+
+@pytest.mark.parametrize("t_final, output_step", [(0.3, 0.1), (1.1, 0.1), (1.0, 1 / 2048)])
+def test_t_final_a_whole_number_of_steps_up_to_rounding(t_final, output_step):
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point
+    cfg = validate(minimal(t_final=t_final, output_step=output_step))
+    assert cfg.t_final == t_final
 
 
 def test_truncation_band_boundary():

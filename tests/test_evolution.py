@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
-from taylorlab.errors import ConstraintDrift, NonConjugateModes
+from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
 from conftest import random_field
@@ -76,6 +77,61 @@ def test_propagator_semigroup_property(ctx10):
     two = prop.exponential(2 * h)
     rel = np.linalg.norm(one @ one - two, 2) / np.linalg.norm(two, 2)
     assert rel < 1e-10
+
+
+@pytest.mark.parametrize("h", [0.125, -0.125])
+def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
+    # truncation 8 keeps the backward diffusion exp(4 pi^2 M^2 |h|) finite
+    m = 8
+    prop = evo.build_propagator(ctx10, m)
+    n = np.tile(np.arange(-m, m + 1), 3)
+    assert [len(idx) for idx in prop.blocks] == [3 * (m + 1), 3 * m]
+    for idx in prop.blocks:
+        assert len(set(n[idx] % 2)) == 1
+    full = scipy.linalg.expm(h * prop.generator.entries)
+    rel = np.linalg.norm(prop.exponential(h) - full, 2) / np.linalg.norm(full, 2)
+    assert rel < 1e-12
+
+
+def test_single_block_exponential_is_the_whole_matrix_route(mixed_bg):
+    prop = evo.build_propagator(lattice_mode_context(mixed_bg, (1, 0)), 8)
+    assert len(prop.blocks) == 1
+    for h in (0.125, -0.125):
+        assert np.array_equal(
+            prop.exponential(h), scipy.linalg.expm(h * prop.generator.entries)
+        )
+
+
+def test_blockwise_abscissas_match_the_whole_matrix(ctx10):
+    prop = evo.build_propagator(ctx10, 16)
+    g, v = prop.generator.entries, prop.constraint_basis
+    restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
+    assert prop.restricted_abscissa == pytest.approx(restricted, rel=1e-12)
+    # the raw generator's abscissa is a zero eigenvalue up to roundoff
+    assert abs(prop.unconstrained_abscissa - np.linalg.eigvals(g).real.max()) < 1e-10
+    defect = np.linalg.norm(g @ v - v @ (v.conj().T @ g @ v), 2)
+    assert prop.constraint_invariance_defect == pytest.approx(defect, abs=1e-12)
+
+
+def test_planted_oracle_disagreement_raises(ctx10):
+    prop = evo.build_propagator(ctx10, 8)
+    blocks = [prop.generator.entries[np.ix_(idx, idx)] for idx in prop.blocks]
+    oracles = [evo._eigen_oracle(block) for block in blocks]
+    evo._checked_expm(blocks, oracles, 0.01)  # honest oracles pass
+    w, vecs, inverse, sigma = oracles[1]
+    oracles[1] = (w + 1e-6, vecs, inverse, sigma)
+    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
+        evo._checked_expm(blocks, oracles, 0.01)
+
+
+def test_oracle_is_skipped_for_a_defective_block():
+    # a Jordan block has no eigenvector basis: the exponential is still
+    # returned, unchecked, as when the condition exceeds the gate
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    oracle = evo._eigen_oracle(jordan)
+    assert oracle[2] is None
+    (out,) = evo._checked_expm([jordan], [oracle], 0.5)
+    assert np.allclose(out, [[1.0, 0.5], [0.0, 1.0]], rtol=0, atol=1e-15)
 
 
 def test_exact_flow_matches_rk4(ctx10):

@@ -150,6 +150,22 @@ def test_same_window_arithmetic_is_strict():
     assert allclose(f + g.resample(4), f * 2)
 
 
+def test_construction_copies_and_results_are_frozen():
+    coeffs = np.array([1.0, 2.0 - 1j, 3.0], dtype=np.complex128)
+    f = FourierSeries(coeffs)
+    coeffs[1] = 99.0  # the caller's array, mutated after construction
+    assert f.coefficient(0) == 2.0 - 1j
+    g = FourierSeries.cosine(1, 1)
+    results = (f + g, f - g, -f, 2 * f, f / 2, f.derivative(), f.conj(),
+               f.antiderivative_zero_mean(), f.remove_mean(), f.resample(3),
+               f.resample(0), multiply(f, g), multiply(f, g, out_truncation=1),
+               multiply(f, g, out_truncation=3))
+    for series in results:
+        assert not series.coeffs.flags.writeable
+        assert series.coeffs.dtype == np.complex128
+    assert f.coefficient(0) == 2.0 - 1j
+
+
 def test_resample_pad_and_cut():
     rng = np.random.default_rng(6)
     f = random_series(5, rng)

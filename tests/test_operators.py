@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
@@ -193,6 +194,80 @@ def test_constraint_null_basis_shape_and_membership(ctx10):
         r_perp, r_3 = op.taylor_residual(ctx10, b)
         assert max(abs(r_perp), abs(r_3)) < 1e-13
         assert op.divergence_residual(ctx10, b) < 1e-13
+
+
+def test_coupled_blocks_recovers_a_permuted_block_diagonal_matrix():
+    rng = np.random.default_rng(21)
+    sizes = (4, 7, 1, 5)
+    n = sum(sizes)
+    mat = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for size in sizes:
+        mat[start : start + size, start : start + size] = rng.standard_normal((size, size))
+        start += size
+    perm = rng.permutation(n)
+    shuffled = mat[np.ix_(perm, perm)]
+    # unknown i of the shuffled matrix is unknown perm[i] of the ordered one
+    owner = np.repeat(np.arange(len(sizes)), sizes)[perm]
+    want = sorted(tuple(np.flatnonzero(owner == b)) for b in range(len(sizes)))
+
+    got = op.coupled_blocks(shuffled)
+    assert [tuple(idx) for idx in got] == want
+    assert [tuple(idx) for idx in got] == sorted(tuple(idx) for idx in got)
+
+    # any nonzero couples, however small: one entry merges two blocks
+    i, j = want[0][0], want[-1][-1]
+    shuffled[i, j] = 1e-300
+    merged = op.coupled_blocks(shuffled)
+    assert len(merged) == len(sizes) - 1
+    assert tuple(merged[0]) == tuple(sorted(want[0] + want[-1]))
+
+
+def test_coupled_blocks_joins_the_unknowns_of_each_row():
+    rows = np.zeros((2, 6))
+    rows[0, [0, 4]] = 1.0
+    rows[1, [4, 2]] = -2.0
+    got = op.coupled_blocks(rows=rows)
+    assert [tuple(idx) for idx in got] == [(0, 2, 4), (1,), (3,), (5,)]
+    square = np.eye(6)
+    square[5, 4] = 3.0  # one direction of coupling is enough
+    both = op.coupled_blocks(square, rows)
+    assert [tuple(idx) for idx in both] == [(0, 2, 4, 5), (1,), (3,)]
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1)])
+def test_constraint_null_basis_matches_the_whole_matrix_null_space(request, background, mode):
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    m = 64
+    rows = op.constraint_matrix(ctx, m)
+    v = op.constraint_null_basis(ctx, m)
+    reference = scipy.linalg.null_space(rows)
+    assert v.shape == reference.shape
+    assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-13
+    assert np.linalg.norm(rows @ v, 2) <= 1e-14 * np.linalg.norm(rows, 2)
+    projector = v @ v.conj().T
+    assert np.max(np.abs(projector - reference @ reference.conj().T)) < 1e-13
+
+
+def test_divergence_null_basis_matches_the_whole_matrix_null_space(ctx10):
+    rows = op.divergence_matrix(ctx10, 16)
+    v = op.divergence_null_basis(ctx10, 16)
+    reference = scipy.linalg.null_space(rows)
+    assert v.shape == reference.shape
+    assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-13
+    assert np.max(np.abs(v @ v.conj().T - reference @ reference.conj().T)) < 1e-13
+
+
+def test_constraint_null_basis_columns_respect_the_parity_split(ctx10):
+    # every column lives on one parity of the vertical wavenumber, so the
+    # basis splits along the generator's blocks at the canonical background
+    m = 16
+    v = op.constraint_null_basis(ctx10, m)
+    n = np.tile(np.arange(-m, m + 1), 3)
+    on_even = np.any(v[n % 2 == 0] != 0, axis=0)
+    on_odd = np.any(v[n % 2 == 1] != 0, axis=0)
+    assert not np.any(on_even & on_odd)
 
 
 # ----------------------------------------------------------------------

@@ -85,6 +85,27 @@ def test_write_report_deterministic(tmp_path):
     assert doc["outcomes"][0]["measured"] == 3.5e-16
 
 
+def test_non_finite_measurement_is_a_failed_null(tmp_path):
+    report = RunReport(kind="evolve", config_hash="abc", package_version="0.1.0")
+    report.add("finite", True, 1e-12, 1e-8)
+    report.add("blown_up", True, float("nan"), 1e-8, detail="probe")
+    report.add("overflowed", True, float("inf"), 1e-8)
+    assert not report.passed
+    path = str(tmp_path / "report.json")
+    write_report(report, path)
+
+    def reject(token):
+        raise AssertionError(f"invalid JSON constant {token}")
+
+    doc = json.loads(open(path).read(), parse_constant=reject)
+    finite, blown_up, overflowed = doc["outcomes"]
+    assert finite["passed"] and finite["measured"] == 1e-12
+    assert blown_up["passed"] is False and blown_up["measured"] is None
+    assert blown_up["detail"] == "non-finite measurement (nan); probe"
+    assert overflowed["passed"] is False and overflowed["measured"] is None
+    assert overflowed["tolerance"] == 1e-8
+
+
 def test_matrix_to_json_shape_and_parts():
     m = np.array([[1 + 2j, 0], [0, -1j]])
     doc = matrix_to_json(m)
