@@ -389,12 +389,13 @@ def run_evolve(cfg: RunConfig) -> RunReport:
 # ----------------------------------------------------------------------
 
 
-def _trend_margin(rows) -> tuple[float, float]:
-    """(max of later abscissas, bound from the first two) for sorted rows."""
+def _trend_margin(rows, slack: float) -> tuple[float, float]:
+    """(max of later abscissas, bound from the first two) for sorted rows;
+    the bound exceeds the head by ``slack`` times its magnitude."""
     values = [r[1] for r in sorted(rows, key=lambda r: r[0])]
     head = max(values[:2])
     tail = max(values[2:]) if len(values) > 2 else head
-    return tail, head + 0.1 * abs(head)
+    return tail, head + slack * abs(head)
 
 
 def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
@@ -402,17 +403,9 @@ def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
     out = _outdir(cfg)
     report = _new_report(cfg)
 
-    def lane(include_geostrophic: bool):
-        return evo.abscissa_sweep(
-            bg, list(cfg.modes), truncation=cfg.truncation,
-            include_geostrophic=include_geostrophic,
-        )
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            rows_on, rows_off = pool.map(lane, (True, False))
-    else:
-        rows_on, rows_off = lane(True), lane(False)
+    rows_on, rows_off = evo.abscissa_lanes(
+        bg, list(cfg.modes), truncation=cfg.truncation, lanes=(True, False), jobs=cfg.jobs
+    )
 
     header = ["xi_norm", "abscissa_restricted", "abscissa_full"]
     paths = []
@@ -432,7 +425,8 @@ def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
         paths += [csv_path, svg_path]
     report.artifacts += [os.path.basename(p) for p in paths]
 
-    tail_on, bound_on = _trend_margin(rows_on)
+    slack = cfg.tolerance("abscissa_slack")
+    tail_on, bound_on = _trend_margin(rows_on, slack)
     report.add(
         "abscissa_no_upward_trend",
         tail_on <= bound_on,
@@ -440,7 +434,7 @@ def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
         bound_on,
         detail="restricted abscissas with the balancing velocity enabled",
     )
-    tail_off, bound_off = _trend_margin(rows_off)
+    tail_off, bound_off = _trend_margin(rows_off, slack)
     report.add(
         "abscissa_demonstration_lane",
         True,
@@ -469,15 +463,18 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
             lambda b: op.symmetric_drive(ctx, b, out_truncation=m_trunc), m_trunc
         )
         perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m_trunc)
+        v_div = op.divergence_null_basis(ctx, m_trunc)
+        diff = drive.entries - perp.entries @ drive.entries @ perp.entries
+        c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
+        # drop each dense matrix once read, so that the later assemblies and
+        # the radius do not stack their work arrays on it
+        del perp, diff
         remainder = op.assemble_matrix(
             lambda b: op.induction_remainder(ctx, b, out_truncation=m_trunc), m_trunc
         )
-        v_div = op.divergence_null_basis(ctx, m_trunc)
         v_con = op.constraint_null_basis(ctx, m_trunc)
-
-        diff = drive.entries - perp.entries @ drive.entries @ perp.entries
-        c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
         rem_form = hermitian_part_norm(v_con.conj().T @ remainder.entries @ v_con) / ctx.eps
+        del remainder
         s_rad = resonant_term_radius(ctx, v_con, m_trunc)
         return (ctx.eps, c2, rem_form, s_rad), (ctx, drive, v_div)
 

@@ -34,6 +34,9 @@ KINDS = (
     "scaling-study",
 )
 
+# Kinds that build one mode: a second mode would be ignored, so it is refused.
+SINGLE_MODE_KINDS = ("spectral-check", "normalform-check")
+
 # Named tolerances with their defaults.  A config may override any subset
 # through the "tolerances" object; checks read them by name only.
 DEFAULT_TOLERANCES = {
@@ -164,6 +167,8 @@ def validate(raw: dict) -> RunConfig:
         if (m[0], m[1]) in modes:
             raise ConfigError(f"duplicate mode entry {m!r}")
         modes.append((m[0], m[1]))
+    if kind in SINGLE_MODE_KINDS and len(modes) > 1:
+        raise ConfigError(f"kind {kind!r} checks one mode; got {len(modes)} modes")
 
     eps_raw = raw.get("eps_modes", [2, 8, 32])
     if not isinstance(eps_raw, list) or not all(_is_a(v, int) and v > 0 for v in eps_raw):

@@ -83,6 +83,7 @@ __all__ = [
     "constraint_null_basis",
     "divergence_null_basis",
     "coupled_blocks",
+    "PairTransform",
 ]
 
 
@@ -685,13 +686,158 @@ def constraint_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
 
 
 def constraint_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the divergence + Taylor constraint subspace."""
-    return _null_space_by_blocks(constraint_matrix(ctx, truncation))
+    """Orthonormal basis (columns) of the divergence + Taylor constraint subspace.
+
+    Every column v is fixed by the symmetry J of :class:`PairTransform`.
+    """
+    return _null_space_by_blocks(constraint_matrix(ctx, truncation), truncation)
 
 
 def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the divergence-free subspace alone."""
-    return _null_space_by_blocks(divergence_matrix(ctx, truncation))
+    """Orthonormal basis (columns) of the divergence-free subspace alone.
+
+    Every column v is fixed by the symmetry J of :class:`PairTransform`.
+    """
+    return _null_space_by_blocks(divergence_matrix(ctx, truncation), truncation)
+
+
+# J b_c(n) = s_c conj(b_c(-n)), per component c
+PAIR_SIGNS = (-1.0, -1.0, 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class PairTransform:
+    """The change of basis T in which every per-mode operator is real.
+
+    The antiunitary map J b_c(n) = s_c conj(b_c(-n)), s = ``PAIR_SIGNS``,
+    combines the reality of the physical field with the rotation by pi
+    about the vertical axis.  The linearized operators are even in the
+    background B, so for a real background they commute with J, and so do
+    the constraints.  T maps the real coordinates onto the vectors J fixes:
+    for an index i at n > 0 with partner j at -n (same component),
+
+        T e_i = e_i + s e_j,    T e_j = i (e_i - s e_j),
+
+    and at n = 0, T e_i = e_i when s = +1 and i e_i when s = -1.  Its
+    columns are orthogonal with T* T = 1/D, D = 1/2 on pairs and 1 at
+    n = 0, so T^-1 = D T* and U = T sqrt(D) is unitary.  Every coefficient
+    of T and T^-1 is 1, +-i or 1/2, so the real form T^-1 A T rounds
+    nothing beyond its additions.  An operator A that commutes with J has a
+    real T^-1 A T, and T keeps indices: a pair's two coordinates sit at i
+    and j, so any index set closed under n -> -n is kept.
+
+    ``plus``/``minus`` are the positions of the pairs' n > 0 and -n
+    entries, ``sign`` their s, and ``zero`` the n = 0 positions with
+    ``zero_phase`` T e_i there.
+    """
+
+    plus: np.ndarray
+    minus: np.ndarray
+    sign: np.ndarray
+    zero: np.ndarray
+    zero_phase: np.ndarray
+
+    @classmethod
+    def of(cls, truncation: int) -> "PairTransform":
+        """T on the stacked coefficient vectors of window ``truncation``."""
+        w = 2 * truncation + 1
+        n = np.arange(1, truncation + 1)
+        start = w * np.arange(3)[:, None] + truncation
+        signs = np.array(PAIR_SIGNS)
+        return cls(
+            plus=(start + n).ravel(),
+            minus=(start - n).ravel(),
+            sign=np.repeat(signs, truncation),
+            zero=start.ravel(),
+            zero_phase=np.where(signs > 0, 1.0 + 0j, 1j),
+        )
+
+    @property
+    def size(self) -> int:
+        """Length of the vectors T acts on."""
+        return 2 * len(self.plus) + len(self.zero)
+
+    def restrict(self, idx: np.ndarray) -> "PairTransform":
+        """T on the sub-vector at the indices ``idx``, in their order; ``idx``
+        must hold each of its indices' partners."""
+        pos = np.full(self.size, -1)
+        pos[idx] = np.arange(len(idx))
+        keep = pos[self.plus] >= 0
+        if not np.array_equal(keep, pos[self.minus] >= 0):
+            raise ValueError("index set is not closed under n -> -n")
+        inside = pos[self.zero] >= 0
+        return PairTransform(
+            plus=pos[self.plus[keep]],
+            minus=pos[self.minus[keep]],
+            sign=self.sign[keep],
+            zero=pos[self.zero[inside]],
+            zero_phase=self.zero_phase[inside],
+        )
+
+    def pair_rows(self) -> np.ndarray:
+        """One boolean row per pair, true at its two indices: as ``rows`` of
+        :func:`coupled_blocks` it keeps every pair inside one block."""
+        out = np.zeros((len(self.plus), self.size), dtype=bool)
+        rows = np.arange(len(self.plus))
+        out[rows, self.plus] = True
+        out[rows, self.minus] = True
+        return out
+
+    def _times_t(self, a: np.ndarray) -> np.ndarray:
+        """a T (the last axis is transformed)."""
+        out = np.empty(a.shape, dtype=np.complex128)
+        at_plus = a[..., self.plus]
+        at_minus = a[..., self.minus] * self.sign
+        out[..., self.plus] = at_plus + at_minus
+        out[..., self.minus] = 1j * (at_plus - at_minus)
+        out[..., self.zero] = a[..., self.zero] * self.zero_phase
+        return out
+
+    def real_form(self, a: np.ndarray) -> np.ndarray:
+        """T^-1 a T for a square ``a``; real up to roundoff when a commutes with J."""
+        at = self._times_t(a)
+        out = np.empty(at.shape, dtype=np.complex128)
+        at_plus = at[self.plus]
+        at_minus = at[self.minus] * self.sign[:, None]
+        out[self.plus] = 0.5 * (at_plus + at_minus)
+        out[self.minus] = -0.5j * (at_plus - at_minus)
+        out[self.zero] = at[self.zero] * self.zero_phase.conj()[:, None]
+        return out
+
+    def real_rows(self, rows: np.ndarray) -> np.ndarray:
+        """[Re(rows U); Im(rows U)] with the unitary U = T sqrt(D): real x
+        solves these rows exactly when U x solves ``rows``."""
+        r = len(rows)
+        out = np.empty((2 * r, rows.shape[1]))
+        at_plus = rows[:, self.plus]
+        at_minus = rows[:, self.minus] * self.sign
+        column = np.sqrt(0.5) * (at_plus + at_minus)  # rows U at n > 0
+        out[:r, self.plus] = column.real
+        out[r:, self.plus] = column.imag
+        column = np.sqrt(0.5) * (at_plus - at_minus)  # rows U at -n, over i
+        out[:r, self.minus] = -column.imag
+        out[r:, self.minus] = column.real
+        column = rows[:, self.zero] * self.zero_phase
+        out[:r, self.zero] = column.real
+        out[r:, self.zero] = column.imag
+        return out
+
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """U y with U = T sqrt(D), for real coordinates ``y`` (first axis).
+
+        Column v of the result is fixed by J bitwise: v(-n) is computed as
+        s conj(v(n)).
+        """
+        out = np.empty(y.shape, dtype=np.complex128)
+        real = np.sqrt(0.5) * y[self.plus]
+        imag = np.sqrt(0.5) * y[self.minus]
+        out.real[self.plus] = real
+        out.imag[self.plus] = imag
+        sign = self.sign[:, None]
+        out.real[self.minus] = sign * real
+        out.imag[self.minus] = -sign * imag
+        out[self.zero] = y[self.zero] * self.zero_phase[:, None]
+        return out
 
 
 def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = None):
@@ -705,6 +851,13 @@ def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = N
     Blocks come in the order of their smallest index, each listing its
     indices in increasing order.
     """
+    label = _block_labels(square, rows)
+    order = np.argsort(label, kind="stable")
+    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+
+def _block_labels(square: np.ndarray | None = None, rows: np.ndarray | None = None):
+    """The smallest index of each unknown's block of :func:`coupled_blocks`."""
     patterns = []
     if square is not None:
         patterns.append((square != 0) | np.eye(len(square), dtype=bool))
@@ -724,36 +877,56 @@ def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = N
         np.minimum.at(new, unknown, least[edge])
         new = new[new]
         if np.array_equal(new, label):
-            break
+            return label
         label = new
-    order = np.argsort(label, kind="stable")
-    return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
-def _null_space_by_blocks(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the null space of ``rows``, one block at a time.
+def _null_space_by_blocks(rows: np.ndarray, truncation: int) -> np.ndarray:
+    """Orthonormal J-fixed basis of the null space of J-invariant ``rows``.
 
-    Each block of :func:`coupled_blocks` of the rows is factored with the
-    rows inside it, by the rule of ``scipy.linalg.null_space``: the right
+    With U = T sqrt(D) the unitary of :class:`PairTransform`, the real
+    null space of [Re(rows U); Im(rows U)] is mapped by U onto a basis of the
+    complex null space whose columns J fixes.  Each block of
+    :func:`coupled_blocks` of those real rows is factored with the rows
+    inside it, by the rule of ``scipy.linalg.null_space``: the right
     singular vectors beyond the singular values above max(shape) * eps *
-    the largest.  An unknown that no row touches contributes its unit
-    vector.  Every column is supported inside one block, so the basis also
-    splits along any coarser block partition.
+    the largest.  Blocks of one shape are factored by one stacked SVD.  An
+    unknown that no row touches contributes its unit vector.  Every column
+    is supported inside one block and its partners, so the basis also
+    splits along any coarser partition closed under n -> -n.
     """
-    blocks = coupled_blocks(rows=rows)
-    touched = rows != 0
-    pieces = []
-    for idx in blocks:
-        inside = rows[touched[:, idx].any(axis=1)][:, idx]
-        if not len(inside):
-            pieces.append(np.eye(len(idx)))
-            continue
+    pairs = PairTransform.of(truncation)
+    real = pairs.real_rows(rows)
+    touched = real != 0
+    _, block = np.unique(_block_labels(rows=touched), return_inverse=True)
+    live = np.flatnonzero(touched.any(axis=1))
+    owner = block[touched[live].argmax(axis=1)]  # all of a row lies in one block
+    # block b holds the runs at *_start[b] of length n_*[b] of these orders
+    row_order = live[np.argsort(owner, kind="stable")]
+    col_order = np.argsort(block, kind="stable")
+    n_cols = np.bincount(block)
+    n_rows = np.bincount(owner, minlength=len(n_cols))
+    row_start = np.cumsum(n_rows) - n_rows
+    col_start = np.cumsum(n_cols) - n_cols
+    rank = np.zeros_like(n_cols)
+    factored = []
+    for r, c in sorted({(r, c) for r, c in zip(n_rows, n_cols) if r}):
+        group = np.flatnonzero((n_rows == r) & (n_cols == c))
+        inside = real[
+            row_order[row_start[group][:, None, None] + np.arange(r)[:, None]],
+            col_order[col_start[group][:, None, None] + np.arange(c)],
+        ]
         _, sigma, vh = np.linalg.svd(inside)
-        rank = np.count_nonzero(sigma > max(inside.shape) * np.finfo(float).eps * sigma[0])
-        pieces.append(vh[rank:].conj().T)
-    out = np.zeros((rows.shape[1], sum(p.shape[1] for p in pieces)), dtype=np.complex128)
-    col = 0
-    for idx, piece in zip(blocks, pieces):
-        out[idx, col : col + piece.shape[1]] = piece
-        col += piece.shape[1]
-    return out
+        floor = max(r, c) * np.finfo(float).eps * sigma[:, :1]
+        rank[group] = np.count_nonzero(sigma > floor, axis=1)
+        factored.append((group, vh))
+    nullity = n_cols - rank
+    offset = np.cumsum(nullity) - nullity
+    coords = np.zeros((len(col_order), nullity.sum()))
+    untouched = n_rows == 0  # a single unknown each
+    coords[col_order[col_start[untouched]], offset[untouched]] = 1.0
+    for group, vh in factored:
+        for b, v in zip(group, vh):
+            idx = col_order[col_start[b] : col_start[b] + n_cols[b]]
+            coords[idx, offset[b] : offset[b] + nullity[b]] = v[rank[b] :].T
+    return pairs.lift(coords)

@@ -95,3 +95,23 @@ def random_field(truncation, rng, decay=1.5):
         random_series(truncation, rng, decay),
         random_series(truncation, rng, decay),
     )
+
+
+def _j_reversal(truncation):
+    """(reverse, s) with J v = s * conj(v[reverse]) for the symmetry
+    J b_c(n) = s_c conj(b_c(-n)), s = (-1, -1, +1), of the stacked vectors."""
+    w = 2 * truncation + 1
+    reverse = np.concatenate([c * w + np.arange(w)[::-1] for c in range(3)])
+    return reverse, np.repeat([-1.0, -1.0, 1.0], w)
+
+
+def apply_j(truncation, vecs):
+    """J applied to each column of ``vecs``."""
+    reverse, s = _j_reversal(truncation)
+    return s[:, None] * np.conj(vecs[reverse])
+
+
+def conjugate_by_j(truncation, mat):
+    """The matrix of J mat J: entry (i, j) is s_i s_j conj(mat[-i, -j])."""
+    reverse, s = _j_reversal(truncation)
+    return s[:, None] * s[None, :] * np.conj(mat[np.ix_(reverse, reverse)])

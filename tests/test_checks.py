@@ -1,11 +1,20 @@
-"""The factored numerical radius of the scaling study against the dense route."""
+"""The factored numerical radius of the scaling study against the dense route,
+and the abscissa sweep's runner."""
+
+import json
 
 import numpy as np
 import pytest
 
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context, make_background
-from taylorlab.checks import factored_numerical_radius, numerical_radius, resonant_term_radius
+from taylorlab.checks import (
+    execute,
+    factored_numerical_radius,
+    numerical_radius,
+    resonant_term_radius,
+)
+from taylorlab.config import validate
 
 
 def test_factored_radius_matches_dense_on_random_rank_3():
@@ -56,3 +65,31 @@ def test_resonant_term_radius_matches_full_matrix_route(request, background, m_e
         assert abs(factored - dense) <= 1e-12 * dense
     else:
         assert factored == dense == 0.0
+
+
+def _sweep_report(tmp_path, name, **extra):
+    raw = {
+        "kind": "abscissa-sweep", "truncation": 16, "band": 2,
+        "modes": [[1, 0], [2, 0], [4, 0]], "out_dir": str(tmp_path / name),
+    }
+    raw.update(extra)
+    execute(validate(raw))
+    with open(tmp_path / name / "report.json", "rb") as fh:
+        data = fh.read()
+    return data, {o["name"]: o for o in json.loads(data)["outcomes"]}
+
+
+def test_abscissa_slack_sets_the_trend_bound(tmp_path):
+    _, default = _sweep_report(tmp_path, "default")
+    _, wide = _sweep_report(tmp_path, "wide", tolerances={"abscissa_slack": 0.5})
+    for name in ("abscissa_no_upward_trend", "abscissa_demonstration_lane"):
+        # bound = head + slack |head|, and the head is negative
+        head = default[name]["tolerance"] / (1 - 0.1)
+        assert wide[name]["tolerance"] == pytest.approx(head * (1 - 0.5), rel=1e-14)
+        assert wide[name]["measured"] == default[name]["measured"]
+
+
+def test_abscissa_sweep_report_does_not_depend_on_jobs(tmp_path):
+    serial, _ = _sweep_report(tmp_path, "serial")
+    pooled, _ = _sweep_report(tmp_path, "pooled", jobs=2)
+    assert serial == pooled

@@ -75,6 +75,9 @@ def test_defaults_fill_in():
         (minimal(output_step=float("inf")), "positive and finite"),
         (minimal(tolerances={"resonance": float("inf")}), "positive number"),
         (minimal(background=[[1, 1, float("nan")]]), "malformed background entry"),
+        # the single-mode kinds would ignore every mode after the first
+        (minimal(modes=[[1, 0], [2, 0]]), "checks one mode"),
+        ({"kind": "normalform-check", "modes": [[8, 0], [1, 0]]}, "checks one mode"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -200,3 +203,11 @@ def test_background_window_edges_are_accepted():
     n = DEFAULT_BACKGROUND_TRUNCATION
     cfg = validate(minimal(background=[[1, n, 1.0], [2, -n, 1.0]]))
     assert cfg.background == [[1, n, 1.0], [2, -n, 1.0]]
+
+
+def test_single_mode_kind_with_two_modes_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kind": "normalform-check", "modes": [[8, 0], [2, 0]]}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "checks one mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

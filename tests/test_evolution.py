@@ -10,7 +10,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
-from conftest import random_field
+from conftest import conjugate_by_j, random_field
 
 
 def test_projection_matches_kkt_oracle(ctx10):
@@ -317,3 +317,91 @@ def test_full_field_warns_when_not_symmetric(bg):
     with pytest.warns(NonConjugateModes):
         snap = evo.assemble_full_field(state)
     assert np.iscomplexobj(snap)
+
+
+# ----------------------------------------------------------------------
+# the real form: J commutes with every per-mode generator
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lane", [True, False])
+@pytest.mark.parametrize("key", [(1, 0), (2, 1), (32, 0)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_generator_commutes_with_j(request, background, key, lane):
+    m = 64
+    ctx = lattice_mode_context(request.getfixturevalue(background), key)
+    g = evo.build_propagator(ctx, m, include_geostrophic=lane).generator.entries
+    jgj = conjugate_by_j(m, g)
+    bound = len(g) * np.finfo(float).eps * np.abs(g).max()
+    assert np.abs(jgj - g).max() <= bound
+
+
+def test_restricted_abscissa_of_the_first_mode_is_minus_four_pi_squared(ctx10):
+    # at the canonical background the slowest constrained field of mode (1, 0)
+    # decays at the diffusion rate of |xi|^2 = 4 pi^2
+    prop = evo.build_propagator(ctx10, 64)
+    assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
+
+
+def test_generator_off_j_symmetry_raises(ctx10):
+    m = 16
+    prop = evo.build_propagator(ctx10, m)
+    g = np.array(prop.generator.entries)
+    # first component, n = 1 row and n = 3 column: both odd, one block
+    g[m + 1, m + 3] += 1e-6 * np.abs(g).max()
+    broken = evo.ModePropagator(
+        ctx=ctx10,
+        generator=op.OperatorMatrix(g, m),
+        constraint_basis=prop.constraint_basis,
+    )
+    assert len(broken.blocks) == 2
+    with pytest.raises(IllConditioned, match="not real in the pair basis"):
+        broken.unconstrained_abscissa
+    with pytest.raises(IllConditioned, match="not real in the pair basis"):
+        broken.restricted_abscissa
+
+
+def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
+    # exp(G) = 1e4 * Id (k = 100); oracle eigenvalues off by 5e-11 put
+    # 5e-7 on each diagonal entry: ||D||_F = 5e-6 is above the tolerance
+    # even relative to ||exp(G)||_2 = 1e4 (5e-10), the exact relative
+    # 2-norm error 5e-11, which the gate reads, is not
+    k = 100
+    g = np.log(1e4) * np.eye(k, dtype=np.complex128)
+    w, vecs, inverse, sigma = evo._eigen_oracle(g)
+    planted = (w + 5e-11, vecs, inverse, sigma)
+    (out,) = evo._checked_expm([g], [planted], 1.0)
+    delta = out - vecs @ (np.exp(planted[0])[:, None] * inverse)
+    scale = np.linalg.norm(out, 2)
+    assert np.linalg.norm(delta) / scale > evo.EXPM_ORACLE_TOL
+    assert np.linalg.norm(delta, 2) / scale <= evo.EXPM_ORACLE_TOL
+
+
+def test_abscissa_lanes_share_one_basis_per_mode(bg, monkeypatch):
+    modes = [(1, 0), (2, 0), (4, 0)]
+    calls = []
+    factor = evo.constraint_null_basis
+    monkeypatch.setattr(
+        evo, "constraint_null_basis", lambda *a: calls.append(a) or factor(*a)
+    )
+    on, off = evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False))
+    assert len(calls) == len(modes)
+    monkeypatch.undo()
+    assert on == evo.abscissa_sweep(bg, modes, truncation=16, include_geostrophic=True)
+    assert off == evo.abscissa_sweep(bg, modes, truncation=16, include_geostrophic=False)
+    pooled = evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False), jobs=2)
+    assert pooled == [on, off]
+
+
+def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
+    # the propagator hands _checked_expm a function for its oracles, so the
+    # eigendecompositions start only once every expm has returned
+    order = []
+    expm, oracle = scipy.linalg.expm, evo._eigen_oracle
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: order.append("expm") or expm(a))
+    monkeypatch.setattr(evo, "_eigen_oracle", lambda a: order.append("eig") or oracle(a))
+    prop = evo.build_propagator(ctx10, 8)
+    prop.exponential(0.01)
+    assert order == ["expm", "expm", "eig", "eig"]
+    prop.exponential(0.02)
+    assert order[4:] == ["expm", "expm"]

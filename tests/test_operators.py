@@ -7,7 +7,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.errors import ConstraintViolated
 from taylorlab.fourier import FourierSeries, allclose
 
-from conftest import assemble_by_columns, random_field
+from conftest import apply_j, assemble_by_columns, conjugate_by_j, random_field
 
 EXACT = 40  # window wide enough to hold every product in these tests exactly
 
@@ -460,3 +460,57 @@ def test_profile_projection_is_the_rank_3_product(bg, mode):
     assert e.shape == (3 * (2 * m + 1), 3) and g_hat.shape == (3, 3 * (2 * m + 1))
     profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m)
     assert np.array_equal(e @ g_hat, profile.entries)
+
+
+# ----------------------------------------------------------------------
+# the pair transform and J-fixed constraint bases
+# ----------------------------------------------------------------------
+
+
+def test_pair_transform_is_a_unitary_onto_j_fixed_vectors():
+    m = 4
+    pairs = op.PairTransform.of(m)
+    u = pairs.lift(np.eye(3 * (2 * m + 1)))
+    assert np.allclose(u.conj().T @ u, np.eye(len(u)), rtol=0, atol=1e-15)
+    assert np.array_equal(apply_j(m, u), u)
+    rng = np.random.default_rng(2)
+    rows = rng.standard_normal((5, len(u))) + 1j * rng.standard_normal((5, len(u)))
+    mixed = rows @ u
+    expected = np.vstack([mixed.real, mixed.imag])
+    assert np.allclose(pairs.real_rows(rows), expected, rtol=0, atol=1e-14)
+    # T = U / sqrt(D), D = 1/2 on pairs and 1 at n = 0: real_form is T^-1 a T
+    n = np.tile(np.arange(-m, m + 1), 3)
+    t = u / np.sqrt(np.where(n != 0, 0.5, 1.0))
+    a = rng.standard_normal((len(u), len(u))) + 1j * rng.standard_normal((len(u), len(u)))
+    assert np.allclose(pairs.real_form(a), np.linalg.solve(t, a @ t), rtol=0, atol=1e-12)
+    # an operator commuting with J has a real form
+    sym = a + conjugate_by_j(m, a)
+    assert np.abs(pairs.real_form(sym).imag).max() < 1e-14
+
+
+def test_pair_transform_restricts_to_closed_index_sets():
+    m = 3
+    pairs = op.PairTransform.of(m)
+    n = np.tile(np.arange(-m, m + 1), 3)
+    odd = np.flatnonzero(n % 2)
+    a = np.random.default_rng(0).standard_normal((3 * (2 * m + 1),) * 2).astype(complex)
+    odd_only = np.zeros_like(a)
+    odd_only[np.ix_(odd, odd)] = a[np.ix_(odd, odd)]
+    whole = pairs.real_form(odd_only)[np.ix_(odd, odd)]
+    assert np.array_equal(pairs.restrict(odd).real_form(a[np.ix_(odd, odd)]), whole)
+    with pytest.raises(ValueError, match="not closed"):
+        pairs.restrict(np.flatnonzero(n > 0))
+
+
+@pytest.mark.parametrize("key", [(1, 0), (2, 1)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+@pytest.mark.parametrize("which", ["constraint", "divergence"])
+def test_null_bases_are_fixed_by_j_bitwise(request, background, key, which):
+    m = 64
+    ctx = lattice_mode_context(request.getfixturevalue(background), key)
+    if which == "constraint":
+        rows, basis = op.constraint_matrix(ctx, m), op.constraint_null_basis(ctx, m)
+    else:
+        rows, basis = op.divergence_matrix(ctx, m), op.divergence_null_basis(ctx, m)
+    assert np.array_equal(apply_j(m, basis), basis)
+    assert basis.shape == scipy.linalg.null_space(rows).shape
