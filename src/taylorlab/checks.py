@@ -26,6 +26,7 @@ from . import spectral
 from .background import lattice_mode_context
 from .config import RunConfig, resolve_background
 from .errors import MissingData
+from .fourier import FourierSeries
 from .normal_form import build_normal_form
 from .report import RunReport, read_csv, write_csv, write_report, write_snapshot
 from .svg import line_chart
@@ -286,8 +287,6 @@ def run_constraint_check(cfg: RunConfig, n_fields: int = 10) -> RunReport:
 
 def _symmetrized(state: evo.SimulationState) -> evo.SimulationState:
     """Add conjugate partners so the exported snapshot is real."""
-    from .fourier import FourierSeries
-
     modes = dict(state.modes)
     for key, b in state.modes.items():
         partner = (-key[0], -key[1])
@@ -322,8 +321,8 @@ def run_evolve(cfg: RunConfig) -> RunReport:
     csv_path = os.path.join(out, "diagnostics.csv")
     write_csv(
         csv_path,
-        ["t", "mode_index", "energy", "grad_energy", "taylor_res", "div_res"],
-        [row[:6] for row in state.mode_rows],
+        ["t", "mode_index", "energy", "grad_energy", "taylor_res", "div_res", "power"],
+        state.mode_rows,
     )
     energy_csv = os.path.join(out, "energy.csv")
     write_csv(

@@ -6,11 +6,12 @@ coupled block of the generator and step size, cached and reused.  The
 blocks are read off the exact nonzero pattern of the generator and the
 constraint basis; at the canonical background they are the even and the
 odd vertical wavenumbers, and one block runs the whole matrix through the
-same kernels.  Both spectral abscissas are computed in real arithmetic,
-in the pair basis of :class:`.operators.PairTransform` where every
-generator is real; the exponential stays complex.  A classical Runge-Kutta
-path exists only as a cross-check oracle.  The zero horizontal mode decouples
-into a scalar heat equation and is propagated in closed form.
+same kernels.  Both spectral abscissas and the exponentials are computed
+in real arithmetic, in the pair basis of :class:`.operators.PairTransform`
+where every generator is real; the exponentials' eigendecomposition
+oracle stays complex.  A classical Runge-Kutta path exists only as a
+cross-check oracle.  The zero horizontal mode decouples into a scalar heat
+equation and is propagated in closed form.
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
@@ -88,7 +89,9 @@ def induction_power(
 
     Computed as Re <L b, b> plus the (exactly known) dissipation, which
     avoids assembling the diffusion-free right-hand side separately.  No
-    sign claim is attached to this quantity; it is diagnostic only.
+    sign claim is attached to this quantity; it is diagnostic only.  This is
+    the functional route; :func:`run_evolution` logs the same quantity from
+    each propagator's assembled generator.
     """
     lb = full_induction(ctx, b, include_geostrophic=include_geostrophic)
     return float(np.real(lb.inner(b.resample(lb.truncation))) + grad_energy(ctx, b))
@@ -122,13 +125,13 @@ def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
 
 
 def _checked_expm(blocks, oracles, h: float) -> list:
-    """scipy expm of h G_k per block, cross-checked against eigendecompositions.
+    """scipy expm of h times each block, cross-checked against eigendecompositions.
 
-    ``oracles`` holds :func:`_eigen_oracle` of each G_k, so the check costs
-    no factorization for any h.  It may also be a function that returns
-    them; it is called after the exponentials, so that expm's work arrays
-    and the first factorizations are never alive at the same time.  The
-    gate reads the quantities of the whole block-diagonal matrix: its
+    ``oracles`` holds :func:`_eigen_oracle` of each block, in the block's
+    basis, so the check costs no factorization for any h.  It may also be a
+    function that returns them; it is called after the exponentials, so
+    that expm's work arrays and the first factorizations are never alive at
+    the same time.  The gate reads the quantities of the whole block-diagonal matrix: its
     eigenvector condition is the largest singular value over all blocks by
     the smallest, and the relative 2-norm error is the largest block error
     over the largest block norm.  The check runs only when that condition
@@ -159,8 +162,8 @@ def _checked_expm(blocks, oracles, h: float) -> list:
     return outs
 
 
-def _real_abscissa(mat: np.ndarray, what: str) -> float:
-    """Spectral abscissa of Re ``mat``, for a matrix that is real up to roundoff.
+def _real_part(mat: np.ndarray, what: str) -> np.ndarray:
+    """Re ``mat``, for a matrix that is real up to roundoff.
 
     The imaginary part may be at most dim * eps * max|entry|, the size of
     the rounding the matrix was computed with; a larger one means the
@@ -173,7 +176,12 @@ def _real_abscissa(mat: np.ndarray, what: str) -> float:
             f"{what} is not real in the pair basis: imaginary part {imag:.3e} "
             f"exceeds {bound:.3e}"
         )
-    return float(np.linalg.eigvals(mat.real).real.max())
+    return mat.real
+
+
+def _real_abscissa(mat: np.ndarray, what: str) -> float:
+    """Spectral abscissa of Re ``mat``, for a matrix that is real up to roundoff."""
+    return float(np.linalg.eigvals(_real_part(mat, what)).real.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +189,10 @@ class ModePropagator:
     """One mode's generator G and constraint basis V, with exp(h G) cached per h.
 
     The dense kernels run on :attr:`blocks`, over which G and V are both
-    block diagonal; exp(h G) is assembled from the blocks' exponentials.
-    The split and the quantities read from it are computed on first read,
-    so a caller pays only for what it uses.
+    block diagonal; exp(h G) is kept as the blocks' exponentials in the
+    unitary pair basis U_k of :attr:`pair_transforms`, and applied by
+    :meth:`propagate`.  The split and the quantities read from it are
+    computed on first read, so a caller pays only for what it uses.
     """
 
     ctx: ModeContext
@@ -249,13 +258,18 @@ class ModePropagator:
         )
 
     @functools.cached_property
+    def pair_transforms(self) -> tuple:
+        """:class:`PairTransform` on each block, in the block's index order."""
+        pairs = PairTransform.of(self.truncation)
+        return tuple(pairs.restrict(idx) for idx in self.blocks)
+
+    @functools.cached_property
     def unconstrained_abscissa(self) -> float:
         """Largest real part of the spectrum of G itself, from the real form
         T^-1 G_k T of each block (:class:`PairTransform`)."""
-        pairs = PairTransform.of(self.truncation)
         return max(
-            _real_abscissa(pairs.restrict(idx).real_form(gen), "generator")
-            for idx, gen in zip(self.blocks, self._generator_blocks())
+            _real_abscissa(pairs.real_form(gen), "generator")
+            for pairs, gen in zip(self.pair_transforms, self._generator_blocks())
         )
 
     @functools.cached_property
@@ -267,23 +281,67 @@ class ModePropagator:
             for gen, basis, compressed in pieces
         )
 
+    def _pair_blocks(self):
+        """R_k = U_k* G_k U_k per block, real since G_k commutes with J; each
+        is formed as it is reached, so one is alive at a time."""
+        for pairs, gen in zip(self.pair_transforms, self._generator_blocks()):
+            yield _real_part(pairs.pair_form(gen), "generator")
+
     @functools.cached_property
     def _oracles(self) -> tuple:
-        """The expm oracle's eigendecomposition of each G_k, shared by every h."""
-        return tuple(_eigen_oracle(gen) for gen in self._generator_blocks())
+        """The expm oracle of each R_k, shared by every h.
 
-    def exponential(self, h: float) -> np.ndarray:
+        The eigendecomposition G_k V = V diag(w) is complex: inside the
+        generator's degenerate eigenspaces real ``eig`` of R_k picks a worse
+        conditioned basis, nearer the gate's condition limit.  It
+        is mapped once into the pair basis, W = U_k* V and W^-1 = V^-1 U_k;
+        U_k is unitary, so the singular values of V, which the gate reads,
+        are those of W.
+        """
+        out = []
+        for pairs, gen in zip(self.pair_transforms, self._generator_blocks()):
+            w, vecs, inverse, sigma = _eigen_oracle(gen)
+            if inverse is not None:
+                inverse = pairs.times_u(inverse)
+            out.append((w, pairs.lower(vecs), inverse, sigma))
+        return tuple(out)
+
+    def exponential(self, h: float) -> tuple:
+        """exp(h R_k) per block, in the pair basis; cached per h.
+
+        For h > 0 each is computed and stored real.  Backward flow (h < 0,
+        which only the tests use) exponentiates the same R_k in complex
+        dtype: there scipy's real-dtype ``expm`` loses digits (2.0e-12
+        against 1.3e-13 relative 2-norm from the whole-matrix complex route
+        at M = 8, h = -0.125).
+        """
         key = float(h)
         if key not in self.propagator_cache:
-            outs = _checked_expm(self._generator_blocks(), lambda: self._oracles, key)
-            if len(outs) == 1:
-                full = outs[0]
-            else:
-                full = np.zeros_like(self.generator.entries)
-                for idx, out in zip(self.blocks, outs):
-                    full[np.ix_(idx, idx)] = out
-            self.propagator_cache[key] = full
+            blocks = self._pair_blocks()
+            if key < 0:
+                blocks = (r.astype(np.complex128) for r in blocks)
+            self.propagator_cache[key] = tuple(
+                _checked_expm(blocks, lambda: self._oracles, key)
+            )
         return self.propagator_cache[key]
+
+    def propagate(self, x: np.ndarray, h: float) -> np.ndarray:
+        """exp(h G) x, for stacked coefficient vectors x along the first axis.
+
+        Each block applies U_k*, its exponential and U_k.  A real exponential
+        acts on the real and imaginary parts of U_k* x as the columns of one
+        real product.
+        """
+        cols = x.reshape(len(x), -1)
+        out = np.empty(cols.shape, dtype=np.complex128)
+        for idx, pairs, block in zip(self.blocks, self.pair_transforms, self.exponential(h)):
+            y = pairs.lower(cols[idx])
+            if np.isrealobj(block):
+                y = (block @ y.view(np.float64)).view(np.complex128)
+            else:
+                y = block @ y
+            out[idx] = pairs.lift(y)
+        return out.reshape(x.shape)
 
 
 def build_propagator(
@@ -317,7 +375,7 @@ def build_propagator(
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
     """Advance one mode by the exact flow over a time h."""
     vec = field_to_vector(b.resample(propagator.truncation))
-    out = vector_to_field(propagator.exponential(h) @ vec, propagator.truncation)
+    out = vector_to_field(propagator.propagate(vec, h), propagator.truncation)
     r_perp, r_3 = taylor_residual(propagator.ctx, out)
     worst = max(abs(r_perp), abs(r_3), divergence_residual(propagator.ctx, out))
     if worst > STEP_RESIDUAL_LIMIT:
@@ -455,8 +513,9 @@ def initial_state(
     )
 
 
-def _log_state(state: SimulationState, contexts: dict, t: float,
-               include_geostrophic: bool) -> None:
+def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
+    """Append the diagnostics at time t; each mode's power is Re <G b, b> plus
+    its dissipation, with G the generator of its propagator."""
     taylor_max = 0.0
     div_max = 0.0
     grad_total = sum(p.derivative().norm() ** 2 for p in state.zero_mode)
@@ -466,7 +525,9 @@ def _log_state(state: SimulationState, contexts: dict, t: float,
         tay = max(abs(r_perp), abs(r_3))
         div = divergence_residual(ctx, b)
         grad = grad_energy(ctx, b)
-        power = induction_power(ctx, b, include_geostrophic=include_geostrophic)
+        vec = field_to_vector(b)
+        gen = state.propagators[key].generator.entries
+        power = float(np.vdot(vec, gen @ vec).real) + grad
         state.mode_rows.append(
             (t, idx, float(b.norm() ** 2), grad, float(tay), float(div), power)
         )
@@ -514,7 +575,7 @@ def run_evolution(
     state.propagators = propagators
 
     n_steps = int(round(t_final / output_step))
-    _log_state(state, contexts, 0.0, include_geostrophic)
+    _log_state(state, contexts, 0.0)
     for k in range(1, n_steps + 1):
         t = k * output_step
 
@@ -530,7 +591,7 @@ def run_evolution(
             state.modes[key] = b
         state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
         state.time = t
-        _log_state(state, contexts, t, include_geostrophic)
+        _log_state(state, contexts, t)
     return state
 
 

@@ -130,21 +130,6 @@ class NormalFormData:
             rows.append((i, j, complex(li), complex(lj), float(res)))
         return rows
 
-    def to_json(self) -> dict:
-        def cmat(mat):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-        return {
-            "band": self.band,
-            "lambda": [[float(z.real), float(z.imag)] for z in self.lam],
-            "q": cmat(self.q),
-            "s": cmat(self.s),
-            "resonant_pairs": [list(p) for p in self.resonant],
-            "resonance_residuals": [float(r) for r in self.resonance_residuals],
-            "commutator_residual": self.commutator_residual,
-            "q_norm": self.q_norm,
-        }
-
 
 def _profile_projector_blocks(basis: SpectralBasis) -> np.ndarray:
     """Dense matrix of the componentwise profile projection at the window."""

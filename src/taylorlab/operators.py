@@ -421,22 +421,18 @@ def _lorentz_average_integrand(ctx: ModeContext, b: ModeField) -> ModeField:
 def taylor_residual_curl_form(ctx: ModeContext, b: ModeField):
     """Raw constraint residuals from the vertical average of the curled force.
 
-    Returns (horizontal component along eta_perp, vertical component) of
-    int curl(curl b x B + curl B x b) dx3 after removing the gradient
-    directions.  Related to :func:`taylor_residual` by an invertible
-    diagonal 2x2 map; implemented independently so the equivalence can be
-    asserted numerically.
+    Returns the scalars (m_perp, m3) that int curl(curl b x B + curl B x b)
+    dx3 encodes: the vertical average of the force itself along eta_perp
+    and along the vertical.  Related to :func:`taylor_residual` by an
+    invertible diagonal 2x2 map; implemented independently so the
+    equivalence can be asserted numerically.
     """
     f = _lorentz_average_integrand(ctx, b)
-    w = curl_mode(ctx, f)
     p1, p2 = ctx.eta_perp
-    horizontal = p1 * w.c1.mean() + p2 * w.c2.mean()
-    vertical = w.c3.mean()
     # the curl's vertical average encodes the two scalar conditions as
     # (i xi2 m3, -i xi1 m3, i |xi| m_perp); report the underlying scalars
     m3 = complex(f.c3.mean())
     m_perp = complex(p1 * f.c1.mean() + p2 * f.c2.mean())
-    del horizontal, vertical
     return m_perp, m3
 
 
@@ -621,17 +617,6 @@ class OperatorMatrix:
     def apply(self, b: ModeField) -> ModeField:
         return vector_to_field(self.entries @ field_to_vector(b.resample(self.truncation)), self.truncation)
 
-    def to_json(self) -> dict:
-        """Row-major dense export with [re, im] pairs."""
-        return {
-            "label": self.label,
-            "truncation": self.truncation,
-            "shape": list(self.entries.shape),
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
-
 
 def assemble_matrix(op, truncation: int, label: str = "") -> OperatorMatrix:
     """Assemble a dense matrix by applying ``op`` to identity blocks.
@@ -703,6 +688,7 @@ def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
 
 # J b_c(n) = s_c conj(b_c(-n)), per component c
 PAIR_SIGNS = (-1.0, -1.0, 1.0)
+SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True, eq=False)
@@ -783,26 +769,45 @@ class PairTransform:
         out[rows, self.minus] = True
         return out
 
-    def _times_t(self, a: np.ndarray) -> np.ndarray:
-        """a T (the last axis is transformed)."""
+    def _times_t(self, a: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """a T with the pairs' columns times ``scale`` (the last axis is
+        transformed); at scale sqrt(1/2) this is a U."""
         out = np.empty(a.shape, dtype=np.complex128)
         at_plus = a[..., self.plus]
         at_minus = a[..., self.minus] * self.sign
-        out[..., self.plus] = at_plus + at_minus
-        out[..., self.minus] = 1j * (at_plus - at_minus)
+        out[..., self.plus] = scale * (at_plus + at_minus)
+        out[..., self.minus] = (scale * 1j) * (at_plus - at_minus)
         out[..., self.zero] = a[..., self.zero] * self.zero_phase
+        return out
+
+    def _inverse_times(self, a: np.ndarray, scale: float = 0.5) -> np.ndarray:
+        """T^-1 a with the pairs' rows times 2 ``scale``, for a matrix ``a``
+        (the first axis is transformed); at scale sqrt(1/2) this is U* a."""
+        out = np.empty(a.shape, dtype=np.complex128)
+        at_plus = a[self.plus]
+        at_minus = a[self.minus] * self.sign[:, None]
+        out[self.plus] = scale * (at_plus + at_minus)
+        out[self.minus] = (-scale * 1j) * (at_plus - at_minus)
+        out[self.zero] = a[self.zero] * self.zero_phase.conj()[:, None]
         return out
 
     def real_form(self, a: np.ndarray) -> np.ndarray:
         """T^-1 a T for a square ``a``; real up to roundoff when a commutes with J."""
-        at = self._times_t(a)
-        out = np.empty(at.shape, dtype=np.complex128)
-        at_plus = at[self.plus]
-        at_minus = at[self.minus] * self.sign[:, None]
-        out[self.plus] = 0.5 * (at_plus + at_minus)
-        out[self.minus] = -0.5j * (at_plus - at_minus)
-        out[self.zero] = at[self.zero] * self.zero_phase.conj()[:, None]
-        return out
+        return self._inverse_times(self._times_t(a))
+
+    def pair_form(self, a: np.ndarray) -> np.ndarray:
+        """U* a U for a square ``a``: the real form in the unitary basis U, real
+        up to roundoff when a commutes with J."""
+        return self.lower(self.times_u(a))
+
+    def times_u(self, a: np.ndarray) -> np.ndarray:
+        """a U (the last axis is transformed)."""
+        return self._times_t(a, SQRT_HALF)
+
+    def lower(self, x: np.ndarray) -> np.ndarray:
+        """U* x for a matrix ``x`` (the first axis is transformed): the
+        coordinates of x's columns in the basis U; the inverse of :meth:`lift`."""
+        return self._inverse_times(x, SQRT_HALF)
 
     def real_rows(self, rows: np.ndarray) -> np.ndarray:
         """[Re(rows U); Im(rows U)] with the unitary U = T sqrt(D): real x
@@ -811,10 +816,10 @@ class PairTransform:
         out = np.empty((2 * r, rows.shape[1]))
         at_plus = rows[:, self.plus]
         at_minus = rows[:, self.minus] * self.sign
-        column = np.sqrt(0.5) * (at_plus + at_minus)  # rows U at n > 0
+        column = SQRT_HALF * (at_plus + at_minus)  # rows U at n > 0
         out[:r, self.plus] = column.real
         out[r:, self.plus] = column.imag
-        column = np.sqrt(0.5) * (at_plus - at_minus)  # rows U at -n, over i
+        column = SQRT_HALF * (at_plus - at_minus)  # rows U at -n, over i
         out[:r, self.minus] = -column.imag
         out[r:, self.minus] = column.real
         column = rows[:, self.zero] * self.zero_phase
@@ -823,14 +828,16 @@ class PairTransform:
         return out
 
     def lift(self, y: np.ndarray) -> np.ndarray:
-        """U y with U = T sqrt(D), for real coordinates ``y`` (first axis).
+        """U y with U = T sqrt(D), for coordinates ``y`` (first axis, a matrix).
 
-        Column v of the result is fixed by J bitwise: v(-n) is computed as
-        s conj(v(n)).
+        For real ``y``, column v of the result is fixed by J bitwise: v(-n) is
+        computed as s conj(v(n)).  Complex ``y`` is lifted by parts.
         """
+        if np.iscomplexobj(y):
+            return self.lift(y.real) + 1j * self.lift(y.imag)
         out = np.empty(y.shape, dtype=np.complex128)
-        real = np.sqrt(0.5) * y[self.plus]
-        imag = np.sqrt(0.5) * y[self.minus]
+        real = SQRT_HALF * y[self.plus]
+        imag = SQRT_HALF * y[self.minus]
         out.real[self.plus] = real
         out.imag[self.plus] = imag
         sign = self.sign[:, None]

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ModeContext
+from .config import DEFAULT_TOLERANCES
 from .errors import BandExceedsBasis, ResolutionExceeded
 from .fourier import FourierSeries, integrate_product, inverse_collocation, multiply
 from .operators import (
@@ -47,7 +48,6 @@ from .operators import (
 from . import operators
 
 __all__ = [
-    "TAIL_GATE",
     "SpectralBasis",
     "build_eigenbasis",
     "stored_band_for",
@@ -60,7 +60,6 @@ __all__ = [
     "high_mode_gap",
 ]
 
-TAIL_GATE = 1e-8
 OVERSAMPLE = 4
 
 
@@ -135,17 +134,6 @@ class SpectralBasis:
         mat = np.column_stack(cols)
         return mat.conj().T @ mat
 
-    def to_json(self) -> dict:
-        return {
-            "band": self.band,
-            "truncation": self.truncation,
-            "mu": [[float(z.real), float(z.imag)] for z in self.mu],
-            "tails": [float(t) for t in self.tails],
-            "profiles": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.profiles
-            ],
-        }
-
 
 def stored_band_for(band: int, truncation: int) -> int:
     """Default stored profile count for work on the given eigenfield band.
@@ -171,6 +159,7 @@ def build_eigenbasis(ctx: ModeContext, band: int, truncation: int) -> SpectralBa
         raise ResolutionExceeded(
             f"stored band {band} exceeds the resolution guard {truncation}//4 = {truncation // 4}"
         )
+    gate = DEFAULT_TOLERANCES["tail_gate"]
     n_points = OVERSAMPLE * truncation
     x = np.arange(n_points) / n_points
     slope, periodic = ctx.psi_slope, ctx.psi_periodic
@@ -187,10 +176,10 @@ def build_eigenbasis(ctx: ModeContext, band: int, truncation: int) -> SpectralBa
         full = inverse_collocation(samples)
         modes = full.modes()
         tail = float(np.linalg.norm(full.coeffs[np.abs(modes) > truncation]))
-        if tail > TAIL_GATE:
+        if tail > gate:
             raise ResolutionExceeded(
                 f"profile k={k} has spectral tail {tail:.3e} beyond window {truncation}"
-                f" (gate {TAIL_GATE:.1e}); increase the window"
+                f" (gate {gate:.1e}); increase the window"
             )
         profiles[band + k] = full.resample(truncation).coeffs
         tails[band + k] = tail

@@ -15,6 +15,8 @@ from taylorlab.checks import (
     resonant_term_radius,
 )
 from taylorlab.config import validate
+from taylorlab.evolution import induction_power, initial_state
+from taylorlab.report import read_csv
 
 
 def test_factored_radius_matches_dense_on_random_rank_3():
@@ -93,3 +95,19 @@ def test_abscissa_sweep_report_does_not_depend_on_jobs(tmp_path):
     serial, _ = _sweep_report(tmp_path, "serial")
     pooled, _ = _sweep_report(tmp_path, "pooled", jobs=2)
     assert serial == pooled
+
+
+def test_evolve_writes_the_induction_power(tmp_path, bg):
+    cfg = validate(
+        {"kind": "evolve", "truncation": 16, "band": 2, "modes": [[1, 0]],
+         "t_final": 0.01, "output_step": 0.01, "out_dir": str(tmp_path)}
+    )
+    assert execute(cfg).passed
+    header, rows = read_csv(str(tmp_path / "diagnostics.csv"))
+    assert header[-1] == "power" and len(rows) == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "power" not in json.dumps(report)
+    # at t = 0 the field is the seeded initial data
+    start = initial_state(bg, [(1, 0)], 16, seed=cfg.seed).modes[(1, 0)]
+    want = induction_power(lattice_mode_context(bg, (1, 0)), start)
+    assert float(rows[0][-1]) == pytest.approx(want, rel=1e-12)

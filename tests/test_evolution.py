@@ -7,6 +7,7 @@ import scipy.linalg
 from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
+from taylorlab.config import validate
 from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
@@ -70,11 +71,16 @@ def test_heat_zero_mode_preserves_mean():
     assert out[0].coefficient(0) == 3.0
 
 
+def _dense_exponential(prop, h):
+    """exp(h G) as one matrix: the propagator applied to the identity."""
+    return prop.propagate(np.eye(len(prop.generator.entries)), h)
+
+
 def test_propagator_semigroup_property(ctx10):
     prop = evo.build_propagator(ctx10, 12)
     h = 0.01
-    one = prop.exponential(h)
-    two = prop.exponential(2 * h)
+    one = _dense_exponential(prop, h)
+    two = _dense_exponential(prop, 2 * h)
     rel = np.linalg.norm(one @ one - two, 2) / np.linalg.norm(two, 2)
     assert rel < 1e-10
 
@@ -89,17 +95,37 @@ def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
     for idx in prop.blocks:
         assert len(set(n[idx] % 2)) == 1
     full = scipy.linalg.expm(h * prop.generator.entries)
-    rel = np.linalg.norm(prop.exponential(h) - full, 2) / np.linalg.norm(full, 2)
+    rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
     assert rel < 1e-12
 
 
-def test_single_block_exponential_is_the_whole_matrix_route(mixed_bg):
+def test_single_block_exponential_matches_the_whole_matrix(mixed_bg):
+    # one block takes the same pair-basis route as every other block
     prop = evo.build_propagator(lattice_mode_context(mixed_bg, (1, 0)), 8)
     assert len(prop.blocks) == 1
     for h in (0.125, -0.125):
-        assert np.array_equal(
-            prop.exponential(h), scipy.linalg.expm(h * prop.generator.entries)
-        )
+        full = scipy.linalg.expm(h * prop.generator.entries)
+        rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
+        assert rel < 1e-12
+
+
+def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
+    prop = evo.build_propagator(ctx10, 16)
+    prop.exponential(0.01)
+    prop.exponential(-0.01)
+    forward, backward = prop.propagator_cache[0.01], prop.propagator_cache[-0.01]
+    sizes = [len(idx) for idx in prop.blocks]
+    assert len(sizes) == 2 and len(forward) == len(backward) == 2
+    assert [e.shape for e in forward] == [(n, n) for n in sizes]
+    assert all(e.dtype == np.float64 for e in forward)
+    assert all(e.dtype == np.complex128 for e in backward)
+    assert sum(e.nbytes for e in forward) <= sum(n * n for n in sizes) * 8
+    # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*
+    g = prop.generator.entries
+    for idx, pairs, e in zip(prop.blocks, prop.pair_transforms, forward):
+        u = pairs.lift(np.eye(len(idx)))
+        want = scipy.linalg.expm(0.01 * g[np.ix_(idx, idx)])
+        assert np.linalg.norm(u @ e @ u.conj().T - want, 2) < 1e-13 * np.linalg.norm(want, 2)
 
 
 def test_blockwise_abscissas_match_the_whole_matrix(ctx10):
@@ -122,6 +148,53 @@ def test_planted_oracle_disagreement_raises(ctx10):
     oracles[1] = (w + 1e-6, vecs, inverse, sigma)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
         evo._checked_expm(blocks, oracles, 0.01)
+
+
+def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypatch):
+    oracle = evo._eigen_oracle
+
+    def planted(block):
+        w, vecs, inverse, sigma = oracle(block)
+        return w + 1e-6, vecs, inverse, sigma
+
+    monkeypatch.setattr(evo, "_eigen_oracle", planted)
+    prop = evo.build_propagator(ctx10, 8)
+    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
+        prop.exponential(0.01)
+
+
+def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
+    # the pair basis must not switch the cross-check off: the eigenvector
+    # condition the gate reads stays affordable, and the errors are taken
+    errors = []
+    measure = evo._oracle_error
+    monkeypatch.setattr(
+        evo, "_oracle_error", lambda *a: errors.append(measure(*a)) or errors[-1]
+    )
+    for key in validate({"kind": "evolve"}).modes:
+        prop = evo.build_propagator(lattice_mode_context(bg, key), 64)
+        prop.exponential(0.125)
+        sigma = np.concatenate([oracle[3] for oracle in prop._oracles])
+        assert sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION
+        for (_, vecs, inverse, sigma_k), idx in zip(prop._oracles, prop.blocks):
+            # singular values of W = U* V are those of V, and W^-1 inverts W
+            assert np.allclose(np.linalg.svd(vecs, compute_uv=False), sigma_k, rtol=1e-12)
+            assert np.linalg.norm(inverse @ vecs - np.eye(len(idx))) < 1e-10
+        assert len(errors) == len(prop.blocks)
+        assert max(errors) <= evo.EXPM_ORACLE_TOL
+        errors.clear()
+
+
+def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
+    modes = [(1, 0), (2, 1)]
+    state = evo.run_evolution(
+        bg, modes, t_final=0.01, output_step=0.005, truncation=16, seed=5
+    )
+    logged = {(row[0], row[1]): row[6] for row in state.mode_rows}
+    for t, fields in ((0.0, state.initial_modes), (state.time, state.modes)):
+        for idx, key in enumerate(modes):
+            want = evo.induction_power(lattice_mode_context(bg, key), fields[key])
+            assert logged[t, idx] == pytest.approx(want, rel=1e-12)
 
 
 def test_oracle_is_skipped_for_a_defective_block():
@@ -157,8 +230,8 @@ def test_energy_identity_central_difference(ctx10):
     analytic = 2.0 * (evo.induction_power(ctx10, b) - evo.grad_energy(ctx10, b))
     errs = []
     for h in (1e-5, 1e-6):
-        ep = np.linalg.norm(prop.exponential(h) @ v) ** 2
-        em = np.linalg.norm(prop.exponential(-h) @ v) ** 2
+        ep = np.linalg.norm(prop.propagate(v, h)) ** 2
+        em = np.linalg.norm(prop.propagate(v, -h)) ** 2
         errs.append(abs((ep - em) / (2 * h) - analytic) / abs(analytic))
     assert errs[1] < 1e-5
     assert 50.0 < errs[0] / errs[1] < 200.0

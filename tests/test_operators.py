@@ -488,6 +488,23 @@ def test_pair_transform_is_a_unitary_onto_j_fixed_vectors():
     assert np.abs(pairs.real_form(sym).imag).max() < 1e-14
 
 
+def test_pair_transform_maps_into_and_out_of_the_unitary_basis():
+    m = 4
+    pairs = op.PairTransform.of(m)
+    u = pairs.lift(np.eye(3 * (2 * m + 1)))
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((len(u), len(u))) + 1j * rng.standard_normal((len(u), len(u)))
+    assert np.allclose(pairs.lower(a), u.conj().T @ a, rtol=0, atol=1e-14)
+    assert np.allclose(pairs.times_u(a), a @ u, rtol=0, atol=1e-14)
+    assert np.allclose(pairs.pair_form(a), u.conj().T @ a @ u, rtol=0, atol=1e-13)
+    # complex coordinates are lifted by parts, and lower undoes lift
+    assert np.allclose(pairs.lift(a), u @ a, rtol=0, atol=1e-14)
+    assert np.allclose(pairs.lift(pairs.lower(a)), a, rtol=0, atol=1e-14)
+    # an operator commuting with J is real in the unitary basis too
+    sym = a + conjugate_by_j(m, a)
+    assert np.abs(pairs.pair_form(sym).imag).max() < 1e-14
+
+
 def test_pair_transform_restricts_to_closed_index_sets():
     m = 3
     pairs = op.PairTransform.of(m)
