@@ -32,7 +32,6 @@ __all__ = [
     "delta",
     "mode_context",
     "lattice_mode_context",
-    "psi_phase",
 ]
 
 DEFAULT_BACKGROUND_TRUNCATION = 8
@@ -132,6 +131,8 @@ class ModeContext:
     beta_perp_prime: FourierSeries
     beta_norm_sq: float
     e0: FourierSeries
+    # the phase integral Psi (see psi_values): slope ||beta||^2 = Psi(1), and
+    # a zero-mean periodic part
     psi_slope: float
     psi_periodic: FourierSeries
 
@@ -201,13 +202,3 @@ def lattice_mode_context(background: BackgroundField, m) -> ModeContext:
     """Convenience wrapper taking an integer lattice pair, xi = 2 pi m."""
     m = np.asarray(m, dtype=float)
     return mode_context(background, TWO_PI * m)
-
-
-def psi_phase(ctx: ModeContext):
-    """Return (slope, periodic part) of the phase integral Psi.
-
-    Psi(x3) = slope * x3 + periodic(x3) - periodic(0) with slope = ||beta||^2
-    and a zero-mean periodic part, so the full period increment Psi(1) equals
-    the slope exactly.
-    """
-    return ctx.psi_slope, ctx.psi_periodic

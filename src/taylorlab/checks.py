@@ -124,7 +124,9 @@ def run_spectral_check(cfg: RunConfig) -> RunReport:
     out = _outdir(cfg)
     report = _new_report(cfg)
 
-    basis = spectral.build_eigenbasis(ctx, cfg.band, cfg.truncation)
+    basis = spectral.build_eigenbasis(
+        ctx, cfg.band, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
+    )
     core = spectral.assemble_core_matrix(ctx, cfg.truncation)
     w, vecs = np.linalg.eig(core)
 
@@ -186,7 +188,9 @@ def run_normalform_check(cfg: RunConfig) -> RunReport:
     report = _new_report(cfg)
 
     stored = spectral.stored_band_for(cfg.band, cfg.truncation)
-    basis = spectral.build_eigenbasis(ctx, stored, cfg.truncation)
+    basis = spectral.build_eigenbasis(
+        ctx, stored, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
+    )
     nf = build_normal_form(ctx, basis, cfg.band, resonance_tol=cfg.tolerance("resonance"))
 
     rows = [
@@ -528,7 +532,9 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
     # direction-only, so any mode with the same direction gives the same
     # numbers)
     stored = spectral.stored_band_for(cfg.band, m_trunc)
-    basis = spectral.build_eigenbasis(ctx, stored, m_trunc)
+    basis = spectral.build_eigenbasis(
+        ctx, stored, m_trunc, tail_gate=cfg.tolerance("tail_gate")
+    )
     bands = []
     n = 2
     while n <= cfg.band:

@@ -67,8 +67,6 @@ def main(argv=None) -> int:
                     f"TAYLORLAB_JOBS is not an integer: {os.environ['TAYLORLAB_JOBS']!r}"
                 ) from exc
         if jobs is not None:
-            if jobs < 1:
-                raise ConfigError("'jobs' must be at least 1")
             overrides["jobs"] = jobs
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)

@@ -103,6 +103,14 @@ class RunConfig:
     out_dir: str = "out"
     jobs: int = 1
 
+    def __post_init__(self):
+        # range checks that also hold for the command line's overrides,
+        # which reach the config through dataclasses.replace, not validate
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be nonnegative; got {self.seed}")
+        if self.jobs < 1:
+            raise ConfigError("'jobs' must be at least 1")
+
     def tolerance(self, name: str) -> float:
         if name not in DEFAULT_TOLERANCES:
             raise KeyError(f"unknown tolerance name: {name}")
@@ -221,10 +229,6 @@ def validate(raw: dict) -> RunConfig:
         if not _is_a(value, (int, float)) or not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be a positive number")
 
-    jobs = int(_check_type(raw.get("jobs", 1), int, "jobs"))
-    if jobs < 1:
-        raise ConfigError("'jobs' must be at least 1")
-
     return RunConfig(
         kind=kind,
         background=background,
@@ -240,7 +244,7 @@ def validate(raw: dict) -> RunConfig:
         ),
         tolerances=dict(tolerances),
         out_dir=str(_check_type(raw.get("out_dir", "out"), str, "out_dir")),
-        jobs=jobs,
+        jobs=int(_check_type(raw.get("jobs", 1), int, "jobs")),
     )
 
 

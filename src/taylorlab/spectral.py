@@ -145,12 +145,17 @@ def stored_band_for(band: int, truncation: int) -> int:
     return min(2 * band + 2, truncation // 4)
 
 
-def build_eigenbasis(ctx: ModeContext, band: int, truncation: int) -> SpectralBasis:
+def build_eigenbasis(
+    ctx: ModeContext,
+    band: int,
+    truncation: int,
+    tail_gate: float = DEFAULT_TOLERANCES["tail_gate"],
+) -> SpectralBasis:
     """Collocate the closed-form profiles e_k for |k| <= band at the window.
 
     Raises ResolutionExceeded when the resolution guard band <= truncation/4
-    fails, when any collocation tail exceeds the gate, or when the stored
-    family drifts from orthonormality (all three are symptoms of an
+    fails, when any collocation tail exceeds ``tail_gate``, or when the
+    stored family drifts from orthonormality (all three are symptoms of an
     under-resolved window).
     """
     if band < 0:
@@ -159,7 +164,6 @@ def build_eigenbasis(ctx: ModeContext, band: int, truncation: int) -> SpectralBa
         raise ResolutionExceeded(
             f"stored band {band} exceeds the resolution guard {truncation}//4 = {truncation // 4}"
         )
-    gate = DEFAULT_TOLERANCES["tail_gate"]
     n_points = OVERSAMPLE * truncation
     x = np.arange(n_points) / n_points
     slope, periodic = ctx.psi_slope, ctx.psi_periodic
@@ -176,10 +180,10 @@ def build_eigenbasis(ctx: ModeContext, band: int, truncation: int) -> SpectralBa
         full = inverse_collocation(samples)
         modes = full.modes()
         tail = float(np.linalg.norm(full.coeffs[np.abs(modes) > truncation]))
-        if tail > gate:
+        if tail > tail_gate:
             raise ResolutionExceeded(
                 f"profile k={k} has spectral tail {tail:.3e} beyond window {truncation}"
-                f" (gate {gate:.1e}); increase the window"
+                f" (gate {tail_gate:.1e}); increase the window"
             )
         profiles[band + k] = full.resample(truncation).coeffs
         tails[band + k] = tail

@@ -7,7 +7,6 @@ from taylorlab.background import (
     lattice_mode_context,
     make_background,
     mode_context,
-    psi_phase,
 )
 from taylorlab.errors import DegenerateDirection, ZeroMode
 from taylorlab.fourier import TWO_PI, FourierSeries, allclose
@@ -70,7 +69,7 @@ def test_lattice_wrapper_matches_mode_context(bg):
 def test_phase_integral_for_canonical(bg):
     # beta = cos(2 pi x) so Psi(x) = x/2 + sin(4 pi x) / (8 pi)
     ctx = lattice_mode_context(bg, (1, 0))
-    slope, periodic = psi_phase(ctx)
+    slope, periodic = ctx.psi_slope, ctx.psi_periodic
     assert slope == pytest.approx(0.5)
     x = np.linspace(0.0, 1.0, 33)
     expected = 0.5 * x + np.sin(2 * TWO_PI * x) / (8 * np.pi)

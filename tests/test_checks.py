@@ -69,6 +69,29 @@ def test_resonant_term_radius_matches_full_matrix_route(request, background, m_e
         assert factored == dense == 0.0
 
 
+def test_resonant_term_gate_measures_a_nonzero_radius(tmp_path):
+    # the canonical and the default test backgrounds give a radius of exactly
+    # 0, so this run is the one where resonant_term_bounded compares numbers;
+    # the mixed background needs a window of 96 to pass the band sweep
+    cfg = validate(
+        {"kind": "scaling-study", "truncation": 96,
+         "background": [list(entry) for entry in MIXED_PARITY], "out_dir": str(tmp_path)}
+    )
+    report = execute(cfg)
+    assert report.passed
+    gate = next(o for o in report.outcomes if o.name == "resonant_term_bounded")
+    assert gate.measured > 1e-3 and gate.tolerance > gate.measured
+    header, rows = read_csv(str(tmp_path / "scaling_eps.csv"))
+    column = header.index("resonant_term_radius")
+    radii = [float(row[column]) for row in rows]
+    assert gate.measured == max(radii[1:])
+    assert gate.tolerance == 1.25 * radii[0] + 1e-12
+    bg = make_background(MIXED_PARITY)
+    for m_eps, radius in zip(cfg.eps_modes, radii):
+        dense = dense_resonant_term_radius(lattice_mode_context(bg, (m_eps, 0)), 96)
+        assert abs(radius - dense) <= 1e-12 * dense
+
+
 def _sweep_report(tmp_path, name, **extra):
     raw = {
         "kind": "abscissa-sweep", "truncation": 16, "band": 2,

@@ -47,6 +47,14 @@ def test_tolerance_override_can_fail_the_run(tmp_path, capsys):
     assert "FAIL eigenvector_error" in capsys.readouterr().out
 
 
+def test_tail_gate_override_is_read(tmp_path, capsys):
+    # the default gate 1e-8 passes this window; no collocation tail is below 1e-30
+    cfg = write_config(tmp_path, tolerances={"tail_gate": 1e-30})
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "ResolutionExceeded" in err and "gate 1.0e-30" in err
+
+
 def test_rejected_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, truncation=12, band=8)
     assert cli.main(["run", cfg]) == 2
@@ -84,6 +92,14 @@ def test_seed_override_changes_hash(tmp_path):
     h1 = json.load(open(os.path.join(out1, "report.json")))["config_hash"]
     h2 = json.load(open(os.path.join(out2, "report.json")))["config_hash"]
     assert h1 != h2
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    # the override reaches the config after validate, and is checked all the same
+    cfg = write_config(tmp_path, kind="constraint-check")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "'seed' must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_jobs_env_fallback(tmp_path, monkeypatch):

@@ -78,6 +78,8 @@ def test_defaults_fill_in():
         # the single-mode kinds would ignore every mode after the first
         (minimal(modes=[[1, 0], [2, 0]]), "checks one mode"),
         ({"kind": "normalform-check", "modes": [[8, 0], [1, 0]]}, "checks one mode"),
+        # numpy's generators take no negative seed
+        (minimal(seed=-1), "nonnegative"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):

@@ -127,6 +127,36 @@ def test_write_snapshot_real_and_complex(tmp_path):
     assert doc["imag"] == [1.0, 1.0]
 
 
+SPECIAL = [[-0.0, 5e-324, 1e300], [1.0 / 3.0, -2.5e-17, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array(SPECIAL),
+        np.array(SPECIAL) * (1 + 0j),
+        np.array(SPECIAL)[0],
+        np.array(-0.0),
+        np.zeros((0, 3)),
+    ],
+    ids=["real", "complex", "vector", "0-d", "empty"],
+)
+def test_write_snapshot_bytes_match_the_pure_python_encoder(tmp_path, values):
+    # signed zeros, subnormals and large exponents, written as json.dump
+    # (the pure-Python encoder) writes them
+    path = tmp_path / "snap.json"
+    write_snapshot(str(path), values)
+    payload = (
+        matrix_to_json(values)
+        if np.iscomplexobj(values)
+        else {"shape": list(values.shape), "values": values.tolist()}
+    )
+    want = "".join(json.JSONEncoder(sort_keys=True).iterencode(payload)) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    if values.size >= 3:
+        assert "-0.0" in want and "5e-324" in want and "1e+300" in want
+
+
 def test_line_chart_deterministic(tmp_path):
     series = [("energy", [0.0, 1.0, 2.0], [1.0, 0.5, 0.25])]
     p1 = str(tmp_path / "c1.svg")
