@@ -1,8 +1,12 @@
 """Experiment runners behind the CLI: one function per experiment kind.
 
-Each runner computes its quantities, writes CSV/SVG artifacts into the
-output directory, and returns a RunReport whose outcomes carry the
-measured values next to the tolerances they were judged against.
+:func:`execute` owns the run directory: it makes ``cfg.out_dir``, resolves
+the background, opens the RunReport, calls the kind's runner and writes
+``report.json``.  A runner computes its quantities and records outcomes
+that carry the measured values next to the tolerances they were judged
+against; every table it produces goes through :func:`_write_table`, which
+writes the CSV and, for the tables in ``_PLOTTABLE``, draws the chart from
+that CSV, the same drawer ``taylorlab plot`` uses.
 
 The scaling study bounds the resonant term P_perp P_prof L P_prof P_perp / eps
 of the normal form by its numerical radius on constrained fields.  The
@@ -104,25 +108,13 @@ def hermitian_part_norm(mat: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(herm)).max())
 
 
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
-def _new_report(cfg: RunConfig) -> RunReport:
-    return RunReport(kind=cfg.kind, config_hash=cfg.config_hash(), package_version=__version__)
-
-
 # ----------------------------------------------------------------------
 # spectral-check
 # ----------------------------------------------------------------------
 
 
-def run_spectral_check(cfg: RunConfig) -> RunReport:
-    bg = resolve_background(cfg)
+def run_spectral_check(cfg: RunConfig, bg, report: RunReport) -> None:
     ctx = lattice_mode_context(bg, cfg.modes[0])
-    out = _outdir(cfg)
-    report = _new_report(cfg)
 
     basis = spectral.build_eigenbasis(
         ctx, cfg.band, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
@@ -145,24 +137,13 @@ def run_spectral_check(cfg: RunConfig) -> RunReport:
         worst_vec = max(worst_vec, vec_err)
         rows.append((k, mu.real, mu.imag, w[idx].real, w[idx].imag, float(rel), vec_err))
 
-    csv_path = os.path.join(out, "spectral.csv")
-    write_csv(
-        csv_path,
+    _write_table(
+        cfg,
+        report,
+        "spectral.csv",
         ["k", "mu_re", "mu_im", "numeric_re", "numeric_im", "rel_err", "vec_err"],
         rows,
     )
-    svg_path = line_chart(
-        [
-            ("eigenvalue", [r[0] for r in rows], [max(r[5], 1e-17) for r in rows]),
-            ("eigenvector", [r[0] for r in rows], [max(r[6], 1e-17) for r in rows]),
-        ],
-        "eigenpair agreement by profile index",
-        "k",
-        "mismatch",
-        os.path.join(out, "spectral.svg"),
-        log_y=True,
-    )
-    report.artifacts += [os.path.basename(csv_path), os.path.basename(svg_path)]
 
     tol_val = cfg.tolerance("eigenvalue_rel")
     tol_vec = cfg.tolerance("eigenvector")
@@ -172,8 +153,6 @@ def run_spectral_check(cfg: RunConfig) -> RunReport:
     residuals = spectral.verify_on_basis(ctx, basis)
     for name, value in sorted(residuals.items()):
         report.add(name, value < tol_val, value, tol_val)
-    write_report(report, os.path.join(out, "report.json"))
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -181,11 +160,8 @@ def run_spectral_check(cfg: RunConfig) -> RunReport:
 # ----------------------------------------------------------------------
 
 
-def run_normalform_check(cfg: RunConfig) -> RunReport:
-    bg = resolve_background(cfg)
+def run_normalform_check(cfg: RunConfig, bg, report: RunReport) -> None:
     ctx = lattice_mode_context(bg, cfg.modes[0])
-    out = _outdir(cfg)
-    report = _new_report(cfg)
 
     stored = spectral.stored_band_for(cfg.band, cfg.truncation)
     basis = spectral.build_eigenbasis(
@@ -197,20 +173,13 @@ def run_normalform_check(cfg: RunConfig) -> RunReport:
         (i, j, lam_i.real, lam_i.imag, lam_j.real, lam_j.imag, float(rhs))
         for (i, j, lam_i, lam_j, rhs) in nf.resonance_rows()
     ]
-    csv_path = os.path.join(out, "resonances.csv")
-    write_csv(
-        csv_path,
+    _write_table(
+        cfg,
+        report,
+        "resonances.csv",
         ["i", "j", "lam_i_re", "lam_i_im", "lam_j_re", "lam_j_im", "rhs_mag"],
         rows,
     )
-    svg_path = line_chart(
-        [("resonant pairs", list(range(len(rows))), [r[6] for r in rows])],
-        "homological right-hand side at eigenvalue coincidences",
-        "pair index",
-        "magnitude",
-        os.path.join(out, "resonances.svg"),
-    )
-    report.artifacts += [os.path.basename(csv_path), os.path.basename(svg_path)]
 
     tol_res = cfg.tolerance("resonance")
     tol_comm = cfg.tolerance("commutator")
@@ -227,8 +196,6 @@ def run_normalform_check(cfg: RunConfig) -> RunReport:
         0.5,
         detail="eps * ||Q|| must stay below 1/2 for the change of unknown to invert",
     )
-    write_report(report, os.path.join(out, "report.json"))
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -236,10 +203,11 @@ def run_normalform_check(cfg: RunConfig) -> RunReport:
 # ----------------------------------------------------------------------
 
 
-def run_constraint_check(cfg: RunConfig, n_fields: int = 10) -> RunReport:
-    bg = resolve_background(cfg)
-    out = _outdir(cfg)
-    report = _new_report(cfg)
+# random fields projected per mode by constraint-check
+CONSTRAINT_FIELDS_PER_MODE = 10
+
+
+def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
     rng = np.random.default_rng(cfg.seed)
 
     rows = []
@@ -249,7 +217,7 @@ def run_constraint_check(cfg: RunConfig, n_fields: int = 10) -> RunReport:
     for key in cfg.modes:
         ctx = lattice_mode_context(bg, key)
         basis = op.constraint_null_basis(ctx, cfg.truncation)
-        for i in range(n_fields):
+        for i in range(CONSTRAINT_FIELDS_PER_MODE):
             raw = evo.random_mode_field(cfg.truncation, rng)
             proj = evo.project_constraints(ctx, raw, basis)
             r_perp, r_3 = op.taylor_residual(ctx, proj)
@@ -265,13 +233,13 @@ def run_constraint_check(cfg: RunConfig, n_fields: int = 10) -> RunReport:
             worst_idem = max(worst_idem, float(idem))
             worst_formula = max(worst_formula, float(formula))
 
-    csv_path = os.path.join(out, "constraints.csv")
-    write_csv(
-        csv_path,
+    _write_table(
+        cfg,
+        report,
+        "constraints.csv",
         ["m1", "m2", "field", "taylor_res", "div_res", "idempotence", "formula_gap"],
         rows,
     )
-    report.artifacts.append(os.path.basename(csv_path))
 
     tol_proj = cfg.tolerance("projection_residual")
     tol_formula = cfg.tolerance("taylor_projection")
@@ -280,8 +248,6 @@ def run_constraint_check(cfg: RunConfig, n_fields: int = 10) -> RunReport:
     report.add(
         "profile_projection_formula", worst_formula < tol_formula, worst_formula, tol_formula
     )
-    write_report(report, os.path.join(out, "report.json"))
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -306,11 +272,7 @@ def _symmetrized(state: evo.SimulationState) -> evo.SimulationState:
     )
 
 
-def run_evolve(cfg: RunConfig) -> RunReport:
-    bg = resolve_background(cfg)
-    out = _outdir(cfg)
-    report = _new_report(cfg)
-
+def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
     state = evo.run_evolution(
         bg,
         list(cfg.modes),
@@ -322,36 +284,25 @@ def run_evolve(cfg: RunConfig) -> RunReport:
         jobs=cfg.jobs,
     )
 
-    csv_path = os.path.join(out, "diagnostics.csv")
-    write_csv(
-        csv_path,
+    _write_table(
+        cfg,
+        report,
+        "diagnostics.csv",
         ["t", "mode_index", "energy", "grad_energy", "taylor_res", "div_res", "power"],
         state.mode_rows,
     )
-    energy_csv = os.path.join(out, "energy.csv")
-    write_csv(
-        energy_csv,
+    _write_table(
+        cfg,
+        report,
+        "energy.csv",
         ["t", "energy", "grad_energy", "taylor_max", "div_max"],
         state.diagnostics_log,
     )
-    energy_svg = line_chart(
-        [
-            (
-                "total energy",
-                [row[0] for row in state.diagnostics_log],
-                [row[1] for row in state.diagnostics_log],
-            )
-        ],
-        "energy decay of the constrained evolution",
-        "t",
-        "energy",
-        os.path.join(out, "energy.svg"),
+    write_snapshot(
+        os.path.join(cfg.out_dir, "snapshot.json"),
+        evo.assemble_full_field(_symmetrized(state)),
     )
-    snapshot_path = os.path.join(out, "snapshot.json")
-    write_snapshot(snapshot_path, evo.assemble_full_field(_symmetrized(state)))
-    report.artifacts += [
-        os.path.basename(p) for p in (csv_path, energy_csv, energy_svg, snapshot_path)
-    ]
+    report.artifacts.append("snapshot.json")
 
     tol_step = cfg.tolerance("step_residual")
     worst_tay = max(row[4] for row in state.mode_rows)
@@ -383,9 +334,6 @@ def run_evolve(cfg: RunConfig) -> RunReport:
     tol_rate = cfg.tolerance("zero_mode_rate_rel")
     report.add("zero_mode_decay_rate", rate_err < tol_rate, rate_err, tol_rate)
 
-    write_report(report, os.path.join(out, "report.json"))
-    return report
-
 
 # ----------------------------------------------------------------------
 # abscissa-sweep
@@ -401,32 +349,19 @@ def _trend_margin(rows, slack: float) -> tuple[float, float]:
     return tail, head + slack * abs(head)
 
 
-def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
-    bg = resolve_background(cfg)
-    out = _outdir(cfg)
-    report = _new_report(cfg)
-
+def run_abscissa_sweep(cfg: RunConfig, bg, report: RunReport) -> None:
     rows_on, rows_off = evo.abscissa_lanes(
         bg, list(cfg.modes), truncation=cfg.truncation, lanes=(True, False), jobs=cfg.jobs
     )
 
-    header = ["xi_norm", "abscissa_restricted", "abscissa_full"]
-    paths = []
-    for label, rows in (("on", rows_on), ("off", rows_off)):
-        csv_path = os.path.join(out, f"abscissa_geostrophic_{label}.csv")
-        write_csv(csv_path, header, rows)
-        svg_path = line_chart(
-            [
-                ("restricted", [r[0] for r in rows], [r[1] for r in rows]),
-                ("full", [r[0] for r in rows], [r[2] for r in rows]),
-            ],
-            f"spectral abscissa sweep (balancing velocity {label})",
-            "|xi|",
-            "abscissa",
-            os.path.join(out, f"abscissa_geostrophic_{label}.svg"),
+    for lane, rows in (("on", rows_on), ("off", rows_off)):
+        _write_table(
+            cfg,
+            report,
+            f"abscissa_geostrophic_{lane}.csv",
+            ["xi_norm", "abscissa_restricted", "abscissa_full"],
+            rows,
         )
-        paths += [csv_path, svg_path]
-    report.artifacts += [os.path.basename(p) for p in paths]
 
     slack = cfg.tolerance("abscissa_slack")
     tail_on, bound_on = _trend_margin(rows_on, slack)
@@ -445,8 +380,6 @@ def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
         bound_off,
         detail="balancing velocity disabled; recorded for contrast, no bound asserted",
     )
-    write_report(report, os.path.join(out, "report.json"))
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -454,10 +387,7 @@ def run_abscissa_sweep(cfg: RunConfig) -> RunReport:
 # ----------------------------------------------------------------------
 
 
-def run_scaling_study(cfg: RunConfig) -> RunReport:
-    bg = resolve_background(cfg)
-    out = _outdir(cfg)
-    report = _new_report(cfg)
+def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     m_trunc = cfg.truncation
 
     def eps_point(m: int):
@@ -492,21 +422,13 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
     first_row, (ctx, drive, v_div) = eps_point(cfg.eps_modes[0])
     eps_rows = [first_row] + later_rows
 
-    eps_csv = os.path.join(out, "scaling_eps.csv")
-    write_csv(
-        eps_csv,
+    _write_table(
+        cfg,
+        report,
+        "scaling_eps.csv",
         ["eps", "c2_offdirection", "remainder_herm_over_eps", "resonant_term_radius"],
         eps_rows,
     )
-    eps_svg = line_chart(
-        [("off-direction drive", [r[0] for r in eps_rows], [max(r[1], 1e-17) for r in eps_rows])],
-        "drive compression error against eps",
-        "eps",
-        "norm",
-        os.path.join(out, "scaling_eps.svg"),
-        log_y=True,
-    )
-    report.artifacts += [os.path.basename(eps_csv), os.path.basename(eps_svg)]
 
     slope = fit_loglog_slope([r[0] for r in eps_rows], [r[1] for r in eps_rows])
     tol_slope = cfg.tolerance("c2_slope_min")
@@ -546,20 +468,9 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
         deriv = spectral.band_derivative_norm(basis, band)
         band_rows.append((band, gap, deriv))
 
-    band_csv = os.path.join(out, "scaling_bands.csv")
-    write_csv(band_csv, ["band", "high_mode_gap", "d3_band_norm"], band_rows)
-    band_svg = line_chart(
-        [
-            ("gap", [r[0] for r in band_rows], [max(r[1], 1e-17) for r in band_rows]),
-            ("derivative norm", [r[0] for r in band_rows], [r[2] for r in band_rows]),
-        ],
-        "band projector scalings",
-        "band",
-        "value",
-        os.path.join(out, "scaling_bands.svg"),
-        log_y=True,
+    _write_table(
+        cfg, report, "scaling_bands.csv", ["band", "high_mode_gap", "d3_band_norm"], band_rows
     )
-    report.artifacts += [os.path.basename(band_csv), os.path.basename(band_svg)]
 
     gaps = [r[1] for r in band_rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
@@ -588,12 +499,9 @@ def run_scaling_study(cfg: RunConfig) -> RunReport:
             detail=f"window [{lo}, {hi}], bands >= 4",
         )
 
-    write_report(report, os.path.join(out, "report.json"))
-    return report
-
 
 # ----------------------------------------------------------------------
-# dispatch and plot regeneration
+# dispatch, tables and charts
 # ----------------------------------------------------------------------
 
 _RUNNERS = {
@@ -607,16 +515,20 @@ _RUNNERS = {
 
 
 def execute(cfg: RunConfig) -> RunReport:
-    return _RUNNERS[cfg.kind](cfg)
+    """Run ``cfg`` into ``cfg.out_dir``: every artifact, then ``report.json``."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    bg = resolve_background(cfg)
+    report = RunReport(kind=cfg.kind, config_hash=cfg.config_hash(), package_version=__version__)
+    _RUNNERS[cfg.kind](cfg, bg, report)
+    write_report(report, os.path.join(cfg.out_dir, "report.json"))
+    return report
 
 
-# Presentation metadata mirroring the charts the runners draw, so that a
-# regenerated SVG is byte-identical to the original.  Entries are
-# (svg_name, x_column (None = row index), x_label, y_label,
-#  [(series_label, y_column), ...], title, log_y).
+# The one source of chart metadata, for runs and for ``taylorlab plot``.
+# Entries are (x_column (None = row index), x_label, y_label,
+#  [(series_label, y_column), ...], title, log_y); the chart of x.csv is x.svg.
 _PLOTTABLE = {
     "spectral.csv": (
-        "spectral.svg",
         "k",
         "k",
         "mismatch",
@@ -625,7 +537,6 @@ _PLOTTABLE = {
         True,
     ),
     "resonances.csv": (
-        "resonances.svg",
         None,
         "pair index",
         "magnitude",
@@ -634,7 +545,6 @@ _PLOTTABLE = {
         False,
     ),
     "energy.csv": (
-        "energy.svg",
         "t",
         "t",
         "energy",
@@ -642,26 +552,18 @@ _PLOTTABLE = {
         "energy decay of the constrained evolution",
         False,
     ),
-    "abscissa_geostrophic_on.csv": (
-        "abscissa_geostrophic_on.svg",
-        "xi_norm",
-        "|xi|",
-        "abscissa",
-        [("restricted", "abscissa_restricted"), ("full", "abscissa_full")],
-        "spectral abscissa sweep (balancing velocity on)",
-        False,
-    ),
-    "abscissa_geostrophic_off.csv": (
-        "abscissa_geostrophic_off.svg",
-        "xi_norm",
-        "|xi|",
-        "abscissa",
-        [("restricted", "abscissa_restricted"), ("full", "abscissa_full")],
-        "spectral abscissa sweep (balancing velocity off)",
-        False,
-    ),
+    **{
+        f"abscissa_geostrophic_{lane}.csv": (
+            "xi_norm",
+            "|xi|",
+            "abscissa",
+            [("restricted", "abscissa_restricted"), ("full", "abscissa_full")],
+            f"spectral abscissa sweep (balancing velocity {lane})",
+            False,
+        )
+        for lane in ("on", "off")
+    },
     "scaling_eps.csv": (
-        "scaling_eps.svg",
         "eps",
         "eps",
         "norm",
@@ -670,7 +572,6 @@ _PLOTTABLE = {
         True,
     ),
     "scaling_bands.csv": (
-        "scaling_bands.svg",
         "band",
         "band",
         "value",
@@ -681,31 +582,51 @@ _PLOTTABLE = {
 }
 
 
+def _write_table(cfg: RunConfig, report: RunReport, name: str, header: list, rows: list) -> None:
+    """Write table ``name`` into the run directory and list it as an artifact,
+    followed by its chart when ``_PLOTTABLE`` describes one."""
+    csv_path = os.path.join(cfg.out_dir, name)
+    write_csv(csv_path, header, rows)
+    report.artifacts.append(name)
+    if name in _PLOTTABLE:
+        report.artifacts.append(os.path.basename(_draw_chart(csv_path)))
+
+
+def _draw_chart(csv_path: str) -> str:
+    """Draw the chart ``_PLOTTABLE`` describes for a CSV table; return its path.
+
+    ``write_csv`` writes floats with ``repr``, so the values read back are the
+    ones the run computed, and the chart is the same whether a run or
+    ``taylorlab plot`` draws it.
+    """
+    name = os.path.basename(csv_path)
+    x_col, x_label, y_label, columns, title, log_y = _PLOTTABLE[name]
+    header, rows = read_csv(csv_path)
+    if not rows:
+        raise MissingData(f"{name} has no data rows")
+    if x_col is None:
+        xs = [float(i) for i in range(len(rows))]
+    else:
+        xi = header.index(x_col)
+        xs = [float(r[xi]) for r in rows]
+    series = []
+    for label, col in columns:
+        yi = header.index(col)
+        ys = [float(r[yi]) for r in rows]
+        if log_y:
+            ys = [max(y, 1e-17) for y in ys]
+        series.append((label, xs, ys))
+    svg_path = os.path.splitext(csv_path)[0] + ".svg"
+    return line_chart(series, title, x_label, y_label, svg_path, log_y=log_y)
+
+
 def emit_plots(report_dir: str) -> list:
     """Regenerate SVG charts from the CSV files present in a report directory."""
-    made = []
-    for name in sorted(_PLOTTABLE):
-        svg_name, x_col, x_label, y_label, columns, title, log_y = _PLOTTABLE[name]
-        csv_path = os.path.join(report_dir, name)
-        if not os.path.exists(csv_path):
-            continue
-        header, rows = read_csv(csv_path)
-        if not rows:
-            raise MissingData(f"{name} has no data rows")
-        if x_col is None:
-            xs = [float(i) for i in range(len(rows))]
-        else:
-            xi = header.index(x_col)
-            xs = [float(r[xi]) for r in rows]
-        series = []
-        for label, col in columns:
-            yi = header.index(col)
-            ys = [float(r[yi]) for r in rows]
-            if log_y:
-                ys = [max(y, 1e-17) for y in ys]
-            series.append((label, xs, ys))
-        svg_path = os.path.join(report_dir, svg_name)
-        made.append(line_chart(series, title, x_label, y_label, svg_path, log_y=log_y))
+    made = [
+        _draw_chart(os.path.join(report_dir, name))
+        for name in sorted(_PLOTTABLE)
+        if os.path.exists(os.path.join(report_dir, name))
+    ]
     if not made:
         raise MissingData(f"no plottable CSV files in {report_dir}")
     return made

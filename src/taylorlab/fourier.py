@@ -183,9 +183,6 @@ class FourierSeries:
         """Whether the represented function is real valued: c_{-n} = conj(c_n)."""
         return bool(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))) <= tol)
 
-    def is_zero_mean(self, tol: float = 0.0) -> bool:
-        return abs(self.mean()) <= tol
-
     # ------------------------------------------------------------------
     # algebra
     # ------------------------------------------------------------------

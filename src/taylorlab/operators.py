@@ -198,11 +198,6 @@ def _sub(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     return f - g
 
 
-def _field_aligned(*fields: ModeField):
-    m = max(f.truncation for f in fields)
-    return [f.resample(m) for f in fields]
-
-
 def _out_window(b: ModeField, out_truncation: int | None) -> int:
     return b.truncation if out_truncation is None else out_truncation
 

@@ -2,10 +2,12 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
 from taylorlab import cli
+from taylorlab.config import KINDS
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -59,6 +61,16 @@ def test_rejected_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, truncation=12, band=8)
     assert cli.main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, band", [("spectral-check", -3), ("spectral-check", 0), ("scaling-study", 1)]
+)
+def test_band_below_the_kinds_least_exits_2(tmp_path, capsys, kind, band):
+    cfg = write_config(tmp_path, kind=kind, band=band)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "band" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_t_final_between_output_steps_exits_2(tmp_path, capsys):
@@ -123,16 +135,44 @@ def test_jobs_flag_beats_env_and_validates(tmp_path, monkeypatch):
     assert cli.main(["run", cfg, "--jobs", "0"]) == 2
 
 
-def test_plot_regenerates_charts(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    out = str(tmp_path / "out")
-    assert cli.main(["run", cfg, "--out", out]) == 0
-    svg_path = os.path.join(out, "spectral.svg")
-    first = open(svg_path, "rb").read()
-    os.remove(svg_path)
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """The run directory of every kind at truncation 40, band 2 (the smallest
+    window every kind resolves), made through the command line."""
+    root = tmp_path_factory.mktemp("small")
+    dirs = {}
+    for kind in KINDS:
+        cfg = root / f"{kind}.json"
+        cfg.write_text(json.dumps({"kind": kind, "truncation": 40, "band": 2}))
+        dirs[kind] = str(root / kind)
+        assert cli.main(["run", str(cfg), "--out", dirs[kind]]) == 0
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "kind", ["spectral-check", "normalform-check", "evolve", "abscissa-sweep", "scaling-study"]
+)
+def test_plot_regenerates_charts(small_runs, tmp_path, capsys, kind):
+    out = str(tmp_path / kind)
+    shutil.copytree(small_runs[kind], out)
+    svgs = [os.path.join(out, n) for n in os.listdir(out) if n.endswith(".svg")]
+    assert svgs
+    drawn = {}
+    for path in svgs:
+        drawn[path] = open(path, "rb").read()
+        os.remove(path)
+    capsys.readouterr()
     assert cli.main(["plot", out]) == 0
-    assert svg_path in capsys.readouterr().out
-    assert open(svg_path, "rb").read() == first
+    assert sorted(capsys.readouterr().out.split()) == sorted(svgs)
+    for path in svgs:
+        assert open(path, "rb").read() == drawn[path]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_artifacts_list_the_run_directory(small_runs, kind):
+    out = small_runs[kind]
+    artifacts = json.load(open(os.path.join(out, "report.json")))["artifacts"]
+    assert sorted(artifacts) == sorted(set(os.listdir(out)) - {"report.json"})
 
 
 def test_plot_empty_directory_exits_1(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import taylorlab
 from taylorlab import cli
 from taylorlab.background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background
 from taylorlab.config import (
@@ -80,6 +83,10 @@ def test_defaults_fill_in():
         ({"kind": "normalform-check", "modes": [[8, 0], [1, 0]]}, "checks one mode"),
         # numpy's generators take no negative seed
         (minimal(seed=-1), "nonnegative"),
+        # a run checks at least one band, and the scaling study's sweep starts at 2
+        (minimal(band=-3), "'band' must be at least 1"),
+        (minimal(band=0), "'band' must be at least 1"),
+        ({"kind": "scaling-study", "band": 1}, "sweeps the bands 2, 4"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -108,6 +115,14 @@ def test_tolerance_lookup():
     assert cfg.tolerance("commutator") == DEFAULT_TOLERANCES["commutator"]
     with pytest.raises(KeyError):
         cfg.tolerance("nonexistent")
+
+
+def test_every_tolerance_name_is_read():
+    # an override of a name no check reads would be accepted and then ignored
+    read = set()
+    for path in pathlib.Path(taylorlab.__file__).parent.glob("*.py"):
+        read |= set(re.findall(r'tolerance\("(\w+)"\)', path.read_text(encoding="utf-8")))
+    assert read == set(DEFAULT_TOLERANCES)
 
 
 def test_config_hash_stable_and_sensitive():
