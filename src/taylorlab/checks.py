@@ -312,9 +312,11 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
 
     # semigroup property on the first mode, with the propagator and initial
     # data of the evolution itself; the other modes' propagators (and their
-    # cached exponentials) are released before the probe computes exp(2h G)
+    # cached exponentials) are released before the probe computes exp(2h G),
+    # their oracle margins are kept for the table below
     first = tuple(cfg.modes[0])
     prop = state.propagators[first]
+    margins = [p.oracle_margins for p in state.propagators.values()]
     state.propagators.clear()
     probe = state.initial_modes[first]
     h = cfg.output_step
@@ -323,6 +325,20 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
     semi = (twice - once).norm() / max(probe.norm(), 1e-300)
     tol_semi = cfg.tolerance("semigroup")
     report.add("semigroup_composition", semi < tol_semi, semi, tol_semi)
+
+    # the expm oracle's margins for every exponential computed, the probe's
+    # included; no chart
+    _write_table(
+        cfg,
+        report,
+        "oracle.csv",
+        ["mode_index", "h", "route", "condition", "checked", "frobenius_error"],
+        [
+            (idx, h, route, cond, checked, "" if error is None else error)
+            for idx, per_h in enumerate(margins)
+            for h, (route, cond, checked, error) in per_h.items()
+        ],
+    )
 
     # zero-mode decay rate from the gravest vertical coefficient
     initial_zero = state.initial_zero_mode

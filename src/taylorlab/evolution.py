@@ -8,10 +8,12 @@ constraint basis; at the canonical background they are the even and the
 odd vertical wavenumbers, and one block runs the whole matrix through the
 same kernels.  Both spectral abscissas and the exponentials are computed
 in real arithmetic, in the pair basis of :class:`.operators.PairTransform`
-where every generator is real; the exponentials' eigendecomposition
-oracle stays complex.  A classical Runge-Kutta path exists only as a
-cross-check oracle.  The zero horizontal mode decouples into a scalar heat
-equation and is propagated in closed form.
+where every generator is real.  So is the exponentials'
+eigendecomposition oracle, unless its eigenvectors are too ill conditioned
+for the oracle's gate; then the mode falls back to the complex
+eigendecomposition of the generator.  A classical Runge-Kutta path exists
+only as a cross-check oracle.  The zero horizontal mode decouples into a
+scalar heat equation and is propagated in closed form.
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
@@ -116,6 +118,14 @@ def _eigen_oracle(block: np.ndarray) -> tuple:
     return w, vecs, inverse, sigma
 
 
+def _condition(oracles) -> float:
+    """Eigenvector condition of a block-diagonal matrix from its blocks'
+    :func:`_eigen_oracle`: the largest singular value over all blocks by
+    the smallest."""
+    sigma = np.concatenate([oracle[3] for oracle in oracles])
+    return sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
+
+
 def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
     """Norm ``ord`` (Frobenius by default) of expm's block ``out`` minus the
     oracle's V exp(h w) V^-1."""
@@ -123,7 +133,7 @@ def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
     return np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), ord)
 
 
-def _checked_expm(blocks, oracles, h: float) -> list:
+def _checked_expm(blocks, oracles, h: float) -> tuple:
     """scipy expm of h times each block, cross-checked against eigendecompositions.
 
     ``oracles`` holds :func:`_eigen_oracle` of each block, in the block's
@@ -135,6 +145,9 @@ def _checked_expm(blocks, oracles, h: float) -> list:
     the smallest, and the relative 2-norm error is the largest block error
     over the largest block norm.  The check runs only when that condition
     is affordable.
+
+    Returns the exponentials, that condition, and the largest Frobenius
+    block error, which is None where the check did not run.
     """
     # A local import on purpose, where the rest of the package imports at the
     # top: this is the package's only call into scipy, and only evolve
@@ -150,24 +163,23 @@ def _checked_expm(blocks, oracles, h: float) -> list:
         raise IllConditioned("matrix exponential produced non-finite entries")
     if callable(oracles):
         oracles = oracles()
-    sigma = np.concatenate([oracle[3] for oracle in oracles])
-    cond = sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
+    cond = _condition(oracles)
+    if not cond <= EXPM_ORACLE_CONDITION:
+        return outs, cond, None
     checked = list(zip(outs, oracles))
+    error = max(_oracle_error(out, oracle, h) for out, oracle in checked)
     # the 2-norm is at most the Frobenius norm and the denominator at least
     # 1, so block errors within the tolerance in the Frobenius norm pass
     # without the 2-norms' SVDs
-    if (
-        cond <= EXPM_ORACLE_CONDITION
-        and max(_oracle_error(out, oracle, h) for out, oracle in checked) > EXPM_ORACLE_TOL
-    ):
-        error = max(_oracle_error(out, oracle, h, 2) for out, oracle in checked)
-        rel = error / max(1.0, max(np.linalg.norm(out, 2) for out in outs))
+    if error > EXPM_ORACLE_TOL:
+        exact = max(_oracle_error(out, oracle, h, 2) for out, oracle in checked)
+        rel = exact / max(1.0, max(np.linalg.norm(out, 2) for out in outs))
         if rel > EXPM_ORACLE_TOL:
             raise IllConditioned(
                 f"exponential disagrees with eigendecomposition: {rel:.3e} "
                 f"(eigenvector condition {cond:.2e})"
             )
-    return outs
+    return outs, cond, error
 
 
 def _real_part(mat: np.ndarray, what: str) -> np.ndarray:
@@ -201,12 +213,18 @@ class ModePropagator:
     unitary pair basis U_k of :attr:`pair_transforms`, and applied by
     :meth:`propagate`.  The split and the quantities read from it are
     computed on first read, so a caller pays only for what it uses.
+
+    ``oracle_margins`` holds, per h, how close the exponentials came to the
+    oracle's gates: (route, eigenvector condition, whether the cross-check
+    ran, its largest Frobenius block error or None), with route "real" or
+    "complex" as :attr:`_oracles` chose.
     """
 
     ctx: ModeContext
     generator: OperatorMatrix
     constraint_basis: np.ndarray
     propagator_cache: dict = field(default_factory=dict)
+    oracle_margins: dict = field(default_factory=dict)
 
     @property
     def truncation(self) -> int:
@@ -297,22 +315,34 @@ class ModePropagator:
 
     @functools.cached_property
     def _oracles(self) -> tuple:
-        """The expm oracle of each R_k, shared by every h.
+        """(route, the expm oracle of each R_k), shared by every h.
 
-        The eigendecomposition G_k V = V diag(w) is complex: inside the
-        generator's degenerate eigenspaces real ``eig`` of R_k picks a worse
-        conditioned basis, nearer the gate's condition limit.  It
-        is mapped once into the pair basis, W = U_k* V and W^-1 = V^-1 U_k;
-        U_k is unitary, so the singular values of V, which the gate reads,
-        are those of W.
+        The "real" route factors R_k itself with real ``eig``, so W and W^-1
+        are in the pair basis already.  Inside the generator's degenerate
+        eigenspaces real ``eig`` may pick a worse conditioned basis than
+        complex ``eig`` of G_k.  Where the gate's condition over the whole
+        mode (the largest singular value of any block's W by the smallest)
+        exceeds ``EXPM_ORACLE_CONDITION``, the mode takes the "complex"
+        route instead: G_k V = V diag(w), mapped once into the pair basis,
+        W = U_k* V and W^-1 = V^-1 U_k.  U_k is unitary, so the singular
+        values of V, which the gate reads, are those of W.  The mode decides
+        as a whole, as the gate reads it: ``eig``'s columns have unit norm,
+        so a block's largest singular value can reach sqrt(n_k), and blocks
+        mixed from the two routes could fail the gate where the complex
+        route alone passes.  So the cross-check runs wherever the complex route
+        alone lets it run.
         """
+        real = tuple(_eigen_oracle(r) for r in self._pair_blocks())
+        if _condition(real) <= EXPM_ORACLE_CONDITION:
+            return "real", real
+        del real
         out = []
         for pairs, gen in zip(self.pair_transforms, self._generator_blocks()):
             w, vecs, inverse, sigma = _eigen_oracle(gen)
             if inverse is not None:
                 inverse = pairs.times_u(inverse)
             out.append((w, pairs.lower(vecs), inverse, sigma))
-        return tuple(out)
+        return "complex", tuple(out)
 
     def exponential(self, h: float) -> tuple:
         """exp(h R_k) per block, in the pair basis; cached per h.
@@ -328,9 +358,9 @@ class ModePropagator:
             blocks = self._pair_blocks()
             if key < 0:
                 blocks = (r.astype(np.complex128) for r in blocks)
-            self.propagator_cache[key] = tuple(
-                _checked_expm(blocks, lambda: self._oracles, key)
-            )
+            outs, cond, error = _checked_expm(blocks, lambda: self._oracles[1], key)
+            self.propagator_cache[key] = tuple(outs)
+            self.oracle_margins[key] = (self._oracles[0], cond, error is not None, error)
         return self.propagator_cache[key]
 
     def propagate(self, x: np.ndarray, h: float) -> np.ndarray:

@@ -134,3 +134,23 @@ def test_evolve_writes_the_induction_power(tmp_path, bg):
     start = initial_state(bg, [(1, 0)], 16, seed=cfg.seed).modes[(1, 0)]
     want = induction_power(lattice_mode_context(bg, (1, 0)), start)
     assert float(rows[0][-1]) == pytest.approx(want, rel=1e-12)
+
+
+def test_evolve_writes_the_oracle_margins(tmp_path):
+    # one row per exponential, the semigroup probe's exp(2h G) on the first
+    # mode included
+    cfg = validate(
+        {"kind": "evolve", "truncation": 12, "band": 1, "modes": [[1, 0], [0, 1]],
+         "t_final": 0.01, "output_step": 0.01, "out_dir": str(tmp_path)}
+    )
+    report = execute(cfg)
+    assert report.passed and report.artifacts[-1] == "oracle.csv"
+    assert not (tmp_path / "oracle.svg").exists()
+    header, rows = read_csv(str(tmp_path / "oracle.csv"))
+    assert header == ["mode_index", "h", "route", "condition", "checked", "frobenius_error"]
+    assert [row[:3] for row in rows] == [
+        ["0", "0.01", "real"], ["0", "0.02", "real"], ["1", "0.01", "real"]
+    ]
+    for row in rows:
+        assert float(row[3]) <= 300.0 and row[4] == "true"
+        assert 0.0 < float(row[5]) <= 1e-10

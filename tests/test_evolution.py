@@ -161,11 +161,18 @@ def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypat
     prop = evo.build_propagator(ctx10, 8)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
         prop.exponential(0.01)
+    # truncation 8 takes the complex route; 16 the real one
+    assert prop._oracles[0] == "complex"
+    prop = evo.build_propagator(ctx10, 16)
+    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
+        prop.exponential(0.01)
+    assert prop._oracles[0] == "real"
 
 
 def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
-    # the pair basis must not switch the cross-check off: the eigenvector
-    # condition the gate reads stays affordable, and the errors are taken
+    # the pair basis must not switch the cross-check off: every default mode
+    # takes the real route, the eigenvector condition the gate reads stays
+    # affordable, and the errors are taken
     errors = []
     measure = evo._oracle_error
     monkeypatch.setattr(
@@ -174,15 +181,58 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
     for key in validate({"kind": "evolve"}).modes:
         prop = evo.build_propagator(lattice_mode_context(bg, key), 64)
         prop.exponential(0.125)
-        sigma = np.concatenate([oracle[3] for oracle in prop._oracles])
+        route, oracles = prop._oracles
+        assert route == "real"
+        sigma = np.concatenate([oracle[3] for oracle in oracles])
         assert sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION
-        for (_, vecs, inverse, sigma_k), idx in zip(prop._oracles, prop.blocks):
+        for (_, vecs, inverse, sigma_k), idx in zip(oracles, prop.blocks):
             # singular values of W = U* V are those of V, and W^-1 inverts W
             assert np.allclose(np.linalg.svd(vecs, compute_uv=False), sigma_k, rtol=1e-12)
             assert np.linalg.norm(inverse @ vecs - np.eye(len(idx))) < 1e-10
         assert len(errors) == len(prop.blocks)
         assert max(errors) <= evo.EXPM_ORACLE_TOL
+        assert prop.oracle_margins == {
+            0.125: ("real", sigma.max() / sigma.min(), True, max(errors))
+        }
         errors.clear()
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 1), (1, 1), (2, 1), (4, 0)])
+@pytest.mark.parametrize("m", [8, 16, 40])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_oracle_passes_the_gate_wherever_the_complex_route_does(
+    request, background, m, key
+):
+    prop = evo.build_propagator(
+        lattice_mode_context(request.getfixturevalue(background), key), m
+    )
+    # the reference: complex eig of each G_k, whose condition the gate read
+    # before the real route existed
+    g = prop.generator.entries
+    sigma = np.concatenate(
+        [
+            np.linalg.svd(np.linalg.eig(g[np.ix_(idx, idx)])[1], compute_uv=False)
+            for idx in prop.blocks
+        ]
+    )
+    prop.exponential(0.125)
+    route, condition, checked, error = prop.oracle_margins[0.125]
+    if sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION:
+        assert checked and condition <= evo.EXPM_ORACLE_CONDITION
+        # the largest of the blocks' Frobenius errors
+        assert error <= evo.EXPM_ORACLE_TOL
+
+
+def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(ctx10):
+    # at truncation 8 real eig of the odd block of (1, 0) picks eigenvectors
+    # of condition about 456; complex eig of G_k, about 46
+    prop = evo.build_propagator(ctx10, 8)
+    real = [evo._eigen_oracle(r) for r in prop._pair_blocks()]
+    assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
+    prop.exponential(0.125)
+    route, condition, checked, error = prop.oracle_margins[0.125]
+    assert route == "complex" and checked
+    assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
 
 
 def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
@@ -203,7 +253,8 @@ def test_oracle_is_skipped_for_a_defective_block():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     oracle = evo._eigen_oracle(jordan)
     assert oracle[2] is None
-    (out,) = evo._checked_expm([jordan], [oracle], 0.5)
+    (out,), condition, error = evo._checked_expm([jordan], [oracle], 0.5)
+    assert condition > evo.EXPM_ORACLE_CONDITION and error is None
     assert np.allclose(out, [[1.0, 0.5], [0.0, 1.0]], rtol=0, atol=1e-15)
 
 
@@ -443,7 +494,9 @@ def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
     g = np.log(1e4) * np.eye(k, dtype=np.complex128)
     w, vecs, inverse, sigma = evo._eigen_oracle(g)
     planted = (w + 5e-11, vecs, inverse, sigma)
-    (out,) = evo._checked_expm([g], [planted], 1.0)
+    (out,), _, error = evo._checked_expm([g], [planted], 1.0)
+    # the recorded margin is the Frobenius error, not the gate's quantity
+    assert error > evo.EXPM_ORACLE_TOL
     delta = out - vecs @ (np.exp(planted[0])[:, None] * inverse)
     scale = np.linalg.norm(out, 2)
     assert np.linalg.norm(delta) / scale > evo.EXPM_ORACLE_TOL
@@ -468,13 +521,16 @@ def test_abscissa_lanes_share_one_basis_per_mode(bg, monkeypatch):
 
 def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
     # the propagator hands _checked_expm a function for its oracles, so the
-    # eigendecompositions start only once every expm has returned
+    # eigendecompositions, the complex fallback's included, start only once
+    # every expm of the same h has returned; a second h factors nothing
     order = []
     expm, oracle = scipy.linalg.expm, evo._eigen_oracle
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: order.append("expm") or expm(a))
     monkeypatch.setattr(evo, "_eigen_oracle", lambda a: order.append("eig") or oracle(a))
     prop = evo.build_propagator(ctx10, 8)
     prop.exponential(0.01)
-    assert order == ["expm", "expm", "eig", "eig"]
+    assert order[:2] == ["expm", "expm"]
+    assert set(order[2:]) == {"eig"}
+    first = len(order)
     prop.exponential(0.02)
-    assert order[4:] == ["expm", "expm"]
+    assert order[first:] == ["expm", "expm"]

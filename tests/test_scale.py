@@ -1,4 +1,4 @@
-"""Opt-in scale profile: the evolve kind at truncation 128.
+"""Opt-in scale profile: four configs at truncation 128.
 
 Skipped unless TAYLORLAB_SCALE=1 is set, so the default suite does not
 change.  Run it with
@@ -18,9 +18,22 @@ pytestmark = pytest.mark.skipif(
     reason="scale profile; set TAYLORLAB_SCALE=1 to run it",
 )
 
+MIXED = [[1, 1, 1.0], [1, -2, 0.5], [2, -1, 1.0], [2, 3, 0.4]]
 
-def test_evolve_at_truncation_128_passes(tmp_path):
-    cfg = validate({"kind": "evolve", "truncation": 128, "out_dir": str(tmp_path)})
+PROFILE = {
+    "evolve": {"kind": "evolve"},
+    "abscissa-sweep": {
+        "kind": "abscissa-sweep",
+        "modes": [[2**k, 0] for k in range(8)],
+    },
+    "scaling-study": {"kind": "scaling-study", "band": 16, "eps_modes": [2, 8, 32, 128]},
+    "scaling-study-mixed": {"kind": "scaling-study", "background": MIXED},
+}
+
+
+@pytest.mark.parametrize("name", list(PROFILE))
+def test_profile_at_truncation_128_passes(tmp_path, name):
+    cfg = validate({**PROFILE[name], "truncation": 128, "out_dir": str(tmp_path)})
     report = execute(cfg)
     assert report.outcomes
     assert [o.name for o in report.outcomes if not o.passed] == []
