@@ -38,11 +38,14 @@ from .operators import (
     OperatorMatrix,
     PairTransform,
     assemble_matrix,
+    basis_blocks,
+    compress_by_blocks,
+    compression_blocks,
     constraint_null_basis,
-    coupled_blocks,
     divergence_residual,
     field_to_vector,
     full_induction,
+    square_blocks,
     taylor_residual,
     vector_to_field,
 )
@@ -238,38 +241,18 @@ class ModePropagator:
         At the canonical background these are the even and the odd vertical
         wavenumbers; a background that mixes parities gives one block.
         """
-        pairs = PairTransform.of(self.truncation).pair_rows()
-        return coupled_blocks(
-            self.generator.entries, np.vstack([self.constraint_basis.T != 0, pairs])
+        return compression_blocks(
+            self.generator.entries, self.constraint_basis, self.truncation
         )
 
     def _generator_blocks(self):
-        """G_k per block, each copied out as it is reached, so one copy is alive
-        at a time; the whole G for one block."""
-        if len(self.blocks) == 1:
-            yield self.generator.entries
-            return
-        for idx in self.blocks:
-            yield self.generator.entries[np.ix_(idx, idx)]
-
-    def _basis_blocks(self) -> list:
-        """V_k per block: the rows of V in the block and the columns supported
-        there; the whole V for one block."""
-        if len(self.blocks) == 1:
-            return [self.constraint_basis]
-        out = []
-        for idx in self.blocks:
-            rows = self.constraint_basis[idx]
-            out.append(rows[:, np.any(rows != 0, axis=0)])
-        return out
+        """G_k per block, one copy alive at a time; the whole G for one block."""
+        return square_blocks(self.generator.entries, self.blocks)
 
     @functools.cached_property
     def compressed_blocks(self) -> tuple:
         """V_k* G_k V_k per block: up to a permutation, V* G V is their direct sum."""
-        return tuple(
-            basis.conj().T @ gen @ basis
-            for gen, basis in zip(self._generator_blocks(), self._basis_blocks())
-        )
+        return compress_by_blocks(self.generator.entries, self.constraint_basis, self.blocks)
 
     @functools.cached_property
     def restricted_abscissa(self) -> float:
@@ -301,7 +284,11 @@ class ModePropagator:
     @functools.cached_property
     def constraint_invariance_defect(self) -> float:
         """||(Id - P) G P||, zero when the flow keeps constrained fields constrained."""
-        pieces = zip(self._generator_blocks(), self._basis_blocks(), self.compressed_blocks)
+        pieces = zip(
+            self._generator_blocks(),
+            basis_blocks(self.constraint_basis, self.blocks),
+            self.compressed_blocks,
+        )
         return max(
             float(np.linalg.norm(gen @ basis - basis @ compressed, 2))
             for gen, basis, compressed in pieces

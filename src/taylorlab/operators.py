@@ -83,6 +83,8 @@ __all__ = [
     "constraint_null_basis",
     "divergence_null_basis",
     "coupled_blocks",
+    "compression_blocks",
+    "compress_by_blocks",
     "PairTransform",
 ]
 
@@ -585,10 +587,16 @@ def induction_remainder(
     therefore holds identically.
     """
     m = _out_window(b, out_truncation)
-    ind = _induction_term_exact(ctx, b, include_geostrophic=True).resample(m)
-    skew = fast_skew(ctx, b, out_truncation=m)
-    drive = symmetric_drive(ctx, b, out_truncation=m)
-    return (ctx.eps**2) * ind - (1.0 / ctx.eps) * skew - drive
+    return _remainder_without_drive(ctx, b, m) - symmetric_drive(ctx, b, out_truncation=m)
+
+
+def _remainder_without_drive(ctx: ModeContext, b: ModeField, out_truncation: int) -> ModeField:
+    """eps^2 * (induction without diffusion) - (fast skew) b / eps: the
+    remainder plus the symmetric drive, for a caller that holds the drive's
+    matrix already."""
+    ind = _induction_term_exact(ctx, b, include_geostrophic=True).resample(out_truncation)
+    skew = fast_skew(ctx, b, out_truncation=out_truncation)
+    return (ctx.eps**2) * ind - (1.0 / ctx.eps) * skew
 
 
 # ----------------------------------------------------------------------
@@ -856,6 +864,46 @@ def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = N
     label = _block_labels(square, rows)
     order = np.argsort(label, kind="stable")
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
+
+
+def compression_blocks(square: np.ndarray, basis: np.ndarray, truncation: int):
+    """:func:`coupled_blocks` for compressing ``square`` by ``basis``: unknowns
+    coupled by a nonzero of the square matrix, by a column of the basis or as
+    the pair n, -n of :class:`PairTransform`."""
+    pairs = PairTransform.of(truncation).pair_rows()
+    return coupled_blocks(square, np.vstack([basis.T != 0, pairs]))
+
+
+def square_blocks(square: np.ndarray, blocks):
+    """A_k per block, each copied out as it is reached, so one copy is alive
+    at a time; the whole A for one block."""
+    if len(blocks) == 1:
+        yield square
+        return
+    for idx in blocks:
+        yield square[np.ix_(idx, idx)]
+
+
+def basis_blocks(basis: np.ndarray, blocks):
+    """V_k per block: the rows of V in the block and the columns supported
+    there; the whole V for one block."""
+    if len(blocks) == 1:
+        yield basis
+        return
+    for idx in blocks:
+        rows = basis[idx]
+        yield rows[:, np.any(rows != 0, axis=0)]
+
+
+def compress_by_blocks(square: np.ndarray, basis: np.ndarray, blocks) -> tuple:
+    """V_k* A_k V_k per block of :func:`compression_blocks`.
+
+    A is block diagonal over the blocks and every column of V lies in one of
+    them, so up to a permutation V* A V is the direct sum of these; its
+    2-norm, or that of its Hermitian part, is the largest of the blocks'.
+    """
+    pieces = zip(square_blocks(square, blocks), basis_blocks(basis, blocks))
+    return tuple(v.conj().T @ a @ v for a, v in pieces)
 
 
 def _block_labels(square: np.ndarray | None = None, rows: np.ndarray | None = None):

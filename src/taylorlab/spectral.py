@@ -275,7 +275,14 @@ def high_mode_gap(
     b, where P is the stored-family realization of the direction-orthogonal
     projection and P_N the band projector; computed as the operator norm of
     the Hermitian part of the compressed matrix difference.  A band covering
-    the whole stored family gives zero up to rounding.
+    the whole stored family gives zero.
+
+    With Phi the stored family (4K+2 columns), C = Phi* D Phi and Y = Phi* V,
+    the difference is Y* (C - C_N) Y, where C_N keeps only the band's window
+    of C.  Its Hermitian part is Y* H Y with H the Hermitian part of C with
+    that window zeroed.  A thin QR Y* = Q R gives Y* H Y = Q (R H R*) Q*, so
+    the norm is the largest |eigenvalue| of the (4K+2)-square R H R*, and
+    no matrix of the divergence-free dimension is factored.
 
     The hypothesis class matters: restricting further (adding the averaged
     momentum-balance rows) collapses the form identically for circularly
@@ -284,13 +291,11 @@ def high_mode_gap(
     entries = drive_matrix.entries if isinstance(drive_matrix, OperatorMatrix) else drive_matrix
     band = min(band, basis.band)
     phi = band_matrix(basis, basis.band)
-    y_full = phi.conj().T @ divergence_free_basis  # (4K+2, dim_div_free)
-    c_band = phi.conj().T @ (entries @ phi)
-    full = y_full.conj().T @ c_band @ y_full
+    y = phi.conj().T @ divergence_free_basis  # (4K+2, dim_div_free)
+    outside = phi.conj().T @ (entries @ phi)
     lo = 2 * (basis.band - band)
     hi = lo + 4 * band + 2
-    y_low = y_full[lo:hi]
-    low = y_low.conj().T @ c_band[lo:hi, lo:hi] @ y_low
-    diff = full - low
-    herm = 0.5 * (diff + diff.conj().T)
-    return float(np.linalg.norm(herm, ord=2))
+    outside[lo:hi, lo:hi] = 0.0
+    herm = 0.5 * (outside + outside.conj().T)
+    _, r = np.linalg.qr(y.conj().T)
+    return float(np.abs(np.linalg.eigvalsh(r @ herm @ r.conj().T)).max())

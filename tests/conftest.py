@@ -80,6 +80,26 @@ def assemble_by_columns(fn, truncation):
     return mat
 
 
+def dense_high_mode_gap(basis, band, drive_matrix, divergence_free_basis):
+    """The gap of :func:`spectral.high_mode_gap` by its defining formula: the
+    2-norm of the Hermitian part of the full compression minus the band's,
+    both formed at the divergence-free dimension.  Kept as the oracle for the
+    factored route."""
+    entries = getattr(drive_matrix, "entries", drive_matrix)
+    band = min(band, basis.band)
+    phi = spectral.band_matrix(basis, basis.band)
+    y_full = phi.conj().T @ divergence_free_basis
+    c_band = phi.conj().T @ (entries @ phi)
+    full = y_full.conj().T @ c_band @ y_full
+    lo = 2 * (basis.band - band)
+    hi = lo + 4 * band + 2
+    y_low = y_full[lo:hi]
+    low = y_low.conj().T @ c_band[lo:hi, lo:hi] @ y_low
+    diff = full - low
+    herm = 0.5 * (diff + diff.conj().T)
+    return float(np.linalg.norm(herm, ord=2))
+
+
 def random_series(truncation, rng, decay=1.5):
     from taylorlab.fourier import FourierSeries
 

@@ -9,8 +9,10 @@ import pytest
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context, make_background
 from taylorlab.checks import (
+    direction_perp_compression,
     execute,
     factored_numerical_radius,
+    hermitian_part_norm,
     numerical_radius,
     resonant_term_radius,
 )
@@ -90,6 +92,97 @@ def test_resonant_term_gate_measures_a_nonzero_radius(tmp_path):
     for m_eps, radius in zip(cfg.eps_modes, radii):
         dense = dense_resonant_term_radius(lattice_mode_context(bg, (m_eps, 0)), 96)
         assert abs(radius - dense) <= 1e-12 * dense
+
+
+def dense_c2_and_remainder_form(ctx, m):
+    """Criterion 06's dense route: the assembled P_perp, perp @ drive @ perp
+    and whole-matrix compressions."""
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m).entries
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
+    remainder = op.assemble_matrix(
+        lambda b: op.induction_remainder(ctx, b, out_truncation=m), m
+    ).entries
+    v_div = op.divergence_null_basis(ctx, m)
+    v_con = op.constraint_null_basis(ctx, m)
+    diff = drive - perp @ drive @ perp
+    c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
+    rem_form = hermitian_part_norm(v_con.conj().T @ remainder @ v_con) / ctx.eps
+    blocks = (
+        len(op.compression_blocks(diff, v_div, m)),
+        len(op.compression_blocks(remainder, v_con, m)),
+    )
+    return c2, rem_form, blocks
+
+
+@pytest.mark.parametrize(
+    "background,spec,remainder_blocks",
+    [
+        ("bg", "canonical", 2),
+        ("alt_bg", [[1, 1, 1.0], [2, -2, 1.0]], 1),
+        ("mixed_bg", [list(entry) for entry in MIXED_PARITY], 1),
+    ],
+)
+def test_scaling_study_matches_the_dense_route(
+    request, tmp_path, background, spec, remainder_blocks
+):
+    # the run compresses per coupled block, from P_perp applied to the
+    # drive's columns and rows.  The drive's off-direction part splits into
+    # many blocks at every background; the remainder splits into the two
+    # parities at the canonical one and stays whole where the background
+    # mixes parities.  48 is the smallest window at which the mixed
+    # background resolves the band sweep
+    m = 48
+    cfg = validate(
+        {"kind": "scaling-study", "truncation": m, "band": 2, "eps_modes": [2, 8, 32],
+         "background": spec, "out_dir": str(tmp_path)}
+    )
+    assert execute(cfg).passed
+    header, rows = read_csv(str(tmp_path / "scaling_eps.csv"))
+    bg = request.getfixturevalue(background)
+    for m_eps, row in zip(cfg.eps_modes, rows):
+        c2, rem_form, blocks = dense_c2_and_remainder_form(lattice_mode_context(bg, (m_eps, 0)), m)
+        assert blocks[0] > 1 and blocks[1] == remainder_blocks
+        for column, dense in (("c2_offdirection", c2), ("remainder_herm_over_eps", rem_form)):
+            assert dense > 0.0
+            measured = float(row[header.index(column)])
+            assert abs(measured - dense) <= 1e-12 * dense
+
+
+def test_direction_perp_compression_at_an_oblique_mode(alt_bg):
+    # at (2, 1) the direction (eta, 0) is oblique, so P_perp couples the
+    # first two components at each wavenumber
+    ctx = lattice_mode_context(alt_bg, (2, 1))
+    m = 32
+    w = 2 * m + 1
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
+    assert np.count_nonzero(perp[:w, w : 2 * w]) == w
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m).entries
+    dense = perp @ drive @ perp
+    got = direction_perp_compression(ctx, drive, m)
+    assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize(
+    "truncation,band,detail",
+    [
+        (40, 3, "the sweep has one band (2): nothing to compare; band >= 4 gives two"),
+        (48, 4, "gaps at bands 2, 4 must not increase along the sweep"),
+    ],
+)
+def test_high_mode_gap_decreasing_names_its_bands(tmp_path, truncation, band, detail):
+    # band 3 at truncation 40 sweeps the band 2 alone, and the gate compares
+    # that gap with itself
+    cfg = validate(
+        {"kind": "scaling-study", "truncation": truncation, "band": band,
+         "eps_modes": [2, 8], "out_dir": str(tmp_path)}
+    )
+    report = execute(cfg)
+    assert report.passed
+    gate = next(o for o in report.outcomes if o.name == "high_mode_gap_decreasing")
+    assert gate.detail == detail
+    header, rows = read_csv(str(tmp_path / "scaling_bands.csv"))
+    gaps = [float(row[header.index("high_mode_gap")]) for row in rows]
+    assert (gate.measured, gate.tolerance) == (gaps[-1], gaps[0])
 
 
 def _sweep_report(tmp_path, name, **extra):

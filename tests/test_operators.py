@@ -235,6 +235,41 @@ def test_coupled_blocks_joins_the_unknowns_of_each_row():
     assert [tuple(idx) for idx in both] == [(0, 2, 4, 5), (1,), (3,)]
 
 
+@pytest.mark.parametrize("background,n_blocks", [("bg", 2), ("mixed_bg", 1)])
+def test_compress_by_blocks_keeps_every_block(request, background, n_blocks):
+    # V* A V is the direct sum of the blocks V_k* A_k V_k: the blocks hold
+    # every column of V and all of its Frobenius norm.  The remainder splits
+    # into the two parities at the canonical background and stays whole at
+    # the mixed one.
+    ctx = lattice_mode_context(request.getfixturevalue(background), (2, 0))
+    m = 24
+    rem = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b, out_truncation=m), m)
+    v = op.constraint_null_basis(ctx, m)
+    blocks = op.compression_blocks(rem.entries, v, m)
+    assert len(blocks) == n_blocks
+    compressed = op.compress_by_blocks(rem.entries, v, blocks)
+    assert sum(c.shape[0] for c in compressed) == v.shape[1]
+    whole = v.conj().T @ rem.entries @ v
+    frobenius = np.sqrt(sum(np.linalg.norm(c) ** 2 for c in compressed))
+    assert abs(frobenius - np.linalg.norm(whole)) <= 1e-12 * np.linalg.norm(whole)
+    assert max(np.linalg.norm(c, 2) for c in compressed) == pytest.approx(
+        np.linalg.norm(whole, 2), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("background", ["bg", "mixed_bg"])
+@pytest.mark.parametrize("m_eps", [2, 8, 32])
+def test_drive_free_remainder_minus_drive_is_the_remainder(request, background, m_eps):
+    ctx = lattice_mode_context(request.getfixturevalue(background), (m_eps, 0))
+    m = 32
+    remainder = op.assemble_matrix(
+        lambda b: op.induction_remainder(ctx, b, out_truncation=m), m
+    ).entries
+    drive_free = op.assemble_matrix(lambda b: op._remainder_without_drive(ctx, b, m), m).entries
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m).entries
+    assert np.array_equal(drive_free - drive, remainder)
+
+
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
 @pytest.mark.parametrize("mode", [(1, 0), (2, 1)])
 def test_constraint_null_basis_matches_the_whole_matrix_null_space(request, background, mode):

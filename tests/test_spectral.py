@@ -7,7 +7,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.errors import BandExceedsBasis, ResolutionExceeded
 from taylorlab.fourier import FourierSeries, allclose
 
-from conftest import random_field
+from conftest import dense_high_mode_gap, random_field
 
 
 def test_profile_zero_is_the_normalized_along_profile(basis64, ctx10):
@@ -132,3 +132,20 @@ def test_high_mode_gap_decays_and_vanishes_at_full_band(basis64, drive64, v_div6
     assert gaps[0] > gaps[1] > gaps[2]
     full = spectral.high_mode_gap(basis64, 16, drive64, v_div64)
     assert full < 1e-12
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg"])
+def test_high_mode_gap_core_matches_the_dense_formula(request, background):
+    ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
+    m = 64
+    basis = spectral.build_eigenbasis(ctx, 16, m)
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m)
+    v_div = op.divergence_null_basis(ctx, m)
+    for band in (2, 4, 8):
+        dense = dense_high_mode_gap(basis, band, drive, v_div)
+        assert dense > 1e-3
+        core = spectral.high_mode_gap(basis, band, drive, v_div)
+        assert abs(core - dense) <= 1e-12 * dense
+    # the band covers the whole stored family: both routes read zero
+    assert spectral.high_mode_gap(basis, 16, drive, v_div) <= 1e-14
+    assert dense_high_mode_gap(basis, 16, drive, v_div) <= 1e-14
