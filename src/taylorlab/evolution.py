@@ -1,19 +1,27 @@
 """Exact time propagation of the per-mode induction system.
 
-The generator of each horizontal mode is autonomous, so propagation is by
-matrix exponential rather than time stepping: one dense ``expm`` per
-coupled block of the generator and step size, cached and reused.  The
-blocks are read off the exact nonzero pattern of the generator and the
-constraint basis; at the canonical background they are the even and the
-odd vertical wavenumbers, and one block runs the whole matrix through the
-same kernels.  Both spectral abscissas and the exponentials are computed
-in real arithmetic, in the pair basis of :class:`.operators.PairTransform`
-where every generator is real.  So is the exponentials'
+The generator G of each horizontal mode is autonomous, so propagation is
+by matrix exponential rather than time stepping.  Every dense kernel runs
+in the pair basis U of :class:`.operators.PairTransform`, where G is the
+real R = U* G U and the constraint basis V has the real coordinates
+C = U* V.  R and C are formed once per mode and split into coupled blocks
+on their own exact nonzero patterns: at the canonical background the even
+and the odd vertical wavenumbers, at a background with cosines only in B1
+and sines only in B2 a split that the Fourier pattern does not show, and
+one block where nothing splits.  Both spectral abscissas, the invariance
+defect and one dense ``expm`` per block and step size (cached and reused)
+are computed in real arithmetic on those blocks.  So is the exponentials'
 eigendecomposition oracle, unless its eigenvectors are too ill conditioned
-for the oracle's gate; then the mode falls back to the complex
-eigendecomposition of the generator.  A classical Runge-Kutta path exists
-only as a cross-check oracle.  The zero horizontal mode decouples into a
-scalar heat equation and is propagated in closed form.
+for the oracle's gate; then the mode falls back to complex ``eig`` of the
+same blocks.  A classical Runge-Kutta path exists only as a cross-check
+oracle.  The zero horizontal mode decouples into a scalar heat equation
+and is propagated in closed form.
+
+The scaling study (:mod:`.checks`) splits its compressions along
+:func:`.operators.compression_blocks` instead, the complex Fourier
+pattern plus the pairs n, -n: its norms do not depend on the basis, and
+the real pattern splits its matrices finer for no gain (c2 at M = 64 takes
+18 ms per eps point on 257 blocks, against 10 ms on 129).
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
@@ -26,6 +34,7 @@ from __future__ import annotations
 import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +48,8 @@ from .operators import (
     PairTransform,
     assemble_matrix,
     basis_blocks,
-    compress_by_blocks,
-    compression_blocks,
     constraint_null_basis,
+    coupled_blocks,
     divergence_residual,
     field_to_vector,
     full_induction,
@@ -185,37 +193,42 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     return outs, cond, error
 
 
-def _real_part(mat: np.ndarray, what: str) -> np.ndarray:
-    """Re ``mat``, for a matrix that is real up to roundoff.
+def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
+    """The blocks ``pieces`` of the real part of a matrix whose imaginary
+    part has the largest entry ``imag`` in each row.
 
-    The imaginary part may be at most dim * eps * max|entry|, the size of
-    the rounding the matrix was computed with; a larger one means the
-    symmetry that makes the matrix real is broken, and raises.
+    A row's imaginary part may be at most dim * eps * max|entry| of its
+    block, the size of the rounding the block was computed with; a larger
+    one means the symmetry that makes the matrix real is broken, and raises.
     """
-    bound = len(mat) * np.finfo(float).eps * np.abs(mat).max()
-    imag = np.abs(mat.imag).max()
-    if imag > bound:
-        raise IllConditioned(
-            f"{what} is not real in the pair basis: imaginary part {imag:.3e} "
-            f"exceeds {bound:.3e}"
-        )
-    return mat.real
+    out = []
+    for idx, piece in zip(blocks, pieces):
+        bound = len(idx) * np.finfo(float).eps * np.abs(piece).max(initial=0.0)
+        worst = imag[idx].max()
+        if worst > bound:
+            raise IllConditioned(
+                f"{what} is not real in the pair basis: imaginary part {worst:.3e} "
+                f"exceeds {bound:.3e}"
+            )
+        out.append(piece)
+    return tuple(out)
 
 
-def _real_abscissa(mat: np.ndarray, what: str) -> float:
-    """Spectral abscissa of Re ``mat``, for a matrix that is real up to roundoff."""
-    return float(np.linalg.eigvals(_real_part(mat, what)).real.max())
+def _abscissa(mat: np.ndarray) -> float:
+    """Largest real part of the spectrum of a real square matrix."""
+    return float(np.linalg.eigvals(mat).real.max())
 
 
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
     """One mode's generator G and constraint basis V, with exp(h G) cached per h.
 
-    The dense kernels run on :attr:`blocks`, over which G and V are both
-    block diagonal; exp(h G) is kept as the blocks' exponentials in the
-    unitary pair basis U_k of :attr:`pair_transforms`, and applied by
-    :meth:`propagate`.  The split and the quantities read from it are
-    computed on first read, so a caller pays only for what it uses.
+    Every dense kernel runs on the real R = U* G U and C = U* V, with U the
+    unitary pair basis of :class:`PairTransform`, split into the blocks
+    R_k and C_k of :attr:`blocks`.  exp(h G) is kept as the blocks'
+    exponentials exp(h R_k) and applied by :meth:`propagate`.  The split and
+    the quantities read from it are computed on first read, so a caller
+    pays only for what it uses.
 
     ``oracle_margins`` holds, per h, how close the exponentials came to the
     oracle's gates: (route, eigenvector condition, whether the cross-check
@@ -234,102 +247,104 @@ class ModePropagator:
         return self.generator.truncation
 
     @functools.cached_property
+    def _pair_blocks(self) -> tuple:
+        """(blocks, the nonzeros of each R_k as flat indices and values).
+
+        R and C are formed one component's rows at a time into real arrays
+        (:meth:`PairTransform.pair_form`); only the nonzeros of the blocks
+        R_k are kept, 4-9% of their entries at the canonical background.
+        Dropping R's imaginary part is checked per block by
+        :func:`_real_blocks`: G commutes with J, so R is real up to roundoff.
+        """
+        pairs = PairTransform(self.truncation)
+        r, r_imag = pairs.pair_form(self.generator.entries)
+        c, _ = pairs.pair_form(self.constraint_basis, square=False)
+        blocks = coupled_blocks(r, c.T != 0)
+        gens = _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator")
+        return blocks, tuple((np.flatnonzero(g), g[g != 0]) for g in gens)
+
+    def _pair_generators(self):
+        """R_k per block, each made dense as it is reached, so one is alive at
+        a time."""
+        for idx, (flat, values) in zip(self.blocks, self._pair_blocks[1]):
+            r = np.zeros((len(idx), len(idx)))
+            r.flat[flat] = values
+            yield r
+
+    @property
     def blocks(self) -> tuple:
-        """Index sets of the unknowns coupled by a nonzero of G, by a column of
-        V or as the pair n, -n of :class:`PairTransform`.
+        """Index sets of the unknowns coupled by a nonzero of R or by a column
+        of C, in the index order of the pair basis.
 
         At the canonical background these are the even and the odd vertical
-        wavenumbers; a background that mixes parities gives one block.
+        wavenumbers.  A background with cosines only in B1 and sines only in
+        B2, such as [[1,1,1],[2,-2,1]], splits further in the pair basis, where
+        its Fourier pattern does not; a background that mixes the two in one
+        component gives one block.  The scaling study keeps the coarser
+        Fourier split of :func:`.operators.compression_blocks` (see the
+        module docstring).
         """
-        return compression_blocks(
-            self.generator.entries, self.constraint_basis, self.truncation
-        )
+        return self._pair_blocks[0]
 
-    def _generator_blocks(self):
-        """G_k per block, one copy alive at a time; the whole G for one block."""
-        return square_blocks(self.generator.entries, self.blocks)
+    @functools.cached_property
+    def _basis_blocks(self) -> tuple:
+        """C_k per block.  Only the compressed quantities read them, so C is
+        formed again here (0.5 ms at M = 64) rather than kept from
+        :attr:`_pair_blocks`: evolve holds no C_k.  V's columns are fixed by
+        J, so C is real up to roundoff."""
+        c, c_imag = PairTransform(self.truncation).pair_form(
+            self.constraint_basis, square=False
+        )
+        return _real_blocks(basis_blocks(c, self.blocks), c_imag, self.blocks, "constraint basis")
 
     @functools.cached_property
     def compressed_blocks(self) -> tuple:
-        """V_k* G_k V_k per block: up to a permutation, V* G V is their direct sum."""
-        return compress_by_blocks(self.generator.entries, self.constraint_basis, self.blocks)
+        """C_k^T R_k C_k per block, real: up to a permutation, V* G V = C^T R C
+        is their direct sum."""
+        return tuple(c.T @ r @ c for r, c in zip(self._pair_generators(), self._basis_blocks))
 
     @functools.cached_property
     def restricted_abscissa(self) -> float:
-        """Largest real part of the spectrum of the compressed generator.
-
-        V's columns are fixed by J and G commutes with J, so each V_k* G_k V_k
-        is real up to roundoff; its real part goes to the real eigensolver.
-        """
-        return max(
-            _real_abscissa(compressed, "compressed generator")
-            for compressed in self.compressed_blocks
-        )
-
-    @functools.cached_property
-    def pair_transforms(self) -> tuple:
-        """:class:`PairTransform` on each block, in the block's index order."""
-        pairs = PairTransform.of(self.truncation)
-        return tuple(pairs.restrict(idx) for idx in self.blocks)
+        """Largest real part of the spectrum of the compressed generator."""
+        return max(_abscissa(compressed) for compressed in self.compressed_blocks)
 
     @functools.cached_property
     def unconstrained_abscissa(self) -> float:
-        """Largest real part of the spectrum of G itself, from the real form
-        T^-1 G_k T of each block (:class:`PairTransform`)."""
-        return max(
-            _real_abscissa(pairs.real_form(gen), "generator")
-            for pairs, gen in zip(self.pair_transforms, self._generator_blocks())
-        )
+        """Largest real part of the spectrum of G itself, from each R_k."""
+        return max(_abscissa(r) for r in self._pair_generators())
 
     @functools.cached_property
     def constraint_invariance_defect(self) -> float:
-        """||(Id - P) G P||, zero when the flow keeps constrained fields constrained."""
-        pieces = zip(
-            self._generator_blocks(),
-            basis_blocks(self.constraint_basis, self.blocks),
-            self.compressed_blocks,
-        )
+        """||(Id - P) G P||, zero when the flow keeps constrained fields
+        constrained; U is unitary, so it is the largest ||R_k C_k - C_k (C_k^T
+        R_k C_k)||."""
+        pieces = zip(self._pair_generators(), self._basis_blocks, self.compressed_blocks)
         return max(
-            float(np.linalg.norm(gen @ basis - basis @ compressed, 2))
-            for gen, basis, compressed in pieces
+            float(np.linalg.norm(r @ c - c @ compressed, 2)) for r, c, compressed in pieces
         )
-
-    def _pair_blocks(self):
-        """R_k = U_k* G_k U_k per block, real since G_k commutes with J; each
-        is formed as it is reached, so one is alive at a time."""
-        for pairs, gen in zip(self.pair_transforms, self._generator_blocks()):
-            yield _real_part(pairs.pair_form(gen), "generator")
 
     @functools.cached_property
     def _oracles(self) -> tuple:
         """(route, the expm oracle of each R_k), shared by every h.
 
-        The "real" route factors R_k itself with real ``eig``, so W and W^-1
-        are in the pair basis already.  Inside the generator's degenerate
-        eigenspaces real ``eig`` may pick a worse conditioned basis than
-        complex ``eig`` of G_k.  Where the gate's condition over the whole
-        mode (the largest singular value of any block's W by the smallest)
-        exceeds ``EXPM_ORACLE_CONDITION``, the mode takes the "complex"
-        route instead: G_k V = V diag(w), mapped once into the pair basis,
-        W = U_k* V and W^-1 = V^-1 U_k.  U_k is unitary, so the singular
-        values of V, which the gate reads, are those of W.  The mode decides
-        as a whole, as the gate reads it: ``eig``'s columns have unit norm,
-        so a block's largest singular value can reach sqrt(n_k), and blocks
-        mixed from the two routes could fail the gate where the complex
-        route alone passes.  So the cross-check runs wherever the complex route
-        alone lets it run.
+        The "real" route factors each R_k with real ``eig``.  Inside the
+        generator's degenerate eigenspaces real ``eig`` may pick a badly
+        conditioned basis.  Where the gate's condition over the whole mode
+        (the largest singular value of any block's eigenvectors by the
+        smallest) exceeds ``EXPM_ORACLE_CONDITION``, the mode takes the
+        "complex" route instead: complex ``eig`` of the same R_k, which picks
+        its own basis.  The mode decides as a whole, as the gate reads it:
+        ``eig``'s columns have unit norm, so a block's largest singular value
+        can reach sqrt(n_k), and blocks mixed from the two routes could fail
+        the gate where one route alone passes.
         """
-        real = tuple(_eigen_oracle(r) for r in self._pair_blocks())
+        real = tuple(_eigen_oracle(r) for r in self._pair_generators())
         if _condition(real) <= EXPM_ORACLE_CONDITION:
             return "real", real
         del real
-        out = []
-        for pairs, gen in zip(self.pair_transforms, self._generator_blocks()):
-            w, vecs, inverse, sigma = _eigen_oracle(gen)
-            if inverse is not None:
-                inverse = pairs.times_u(inverse)
-            out.append((w, pairs.lower(vecs), inverse, sigma))
-        return "complex", tuple(out)
+        return "complex", tuple(
+            _eigen_oracle(r.astype(np.complex128)) for r in self._pair_generators()
+        )
 
     def exponential(self, h: float) -> tuple:
         """exp(h R_k) per block, in the pair basis; cached per h.
@@ -342,7 +357,7 @@ class ModePropagator:
         """
         key = float(h)
         if key not in self.propagator_cache:
-            blocks = self._pair_blocks()
+            blocks = self._pair_generators()
             if key < 0:
                 blocks = (r.astype(np.complex128) for r in blocks)
             outs, cond, error = _checked_expm(blocks, lambda: self._oracles[1], key)
@@ -353,20 +368,19 @@ class ModePropagator:
     def propagate(self, x: np.ndarray, h: float) -> np.ndarray:
         """exp(h G) x, for stacked coefficient vectors x along the first axis.
 
-        Each block applies U_k*, its exponential and U_k.  A real exponential
-        acts on the real and imaginary parts of U_k* x as the columns of one
-        real product.
+        x is lowered to y = U* x once, each block of y is multiplied by its
+        exponential, and the result is lifted by U once.  A real exponential
+        acts on the real and imaginary parts of its block of y as the columns
+        of one real product.
         """
-        cols = x.reshape(len(x), -1)
-        out = np.empty(cols.shape, dtype=np.complex128)
-        for idx, pairs, block in zip(self.blocks, self.pair_transforms, self.exponential(h)):
-            y = pairs.lower(cols[idx])
+        pairs = PairTransform(self.truncation)
+        y = pairs.lower(x.reshape(len(x), -1))
+        for idx, block in zip(self.blocks, self.exponential(h)):
             if np.isrealobj(block):
-                y = (block @ y.view(np.float64)).view(np.complex128)
+                y[idx] = (block @ y[idx].view(np.float64)).view(np.complex128)
             else:
-                y = block @ y
-            out[idx] = pairs.lift(y)
-        return out.reshape(x.shape)
+                y[idx] = block @ y[idx]
+        return pairs.lift(y).reshape(x.shape)
 
 
 def build_propagator(
@@ -577,7 +591,8 @@ def run_evolution(
 ) -> SimulationState:
     """Propagate constrained random data and log diagnostics at each output time.
 
-    Modes evolve independently (optionally in a thread pool); aggregation
+    Modes evolve independently; with ``jobs > 1`` one thread pool builds
+    their propagators and advances them at every output step.  Aggregation
     order follows the input mode list, so results are deterministic for a
     fixed seed regardless of the jobs count.
     """
@@ -589,34 +604,27 @@ def run_evolution(
         )
 
     keys = list(contexts)
-    if jobs > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            propagators = dict(zip(keys, pool.map(make_propagator, keys)))
-    else:
-        propagators = {key: make_propagator(key) for key in keys}
+    pooled = jobs > 1 and len(keys) > 1
+    with ThreadPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+        each = pool.map if pooled else map
+        propagators = dict(zip(keys, each(make_propagator, keys)))
 
-    bases = {key: prop.constraint_basis for key, prop in propagators.items()}
-    state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode, bases)
-    state.propagators = propagators
-
-    n_steps = int(round(t_final / output_step))
-    _log_state(state, contexts, 0.0)
-    for k in range(1, n_steps + 1):
-        t = k * output_step
+        bases = {key: prop.constraint_basis for key, prop in propagators.items()}
+        state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode, bases)
+        state.propagators = propagators
 
         def advance(key):
             return step(propagators[key], state.modes[key], output_step)
 
-        if jobs > 1 and len(keys) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                advanced = list(pool.map(advance, keys))
-        else:
-            advanced = [advance(key) for key in keys]
-        for key, b in zip(keys, advanced):
-            state.modes[key] = b
-        state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
-        state.time = t
-        _log_state(state, contexts, t)
+        n_steps = int(round(t_final / output_step))
+        _log_state(state, contexts, 0.0)
+        for k in range(1, n_steps + 1):
+            t = k * output_step
+            for key, b in zip(keys, list(each(advance, keys))):
+                state.modes[key] = b
+            state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
+            state.time = t
+            _log_state(state, contexts, t)
     return state
 
 

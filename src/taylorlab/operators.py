@@ -694,7 +694,7 @@ PAIR_SIGNS = (-1.0, -1.0, 1.0)
 SQRT_HALF = np.sqrt(0.5)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PairTransform:
     """The change of basis T in which every per-mode operator is real.
 
@@ -709,125 +709,111 @@ class PairTransform:
 
     and at n = 0, T e_i = e_i when s = +1 and i e_i when s = -1.  Its
     columns are orthogonal with T* T = 1/D, D = 1/2 on pairs and 1 at
-    n = 0, so T^-1 = D T* and U = T sqrt(D) is unitary.  Every coefficient
-    of T and T^-1 is 1, +-i or 1/2, so the real form T^-1 A T rounds
-    nothing beyond its additions.  An operator A that commutes with J has a
-    real T^-1 A T, and T keeps indices: a pair's two coordinates sit at i
-    and j, so any index set closed under n -> -n is kept.
+    n = 0, so U = T sqrt(D) is unitary, and an operator A that commutes
+    with J has a real U* A U.  U keeps indices: a pair's two coordinates sit
+    at i and j.
 
-    ``plus``/``minus`` are the positions of the pairs' n > 0 and -n
-    entries, ``sign`` their s, and ``zero`` the n = 0 positions with
-    ``zero_phase`` T e_i there.
+    Every method reads the stacked vectors of window ``truncation`` as
+    (3, 2M+1) views: n = 0 at column M, the pairs' n > 0 at M+1.. and their
+    -n at M-1 down to 0.
     """
 
-    plus: np.ndarray
-    minus: np.ndarray
-    sign: np.ndarray
-    zero: np.ndarray
-    zero_phase: np.ndarray
+    truncation: int
 
-    @classmethod
-    def of(cls, truncation: int) -> "PairTransform":
-        """T on the stacked coefficient vectors of window ``truncation``."""
-        w = 2 * truncation + 1
-        n = np.arange(1, truncation + 1)
-        start = w * np.arange(3)[:, None] + truncation
-        signs = np.array(PAIR_SIGNS)
-        return cls(
-            plus=(start + n).ravel(),
-            minus=(start - n).ravel(),
-            sign=np.repeat(signs, truncation),
-            zero=start.ravel(),
-            zero_phase=np.where(signs > 0, 1.0 + 0j, 1j),
-        )
+    def _views(self, a: np.ndarray, axis: int) -> tuple:
+        """(n = 0, n > 0, -n) views of ``a`` along ``axis`` (0 or -1), shaped
+        (k, components) and (k, components, M), with k running over the other
+        axis and the components those ``a`` holds."""
+        m = self.truncation
+        w = 2 * m + 1
+        if axis == 0:
+            a = a.reshape(len(a) // w, w, -1).transpose(2, 0, 1)
+        else:
+            a = a.reshape(-1, a.shape[-1] // w, w)
+        return a[..., m], a[..., m + 1 :], a[..., m - 1 :: -1]
 
-    @property
-    def size(self) -> int:
-        """Length of the vectors T acts on."""
-        return 2 * len(self.plus) + len(self.zero)
-
-    def restrict(self, idx: np.ndarray) -> "PairTransform":
-        """T on the sub-vector at the indices ``idx``, in their order; ``idx``
-        must hold each of its indices' partners."""
-        pos = np.full(self.size, -1)
-        pos[idx] = np.arange(len(idx))
-        keep = pos[self.plus] >= 0
-        if not np.array_equal(keep, pos[self.minus] >= 0):
-            raise ValueError("index set is not closed under n -> -n")
-        inside = pos[self.zero] >= 0
-        return PairTransform(
-            plus=pos[self.plus[keep]],
-            minus=pos[self.minus[keep]],
-            sign=self.sign[keep],
-            zero=pos[self.zero[inside]],
-            zero_phase=self.zero_phase[inside],
-        )
+    @staticmethod
+    def _signs(component: int | None) -> tuple:
+        """(s per component as a column, T e_i at n = 0 per component), for
+        all three components or the one ``component``."""
+        signs = np.array(PAIR_SIGNS if component is None else PAIR_SIGNS[component : component + 1])
+        return signs[:, None], np.where(signs > 0, 1.0 + 0j, 1j)
 
     def pair_rows(self) -> np.ndarray:
         """One boolean row per pair, true at its two indices: as ``rows`` of
         :func:`coupled_blocks` it keeps every pair inside one block."""
-        out = np.zeros((len(self.plus), self.size), dtype=bool)
-        rows = np.arange(len(self.plus))
-        out[rows, self.plus] = True
-        out[rows, self.minus] = True
+        m = self.truncation
+        out = np.zeros((3 * m, 3 * (2 * m + 1)), dtype=bool)
+        _, plus, minus = self._views(out, -1)
+        for c in range(3):
+            rows = slice(c * m, (c + 1) * m)
+            plus[rows, c] = minus[rows, c] = np.eye(m, dtype=bool)
         return out
 
-    def _times_t(self, a: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """a T with the pairs' columns times ``scale`` (the last axis is
-        transformed); at scale sqrt(1/2) this is a U."""
-        out = np.empty(a.shape, dtype=np.complex128)
-        at_plus = a[..., self.plus]
-        at_minus = a[..., self.minus] * self.sign
-        out[..., self.plus] = scale * (at_plus + at_minus)
-        out[..., self.minus] = (scale * 1j) * (at_plus - at_minus)
-        out[..., self.zero] = a[..., self.zero] * self.zero_phase
-        return out
-
-    def _inverse_times(self, a: np.ndarray, scale: float = 0.5) -> np.ndarray:
-        """T^-1 a with the pairs' rows times 2 ``scale``, for a matrix ``a``
-        (the first axis is transformed); at scale sqrt(1/2) this is U* a."""
-        out = np.empty(a.shape, dtype=np.complex128)
-        at_plus = a[self.plus]
-        at_minus = a[self.minus] * self.sign[:, None]
-        out[self.plus] = scale * (at_plus + at_minus)
-        out[self.minus] = (-scale * 1j) * (at_plus - at_minus)
-        out[self.zero] = a[self.zero] * self.zero_phase.conj()[:, None]
-        return out
-
-    def real_form(self, a: np.ndarray) -> np.ndarray:
-        """T^-1 a T for a square ``a``; real up to roundoff when a commutes with J."""
-        return self._inverse_times(self._times_t(a))
-
-    def pair_form(self, a: np.ndarray) -> np.ndarray:
-        """U* a U for a square ``a``: the real form in the unitary basis U, real
-        up to roundoff when a commutes with J."""
-        return self.lower(self.times_u(a))
-
-    def times_u(self, a: np.ndarray) -> np.ndarray:
+    def _times_u(self, a: np.ndarray) -> np.ndarray:
         """a U (the last axis is transformed)."""
-        return self._times_t(a, SQRT_HALF)
+        sign, phase = self._signs(None)
+        out = np.empty(a.shape, dtype=np.complex128)
+        zero, plus, minus = self._views(a, -1)
+        out_zero, out_plus, out_minus = self._views(out, -1)
+        at_minus = minus * sign
+        out_plus[...] = SQRT_HALF * (plus + at_minus)
+        out_minus[...] = (SQRT_HALF * 1j) * (plus - at_minus)
+        out_zero[...] = zero * phase
+        return out
 
-    def lower(self, x: np.ndarray) -> np.ndarray:
+    def lower(self, x: np.ndarray, component: int | None = None) -> np.ndarray:
         """U* x for a matrix ``x`` (the first axis is transformed): the
-        coordinates of x's columns in the basis U; the inverse of :meth:`lift`."""
-        return self._inverse_times(x, SQRT_HALF)
+        coordinates of x's columns in the basis U; the inverse of :meth:`lift`.
+        With ``component``, ``x`` holds that component's rows only."""
+        sign, phase = self._signs(component)
+        out = np.empty(x.shape, dtype=np.complex128)
+        zero, plus, minus = self._views(x, 0)
+        out_zero, out_plus, out_minus = self._views(out, 0)
+        at_minus = minus * sign
+        out_plus[...] = SQRT_HALF * (plus + at_minus)
+        out_minus[...] = (-SQRT_HALF * 1j) * (plus - at_minus)
+        out_zero[...] = zero * phase.conj()
+        return out
+
+    def pair_form(self, a: np.ndarray, square: bool = True) -> tuple:
+        """(Re B, the largest |Im B| in each row) for B = U* a U, or B = U* a
+        when not ``square``: ``a`` in the basis U, real up to roundoff when
+        ``a`` commutes with J (or its columns are fixed by J).
+
+        B is formed one component's rows at a time, so no complex matrix of
+        the size of ``a`` is made.
+        """
+        w = 2 * self.truncation + 1
+        real = np.empty(a.shape)
+        imag = np.empty(len(a))
+        for c in range(3):
+            rows = slice(c * w, (c + 1) * w)
+            part = a[rows]
+            part = self.lower(self._times_u(part) if square else part, c)
+            real[rows] = part.real
+            imag[rows] = np.abs(part.imag).max(axis=1)
+        return real, imag
 
     def real_rows(self, rows: np.ndarray) -> np.ndarray:
         """[Re(rows U); Im(rows U)] with the unitary U = T sqrt(D): real x
         solves these rows exactly when U x solves ``rows``."""
         r = len(rows)
+        sign, phase = self._signs(None)
         out = np.empty((2 * r, rows.shape[1]))
-        at_plus = rows[:, self.plus]
-        at_minus = rows[:, self.minus] * self.sign
-        column = SQRT_HALF * (at_plus + at_minus)  # rows U at n > 0
-        out[:r, self.plus] = column.real
-        out[r:, self.plus] = column.imag
-        column = SQRT_HALF * (at_plus - at_minus)  # rows U at -n, over i
-        out[:r, self.minus] = -column.imag
-        out[r:, self.minus] = column.real
-        column = rows[:, self.zero] * self.zero_phase
-        out[:r, self.zero] = column.real
-        out[r:, self.zero] = column.imag
+        zero, plus, minus = self._views(rows, -1)
+        re_zero, re_plus, re_minus = self._views(out[:r], -1)
+        im_zero, im_plus, im_minus = self._views(out[r:], -1)
+        at_minus = minus * sign
+        column = SQRT_HALF * (plus + at_minus)  # rows U at n > 0
+        re_plus[...] = column.real
+        im_plus[...] = column.imag
+        column = SQRT_HALF * (plus - at_minus)  # rows U at -n, over i
+        re_minus[...] = -column.imag
+        im_minus[...] = column.real
+        column = zero * phase
+        re_zero[...] = column.real
+        im_zero[...] = column.imag
         return out
 
     def lift(self, y: np.ndarray) -> np.ndarray:
@@ -838,15 +824,17 @@ class PairTransform:
         """
         if np.iscomplexobj(y):
             return self.lift(y.real) + 1j * self.lift(y.imag)
+        sign, phase = self._signs(None)
         out = np.empty(y.shape, dtype=np.complex128)
-        real = SQRT_HALF * y[self.plus]
-        imag = SQRT_HALF * y[self.minus]
-        out.real[self.plus] = real
-        out.imag[self.plus] = imag
-        sign = self.sign[:, None]
-        out.real[self.minus] = sign * real
-        out.imag[self.minus] = -sign * imag
-        out[self.zero] = y[self.zero] * self.zero_phase[:, None]
+        zero, plus, minus = self._views(y, 0)
+        out_zero, out_plus, out_minus = self._views(out, 0)
+        real = SQRT_HALF * plus
+        imag = SQRT_HALF * minus
+        out_plus.real[...] = real
+        out_plus.imag[...] = imag
+        out_minus.real[...] = sign * real
+        out_minus.imag[...] = -sign * imag
+        out_zero[...] = zero * phase
         return out
 
 
@@ -870,7 +858,7 @@ def compression_blocks(square: np.ndarray, basis: np.ndarray, truncation: int):
     """:func:`coupled_blocks` for compressing ``square`` by ``basis``: unknowns
     coupled by a nonzero of the square matrix, by a column of the basis or as
     the pair n, -n of :class:`PairTransform`."""
-    pairs = PairTransform.of(truncation).pair_rows()
+    pairs = PairTransform(truncation).pair_rows()
     return coupled_blocks(square, np.vstack([basis.T != 0, pairs]))
 
 
@@ -945,7 +933,7 @@ def _null_space_by_blocks(rows: np.ndarray, truncation: int) -> np.ndarray:
     is supported inside one block and its partners, so the basis also
     splits along any coarser partition closed under n -> -n.
     """
-    pairs = PairTransform.of(truncation)
+    pairs = PairTransform(truncation)
     real = pairs.real_rows(rows)
     touched = real != 0
     _, block = np.unique(_block_labels(rows=touched), return_inverse=True)

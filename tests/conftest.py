@@ -100,6 +100,12 @@ def dense_high_mode_gap(basis, band, drive_matrix, divergence_free_basis):
     return float(np.linalg.norm(herm, ord=2))
 
 
+def fourier_blocks(square, truncation):
+    """:func:`operators.coupled_blocks` of a per-mode matrix's own Fourier
+    pattern plus the pairs n, -n: the blocks its complex kernels split along."""
+    return op.coupled_blocks(square, op.PairTransform(truncation).pair_rows())
+
+
 def random_series(truncation, rng, decay=1.5):
     from taylorlab.fourier import FourierSeries
 

@@ -11,7 +11,7 @@ from taylorlab.config import validate
 from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
-from conftest import conjugate_by_j, random_field
+from conftest import conjugate_by_j, fourier_blocks, random_field
 
 
 def test_projection_matches_kkt_oracle(ctx10):
@@ -99,10 +99,17 @@ def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
     assert rel < 1e-12
 
 
-def test_single_block_exponential_matches_the_whole_matrix(mixed_bg):
-    # one block takes the same pair-basis route as every other block
-    prop = evo.build_propagator(lattice_mode_context(mixed_bg, (1, 0)), 8)
-    assert len(prop.blocks) == 1
+@pytest.mark.parametrize(
+    "background,sizes", [("mixed_bg", [51]), ("alt_bg", [26, 25])], ids=["mixed_bg", "alt_bg"]
+)
+def test_single_block_exponential_matches_the_whole_matrix(request, background, sizes):
+    # the Fourier pattern gives one block: the mixed background stays whole,
+    # and takes the same pair-basis route as every other block; the real
+    # pattern of [[1,1,1],[2,-2,1]] splits it
+    m = 8
+    prop = evo.build_propagator(lattice_mode_context(request.getfixturevalue(background), (1, 0)), m)
+    assert [len(idx) for idx in fourier_blocks(prop.generator.entries, m)] == [51]
+    assert [len(idx) for idx in prop.blocks] == sizes
     for h in (0.125, -0.125):
         full = scipy.linalg.expm(h * prop.generator.entries)
         rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
@@ -120,21 +127,26 @@ def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
     assert all(e.dtype == np.float64 for e in forward)
     assert all(e.dtype == np.complex128 for e in backward)
     assert sum(e.nbytes for e in forward) <= sum(n * n for n in sizes) * 8
-    # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*
+    # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*, with
+    # U_k the block of U, which keeps the parity blocks
     g = prop.generator.entries
-    for idx, pairs, e in zip(prop.blocks, prop.pair_transforms, forward):
-        u = pairs.lift(np.eye(len(idx)))
+    u = op.PairTransform(16).lift(np.eye(len(g)))
+    for idx, e in zip(prop.blocks, forward):
+        u_k = u[np.ix_(idx, idx)]
         want = scipy.linalg.expm(0.01 * g[np.ix_(idx, idx)])
-        assert np.linalg.norm(u @ e @ u.conj().T - want, 2) < 1e-13 * np.linalg.norm(want, 2)
+        assert np.linalg.norm(u_k @ e @ u_k.conj().T - want, 2) < 1e-13 * np.linalg.norm(want, 2)
 
 
-def test_blockwise_abscissas_match_the_whole_matrix(ctx10):
-    prop = evo.build_propagator(ctx10, 16)
+@pytest.mark.parametrize("background,m", [("bg", 16), ("alt_bg", 8)], ids=["bg", "alt_bg"])
+def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
+    ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
+    prop = evo.build_propagator(ctx, m)
+    assert len(prop.blocks) == 2
     g, v = prop.generator.entries, prop.constraint_basis
     restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
     assert prop.restricted_abscissa == pytest.approx(restricted, rel=1e-12)
     # the raw generator's abscissa is a zero eigenvalue up to roundoff
-    assert abs(prop.unconstrained_abscissa - np.linalg.eigvals(g).real.max()) < 1e-10
+    assert abs(prop.unconstrained_abscissa - np.linalg.eigvals(g).real.max()) < 1e-12
     defect = np.linalg.norm(g @ v - v @ (v.conj().T @ g @ v), 2)
     assert prop.constraint_invariance_defect == pytest.approx(defect, abs=1e-12)
 
@@ -186,7 +198,7 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
         sigma = np.concatenate([oracle[3] for oracle in oracles])
         assert sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION
         for (_, vecs, inverse, sigma_k), idx in zip(oracles, prop.blocks):
-            # singular values of W = U* V are those of V, and W^-1 inverts W
+            # the recorded singular values are those of W, and W^-1 inverts W
             assert np.allclose(np.linalg.svd(vecs, compute_uv=False), sigma_k, rtol=1e-12)
             assert np.linalg.norm(inverse @ vecs - np.eye(len(idx))) < 1e-10
         assert len(errors) == len(prop.blocks)
@@ -206,13 +218,13 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
     prop = evo.build_propagator(
         lattice_mode_context(request.getfixturevalue(background), key), m
     )
-    # the reference: complex eig of each G_k, whose condition the gate read
-    # before the real route existed
+    # the reference: complex eig of each block G_k of G's own Fourier
+    # pattern, whose condition the gate read before the real route existed
     g = prop.generator.entries
     sigma = np.concatenate(
         [
             np.linalg.svd(np.linalg.eig(g[np.ix_(idx, idx)])[1], compute_uv=False)
-            for idx in prop.blocks
+            for idx in fourier_blocks(g, m)
         ]
     )
     prop.exponential(0.125)
@@ -225,9 +237,9 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
 
 def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(ctx10):
     # at truncation 8 real eig of the odd block of (1, 0) picks eigenvectors
-    # of condition about 456; complex eig of G_k, about 46
+    # of condition about 456; complex eig of the same R_k, about 89
     prop = evo.build_propagator(ctx10, 8)
-    real = [evo._eigen_oracle(r) for r in prop._pair_blocks()]
+    real = [evo._eigen_oracle(r) for r in prop._pair_generators()]
     assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
     prop.exponential(0.125)
     route, condition, checked, error = prop.oracle_margins[0.125]
@@ -478,11 +490,20 @@ def test_generator_off_j_symmetry_raises(ctx10):
         generator=op.OperatorMatrix(g, m),
         constraint_basis=prop.constraint_basis,
     )
-    assert len(broken.blocks) == 2
+    # the blocks are read from the real R, so the first read raises
+    with pytest.raises(IllConditioned, match="not real in the pair basis"):
+        broken.blocks
     with pytest.raises(IllConditioned, match="not real in the pair basis"):
         broken.unconstrained_abscissa
     with pytest.raises(IllConditioned, match="not real in the pair basis"):
         broken.restricted_abscissa
+    # a basis whose columns J does not fix: i v for J-fixed v
+    turned = evo.ModePropagator(
+        ctx=ctx10, generator=prop.generator, constraint_basis=1j * prop.constraint_basis
+    )
+    assert len(turned.blocks) == 2
+    with pytest.raises(IllConditioned, match="constraint basis is not real"):
+        turned.restricted_abscissa
 
 
 def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():

@@ -504,7 +504,7 @@ def test_profile_projection_is_the_rank_3_product(bg, mode):
 
 def test_pair_transform_is_a_unitary_onto_j_fixed_vectors():
     m = 4
-    pairs = op.PairTransform.of(m)
+    pairs = op.PairTransform(m)
     u = pairs.lift(np.eye(3 * (2 * m + 1)))
     assert np.allclose(u.conj().T @ u, np.eye(len(u)), rtol=0, atol=1e-15)
     assert np.array_equal(apply_j(m, u), u)
@@ -513,45 +513,38 @@ def test_pair_transform_is_a_unitary_onto_j_fixed_vectors():
     mixed = rows @ u
     expected = np.vstack([mixed.real, mixed.imag])
     assert np.allclose(pairs.real_rows(rows), expected, rtol=0, atol=1e-14)
-    # T = U / sqrt(D), D = 1/2 on pairs and 1 at n = 0: real_form is T^-1 a T
+    # each pair's row is true at n and -n of one component
     n = np.tile(np.arange(-m, m + 1), 3)
-    t = u / np.sqrt(np.where(n != 0, 0.5, 1.0))
-    a = rng.standard_normal((len(u), len(u))) + 1j * rng.standard_normal((len(u), len(u)))
-    assert np.allclose(pairs.real_form(a), np.linalg.solve(t, a @ t), rtol=0, atol=1e-12)
-    # an operator commuting with J has a real form
-    sym = a + conjugate_by_j(m, a)
-    assert np.abs(pairs.real_form(sym).imag).max() < 1e-14
+    component = np.repeat(np.arange(3), 2 * m + 1)
+    for row in pairs.pair_rows():
+        (i, j) = np.flatnonzero(row)
+        assert n[i] == -n[j] != 0 and component[i] == component[j]
+    assert len(pairs.pair_rows()) == 3 * m
 
 
 def test_pair_transform_maps_into_and_out_of_the_unitary_basis():
     m = 4
-    pairs = op.PairTransform.of(m)
+    pairs = op.PairTransform(m)
     u = pairs.lift(np.eye(3 * (2 * m + 1)))
     rng = np.random.default_rng(5)
     a = rng.standard_normal((len(u), len(u))) + 1j * rng.standard_normal((len(u), len(u)))
     assert np.allclose(pairs.lower(a), u.conj().T @ a, rtol=0, atol=1e-14)
-    assert np.allclose(pairs.times_u(a), a @ u, rtol=0, atol=1e-14)
-    assert np.allclose(pairs.pair_form(a), u.conj().T @ a @ u, rtol=0, atol=1e-13)
+    # pair_form returns the real part and the largest |imaginary part| per row
+    for got, want in (
+        (pairs.pair_form(a), u.conj().T @ a @ u),
+        (pairs.pair_form(a[:, :7], square=False), u.conj().T @ a[:, :7]),
+    ):
+        assert np.allclose(got[0], want.real, rtol=0, atol=1e-13)
+        assert np.allclose(got[1], np.abs(want.imag).max(axis=1), rtol=0, atol=1e-13)
     # complex coordinates are lifted by parts, and lower undoes lift
     assert np.allclose(pairs.lift(a), u @ a, rtol=0, atol=1e-14)
     assert np.allclose(pairs.lift(pairs.lower(a)), a, rtol=0, atol=1e-14)
-    # an operator commuting with J is real in the unitary basis too
+    # an operator commuting with J is real in the unitary basis, and so are
+    # the coordinates of J-fixed vectors
     sym = a + conjugate_by_j(m, a)
-    assert np.abs(pairs.pair_form(sym).imag).max() < 1e-14
-
-
-def test_pair_transform_restricts_to_closed_index_sets():
-    m = 3
-    pairs = op.PairTransform.of(m)
-    n = np.tile(np.arange(-m, m + 1), 3)
-    odd = np.flatnonzero(n % 2)
-    a = np.random.default_rng(0).standard_normal((3 * (2 * m + 1),) * 2).astype(complex)
-    odd_only = np.zeros_like(a)
-    odd_only[np.ix_(odd, odd)] = a[np.ix_(odd, odd)]
-    whole = pairs.real_form(odd_only)[np.ix_(odd, odd)]
-    assert np.array_equal(pairs.restrict(odd).real_form(a[np.ix_(odd, odd)]), whole)
-    with pytest.raises(ValueError, match="not closed"):
-        pairs.restrict(np.flatnonzero(n > 0))
+    assert pairs.pair_form(sym)[1].max() < 1e-14
+    fixed = a + apply_j(m, a)
+    assert pairs.pair_form(fixed, square=False)[1].max() < 1e-14
 
 
 @pytest.mark.parametrize("key", [(1, 0), (2, 1)])
