@@ -31,7 +31,6 @@ a permutation, so that is the whole matrix's norm.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -107,7 +106,7 @@ def resonant_term_radius(ctx, v_con: np.ndarray, truncation: int) -> float:
     """
     e_block = op.profile_fields(ctx, truncation)
     y = v_con.conj().T @ op.field_to_vector(op.proj_direction_perp(ctx, e_block))
-    local = op.magnetostrophic_symmetric(ctx, e_block, out_truncation=truncation)
+    local = op.magnetostrophic_symmetric(ctx, e_block)
     k = op.profile_averages(ctx, local) / ctx.eps
     z = op.profile_averages(
         ctx, op.proj_direction_perp(ctx, op.vector_to_field(v_con, truncation))
@@ -449,18 +448,14 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
 
     def eps_point(m: int):
         ctx = lattice_mode_context(bg, (m, 0))
-        drive = op.assemble_matrix(
-            lambda b: op.symmetric_drive(ctx, b, out_truncation=m_trunc), m_trunc
-        ).entries
+        drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m_trunc)
         v_div = op.divergence_null_basis(ctx, m_trunc)
         diff = drive - direction_perp_compression(ctx, drive, m_trunc)
         c2 = max_over_blocks(lambda c: float(np.linalg.norm(c, 2)), diff, v_div, m_trunc)
         # drop each dense matrix once read, so that the later assemblies and
         # the radius do not stack their work arrays on it
         del diff
-        remainder = op.assemble_matrix(
-            lambda b: op._remainder_without_drive(ctx, b, m_trunc), m_trunc
-        ).entries
+        remainder = op.assemble_matrix(lambda b: op._remainder_without_drive(ctx, b), m_trunc)
         remainder = remainder - drive
         v_con = op.constraint_null_basis(ctx, m_trunc)
         rem_form = max_over_blocks(hermitian_part_norm, remainder, v_con, m_trunc) / ctx.eps
@@ -471,11 +466,9 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     # the band sweep below reuses the drive and divergence-free basis of the
     # first eps mode; that point runs last, so they are the only ones alive
     later = cfg.eps_modes[1:]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            later_rows = [row for row, _ in pool.map(eps_point, later)]
-    else:
-        later_rows = [eps_point(m)[0] for m in later]
+    with evo.thread_map(cfg.jobs, len(later)) as each:
+        # keep only the row, so no point's matrices outlive its own call
+        later_rows = list(each(lambda m: eps_point(m)[0], later))
     first_row, (ctx, drive, v_div) = eps_point(cfg.eps_modes[0])
     eps_rows = [first_row] + later_rows
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background, make_background
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateDirection
 
 KINDS = (
     "spectral-check",
@@ -205,6 +205,10 @@ def validate(raw: dict) -> RunConfig:
                     f"{DEFAULT_BACKGROUND_TRUNCATION}]"
                 )
         background = [list(e) for e in background]
+        try:
+            make_background([tuple(e) for e in background])
+        except DegenerateDirection as exc:
+            raise ConfigError(f"background {background!r}: {exc}") from exc
 
     t_final = float(_check_type(raw.get("t_final", 0.5), (int, float), "t_final"))
     output_step = float(_check_type(raw.get("output_step", 0.125), (int, float), "output_step"))

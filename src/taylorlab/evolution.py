@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +44,6 @@ from .errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from .fourier import FourierSeries
 from .operators import (
     ModeField,
-    OperatorMatrix,
     PairTransform,
     assemble_matrix,
     basis_blocks,
@@ -237,14 +236,14 @@ class ModePropagator:
     """
 
     ctx: ModeContext
-    generator: OperatorMatrix
+    generator: np.ndarray
     constraint_basis: np.ndarray
     propagator_cache: dict = field(default_factory=dict)
     oracle_margins: dict = field(default_factory=dict)
 
     @property
     def truncation(self) -> int:
-        return self.generator.truncation
+        return (len(self.generator) // 3 - 1) // 2
 
     @functools.cached_property
     def _pair_blocks(self) -> tuple:
@@ -257,7 +256,7 @@ class ModePropagator:
         :func:`_real_blocks`: G commutes with J, so R is real up to roundoff.
         """
         pairs = PairTransform(self.truncation)
-        r, r_imag = pairs.pair_form(self.generator.entries)
+        r, r_imag = pairs.pair_form(self.generator)
         c, _ = pairs.pair_form(self.constraint_basis, square=False)
         blocks = coupled_blocks(r, c.T != 0)
         gens = _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator")
@@ -400,11 +399,7 @@ def build_propagator(
     truncation, when the caller holds it already.
     """
     gen = assemble_matrix(
-        lambda b: full_induction(
-            ctx, b, include_geostrophic=include_geostrophic, out_truncation=truncation
-        ),
-        truncation,
-        label="generator",
+        lambda b: full_induction(ctx, b, include_geostrophic=include_geostrophic), truncation
     )
     if basis is None:
         basis = constraint_null_basis(ctx, truncation)
@@ -427,7 +422,7 @@ def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
 
 def rk4_step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
     """Classical Runge-Kutta step; cross-check oracle for the exact flow."""
-    g = propagator.generator.entries
+    g = propagator.generator
     y = field_to_vector(b.resample(propagator.truncation))
     k1 = g @ y
     k2 = g @ (y + 0.5 * h * k1)
@@ -565,7 +560,7 @@ def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
         div = divergence_residual(ctx, b)
         grad = grad_energy(ctx, b)
         vec = field_to_vector(b)
-        gen = state.propagators[key].generator.entries
+        gen = state.propagators[key].generator
         power = float(np.vdot(vec, gen @ vec).real) + grad
         state.mode_rows.append(
             (t, idx, float(b.norm() ** 2), grad, float(tay), float(div), power)
@@ -576,6 +571,17 @@ def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
     state.diagnostics_log.append(
         (t, state.energy(), float(grad_total), float(taylor_max), float(div_max))
     )
+
+
+@contextmanager
+def thread_map(jobs: int, n_items: int):
+    """Yield the ``map`` for ``n_items`` independent items: a thread pool's
+    when ``jobs > 1`` and there is more than one item, else the builtin."""
+    if jobs > 1 and n_items > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            yield pool.map
+    else:
+        yield map
 
 
 def run_evolution(
@@ -604,9 +610,7 @@ def run_evolution(
         )
 
     keys = list(contexts)
-    pooled = jobs > 1 and len(keys) > 1
-    with ThreadPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
-        each = pool.map if pooled else map
+    with thread_map(jobs, len(keys)) as each:
         propagators = dict(zip(keys, each(make_propagator, keys)))
 
         bases = {key: prop.constraint_basis for key, prop in propagators.items()}
@@ -669,11 +673,8 @@ def abscissa_lanes(
         basis = constraint_null_basis(ctx, truncation)
         return [_abscissa_row(ctx, truncation, lane, basis) for lane in lanes]
 
-    if jobs > 1 and len(lattice_modes) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_mode = list(pool.map(mode_rows, lattice_modes))
-    else:
-        per_mode = [mode_rows(key) for key in lattice_modes]
+    with thread_map(jobs, len(lattice_modes)) as each:
+        per_mode = list(each(mode_rows, lattice_modes))
     return [list(rows) for rows in zip(*per_mode)]
 
 

@@ -6,7 +6,7 @@ Everything downstream works with complex trigonometric polynomials
 
 stored densely over the symmetric mode window [-M, M].  Series are immutable;
 all operations are pure and return new instances.  Products are exact linear
-convolutions, optionally truncated with an explicit tail diagnostic, so that
+convolutions at the natural window M_f + M_g, never truncated, so that
 operator identities downstream can be verified to rounding accuracy.
 
 Conventions:
@@ -227,9 +227,6 @@ class FourierSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "FourierSeries":
-        return FourierSeries._adopt(self.coeffs / complex(scalar))
-
     def derivative(self) -> "FourierSeries":
         factor = TWO_PI * 1j * self.modes()
         return FourierSeries._adopt(self.coeffs * _along_modes(factor, self.coeffs.ndim))
@@ -305,35 +302,10 @@ def _convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiply(
-    f: FourierSeries,
-    g: FourierSeries,
-    out_truncation: int | None = None,
-    with_tail: bool = False,
-):
-    """Exact product of two series by linear convolution.
-
-    With ``out_truncation=None`` the product keeps its natural window
-    M_f + M_g and no information is lost.  Otherwise the result is cut to the
-    requested window; pass ``with_tail=True`` to also receive the L2 norm of
-    the discarded coefficients (a length-K row when one factor is a block).
-    """
-    full = _convolve(f.coeffs, g.coeffs)
-    natural = f.truncation + g.truncation
-    no_tail = 0.0 if full.ndim == 1 else np.zeros(full.shape[1])
-    if out_truncation is None or out_truncation == natural:
-        prod = FourierSeries._adopt(full)
-        return (prod, no_tail) if with_tail else prod
-    if out_truncation > natural:
-        prod = FourierSeries._adopt(_pad_modes(full, out_truncation - natural))
-        return (prod, no_tail) if with_tail else prod
-    cut = natural - out_truncation
-    prod = FourierSeries._adopt(full[cut:-cut])
-    if not with_tail:
-        return prod
-    dropped = np.abs(full[:cut]) ** 2 + np.abs(full[-cut:]) ** 2
-    tail = np.sqrt(np.sum(dropped, axis=0))
-    return prod, (float(tail) if full.ndim == 1 else tail)
+def multiply(f: FourierSeries, g: FourierSeries) -> FourierSeries:
+    """Exact product of two series by linear convolution, at its natural
+    window M_f + M_g: no information is lost."""
+    return FourierSeries._adopt(_convolve(f.coeffs, g.coeffs))
 
 
 def integrate_product(f: FourierSeries, g: FourierSeries):
@@ -352,7 +324,8 @@ def integrate_product(f: FourierSeries, g: FourierSeries):
 
 
 def multiplication_matrix(g: FourierSeries, truncation: int) -> np.ndarray:
-    """Dense matrix of f -> multiply(f, g, out_truncation=truncation).
+    """Dense matrix of f -> multiply(f, g).resample(truncation) at f's window
+    ``truncation``.
 
     Toeplitz structure: entry (m, n) is the coefficient of g at mode m - n.
     """

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import RegimeViolation, ResonanceViolation
 from .operators import (
     ModeField,
-    OperatorMatrix,
     assemble_matrix,
     field_to_vector,
     proj_profile,
@@ -81,12 +80,11 @@ def homological_rhs(ctx, basis: SpectralBasis, i: int, j: int) -> complex:
     This functional route exists as the per-pair oracle; the batch
     construction in build_normal_form goes through dense matrices instead.
     """
-    m = basis.truncation
     phi_i = basis.phi_plus(i)
     phi_j = basis.phi_plus(j)
-    drive = operators.symmetric_drive(ctx, phi_i, out_truncation=m)
+    drive = operators.symmetric_drive(ctx, phi_i)
     first = -drive.inner(phi_j)
-    local = operators.magnetostrophic_symmetric(ctx, proj_profile(ctx, phi_i), out_truncation=m)
+    local = operators.magnetostrophic_symmetric(ctx, proj_profile(ctx, phi_i))
     second = local.inner(proj_profile(ctx, phi_j))
     return complex(first + second)
 
@@ -146,8 +144,8 @@ def build_normal_form(
     ctx,
     basis: SpectralBasis,
     band: int,
-    drive_matrix: OperatorMatrix | np.ndarray | None = None,
-    local_matrix: OperatorMatrix | np.ndarray | None = None,
+    drive_matrix: np.ndarray | None = None,
+    local_matrix: np.ndarray | None = None,
     resonance_tol: float = 1e-8,
 ) -> NormalFormData:
     """Solve the homological equation on the band; verify all vanishing claims.
@@ -159,23 +157,17 @@ def build_normal_form(
     """
     m = basis.truncation
     if drive_matrix is None:
-        drive_matrix = assemble_matrix(
-            lambda b: operators.symmetric_drive(ctx, b, out_truncation=m), m, label="drive"
-        )
+        drive_matrix = assemble_matrix(lambda b: operators.symmetric_drive(ctx, b), m)
     if local_matrix is None:
-        local_matrix = assemble_matrix(
-            lambda b: operators.magnetostrophic_symmetric(ctx, b, out_truncation=m), m, label="local"
-        )
-    c_entries = drive_matrix.entries if isinstance(drive_matrix, OperatorMatrix) else drive_matrix
-    m_entries = local_matrix.entries if isinstance(local_matrix, OperatorMatrix) else local_matrix
+        local_matrix = assemble_matrix(lambda b: operators.magnetostrophic_symmetric(ctx, b), m)
 
     phi = band_matrix(basis, band)
     indices = range(-2 * band, 2 * band + 2)
     lam = np.array([basis.lam(j) for j in indices])
 
-    c_band = phi.conj().T @ (c_entries @ phi)
+    c_band = phi.conj().T @ (drive_matrix @ phi)
     p0_phi = _profile_projector_blocks(basis) @ phi
-    s = p0_phi.conj().T @ (m_entries @ p0_phi)
+    s = p0_phi.conj().T @ (local_matrix @ p0_phi)
     rhs = -c_band + s
 
     pairs = resonant_pairs(band)

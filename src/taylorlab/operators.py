@@ -18,10 +18,12 @@ eps = 1 / |xi|:
 * ``induction_remainder``       everything the previous two scales miss,
   defined by exact subtraction from the full induction right-hand side.
 
-Here ``Dinv`` is the zero-mean vertical antiderivative.  All products are
-exact convolutions at extended windows; results are truncated once, at the
+Here ``Dinv`` is the zero-mean vertical antiderivative.  One window rule
+holds for every operator: it returns a field at its input's window.  All
+products are exact convolutions at extended windows, truncated once, at the
 end, so each operator agrees with its dense-matrix representation to
-rounding accuracy.
+rounding accuracy.  A caller that wants a wider output pads the input: at a
+window that holds the whole product nothing is truncated.
 
 Every linear operator has one definition that serves a single field and a
 block of fields alike.  A :class:`ModeField` whose components carry a trailing batch
@@ -30,9 +32,10 @@ fields; each product is a background profile (beta, beta_perp', B',
 beta_xi) times something linear in the field, so an operator applied to a
 block acts column by column.  Dense assembly is the operator applied to
 identity blocks: :func:`assemble_matrix` makes three calls, one per
-component, each on a ``(2M+1, 2M+1)`` identity.  The test suite keeps the
-per-column route (one basis field per call) as the independent oracle that
-the matrix-versus-functional criterion compares against.
+component, each on a ``(2M+1, 2M+1)`` identity, and returns the read-only
+complex matrix itself.  The test suite keeps the per-column route (one
+basis field per call) as the independent oracle that the
+matrix-versus-functional criterion compares against.
 
 The module also owns both formulations of the Taylor constraint (the reduced
 two-scalar residual and the raw averaged-curl form), the divergence
@@ -53,7 +56,6 @@ from .fourier import FourierSeries, integrate_product, multiply
 
 __all__ = [
     "ModeField",
-    "OperatorMatrix",
     "field_to_vector",
     "vector_to_field",
     "assemble_matrix",
@@ -200,10 +202,6 @@ def _sub(f: FourierSeries, g: FourierSeries) -> FourierSeries:
     return f - g
 
 
-def _out_window(b: ModeField, out_truncation: int | None) -> int:
-    return b.truncation if out_truncation is None else out_truncation
-
-
 # ----------------------------------------------------------------------
 # the two local operators and the pointwise/profile projections
 # ----------------------------------------------------------------------
@@ -225,17 +223,18 @@ def _skew_scalar(ctx: ModeContext, s: FourierSeries) -> FourierSeries:
     return -1j * multiply(ctx.beta, inner)
 
 
-def magnetostrophic_skew(
-    ctx: ModeContext, b: ModeField, out_truncation: int | None = None
-) -> ModeField:
+def _skew_exact(ctx: ModeContext, b: ModeField) -> ModeField:
+    """The leading skew operator at the exact extended window."""
+    return ModeField.from_components([_skew_scalar(ctx, s) for s in _cross_eta(ctx, b)])
+
+
+def magnetostrophic_skew(ctx: ModeContext, b: ModeField) -> ModeField:
     """Leading skew operator: -i beta Dinv(beta ((eta,0) x b)) componentwise.
 
     Annihilates fields whose horizontal part is aligned with eta and whose
     vertical part vanishes; anti-Hermitian on the full space.
     """
-    m = _out_window(b, out_truncation)
-    comps = [_skew_scalar(ctx, s) for s in _cross_eta(ctx, b)]
-    return ModeField.from_components(comps).resample(m)
+    return _skew_exact(ctx, b).resample(b.truncation)
 
 
 def _symmetric_scalar(ctx: ModeContext, s: FourierSeries) -> FourierSeries:
@@ -244,16 +243,13 @@ def _symmetric_scalar(ctx: ModeContext, s: FourierSeries) -> FourierSeries:
     return _sub(0.5 * second, 0.5 * first)
 
 
-def magnetostrophic_symmetric(
-    ctx: ModeContext, b: ModeField, out_truncation: int | None = None
-) -> ModeField:
+def magnetostrophic_symmetric(ctx: ModeContext, b: ModeField) -> ModeField:
     """Self-adjoint local part, acting componentwise:
 
     -(1/2) beta Dinv(beta_perp' s) + (1/2) beta_perp' Dinv(beta s).
     """
-    m = _out_window(b, out_truncation)
     comps = [_symmetric_scalar(ctx, s) for s in b.components]
-    return ModeField.from_components(comps).resample(m)
+    return ModeField.from_components(comps).resample(b.truncation)
 
 
 def profile_averages(ctx: ModeContext, b: ModeField) -> np.ndarray:
@@ -300,22 +296,18 @@ def proj_direction_perp(ctx: ModeContext, b: ModeField) -> ModeField:
     return b - proj_direction(ctx, b)
 
 
-def fast_skew(ctx: ModeContext, b: ModeField, out_truncation: int | None = None) -> ModeField:
+def fast_skew(ctx: ModeContext, b: ModeField) -> ModeField:
     """Profile-orthogonal compression of the leading skew operator.
 
     This is the anti-Hermitian generator of the fast per-mode oscillation;
     its kernel contains every profile-aligned field and every field whose
     horizontal part lies along eta.
     """
-    m = _out_window(b, out_truncation)
-    inner = proj_profile_perp(ctx, b)
-    skew = magnetostrophic_skew(ctx, inner, out_truncation=m)
+    skew = magnetostrophic_skew(ctx, proj_profile_perp(ctx, b))
     return proj_profile_perp(ctx, skew)
 
 
-def symmetric_drive(
-    ctx: ModeContext, b: ModeField, out_truncation: int | None = None
-) -> ModeField:
+def symmetric_drive(ctx: ModeContext, b: ModeField) -> ModeField:
     """The driving operator at the eps^-2 scale.
 
     Three pieces: the self-adjoint local part, the skew operator applied to
@@ -323,17 +315,18 @@ def symmetric_drive(
     and a rank-one correction along B' carrying the beta-weighted average of
     the vertical output of the skew operator.  Independent of eps.
     """
-    m = _out_window(b, out_truncation)
+    m = b.truncation
     bp1, bp2 = ctx.b_prime
     zero = FourierSeries.zeros(0)
 
-    local = magnetostrophic_symmetric(ctx, b, out_truncation=m)
+    local = magnetostrophic_symmetric(ctx, b)
 
-    # skew operator applied to beta * (constant vector i int b3 B' / ||beta||^2)
+    # skew operator applied to beta * (constant vector i int b3 B' / ||beta||^2),
+    # a carrier at the background window whose exact skew is cut to b's
     v1 = 1j * integrate_product(b.c3, bp1) / ctx.beta_norm_sq
     v2 = 1j * integrate_product(b.c3, bp2) / ctx.beta_norm_sq
     carrier = ModeField.from_components((v1 * ctx.beta, v2 * ctx.beta, zero))
-    feedback = magnetostrophic_skew(ctx, carrier, out_truncation=m)
+    feedback = _skew_exact(ctx, carrier).resample(m)
 
     # rank-one correction along B' from the vertical skew output
     e1, e2 = ctx.eta
@@ -477,15 +470,12 @@ def _magnetostrophic_velocity_exact(ctx: ModeContext, b: ModeField) -> ModeField
     return ModeField(*(c.antiderivative_zero_mean() for c in w.components))
 
 
-def magnetostrophic_velocity(
-    ctx: ModeContext, b: ModeField, out_truncation: int | None = None
-) -> ModeField:
+def magnetostrophic_velocity(ctx: ModeContext, b: ModeField) -> ModeField:
     """Interior velocity: zero-mean vertical antiderivative of the curled force.
 
     Divergence-free and componentwise zero-mean by construction.
     """
-    m = _out_window(b, out_truncation)
-    return _magnetostrophic_velocity_exact(ctx, b).resample(m)
+    return _magnetostrophic_velocity_exact(ctx, b).resample(b.truncation)
 
 
 def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField, u_m: ModeField) -> np.ndarray:
@@ -559,10 +549,7 @@ def diffusion_term(ctx: ModeContext, b: ModeField) -> ModeField:
 
 
 def full_induction(
-    ctx: ModeContext,
-    b: ModeField,
-    include_geostrophic: bool = True,
-    out_truncation: int | None = None,
+    ctx: ModeContext, b: ModeField, include_geostrophic: bool = True
 ) -> ModeField:
     """Right-hand side of the per-mode induction equation,
 
@@ -570,14 +557,11 @@ def full_induction(
 
     with the geostrophic part optional for demonstration runs.
     """
-    m = _out_window(b, out_truncation)
-    ind = _induction_term_exact(ctx, b, include_geostrophic).resample(m)
-    return ind + diffusion_term(ctx, b.resample(m))
+    ind = _induction_term_exact(ctx, b, include_geostrophic).resample(b.truncation)
+    return ind + diffusion_term(ctx, b)
 
 
-def induction_remainder(
-    ctx: ModeContext, b: ModeField, out_truncation: int | None = None
-) -> ModeField:
+def induction_remainder(ctx: ModeContext, b: ModeField) -> ModeField:
     """Remainder at the eps^-2 scale, defined by exact subtraction:
 
         R b = eps^2 * (induction without diffusion) - (fast skew) b / eps
@@ -586,16 +570,15 @@ def induction_remainder(
     The decomposition eps^3 (L - diffusion) = fast_skew + eps drive + eps R
     therefore holds identically.
     """
-    m = _out_window(b, out_truncation)
-    return _remainder_without_drive(ctx, b, m) - symmetric_drive(ctx, b, out_truncation=m)
+    return _remainder_without_drive(ctx, b) - symmetric_drive(ctx, b)
 
 
-def _remainder_without_drive(ctx: ModeContext, b: ModeField, out_truncation: int) -> ModeField:
+def _remainder_without_drive(ctx: ModeContext, b: ModeField) -> ModeField:
     """eps^2 * (induction without diffusion) - (fast skew) b / eps: the
     remainder plus the symmetric drive, for a caller that holds the drive's
     matrix already."""
-    ind = _induction_term_exact(ctx, b, include_geostrophic=True).resample(out_truncation)
-    skew = fast_skew(ctx, b, out_truncation=out_truncation)
+    ind = _induction_term_exact(ctx, b, include_geostrophic=True).resample(b.truncation)
+    skew = fast_skew(ctx, b)
     return (ctx.eps**2) * ind - (1.0 / ctx.eps) * skew
 
 
@@ -604,25 +587,9 @@ def _remainder_without_drive(ctx: ModeContext, b: ModeField, out_truncation: int
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
-    """Dense matrix of a per-mode operator in the stacked coefficient basis."""
-
-    entries: np.ndarray
-    truncation: int
-    label: str = ""
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.complex128)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    def apply(self, b: ModeField) -> ModeField:
-        return vector_to_field(self.entries @ field_to_vector(b.resample(self.truncation)), self.truncation)
-
-
-def assemble_matrix(op, truncation: int, label: str = "") -> OperatorMatrix:
-    """Assemble a dense matrix by applying ``op`` to identity blocks.
+def assemble_matrix(op, truncation: int) -> np.ndarray:
+    """Dense, read-only matrix of ``op`` in the stacked coefficient basis,
+    assembled by applying it to identity blocks.
 
     ``op`` maps ModeField -> ModeField at the same window and accepts blocks
     of fields, as the linear operators of this module do.  One call per component
@@ -630,16 +597,16 @@ def assemble_matrix(op, truncation: int, label: str = "") -> OperatorMatrix:
     that component's block of columns; by linearity the matrix action then
     reproduces the functional application exactly.
     """
-    w = 2 * truncation + 1
-    mat = np.zeros((3 * w, 3 * w), dtype=np.complex128)
     zero = FourierSeries.zeros(truncation)
-    identity = FourierSeries(np.eye(w, dtype=np.complex128))
-    for comp in range(3):
-        comps = [zero, zero, zero]
-        comps[comp] = identity
-        block = field_to_vector(op(ModeField(*comps)).resample(truncation))
-        mat[:, comp * w : (comp + 1) * w] = block
-    return OperatorMatrix(entries=mat, truncation=truncation, label=label)
+    identity = FourierSeries(np.eye(2 * truncation + 1, dtype=np.complex128))
+    units = ((identity, zero, zero), (zero, identity, zero), (zero, zero, identity))
+    # the column blocks are stacked once, at the end: written one by one into
+    # a preallocated matrix instead, each freed block let glibc trim the heap
+    # that the next call then faulted in again (at M = 64, 2.5 times the page
+    # faults of a scaling-study verdict)
+    mat = np.hstack([field_to_vector(op(ModeField(*unit))) for unit in units])
+    mat.setflags(write=False)
+    return mat
 
 
 def divergence_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:

@@ -40,7 +40,6 @@ from .errors import BandExceedsBasis, ResolutionExceeded
 from .fourier import FourierSeries, integrate_product, inverse_collocation, multiply
 from .operators import (
     ModeField,
-    OperatorMatrix,
     field_to_vector,
     proj_direction_perp,
     vector_to_field,
@@ -221,12 +220,12 @@ def verify_on_basis(ctx: ModeContext, basis: SpectralBasis) -> dict:
     """Apply the fast skew operator to every stored eigenfield; report residuals."""
     minus_max = 0.0
     for k in range(-basis.band, basis.band + 1):
-        out = operators.fast_skew(ctx, basis.phi_minus(k), out_truncation=basis.truncation)
+        out = operators.fast_skew(ctx, basis.phi_minus(k))
         minus_max = max(minus_max, out.norm())
     plus_max = 0.0
     for j in basis.plus_indices:
         phi = basis.phi_plus(j)
-        out = operators.fast_skew(ctx, phi, out_truncation=basis.truncation)
+        out = operators.fast_skew(ctx, phi)
         plus_max = max(plus_max, (out - basis.lam(j) * phi).norm())
     return {"phi_minus_max_residual": minus_max, "phi_plus_max_residual": plus_max}
 
@@ -266,7 +265,7 @@ def band_derivative_norm(basis: SpectralBasis, band: int) -> float:
 def high_mode_gap(
     basis: SpectralBasis,
     band: int,
-    drive_matrix: OperatorMatrix | np.ndarray,
+    drive_matrix: np.ndarray,
     divergence_free_basis: np.ndarray,
 ) -> float:
     """Quadratic-form gap between full and band compressions of the drive.
@@ -288,11 +287,10 @@ def high_mode_gap(
     momentum-balance rows) collapses the form identically for circularly
     polarized backgrounds, so the divergence condition alone is imposed.
     """
-    entries = drive_matrix.entries if isinstance(drive_matrix, OperatorMatrix) else drive_matrix
     band = min(band, basis.band)
     phi = band_matrix(basis, basis.band)
     y = phi.conj().T @ divergence_free_basis  # (4K+2, dim_div_free)
-    outside = phi.conj().T @ (entries @ phi)
+    outside = phi.conj().T @ (drive_matrix @ phi)
     lo = 2 * (basis.band - band)
     hi = lo + 4 * band + 2
     outside[lo:hi, lo:hi] = 0.0

@@ -38,16 +38,12 @@ def basis64(ctx10):
 
 @pytest.fixture(scope="session")
 def drive64(ctx10):
-    return op.assemble_matrix(
-        lambda b: op.symmetric_drive(ctx10, b, out_truncation=64), 64, label="drive"
-    )
+    return op.assemble_matrix(lambda b: op.symmetric_drive(ctx10, b), 64)
 
 
 @pytest.fixture(scope="session")
 def local64(ctx10):
-    return op.assemble_matrix(
-        lambda b: op.magnetostrophic_symmetric(ctx10, b, out_truncation=64), 64, label="local"
-    )
+    return op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx10, b), 64)
 
 
 @pytest.fixture(scope="session")

@@ -33,21 +33,15 @@ def _verdict(name, ok, text):
 def nf80(bg):
     ctx = lattice_mode_context(bg, (8, 0))
     basis = spectral.build_eigenbasis(ctx, 16, 64)
-    drive = op.assemble_matrix(
-        lambda b: op.symmetric_drive(ctx, b, out_truncation=64), 64
-    )
-    local = op.assemble_matrix(
-        lambda b: op.magnetostrophic_symmetric(ctx, b, out_truncation=64), 64
-    )
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), 64)
+    local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), 64)
     return build_normal_form(ctx, basis, 8, drive, local)
 
 
 @pytest.fixture(scope="module")
 def band_study(ctx10):
     basis = spectral.build_eigenbasis(ctx10, 40, 160)
-    drive = op.assemble_matrix(
-        lambda b: op.symmetric_drive(ctx10, b, out_truncation=160), 160
-    )
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx10, b), 160)
     v_div = op.divergence_null_basis(ctx10, 160)
     return basis, drive, v_div
 
@@ -83,24 +77,22 @@ def test_criterion_01_closed_form_eigenpairs(ctx10):
 
 
 def test_criterion_02_structural_identities(bg, alt_bg, ctx10, local64):
-    fast = op.assemble_matrix(lambda b: op.fast_skew(ctx10, b, out_truncation=64), 64)
-    anti = float(np.linalg.norm(fast.entries + fast.entries.conj().T, 2))
+    fast = op.assemble_matrix(lambda b: op.fast_skew(ctx10, b), 64)
+    anti = float(np.linalg.norm(fast + fast.conj().T, 2))
 
-    herm = float(np.linalg.norm(local64.entries - local64.entries.conj().T, 2))
+    herm = float(np.linalg.norm(local64 - local64.conj().T, 2))
     # the multiplication part is identically zero for the circularly
     # polarized background, so also measure at a background where it is not
     ctx_alt = lattice_mode_context(alt_bg, (1, 0))
-    local_alt = op.assemble_matrix(
-        lambda b: op.magnetostrophic_symmetric(ctx_alt, b, out_truncation=32), 32
-    )
-    herm_alt = float(np.linalg.norm(local_alt.entries - local_alt.entries.conj().T, 2))
-    assert float(np.linalg.norm(local_alt.entries, 2)) > 1e-3  # non-vacuous
+    local_alt = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx_alt, b), 32)
+    herm_alt = float(np.linalg.norm(local_alt - local_alt.conj().T, 2))
+    assert float(np.linalg.norm(local_alt, 2)) > 1e-3  # non-vacuous
 
     rng = np.random.default_rng(20)
     sandwich = commute = 0.0
     for _ in range(10):
         b = random_field(16, rng)
-        mid = op.magnetostrophic_skew(ctx10, op.proj_profile(ctx10, b), out_truncation=16)
+        mid = op.magnetostrophic_skew(ctx10, op.proj_profile(ctx10, b))
         sandwich = max(sandwich, op.proj_profile(ctx10, mid).norm() / b.norm())
         ab = op.proj_direction(ctx10, op.proj_profile(ctx10, b))
         ba = op.proj_profile(ctx10, op.proj_direction(ctx10, b))
@@ -158,22 +150,18 @@ def test_criterion_06_remainder_and_drive_scalings(bg):
     rows = []
     for m in (2, 8, 32):
         ctx = lattice_mode_context(bg, (m, 0))
-        drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=64), 64)
+        drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), 64)
         perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), 64)
-        remainder = op.assemble_matrix(
-            lambda b: op.induction_remainder(ctx, b, out_truncation=64), 64
-        )
-        local = op.assemble_matrix(
-            lambda b: op.magnetostrophic_symmetric(ctx, b, out_truncation=64), 64
-        )
+        remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), 64)
+        local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), 64)
         profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), 64)
         v_div = op.divergence_null_basis(ctx, 64)
         v_con = op.constraint_null_basis(ctx, 64)
-        diff = drive.entries - perp.entries @ drive.entries @ perp.entries
+        diff = drive - perp @ drive @ perp
         c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
-        rem_form = hermitian_part_norm(v_con.conj().T @ remainder.entries @ v_con) / ctx.eps
+        rem_form = hermitian_part_norm(v_con.conj().T @ remainder @ v_con) / ctx.eps
         t_mat = (
-            perp.entries @ profile.entries @ local.entries @ profile.entries @ perp.entries
+            perp @ profile @ local @ profile @ perp
         ) / ctx.eps
         s_rad = numerical_radius(v_con.conj().T @ t_mat @ v_con)
         rows.append((ctx.eps, c2, rem_form, s_rad))
@@ -235,7 +223,7 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
     worst_div = max(row[5] for row in state.mode_rows)
     prop = evo.build_propagator(ctx10, 64)
     h = 0.125
-    eye = np.eye(len(prop.generator.entries))
+    eye = np.eye(len(prop.generator))
     once, twice = prop.propagate(eye, h), prop.propagate(eye, 2 * h)
     semi = np.linalg.norm(once @ once - twice, 2) / np.linalg.norm(twice, 2)
     start = evo.initial_state(bg, modes, 64, seed=3)
@@ -260,14 +248,12 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
 def test_criterion_10_matrix_functional_agreement(bg, ctx10):
     m = 16
     operators = {
-        "fast skew": lambda b: op.fast_skew(ctx10, b, out_truncation=m),
-        "symmetric drive": lambda b: op.symmetric_drive(ctx10, b, out_truncation=m),
-        "skew multiplication": lambda b: op.magnetostrophic_skew(ctx10, b, out_truncation=m),
-        "symmetric multiplication": lambda b: op.magnetostrophic_symmetric(
-            ctx10, b, out_truncation=m
-        ),
-        "remainder": lambda b: op.induction_remainder(ctx10, b, out_truncation=m),
-        "full induction": lambda b: op.full_induction(ctx10, b, out_truncation=m),
+        "fast skew": lambda b: op.fast_skew(ctx10, b),
+        "symmetric drive": lambda b: op.symmetric_drive(ctx10, b),
+        "skew multiplication": lambda b: op.magnetostrophic_skew(ctx10, b),
+        "symmetric multiplication": lambda b: op.magnetostrophic_symmetric(ctx10, b),
+        "remainder": lambda b: op.induction_remainder(ctx10, b),
+        "full induction": lambda b: op.full_induction(ctx10, b),
         "diffusion": lambda b: op.diffusion_term(ctx10, b),
         "profile projection": lambda b: op.proj_profile(ctx10, b),
         "direction-orthogonal projection": lambda b: op.proj_direction_perp(ctx10, b),
@@ -281,22 +267,19 @@ def test_criterion_10_matrix_functional_agreement(bg, ctx10):
         vec = op.field_to_vector(b)
         for name, fn in operators.items():
             direct = op.field_to_vector(fn(b))
-            gap = np.linalg.norm(matrices[name].entries @ vec - direct)
+            gap = np.linalg.norm(matrices[name] @ vec - direct)
             gap /= max(1.0, float(np.linalg.norm(direct)))
             if gap > worst_mat:
                 worst_mat, worst_name = gap, name
     ctx21 = lattice_mode_context(bg, (2, 1))
     worst_dec = 0.0
     for _ in range(5):
-        b = random_field(12, rng)
-        lhs = (ctx21.eps**3) * (
-            op.full_induction(ctx21, b, out_truncation=48)
-            - op.diffusion_term(ctx21, b.resample(48))
-        )
+        b = random_field(12, rng).resample(48)  # wide enough for every product
+        lhs = (ctx21.eps**3) * (op.full_induction(ctx21, b) - op.diffusion_term(ctx21, b))
         rhs = (
-            op.fast_skew(ctx21, b, out_truncation=48)
-            + ctx21.eps * op.symmetric_drive(ctx21, b, out_truncation=48)
-            + ctx21.eps * op.induction_remainder(ctx21, b, out_truncation=48)
+            op.fast_skew(ctx21, b)
+            + ctx21.eps * op.symmetric_drive(ctx21, b)
+            + ctx21.eps * op.induction_remainder(ctx21, b)
         )
         worst_dec = max(worst_dec, (lhs - rhs).norm() / max(1.0, lhs.norm()))
     ok = worst_mat < 1e-11 and worst_dec < 1e-12

@@ -38,11 +38,9 @@ def test_factored_radius_matches_dense_on_random_rank_3():
 
 def dense_resonant_term_radius(ctx, m):
     """The full-matrix route: five assembled 3(2M+1)^2 operators, V* T V."""
-    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
-    profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m).entries
-    local = op.assemble_matrix(
-        lambda b: op.magnetostrophic_symmetric(ctx, b, out_truncation=m), m
-    ).entries
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m)
+    profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m)
+    local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
     v_con = op.constraint_null_basis(ctx, m)
     t_mat = (perp @ profile @ local @ profile @ perp) / ctx.eps
     return numerical_radius(v_con.conj().T @ t_mat @ v_con)
@@ -97,11 +95,9 @@ def test_resonant_term_gate_measures_a_nonzero_radius(tmp_path):
 def dense_c2_and_remainder_form(ctx, m):
     """Criterion 06's dense route: the assembled P_perp, perp @ drive @ perp
     and whole-matrix compressions."""
-    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m).entries
-    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
-    remainder = op.assemble_matrix(
-        lambda b: op.induction_remainder(ctx, b, out_truncation=m), m
-    ).entries
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m)
+    remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
     v_div = op.divergence_null_basis(ctx, m)
     v_con = op.constraint_null_basis(ctx, m)
     diff = drive - perp @ drive @ perp
@@ -154,9 +150,9 @@ def test_direction_perp_compression_at_an_oblique_mode(alt_bg):
     ctx = lattice_mode_context(alt_bg, (2, 1))
     m = 32
     w = 2 * m + 1
-    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m).entries
+    perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m)
     assert np.count_nonzero(perp[:w, w : 2 * w]) == w
-    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m).entries
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     dense = perp @ drive @ perp
     got = direction_perp_compression(ctx, drive, m)
     assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))

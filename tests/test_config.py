@@ -87,6 +87,9 @@ def test_defaults_fill_in():
         (minimal(band=-3), "'band' must be at least 1"),
         (minimal(band=0), "'band' must be at least 1"),
         ({"kind": "scaling-study", "band": 1}, "sweeps the bands 2, 4"),
+        # a background whose direction never turns has no per-mode reduction
+        (minimal(background=[[1, 1, 1]]), "does not turn"),
+        (minimal(background=[[1, 1, 1], [1, -1, 2]]), "does not turn"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -214,6 +217,12 @@ def test_background_mode_outside_the_window_exits_2(tmp_path, capsys, entry):
     raw = minimal(background=[entry])
     assert run_cli_on(tmp_path, raw) == 2
     assert "background window" in capsys.readouterr().err
+
+
+def test_background_that_does_not_turn_exits_2(tmp_path, capsys):
+    assert run_cli_on(tmp_path, {"kind": "evolve", "background": [[1, 1, 1]]}) == 2
+    assert "does not turn" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_background_window_edges_are_accepted():

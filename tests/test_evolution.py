@@ -73,7 +73,7 @@ def test_heat_zero_mode_preserves_mean():
 
 def _dense_exponential(prop, h):
     """exp(h G) as one matrix: the propagator applied to the identity."""
-    return prop.propagate(np.eye(len(prop.generator.entries)), h)
+    return prop.propagate(np.eye(len(prop.generator)), h)
 
 
 def test_propagator_semigroup_property(ctx10):
@@ -94,7 +94,7 @@ def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
     assert [len(idx) for idx in prop.blocks] == [3 * (m + 1), 3 * m]
     for idx in prop.blocks:
         assert len(set(n[idx] % 2)) == 1
-    full = scipy.linalg.expm(h * prop.generator.entries)
+    full = scipy.linalg.expm(h * prop.generator)
     rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
     assert rel < 1e-12
 
@@ -108,10 +108,10 @@ def test_single_block_exponential_matches_the_whole_matrix(request, background, 
     # pattern of [[1,1,1],[2,-2,1]] splits it
     m = 8
     prop = evo.build_propagator(lattice_mode_context(request.getfixturevalue(background), (1, 0)), m)
-    assert [len(idx) for idx in fourier_blocks(prop.generator.entries, m)] == [51]
+    assert [len(idx) for idx in fourier_blocks(prop.generator, m)] == [51]
     assert [len(idx) for idx in prop.blocks] == sizes
     for h in (0.125, -0.125):
-        full = scipy.linalg.expm(h * prop.generator.entries)
+        full = scipy.linalg.expm(h * prop.generator)
         rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
         assert rel < 1e-12
 
@@ -129,7 +129,7 @@ def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
     assert sum(e.nbytes for e in forward) <= sum(n * n for n in sizes) * 8
     # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*, with
     # U_k the block of U, which keeps the parity blocks
-    g = prop.generator.entries
+    g = prop.generator
     u = op.PairTransform(16).lift(np.eye(len(g)))
     for idx, e in zip(prop.blocks, forward):
         u_k = u[np.ix_(idx, idx)]
@@ -142,7 +142,7 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     prop = evo.build_propagator(ctx, m)
     assert len(prop.blocks) == 2
-    g, v = prop.generator.entries, prop.constraint_basis
+    g, v = prop.generator, prop.constraint_basis
     restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
     assert prop.restricted_abscissa == pytest.approx(restricted, rel=1e-12)
     # the raw generator's abscissa is a zero eigenvalue up to roundoff
@@ -153,7 +153,7 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
 
 def test_planted_oracle_disagreement_raises(ctx10):
     prop = evo.build_propagator(ctx10, 8)
-    blocks = [prop.generator.entries[np.ix_(idx, idx)] for idx in prop.blocks]
+    blocks = [prop.generator[np.ix_(idx, idx)] for idx in prop.blocks]
     oracles = [evo._eigen_oracle(block) for block in blocks]
     evo._checked_expm(blocks, oracles, 0.01)  # honest oracles pass
     w, vecs, inverse, sigma = oracles[1]
@@ -220,7 +220,7 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
     )
     # the reference: complex eig of each block G_k of G's own Fourier
     # pattern, whose condition the gate read before the real route existed
-    g = prop.generator.entries
+    g = prop.generator
     sigma = np.concatenate(
         [
             np.linalg.svd(np.linalg.eig(g[np.ix_(idx, idx)])[1], compute_uv=False)
@@ -466,7 +466,7 @@ def test_full_field_warns_when_not_symmetric(bg):
 def test_generator_commutes_with_j(request, background, key, lane):
     m = 64
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
-    g = evo.build_propagator(ctx, m, include_geostrophic=lane).generator.entries
+    g = evo.build_propagator(ctx, m, include_geostrophic=lane).generator
     jgj = conjugate_by_j(m, g)
     bound = len(g) * np.finfo(float).eps * np.abs(g).max()
     assert np.abs(jgj - g).max() <= bound
@@ -482,12 +482,12 @@ def test_restricted_abscissa_of_the_first_mode_is_minus_four_pi_squared(ctx10):
 def test_generator_off_j_symmetry_raises(ctx10):
     m = 16
     prop = evo.build_propagator(ctx10, m)
-    g = np.array(prop.generator.entries)
+    g = np.array(prop.generator)
     # first component, n = 1 row and n = 3 column: both odd, one block
     g[m + 1, m + 3] += 1e-6 * np.abs(g).max()
     broken = evo.ModePropagator(
         ctx=ctx10,
-        generator=op.OperatorMatrix(g, m),
+        generator=g,
         constraint_basis=prop.constraint_basis,
     )
     # the blocks are read from the real R, so the first read raises

@@ -139,7 +139,7 @@ def test_high_mode_gap_core_matches_the_dense_formula(request, background):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     m = 64
     basis = spectral.build_eigenbasis(ctx, 16, m)
-    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b, out_truncation=m), m)
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     v_div = op.divergence_null_basis(ctx, m)
     for band in (2, 4, 8):
         dense = dense_high_mode_gap(basis, band, drive, v_div)
