@@ -13,9 +13,16 @@ defect and one dense ``expm`` per block and step size (cached and reused)
 are computed in real arithmetic on those blocks.  So is the exponentials'
 eigendecomposition oracle, unless its eigenvectors are too ill conditioned
 for the oracle's gate; then the mode falls back to complex ``eig`` of the
-same blocks.  A classical Runge-Kutta path exists only as a cross-check
-oracle.  The zero horizontal mode decouples into a scalar heat equation
-and is propagated in closed form.
+same blocks.  The zero horizontal mode decouples into a scalar heat
+equation and is propagated in closed form.
+
+The restricted abscissa factors each compressed block C_k^T R_k C_k.
+Where the flow keeps the constrained subspace invariant, as the balancing
+velocity makes it, the unconstrained abscissa is deflated by it: the
+spectrum of R_k is that of the compressed block and of its compression to
+the orthogonal complement, so no whole R_k is factored.  The lanes of one
+mode in :func:`abscissa_lanes` share the factorizations of bitwise equal
+blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
@@ -218,6 +225,21 @@ def _abscissa(mat: np.ndarray) -> float:
     return float(np.linalg.eigvals(mat).real.max())
 
 
+def _complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the orthonormal
+    columns ``basis``: the trailing columns of its complete QR."""
+    return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
+
+
+def _memo(cache: dict, fn, mat: np.ndarray):
+    """fn(mat), stored in ``cache`` under fn and mat's exact dtype, shape and
+    bytes, so a value is reused only for a bitwise equal matrix."""
+    key = (fn, mat.dtype.str, mat.shape, mat.tobytes())
+    if key not in cache:
+        cache[key] = fn(mat)
+    return cache[key]
+
+
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
     """One mode's generator G and constraint basis V, with exp(h G) cached per h.
@@ -233,6 +255,13 @@ class ModePropagator:
     oracle's gates: (route, eigenvector condition, whether the cross-check
     ran, its largest Frobenius block error or None), with route "real" or
     "complex" as :attr:`_oracles` chose.
+
+    ``block_cache`` holds the abscissas and complements computed from
+    single blocks, keyed on the exact bytes of the block they were computed
+    from (:func:`_memo`).  Propagators of one mode that share a constraint
+    basis may share it: :func:`abscissa_lanes` passes one dict to both
+    lanes, so a compressed block that the lanes hold bitwise equal is
+    factored once.
     """
 
     ctx: ModeContext
@@ -240,6 +269,7 @@ class ModePropagator:
     constraint_basis: np.ndarray
     propagator_cache: dict = field(default_factory=dict)
     oracle_margins: dict = field(default_factory=dict)
+    block_cache: dict = field(default_factory=dict)
 
     @property
     def truncation(self) -> int:
@@ -303,14 +333,45 @@ class ModePropagator:
         return tuple(c.T @ r @ c for r, c in zip(self._pair_generators(), self._basis_blocks))
 
     @functools.cached_property
+    def _restricted_by_block(self) -> tuple:
+        """The abscissa of each compressed block C_k^T R_k C_k, read by both
+        abscissas."""
+        return tuple(_memo(self.block_cache, _abscissa, c) for c in self.compressed_blocks)
+
+    @functools.cached_property
     def restricted_abscissa(self) -> float:
         """Largest real part of the spectrum of the compressed generator."""
-        return max(_abscissa(compressed) for compressed in self.compressed_blocks)
+        return max(self._restricted_by_block)
 
     @functools.cached_property
     def unconstrained_abscissa(self) -> float:
-        """Largest real part of the spectrum of G itself, from each R_k."""
-        return max(_abscissa(r) for r in self._pair_generators())
+        """Largest real part of the spectrum of G itself, the largest over
+        the blocks R_k.
+
+        Let W_k be the orthonormal complement of C_k.  Where R_k keeps the
+        span of C_k invariant, R_k is block upper triangular in the basis
+        [C_k, W_k], so its spectrum is that of C_k^T R_k C_k and of
+        W_k^T R_k W_k (deflation by an invariant subspace; Golub and Van
+        Loan, Matrix Computations, 7.1 and 7.6): the block's abscissa is
+        the larger of its restricted abscissa and the complement's.  The
+        span counts as invariant when max|W_k^T R_k C_k| is at most
+        n_k * eps * max|R_k|, the rounding scale of :func:`_real_blocks`;
+        any other block is factored whole.
+        """
+        pieces = zip(self._pair_generators(), self._basis_blocks, self._restricted_by_block)
+        return max(self._block_abscissa(r, c, restricted) for r, c, restricted in pieces)
+
+    def _block_abscissa(self, r: np.ndarray, c: np.ndarray, restricted: float) -> float:
+        """The abscissa of R_k, given C_k and its restricted abscissa (see
+        :attr:`unconstrained_abscissa`)."""
+        w = _memo(self.block_cache, _complement, c)
+        if not w.shape[1]:
+            return restricted
+        w_r = w.T @ r
+        bound = len(r) * np.finfo(float).eps * np.abs(r).max()
+        if np.abs(w_r @ c).max(initial=0.0) > bound:
+            return _memo(self.block_cache, _abscissa, r)
+        return max(restricted, _memo(self.block_cache, _abscissa, w_r @ w))
 
     @functools.cached_property
     def constraint_invariance_defect(self) -> float:
@@ -387,6 +448,7 @@ def build_propagator(
     truncation: int,
     include_geostrophic: bool = True,
     basis: np.ndarray | None = None,
+    block_cache: dict | None = None,
 ) -> ModePropagator:
     """Assemble the full per-mode generator (induction plus diffusion) and
     the constraint basis.
@@ -396,14 +458,18 @@ def build_propagator(
     ||(Id - P) G P|| is recorded rather than enforced so that runs with
     the balancing velocity disabled remain expressible.  Both are computed
     when first read.  ``basis`` is this mode's constraint basis at this
-    truncation, when the caller holds it already.
+    truncation, when the caller holds it already; ``block_cache`` is the
+    :attr:`ModePropagator.block_cache` of another propagator of this mode
+    and basis, to share.
     """
     gen = assemble_matrix(
         lambda b: full_induction(ctx, b, include_geostrophic=include_geostrophic), truncation
     )
     if basis is None:
         basis = constraint_null_basis(ctx, truncation)
-    return ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis)
+    if block_cache is None:
+        block_cache = {}
+    return ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis, block_cache=block_cache)
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
@@ -418,19 +484,6 @@ def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
             "(generator assembly or initial data are inconsistent)"
         )
     return out
-
-
-def rk4_step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
-    """Classical Runge-Kutta step; cross-check oracle for the exact flow."""
-    g = propagator.generator
-    y = field_to_vector(b.resample(propagator.truncation))
-    k1 = g @ y
-    k2 = g @ (y + 0.5 * h * k1)
-    k3 = g @ (y + 0.5 * h * k2)
-    k4 = g @ (y + h * k3)
-    return vector_to_field(
-        y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), propagator.truncation
-    )
 
 
 def heat_zero_mode(
@@ -664,14 +717,19 @@ def abscissa_lanes(
 
     The constraint basis does not depend on the lane, so each mode factors
     it once and builds its lanes' propagators from it, one after the other;
-    a mode is finished before the next one starts.  With ``jobs > 1`` the
+    a mode is finished before the next one starts.  The lanes also share
+    one :attr:`ModePropagator.block_cache`, which lives for the mode: at
+    the canonical background the balancing velocity's rows vanish in C, so
+    every compressed block is bitwise equal in the two lanes and factored
+    once, and so is each block's complement W_k.  With ``jobs > 1`` the
     modes are mapped over a thread pool; rows keep the input order.
     """
 
     def mode_rows(key):
         ctx = lattice_mode_context(bg, key)
         basis = constraint_null_basis(ctx, truncation)
-        return [_abscissa_row(ctx, truncation, lane, basis) for lane in lanes]
+        shared = {}
+        return [_abscissa_row(ctx, truncation, lane, basis, shared) for lane in lanes]
 
     with thread_map(jobs, len(lattice_modes)) as each:
         per_mode = list(each(mode_rows, lattice_modes))
@@ -679,11 +737,15 @@ def abscissa_lanes(
 
 
 def _abscissa_row(
-    ctx: ModeContext, truncation: int, include_geostrophic: bool, basis: np.ndarray
+    ctx: ModeContext,
+    truncation: int,
+    include_geostrophic: bool,
+    basis: np.ndarray,
+    block_cache: dict,
 ) -> tuple:
     """(|xi|, restricted, unconstrained abscissa) of one lane; the propagator
     is released on return."""
-    prop = build_propagator(ctx, truncation, include_geostrophic, basis)
+    prop = build_propagator(ctx, truncation, include_geostrophic, basis, block_cache)
     return (float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa)
 
 

@@ -37,11 +37,11 @@ complex matrix itself.  The test suite keeps the per-column route (one
 basis field per call) as the independent oracle that the
 matrix-versus-functional criterion compares against.
 
-The module also owns both formulations of the Taylor constraint (the reduced
-two-scalar residual and the raw averaged-curl form), the divergence
-constraint, and the velocity reconstruction (interior magnetostrophic part
-plus the constant geostrophic part that keeps the Taylor constraint
-invariant under the flow).
+The module also owns the Taylor constraint (the reduced two-scalar residual;
+the test suite keeps the raw averaged-curl form as its oracle), the
+divergence constraint, and the velocity reconstruction (interior
+magnetostrophic part plus the constant geostrophic part that keeps the
+Taylor constraint invariant under the flow).
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ __all__ = [
     "fast_skew",
     "symmetric_drive",
     "taylor_residual",
-    "taylor_residual_curl_form",
     "divergence_series",
     "divergence_residual",
     "proj_profile_from_constraint",
@@ -351,9 +350,9 @@ def taylor_residual(ctx: ModeContext, b: ModeField):
     r_3    = int beta b3 dx3.
 
     Both vanish exactly on Taylor-constrained fields.  The factor i on the
-    beta term matters: it makes the pair a scalar multiple of the averaged
-    curl form (see :func:`taylor_residual_curl_form`), and it is the version
-    preserved by the full induction flow.
+    beta term matters: it makes the pair a scalar multiple of the raw form,
+    the vertical average of the curled force curl(curl b x B + curl B x b),
+    and it is the version preserved by the full induction flow.
     """
     p1, p2 = ctx.eta_perp
     r_perp = 1j * (
@@ -406,24 +405,6 @@ def _lorentz_average_integrand(ctx: ModeContext, b: ModeField) -> ModeField:
     curl_bg = (-bg.b2.derivative(), bg.b1.derivative(), zero)
     first = _cross(curl_mode(ctx, b).components, b_vec)
     return first + _cross(curl_bg, b.components).resample(first.truncation)
-
-
-def taylor_residual_curl_form(ctx: ModeContext, b: ModeField):
-    """Raw constraint residuals from the vertical average of the curled force.
-
-    Returns the scalars (m_perp, m3) that int curl(curl b x B + curl B x b)
-    dx3 encodes: the vertical average of the force itself along eta_perp
-    and along the vertical.  Related to :func:`taylor_residual` by an
-    invertible diagonal 2x2 map; implemented independently so the
-    equivalence can be asserted numerically.
-    """
-    f = _lorentz_average_integrand(ctx, b)
-    p1, p2 = ctx.eta_perp
-    # the curl's vertical average encodes the two scalar conditions as
-    # (i xi2 m3, -i xi1 m3, i |xi| m_perp); report the underlying scalars
-    m3 = complex(f.c3.mean())
-    m_perp = complex(p1 * f.c1.mean() + p2 * f.c2.mean())
-    return m_perp, m3
 
 
 def proj_profile_from_constraint(
@@ -483,10 +464,18 @@ def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField, u_m: ModeField)
 
     ``u_m`` is the interior velocity of ``b`` at its exact window.  Returns
     shape (3,), or (3, K) for a block of K fields.
+
+    Only the means of f1..f3 are read.  They need g at |n| <= k, with k the
+    widest window of beta_xi and B', and g there needs b at |n| <= k and
+    u_m at |n| <= 2k; both are cut to those windows first, which drops no
+    term of any coefficient that is read.
     """
     beta_xi = ctx.beta_xi
     bp1, bp2 = ctx.b_prime
     xi_norm_sq = ctx.xi_norm**2
+    k = max(beta_xi.truncation, bp1.truncation, bp2.truncation)
+    b = b.resample(min(b.truncation, k))
+    u_m = u_m.resample(min(u_m.truncation, 2 * k))
 
     # G = curl(u_m x B) + (d33 - |xi|^2) b, using curl(u x B) = i beta_xi u - u3 B'
     def g_comp(u_c, b_c, bp):

@@ -96,6 +96,69 @@ def dense_high_mode_gap(basis, band, drive_matrix, divergence_free_basis):
     return float(np.linalg.norm(herm, ord=2))
 
 
+def taylor_residual_curl_form(ctx, b):
+    """Raw constraint residuals from the vertical average of the curled force.
+
+    Returns the scalars (m_perp, m3) that int curl(curl b x B + curl B x b)
+    dx3 encodes: the vertical average of the force itself along eta_perp
+    and along the vertical.  Related to :func:`operators.taylor_residual` by
+    an invertible diagonal 2x2 map; computed independently of it, as the
+    oracle of that equivalence.
+    """
+    f = op._lorentz_average_integrand(ctx, b)
+    p1, p2 = ctx.eta_perp
+    # the curl's vertical average encodes the two scalar conditions as
+    # (i xi2 m3, -i xi1 m3, i |xi| m_perp); report the underlying scalars
+    m3 = complex(f.c3.mean())
+    m_perp = complex(p1 * f.c1.mean() + p2 * f.c2.mean())
+    return m_perp, m3
+
+
+def geostrophic_velocity_full_window(ctx, b, u_m):
+    """The balancing velocity of :func:`operators._geostrophic_velocity_vector`
+    with g formed at the full windows of ``b`` and ``u_m``: the oracle for
+    the narrowed windows the package forms it at."""
+    from taylorlab.fourier import multiply
+
+    beta_xi = ctx.beta_xi
+    bp1, bp2 = ctx.b_prime
+    xi_norm_sq = ctx.xi_norm**2
+
+    def g_comp(u_c, b_c, bp):
+        out = op._sub(
+            1j * multiply(beta_xi, u_c),
+            op._sub(xi_norm_sq * b_c, b_c.derivative().derivative()),
+        )
+        if bp is not None:
+            out = op._sub(out, multiply(u_m.c3, bp))
+        return out
+
+    g1 = g_comp(u_m.c1, b.c1, bp1)
+    g2 = g_comp(u_m.c2, b.c2, bp2)
+    g3 = g_comp(u_m.c3, b.c3, None)
+
+    f1 = op._add(1j * multiply(beta_xi, g1), multiply(g3, bp1))
+    f2 = op._add(1j * multiply(beta_xi, g2), multiply(g3, bp2))
+    f3 = 1j * multiply(beta_xi, g3)
+
+    v = np.array([f1.mean(), f2.mean(), f3.mean()]) / (ctx.beta_norm_sq * xi_norm_sq)
+    eta = np.asarray(ctx.eta)
+    v[:2] -= np.multiply.outer(eta, eta @ v[:2])
+    return v
+
+
+def rk4_step(propagator, b, h):
+    """Classical Runge-Kutta step with the propagator's generator: the
+    cross-check oracle for the exact flow."""
+    g = propagator.generator
+    y = op.field_to_vector(b.resample(propagator.truncation))
+    k1 = g @ y
+    k2 = g @ (y + 0.5 * h * k1)
+    k3 = g @ (y + 0.5 * h * k2)
+    k4 = g @ (y + h * k3)
+    return op.vector_to_field(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), propagator.truncation)
+
+
 def fourier_blocks(square, truncation):
     """:func:`operators.coupled_blocks` of a per-mode matrix's own Fourier
     pattern plus the pairs n, -n: the blocks its complex kernels split along."""

@@ -13,8 +13,10 @@ from taylorlab.checks import (
     execute,
     factored_numerical_radius,
     hermitian_part_norm,
+    max_over_blocks,
     numerical_radius,
     resonant_term_radius,
+    spectral_norm,
 )
 from taylorlab.config import validate
 from taylorlab.evolution import induction_power, initial_state
@@ -108,6 +110,34 @@ def dense_c2_and_remainder_form(ctx, m):
         len(op.compression_blocks(remainder, v_con, m)),
     )
     return c2, rem_form, blocks
+
+
+def test_stacked_block_norms_equal_the_per_block_loop(bg):
+    # one stacked call per block shape gives each block's norm bitwise, so
+    # the study's c2 and remainder form are those of the per-block loop
+    ctx = lattice_mode_context(bg, (8, 0))
+    m = 64
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
+    diff = drive - direction_perp_compression(ctx, drive, m)
+    remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
+    # (stacked norm, the same norm of one block, matrix, basis, the number
+    # of compressed blocks and of their shapes)
+    cases = (
+        (spectral_norm, lambda c: float(np.linalg.norm(c, 2)), diff,
+         op.divergence_null_basis(ctx, m), (128, 3)),
+        (hermitian_part_norm, lambda c: float(np.abs(np.linalg.eigvalsh(0.5 * (c + c.conj().T))).max()),
+         remainder, op.constraint_null_basis(ctx, m), (2, 2)),
+    )
+    for stacked, single, square, basis, counts in cases:
+        blocks = op.compression_blocks(square, basis, m)
+        compressed = [c for c in op.compress_by_blocks(square, basis, blocks) if c.size]
+        shapes = {c.shape for c in compressed}
+        assert (len(compressed), len(shapes)) == counts
+        for shape in shapes:
+            group = [c for c in compressed if c.shape == shape]
+            assert np.array_equal(stacked(np.stack(group)), [single(c) for c in group])
+        loop = max(single(c) for c in compressed)
+        assert max_over_blocks(stacked, square, basis, m) == loop
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from taylorlab.config import validate
 from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
-from conftest import conjugate_by_j, fourier_blocks, random_field
+from conftest import conjugate_by_j, fourier_blocks, random_field, rk4_step
 
 
 def test_projection_matches_kkt_oracle(ctx10):
@@ -279,7 +279,7 @@ def test_exact_flow_matches_rk4(ctx10):
     exact, rk = b, b
     for _ in range(20):
         exact = evo.step(prop, exact, 1e-5)
-        rk = evo.rk4_step(prop, rk, 1e-5)
+        rk = rk4_step(prop, rk, 1e-5)
     assert (exact - rk).norm() / exact.norm() < 1e-9
 
 
@@ -477,6 +477,84 @@ def test_restricted_abscissa_of_the_first_mode_is_minus_four_pi_squared(ctx10):
     # decays at the diffusion rate of |xi|^2 = 4 pi^2
     prop = evo.build_propagator(ctx10, 64)
     assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m", [16, 32])
+def test_restricted_abscissa_of_the_first_mode_at_smaller_windows(ctx10, m):
+    prop = evo.build_propagator(ctx10, m)
+    assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_unconstrained_abscissa_without_balancing_is_minus_xi_squared(bg, m):
+    # at the canonical background, without the balancing velocity, the
+    # slowest field of mode (k, 0) decays at the diffusion rate |xi|^2
+    for k in (1, 2, 4):
+        ctx = lattice_mode_context(bg, (k, 0))
+        prop = evo.build_propagator(ctx, m, include_geostrophic=False)
+        want = -ctx.xi_norm**2
+        assert prop.unconstrained_abscissa == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def invariance_ratios(prop):
+    """max|W_k^T R_k C_k| over the deflation bound n_k eps max|R_k|, per block."""
+    ratios = []
+    for r, c in zip(prop._pair_generators(), prop._basis_blocks):
+        w = evo._complement(c)
+        bound = len(r) * np.finfo(float).eps * np.abs(r).max()
+        ratios.append(np.abs(w.T @ r @ c).max(initial=0.0) / bound)
+    return ratios
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (4, 0), (2, 1)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_invariance_bound_separates_the_blocks_by_a_wide_margin(request, background, mode):
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    on = invariance_ratios(evo.build_propagator(ctx, 16, include_geostrophic=True))
+    off = invariance_ratios(evo.build_propagator(ctx, 16, include_geostrophic=False))
+    # the balancing velocity keeps every block's constrained span invariant
+    assert max(on) <= 0.1
+    # without it some block is far from invariant, and none is near the bound
+    assert max(off) >= 1e6
+    assert all(ratio <= 0.1 or ratio >= 1e6 for ratio in off)
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (16, 0)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_deflated_unconstrained_abscissa_matches_the_whole_matrix(
+    request, background, mode, lane
+):
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    prop = evo.build_propagator(ctx, 16, include_geostrophic=lane)
+    g = prop.generator
+    want = np.linalg.eigvals(g).real.max()
+    bound = len(g) * np.finfo(float).eps * np.linalg.norm(g, 2)
+    assert abs(prop.unconstrained_abscissa - want) <= bound
+
+
+@pytest.mark.parametrize("background,shared", [("bg", True), ("alt_bg", False)])
+def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
+    request, monkeypatch, background, shared
+):
+    # at the canonical background the balancing velocity's rows vanish in C,
+    # so the lanes' compressed blocks are bitwise equal and factored once;
+    # at alt_bg they differ and both lanes' blocks are factored
+    bg = request.getfixturevalue(background)
+    modes = [(1, 0), (2, 0), (4, 0)]
+    factored = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.append(a.tobytes()) or eigvals(a))
+    evo.abscissa_lanes(bg, modes, truncation=16)
+    monkeypatch.undo()
+    assert len(set(factored)) == len(factored)
+    for key in modes:
+        ctx = lattice_mode_context(bg, key)
+        on, off = (evo.build_propagator(ctx, 16, lane) for lane in (True, False))
+        on_blocks = {c.tobytes() for c in on.compressed_blocks}
+        off_blocks = {c.tobytes() for c in off.compressed_blocks}
+        assert (on_blocks == off_blocks) is shared
+        assert all(block in factored for block in on_blocks | off_blocks)
 
 
 def test_generator_off_j_symmetry_raises(ctx10):

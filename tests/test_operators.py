@@ -3,11 +3,18 @@ import pytest
 import scipy.linalg
 
 from taylorlab import operators as op
-from taylorlab.background import lattice_mode_context
+from taylorlab.background import lattice_mode_context, make_background
 from taylorlab.errors import ConstraintViolated
 from taylorlab.fourier import FourierSeries, allclose
 
-from conftest import apply_j, assemble_by_columns, conjugate_by_j, random_field
+from conftest import (
+    apply_j,
+    assemble_by_columns,
+    conjugate_by_j,
+    geostrophic_velocity_full_window,
+    random_field,
+    taylor_residual_curl_form,
+)
 
 EXACT = 40  # window wide enough to hold every product in these tests exactly
 
@@ -158,7 +165,7 @@ def test_taylor_residual_agrees_with_curl_form(bg):
         ctx = lattice_mode_context(bg, m)
         b = random_field(10, rng)
         r_perp, r_3 = op.taylor_residual(ctx, b)
-        m_perp, m_3 = op.taylor_residual_curl_form(ctx, b)
+        m_perp, m_3 = taylor_residual_curl_form(ctx, b)
         assert abs(m_perp - ctx.xi_norm * r_perp) < 1e-12
         assert abs(m_3 - 1j * ctx.xi_norm * r_3) < 1e-12
 
@@ -462,6 +469,30 @@ def test_batched_assembly_matches_per_column_oracle(
         # multiplication cancels to rounding noise at the canonical background
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(batched - oracle)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("m", [16, 40])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (0, 3)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg", "wide_bg"])
+def test_narrowed_balancing_window_assembles_bitwise_equal_matrices(
+    request, monkeypatch, background, mode, m
+):
+    # the balancing velocity reads b only within the background's window
+    # and u_m within twice it; forming it at the full windows changes no
+    # bit.  wide_bg's profiles reach the edge of the background's window
+    if background == "wide_bg":
+        bg = make_background([(1, 8, 1.0), (2, -8, 1.0)])
+    else:
+        bg = request.getfixturevalue(background)
+    ctx = lattice_mode_context(bg, mode)
+    operators = (
+        lambda b: op.full_induction(ctx, b, include_geostrophic=True),
+        lambda b: op.induction_remainder(ctx, b),
+    )
+    narrowed = [op.assemble_matrix(fn, m) for fn in operators]
+    monkeypatch.setattr(op, "_geostrophic_velocity_vector", geostrophic_velocity_full_window)
+    for fn, mat in zip(operators, narrowed):
+        assert np.array_equal(op.assemble_matrix(fn, m), mat)
 
 
 def test_assemble_matrix_applies_the_operator_once_per_component(ctx10):
