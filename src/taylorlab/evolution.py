@@ -16,13 +16,17 @@ for the oracle's gate; then the mode falls back to complex ``eig`` of the
 same blocks.  The zero horizontal mode decouples into a scalar heat
 equation and is propagated in closed form.
 
-The restricted abscissa factors each compressed block C_k^T R_k C_k.
-Where the flow keeps the constrained subspace invariant, as the balancing
-velocity makes it, the unconstrained abscissa is deflated by it: the
-spectrum of R_k is that of the compressed block and of its compression to
-the orthogonal complement, so no whole R_k is factored.  The lanes of one
-mode in :func:`abscissa_lanes` share the factorizations of bitwise equal
-blocks.
+Each mode assembles one generator, the one without the balancing
+velocity; the balanced one is that plus a rank-3 correction
+(:func:`lane_generators`).  The restricted abscissa factors each
+compressed block C_k^T R_k C_k.  Where the flow keeps the constrained
+subspace invariant, as the balancing velocity makes it, the unconstrained
+abscissa is deflated by it: the spectrum of R_k is that of the compressed
+block and of its compression to the orthogonal complement.  Where it does
+not, the subspace is grown by the directions the coupling reaches, and
+deflated by that when it is invariant: without the balancing velocity,
+the divergence-free subspace.  The lanes of one mode in
+:func:`abscissa_lanes` share the factorizations of bitwise equal blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
@@ -48,11 +52,12 @@ import numpy as np
 
 from .background import BackgroundField, ModeContext, lattice_mode_context
 from .errors import ConstraintDrift, IllConditioned, NonConjugateModes
-from .fourier import FourierSeries
+from .fourier import FourierSeries, phases
 from .operators import (
     ModeField,
     PairTransform,
     assemble_matrix,
+    balancing_term,
     basis_blocks,
     constraint_null_basis,
     coupled_blocks,
@@ -355,8 +360,15 @@ class ModePropagator:
         Loan, Matrix Computations, 7.1 and 7.6): the block's abscissa is
         the larger of its restricted abscissa and the complement's.  The
         span counts as invariant when max|W_k^T R_k C_k| is at most
-        n_k * eps * max|R_k|, the rounding scale of :func:`_real_blocks`;
-        any other block is factored whole.
+        n_k * eps * max|R_k|, the rounding scale of :func:`_real_blocks`.
+
+        Where it is not, C_k is grown by t = W_k u, u the left singular
+        vectors of the coupling W_k^T R_k C_k over singular values above
+        the same bound.  If the span of [C_k, t] passes the same test
+        against its complement W_k u' (the other left singular vectors),
+        the block's abscissa is the larger of the abscissas of the two
+        compressions.  Only a block that fails both tests is factored
+        whole.
         """
         pieces = zip(self._pair_generators(), self._basis_blocks, self._restricted_by_block)
         return max(self._block_abscissa(r, c, restricted) for r, c, restricted in pieces)
@@ -369,9 +381,21 @@ class ModePropagator:
             return restricted
         w_r = w.T @ r
         bound = len(r) * np.finfo(float).eps * np.abs(r).max()
-        if np.abs(w_r @ c).max(initial=0.0) > bound:
+        coupling = w_r @ c
+        if np.abs(coupling).max(initial=0.0) <= bound:
+            return max(restricted, _memo(self.block_cache, _abscissa, w_r @ w))
+        # grow C_k by the directions of W_k that R_k C_k reaches
+        left, sigma, _ = np.linalg.svd(coupling)
+        rank = np.count_nonzero(sigma > bound)
+        grown = np.hstack([c, w @ left[:, :rank]])
+        rest = w @ left[:, rank:]
+        r_grown = r @ grown
+        if np.abs(rest.T @ r_grown).max(initial=0.0) > bound:
             return _memo(self.block_cache, _abscissa, r)
-        return max(restricted, _memo(self.block_cache, _abscissa, w_r @ w))
+        return max(
+            _memo(self.block_cache, _abscissa, grown.T @ r_grown),
+            _memo(self.block_cache, _abscissa, rest.T @ r @ rest),
+        )
 
     @functools.cached_property
     def constraint_invariance_defect(self) -> float:
@@ -443,33 +467,46 @@ class ModePropagator:
         return pairs.lift(y).reshape(x.shape)
 
 
+def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
+    """The generator of each ``include_geostrophic`` in ``lanes``, from one
+    assembly.
+
+    G_off, the induction plus diffusion without the balancing velocity, is
+    assembled; G_on is G_off plus :func:`.operators.balancing_term` of
+    G_off's columns, taken as one block of fields.  Every column of the
+    assembly is a right-hand side g, so this is bitwise the matrix that
+    assembling ``full_induction`` with the balancing velocity gives.
+    """
+    off = assemble_matrix(
+        lambda b: full_induction(ctx, b, include_geostrophic=False), truncation
+    )
+    on = None
+    if any(lanes):
+        on = off + field_to_vector(balancing_term(ctx, vector_to_field(off, truncation)))
+        on.setflags(write=False)
+    return tuple(on if lane else off for lane in lanes)
+
+
 def build_propagator(
     ctx: ModeContext,
     truncation: int,
     include_geostrophic: bool = True,
     basis: np.ndarray | None = None,
-    block_cache: dict | None = None,
 ) -> ModePropagator:
-    """Assemble the full per-mode generator (induction plus diffusion) and
-    the constraint basis.
+    """Assemble the full per-mode generator (induction plus diffusion, see
+    :func:`lane_generators`) and the constraint basis.
 
     The restricted abscissa is the largest real part of the generator
     compressed to the constrained subspace; the invariance defect
     ||(Id - P) G P|| is recorded rather than enforced so that runs with
     the balancing velocity disabled remain expressible.  Both are computed
     when first read.  ``basis`` is this mode's constraint basis at this
-    truncation, when the caller holds it already; ``block_cache`` is the
-    :attr:`ModePropagator.block_cache` of another propagator of this mode
-    and basis, to share.
+    truncation, when the caller holds it already.
     """
-    gen = assemble_matrix(
-        lambda b: full_induction(ctx, b, include_geostrophic=include_geostrophic), truncation
-    )
+    (gen,) = lane_generators(ctx, truncation, (include_geostrophic,))
     if basis is None:
         basis = constraint_null_basis(ctx, truncation)
-    if block_cache is None:
-        block_cache = {}
-    return ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis, block_cache=block_cache)
+    return ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis)
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
@@ -715,9 +752,10 @@ def abscissa_lanes(
 ) -> list:
     """:func:`abscissa_sweep` rows for each ``include_geostrophic`` in ``lanes``.
 
-    The constraint basis does not depend on the lane, so each mode factors
-    it once and builds its lanes' propagators from it, one after the other;
-    a mode is finished before the next one starts.  The lanes also share
+    Each mode assembles once (:func:`lane_generators`) and factors its
+    constraint basis once, which does not depend on the lane, and builds
+    its lanes' propagators from them, one after the other; a mode is
+    finished before the next one starts.  The lanes also share
     one :attr:`ModePropagator.block_cache`, which lives for the mode: at
     the canonical background the balancing velocity's rows vanish in C, so
     every compressed block is bitwise equal in the two lanes and factored
@@ -729,24 +767,15 @@ def abscissa_lanes(
         ctx = lattice_mode_context(bg, key)
         basis = constraint_null_basis(ctx, truncation)
         shared = {}
-        return [_abscissa_row(ctx, truncation, lane, basis, shared) for lane in lanes]
+        rows = []
+        for gen in lane_generators(ctx, truncation, lanes):
+            prop = ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis, block_cache=shared)
+            rows.append((float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa))
+        return rows
 
     with thread_map(jobs, len(lattice_modes)) as each:
         per_mode = list(each(mode_rows, lattice_modes))
     return [list(rows) for rows in zip(*per_mode)]
-
-
-def _abscissa_row(
-    ctx: ModeContext,
-    truncation: int,
-    include_geostrophic: bool,
-    basis: np.ndarray,
-    block_cache: dict,
-) -> tuple:
-    """(|xi|, restricted, unconstrained abscissa) of one lane; the propagator
-    is released on return."""
-    prop = build_propagator(ctx, truncation, include_geostrophic, basis, block_cache)
-    return (float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa)
 
 
 def _conjugate_symmetric(modes: dict, zero_mode: tuple) -> bool:
@@ -785,14 +814,20 @@ def assemble_full_field(
     x1 = np.arange(nh) / nh
     x2 = np.arange(nh) / nh
     z = np.arange(nz) / nz
+    vertical = {}  # the phase matrix at z of each window, formed once
+
+    def profile(series: FourierSeries) -> np.ndarray:
+        if series.truncation not in vertical:
+            vertical[series.truncation] = phases(z, series.truncation)
+        return vertical[series.truncation] @ series.coeffs
+
     out = np.zeros((nh, nh, nz, 3), dtype=np.complex128)
     for comp in range(3):
-        out[..., comp] += state.zero_mode[comp].evaluate(z)[None, None, :]
+        out[..., comp] += profile(state.zero_mode[comp])[None, None, :]
     for (m1, m2), b in state.modes.items():
         phase = np.exp(2j * np.pi * (m1 * x1[:, None] + m2 * x2[None, :]))
         for comp in range(3):
-            profile = b.components[comp].evaluate(z)
-            out[..., comp] += phase[:, :, None] * profile[None, None, :]
+            out[..., comp] += phase[:, :, None] * profile(b.components[comp])[None, None, :]
 
     if _conjugate_symmetric(state.modes, state.zero_mode):
         return np.ascontiguousarray(out.real)

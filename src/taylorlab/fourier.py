@@ -42,6 +42,7 @@ __all__ = [
     "multiply",
     "integrate_product",
     "multiplication_matrix",
+    "phases",
     "collocation",
     "inverse_collocation",
     "allclose",
@@ -266,8 +267,7 @@ class FourierSeries:
     def evaluate(self, x):
         """Evaluate the trigonometric polynomial at points x (scalar or array)."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        phases = np.exp(TWO_PI * 1j * np.outer(xs, self.modes()))
-        vals = phases @ self.coeffs
+        vals = phases(xs, self.truncation) @ self.coeffs
         return vals[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
     def to_triples(self):
@@ -279,9 +279,17 @@ class FourierSeries:
         ]
 
 
+def phases(xs: np.ndarray, truncation: int) -> np.ndarray:
+    """The matrix exp(2 pi i x_j n) for the points ``xs`` and the modes n of
+    the window: times a coefficient vector, the series' values at xs."""
+    return np.exp(TWO_PI * 1j * np.outer(xs, np.arange(-truncation, truncation + 1)))
+
+
 def _pad_modes(coeffs: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad ``pad`` modes on both ends of axis 0."""
-    return np.pad(coeffs, [(pad, pad)] + [(0, 0)] * (coeffs.ndim - 1))
+    out = np.zeros((coeffs.shape[0] + 2 * pad,) + coeffs.shape[1:], dtype=coeffs.dtype)
+    out[pad : pad + coeffs.shape[0]] = coeffs
+    return out
 
 
 def _convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -39,9 +39,12 @@ matrix-versus-functional criterion compares against.
 
 The module also owns the Taylor constraint (the reduced two-scalar residual;
 the test suite keeps the raw averaged-curl form as its oracle), the
-divergence constraint, and the velocity reconstruction (interior
-magnetostrophic part plus the constant geostrophic part that keeps the
-Taylor constraint invariant under the flow).
+divergence constraint, and the velocity reconstruction: the interior
+magnetostrophic part, and the constant geostrophic (balancing) part that
+keeps the Taylor constraint invariant under the flow.  The balancing part
+is read from the unbalanced right-hand side g by three functionals, so its
+term is a rank-3 correction, g + :func:`balancing_term` (g), which
+serves a single field and the columns of an assembled matrix alike.
 """
 
 from __future__ import annotations
@@ -74,8 +77,7 @@ __all__ = [
     "divergence_residual",
     "proj_profile_from_constraint",
     "curl_mode",
-    "magnetostrophic_velocity",
-    "geostrophic_velocity",
+    "balancing_term",
     "diffusion_term",
     "full_induction",
     "induction_remainder",
@@ -447,46 +449,41 @@ def proj_profile_from_constraint(
 
 
 def _magnetostrophic_velocity_exact(ctx: ModeContext, b: ModeField) -> ModeField:
+    """Interior velocity at its exact window: the zero-mean vertical
+    antiderivative of the curled force, divergence-free and componentwise
+    zero-mean by construction."""
     w = curl_mode(ctx, _lorentz_average_integrand(ctx, b))
     return ModeField(*(c.antiderivative_zero_mean() for c in w.components))
 
 
-def magnetostrophic_velocity(ctx: ModeContext, b: ModeField) -> ModeField:
-    """Interior velocity: zero-mean vertical antiderivative of the curled force.
+def _induction_term_exact(ctx: ModeContext, u: ModeField) -> ModeField:
+    """curl(u x B) = i beta_xi u - u3 (B', 0) of a velocity u, at the exact
+    window."""
+    beta_xi = ctx.beta_xi
+    bp1, bp2 = ctx.b_prime
+    u1, u2, u3 = u.components
+    return ModeField.from_components(
+        (
+            _sub(1j * multiply(beta_xi, u1), multiply(u3, bp1)),
+            _sub(1j * multiply(beta_xi, u2), multiply(u3, bp2)),
+            1j * multiply(beta_xi, u3),
+        )
+    )
 
-    Divergence-free and componentwise zero-mean by construction.
-    """
-    return _magnetostrophic_velocity_exact(ctx, b).resample(b.truncation)
 
+def _balancing_velocity(ctx: ModeContext, g: ModeField) -> np.ndarray:
+    """Constant velocity solving the averaged balance that freezes the Taylor
+    residual, read from the unbalanced right-hand side ``g``.
 
-def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField, u_m: ModeField) -> np.ndarray:
-    """Constant velocity solving the averaged balance that freezes the Taylor residual.
-
-    ``u_m`` is the interior velocity of ``b`` at its exact window.  Returns
-    shape (3,), or (3, K) for a block of K fields.
-
-    Only the means of f1..f3 are read.  They need g at |n| <= k, with k the
-    widest window of beta_xi and B', and g there needs b at |n| <= k and
-    u_m at |n| <= 2k; both are cut to those windows first, which drops no
-    term of any coefficient that is read.
+    Returns shape (3,), or (3, K) for a block of K fields; the horizontal
+    part is orthogonal to xi.  Only the means of f1..f3 are read, so g is
+    cut to |n| <= k first, with k the widest window of beta_xi and B'.
     """
     beta_xi = ctx.beta_xi
     bp1, bp2 = ctx.b_prime
     xi_norm_sq = ctx.xi_norm**2
     k = max(beta_xi.truncation, bp1.truncation, bp2.truncation)
-    b = b.resample(min(b.truncation, k))
-    u_m = u_m.resample(min(u_m.truncation, 2 * k))
-
-    # G = curl(u_m x B) + (d33 - |xi|^2) b, using curl(u x B) = i beta_xi u - u3 B'
-    def g_comp(u_c, b_c, bp):
-        out = _sub(1j * multiply(beta_xi, u_c), _sub(xi_norm_sq * b_c, b_c.derivative().derivative()))
-        if bp is not None:
-            out = _sub(out, multiply(u_m.c3, bp))
-        return out
-
-    g1 = g_comp(u_m.c1, b.c1, bp1)
-    g2 = g_comp(u_m.c2, b.c2, bp2)
-    g3 = g_comp(u_m.c3, b.c3, None)
+    g1, g2, g3 = g.resample(min(g.truncation, k)).components
 
     f1 = _add(1j * multiply(beta_xi, g1), multiply(g3, bp1))
     f2 = _add(1j * multiply(beta_xi, g2), multiply(g3, bp2))
@@ -500,33 +497,17 @@ def _geostrophic_velocity_vector(ctx: ModeContext, b: ModeField, u_m: ModeField)
     return v
 
 
-def geostrophic_velocity(ctx: ModeContext, b: ModeField) -> np.ndarray:
-    """Constant C^3 velocity vector with horizontal part orthogonal to xi."""
-    return _geostrophic_velocity_vector(ctx, b, _magnetostrophic_velocity_exact(ctx, b))
+def balancing_term(ctx: ModeContext, g: ModeField) -> ModeField:
+    """The balancing velocity's induction term curl(u_g x B), at g's window,
+    for the unbalanced right-hand side ``g`` (one field or a block).
 
-
-def _induction_term_exact(
-    ctx: ModeContext, b: ModeField, include_geostrophic: bool
-) -> ModeField:
-    """curl((u_m + u_g) x B) at exact windows, via i beta_xi u - u3 B'."""
-    u = _magnetostrophic_velocity_exact(ctx, b)
-    if include_geostrophic:
-        v = _geostrophic_velocity_vector(ctx, b, u)
-        m = u.truncation
-        u = ModeField(
-            _add(u.c1, FourierSeries.constant(v[0])).resample(m),
-            _add(u.c2, FourierSeries.constant(v[1])).resample(m),
-            _add(u.c3, FourierSeries.constant(v[2])).resample(m),
-        )
-    beta_xi = ctx.beta_xi
-    bp1, bp2 = ctx.b_prime
-    return ModeField.from_components(
-        (
-            _sub(1j * multiply(beta_xi, u.c1), multiply(u.c3, bp1)),
-            _sub(1j * multiply(beta_xi, u.c2), multiply(u.c3, bp2)),
-            1j * multiply(beta_xi, u.c3),
-        )
-    )
+    u_g is a constant velocity read from g by three functionals, and its
+    term is linear in it, so G_on = G_off + F L(G_off): a rank-3 correction
+    of the unbalanced generator, with F the three fields of unit velocities
+    and L the functionals.
+    """
+    u_g = ModeField(*map(FourierSeries.constant, _balancing_velocity(ctx, g)))
+    return _induction_term_exact(ctx, u_g).resample(g.truncation)
 
 
 def diffusion_term(ctx: ModeContext, b: ModeField) -> ModeField:
@@ -544,10 +525,15 @@ def full_induction(
 
         curl((u_m + u_g) x B) + (d33 - |xi|^2) b,
 
-    with the geostrophic part optional for demonstration runs.
+    with the geostrophic part optional for demonstration runs.  The
+    unbalanced right-hand side g is formed first, and the balancing velocity
+    u_g is read from it (:func:`balancing_term`).
     """
-    ind = _induction_term_exact(ctx, b, include_geostrophic).resample(b.truncation)
-    return ind + diffusion_term(ctx, b)
+    u_m = _magnetostrophic_velocity_exact(ctx, b)
+    g = _induction_term_exact(ctx, u_m).resample(b.truncation) + diffusion_term(ctx, b)
+    if include_geostrophic:
+        g = g + balancing_term(ctx, g)
+    return g
 
 
 def induction_remainder(ctx: ModeContext, b: ModeField) -> ModeField:
@@ -565,8 +551,11 @@ def induction_remainder(ctx: ModeContext, b: ModeField) -> ModeField:
 def _remainder_without_drive(ctx: ModeContext, b: ModeField) -> ModeField:
     """eps^2 * (induction without diffusion) - (fast skew) b / eps: the
     remainder plus the symmetric drive, for a caller that holds the drive's
-    matrix already."""
-    ind = _induction_term_exact(ctx, b, include_geostrophic=True).resample(b.truncation)
+    matrix already.  The balancing velocity is read from the induction part
+    plus the diffusion term, as in :func:`full_induction`."""
+    u_m = _magnetostrophic_velocity_exact(ctx, b)
+    ind = _induction_term_exact(ctx, u_m).resample(b.truncation)
+    ind = ind + balancing_term(ctx, ind + diffusion_term(ctx, b))
     skew = fast_skew(ctx, b)
     return (ctx.eps**2) * ind - (1.0 / ctx.eps) * skew
 

@@ -27,6 +27,12 @@ def mixed_bg():
 
 
 @pytest.fixture(scope="session")
+def wide_bg():
+    # profiles at the edge of the background's window
+    return make_background([(1, 8, 1.0), (2, -8, 1.0)])
+
+
+@pytest.fixture(scope="session")
 def ctx10(bg):
     return lattice_mode_context(bg, (1, 0))
 
@@ -114,10 +120,21 @@ def taylor_residual_curl_form(ctx, b):
     return m_perp, m3
 
 
-def geostrophic_velocity_full_window(ctx, b, u_m):
-    """The balancing velocity of :func:`operators._geostrophic_velocity_vector`
-    with g formed at the full windows of ``b`` and ``u_m``: the oracle for
-    the narrowed windows the package forms it at."""
+def magnetostrophic_velocity(ctx, b):
+    """Interior velocity at b's window: the zero-mean vertical antiderivative
+    of the curled force."""
+    return op._magnetostrophic_velocity_exact(ctx, b).resample(b.truncation)
+
+
+def geostrophic_velocity(ctx, b):
+    """The constant balancing velocity of b, read from its unbalanced
+    right-hand side."""
+    return op._balancing_velocity(ctx, op.full_induction(ctx, b, include_geostrophic=False))
+
+
+def _geostrophic_velocity_full_window(ctx, b, u_m):
+    """The balancing velocity with g = curl(u_m x B) + (d33 - |xi|^2) b formed
+    at the full windows of ``b`` and the interior velocity ``u_m``."""
     from taylorlab.fourier import multiply
 
     beta_xi = ctx.beta_xi
@@ -133,18 +150,40 @@ def geostrophic_velocity_full_window(ctx, b, u_m):
             out = op._sub(out, multiply(u_m.c3, bp))
         return out
 
-    g1 = g_comp(u_m.c1, b.c1, bp1)
-    g2 = g_comp(u_m.c2, b.c2, bp2)
-    g3 = g_comp(u_m.c3, b.c3, None)
+    g = (g_comp(u_m.c1, b.c1, bp1), g_comp(u_m.c2, b.c2, bp2), g_comp(u_m.c3, b.c3, None))
+    return balancing_velocity_full_window(ctx, op.ModeField.from_components(g))
 
-    f1 = op._add(1j * multiply(beta_xi, g1), multiply(g3, bp1))
-    f2 = op._add(1j * multiply(beta_xi, g2), multiply(g3, bp2))
-    f3 = 1j * multiply(beta_xi, g3)
 
-    v = np.array([f1.mean(), f2.mean(), f3.mean()]) / (ctx.beta_norm_sq * xi_norm_sq)
+def balancing_velocity_full_window(ctx, g):
+    """:func:`operators._balancing_velocity` with g kept at its full window:
+    the oracle for the window the package cuts g to."""
+    from taylorlab.fourier import multiply
+
+    beta_xi = ctx.beta_xi
+    bp1, bp2 = ctx.b_prime
+    f1 = op._add(1j * multiply(beta_xi, g.c1), multiply(g.c3, bp1))
+    f2 = op._add(1j * multiply(beta_xi, g.c2), multiply(g.c3, bp2))
+    f3 = 1j * multiply(beta_xi, g.c3)
+
+    v = np.array([f1.mean(), f2.mean(), f3.mean()]) / (ctx.beta_norm_sq * ctx.xi_norm**2)
     eta = np.asarray(ctx.eta)
     v[:2] -= np.multiply.outer(eta, eta @ v[:2])
     return v
+
+
+def balanced_induction_by_velocity(ctx, b):
+    """curl((u_m + u_g) x B) at b's window, with the velocity u_m + u_g
+    formed first and u_g from full windows: the oracle for the balancing
+    velocity as a correction of the unbalanced right-hand side."""
+    from taylorlab.fourier import FourierSeries
+
+    u = op._magnetostrophic_velocity_exact(ctx, b)
+    v = _geostrophic_velocity_full_window(ctx, b, u)
+    m = u.truncation
+    u = op.ModeField(
+        *(op._add(c, FourierSeries.constant(x)).resample(m) for c, x in zip(u.components, v))
+    )
+    return op._induction_term_exact(ctx, u).resample(b.truncation)
 
 
 def rk4_step(propagator, b, h):

@@ -519,6 +519,86 @@ def test_invariance_bound_separates_the_blocks_by_a_wide_margin(request, backgro
     assert all(ratio <= 0.1 or ratio >= 1e6 for ratio in off)
 
 
+def grown_deflation_margins(prop):
+    """Per block whose constrained span is not invariant: (the kept singular
+    values of the coupling W_k^T R_k C_k, the dropped ones, and the residual
+    max|W'^T R_k [C_k, t]| of the grown span), each over the deflation bound."""
+    margins = []
+    for r, c in zip(prop._pair_generators(), prop._basis_blocks):
+        w = evo._complement(c)
+        bound = len(r) * np.finfo(float).eps * np.abs(r).max()
+        coupling = w.T @ r @ c
+        if np.abs(coupling).max(initial=0.0) <= bound:
+            continue
+        left, sigma, _ = np.linalg.svd(coupling)
+        rank = np.count_nonzero(sigma > bound)
+        grown = np.hstack([c, w @ left[:, :rank]])
+        residual = np.abs((w @ left[:, rank:]).T @ r @ grown).max(initial=0.0)
+        margins.append((sigma[:rank] / bound, sigma[rank:] / bound, residual / bound))
+    return margins
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_grown_deflation_bound_separates_by_a_wide_margin(request, background, m):
+    # where C_k is not invariant, the coupling's range grows it by rank 1 or
+    # 2 to an invariant span: the singular values kept and dropped, and the
+    # grown span's residual, stay far from the one bound that decides
+    bg = request.getfixturevalue(background)
+    grown = 0
+    for mode in [(1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (32, 0), (2, 1)]:
+        ctx = lattice_mode_context(bg, mode)
+        basis = op.constraint_null_basis(ctx, m)
+        for gen in evo.lane_generators(ctx, m, (True, False)):
+            prop = evo.ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis)
+            for kept, dropped, residual in grown_deflation_margins(prop):
+                assert len(kept) in (1, 2)
+                assert kept.min() >= 1e6
+                assert dropped.max(initial=0.0) <= 0.1
+                assert residual <= 0.1
+                grown += 1
+    assert grown > 0
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_abscissa_lanes_factor_no_whole_block(request, monkeypatch, background):
+    bg = request.getfixturevalue(background)
+    modes = [(1, 0), (4, 0), (2, 1)]
+    factored = set()
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.add(a.tobytes()) or eigvals(a))
+    evo.abscissa_lanes(bg, modes, truncation=16)
+    monkeypatch.undo()
+    for key in modes:
+        ctx = lattice_mode_context(bg, key)
+        for lane in (True, False):
+            prop = evo.build_propagator(ctx, 16, lane)
+            assert not any(r.tobytes() in factored for r in prop._pair_generators())
+
+
+def test_abscissa_lanes_assemble_once_per_mode(bg, monkeypatch):
+    modes = [(1, 0), (2, 0), (2, 1)]
+    calls = []
+    assemble = evo.assemble_matrix
+    monkeypatch.setattr(evo, "assemble_matrix", lambda *a: calls.append(a) or assemble(*a))
+    evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False))
+    assert len(calls) == len(modes)
+
+
+@pytest.mark.parametrize("m", [16, 40])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (8, 0), (0, 3)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg", "wide_bg"])
+def test_lane_generators_derive_the_balanced_generator_bitwise(request, background, mode, m):
+    # G_on = G_off + the balancing term of G_off's columns, from one
+    # assembly, is bitwise the assembly of the balanced right-hand side
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    on, off = evo.lane_generators(ctx, m, (True, False))
+    for lane, gen in ((True, on), (False, off)):
+        want = op.assemble_matrix(lambda b: op.full_induction(ctx, b, lane), m)
+        assert np.array_equal(gen, want)
+        assert not gen.flags.writeable
+
+
 @pytest.mark.parametrize("lane", [True, False], ids=["on", "off"])
 @pytest.mark.parametrize("mode", [(1, 0), (2, 1), (16, 0)])
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])

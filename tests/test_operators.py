@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from taylorlab import operators as op
-from taylorlab.background import lattice_mode_context, make_background
+from taylorlab.background import lattice_mode_context
 from taylorlab.errors import ConstraintViolated
 from taylorlab.fourier import FourierSeries, allclose
 
@@ -11,7 +11,10 @@ from conftest import (
     apply_j,
     assemble_by_columns,
     conjugate_by_j,
-    geostrophic_velocity_full_window,
+    balanced_induction_by_velocity,
+    balancing_velocity_full_window,
+    geostrophic_velocity,
+    magnetostrophic_velocity,
     random_field,
     taylor_residual_curl_form,
 )
@@ -318,7 +321,7 @@ def test_constraint_null_basis_columns_respect_the_parity_split(ctx10):
 def test_interior_velocity_is_divergence_free_and_zero_mean(ctx10):
     rng = np.random.default_rng(12)
     b = random_field(10, rng)
-    u = op.magnetostrophic_velocity(ctx10, b.resample(EXACT))
+    u = magnetostrophic_velocity(ctx10, b.resample(EXACT))
     x1, x2 = ctx10.xi
     div = 1j * x1 * u.c1 + 1j * x2 * u.c2 + u.c3.derivative()
     assert div.norm() < 1e-12
@@ -329,7 +332,7 @@ def test_interior_velocity_is_divergence_free_and_zero_mean(ctx10):
 def test_balancing_velocity_is_constant_and_transverse(ctx10):
     rng = np.random.default_rng(13)
     b = random_field(10, rng)
-    v = op.geostrophic_velocity(ctx10, b)
+    v = geostrophic_velocity(ctx10, b)
     assert v.shape == (3,)
     e = np.asarray(ctx10.eta)
     assert abs(e @ v[:2]) < 1e-14
@@ -477,22 +480,48 @@ def test_batched_assembly_matches_per_column_oracle(
 def test_narrowed_balancing_window_assembles_bitwise_equal_matrices(
     request, monkeypatch, background, mode, m
 ):
-    # the balancing velocity reads b only within the background's window
-    # and u_m within twice it; forming it at the full windows changes no
-    # bit.  wide_bg's profiles reach the edge of the background's window
-    if background == "wide_bg":
-        bg = make_background([(1, 8, 1.0), (2, -8, 1.0)])
-    else:
-        bg = request.getfixturevalue(background)
-    ctx = lattice_mode_context(bg, mode)
+    # the balancing velocity reads the unbalanced right-hand side g only
+    # within the background's window; reading all of g changes no bit.
+    # wide_bg's profiles reach the edge of the background's window
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
     operators = (
         lambda b: op.full_induction(ctx, b, include_geostrophic=True),
         lambda b: op.induction_remainder(ctx, b),
     )
     narrowed = [op.assemble_matrix(fn, m) for fn in operators]
-    monkeypatch.setattr(op, "_geostrophic_velocity_vector", geostrophic_velocity_full_window)
+    monkeypatch.setattr(op, "_balancing_velocity", balancing_velocity_full_window)
     for fn, mat in zip(operators, narrowed):
         assert np.array_equal(op.assemble_matrix(fn, m), mat)
+
+
+@pytest.mark.parametrize("m", [16, 40])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (8, 0), (0, 3)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg", "wide_bg"])
+def test_balancing_term_matches_the_velocity_route(request, background, mode, m):
+    # the balancing velocity added to u_m before the induction term is
+    # formed, read from g at full windows, against its term added to the
+    # unbalanced right-hand side: equal to roundoff, and bitwise at the
+    # canonical background's modes (m, 0)
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+
+    def by_velocity(b):
+        return balanced_induction_by_velocity(ctx, b) + op.diffusion_term(ctx, b)
+
+    def remainder_by_velocity(b):
+        ind = balanced_induction_by_velocity(ctx, b)
+        drive_free = ind * ctx.eps**2 - op.fast_skew(ctx, b) * (1.0 / ctx.eps)
+        return drive_free - op.symmetric_drive(ctx, b)
+
+    pairs = (
+        (lambda b: op.full_induction(ctx, b, include_geostrophic=True), by_velocity),
+        (lambda b: op.induction_remainder(ctx, b), remainder_by_velocity),
+    )
+    for fn, oracle in pairs:
+        got, want = op.assemble_matrix(fn, m), op.assemble_matrix(oracle, m)
+        bound = np.abs(want).max() * len(want) * np.finfo(float).eps
+        assert np.abs(got - want).max() <= bound
+        if background == "bg" and mode[1] == 0:
+            assert np.array_equal(got, want)
 
 
 def test_assemble_matrix_applies_the_operator_once_per_component(ctx10):
