@@ -5,12 +5,13 @@ by matrix exponential rather than time stepping.  Every dense kernel runs
 in the pair basis U of :class:`.operators.PairTransform`, where G is the
 real R = U* G U and the constraint basis V has the real coordinates
 C = U* V.  R and C are formed once per mode and split into coupled blocks
-on their own exact nonzero patterns: at the canonical background the even
+R_k and C_k, which are all a :class:`ModePropagator` keeps of G and V, on
+their own exact nonzero patterns: at the canonical background the even
 and the odd vertical wavenumbers, at a background with cosines only in B1
 and sines only in B2 a split that the Fourier pattern does not show, and
-one block where nothing splits.  Both spectral abscissas, the invariance
-defect and one dense ``expm`` per block and step size (cached and reused)
-are computed in real arithmetic on those blocks.  So is the exponentials'
+one block where nothing splits.  Both spectral abscissas and one dense
+``expm`` per block and step size (cached and reused) are computed in real
+arithmetic on those blocks.  So is the exponentials'
 eigendecomposition oracle, unless its eigenvectors are too ill conditioned
 for the oracle's gate; then the mode falls back to complex ``eig`` of the
 same blocks.  The zero horizontal mode decouples into a scalar heat
@@ -37,7 +38,8 @@ the real pattern splits its matrices finer for no gain (c2 at M = 64 takes
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
 subspaces; the projection is realized by an orthonormal null-space basis
-computed once per mode.
+computed once per mode, the one its propagator is built from.  Each
+mode's logged power is read from the blocks R_k.
 """
 
 from __future__ import annotations
@@ -158,11 +160,11 @@ def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
 def _checked_expm(blocks, oracles, h: float) -> tuple:
     """scipy expm of h times each block, cross-checked against eigendecompositions.
 
-    ``oracles`` holds :func:`_eigen_oracle` of each block, in the block's
-    basis, so the check costs no factorization for any h.  It may also be a
-    function that returns them; it is called after the exponentials, so
-    that expm's work arrays and the first factorizations are never alive at
-    the same time.  The gate reads the quantities of the whole block-diagonal matrix: its
+    ``oracles`` is a function that returns :func:`_eigen_oracle` of each
+    block, in the block's basis, so the check costs no factorization for
+    any h.  It is called after the exponentials, so that expm's work arrays
+    and the first factorizations are never alive at the same time.  The
+    gate reads the quantities of the whole block-diagonal matrix: its
     eigenvector condition is the largest singular value over all blocks by
     the smallest, and the relative 2-norm error is the largest block error
     over the largest block norm.  The check runs only when that condition
@@ -183,8 +185,7 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     outs = [scipy.linalg.expm(h * block) for block in blocks]
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise IllConditioned("matrix exponential produced non-finite entries")
-    if callable(oracles):
-        oracles = oracles()
+    oracles = oracles()
     cond = _condition(oracles)
     if not cond <= EXPM_ORACLE_CONDITION:
         return outs, cond, None
@@ -206,7 +207,7 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
 
 def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
     """The blocks ``pieces`` of the real part of a matrix whose imaginary
-    part has the largest entry ``imag`` in each row.
+    part has the largest entry ``imag`` in each row, made read-only.
 
     A row's imaginary part may be at most dim * eps * max|entry| of its
     block, the size of the rounding the block was computed with; a larger
@@ -221,6 +222,7 @@ def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
                 f"{what} is not real in the pair basis: imaginary part {worst:.3e} "
                 f"exceeds {bound:.3e}"
             )
+        piece.setflags(write=False)
         out.append(piece)
     return tuple(out)
 
@@ -245,16 +247,31 @@ def _memo(cache: dict, fn, mat: np.ndarray):
     return cache[key]
 
 
+def _pair_transform(dim: int) -> PairTransform:
+    """The pair basis of the stacked vectors of length ``dim`` = 3(2M+1)."""
+    return PairTransform((dim // 3 - 1) // 2)
+
+
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
-    """One mode's generator G and constraint basis V, with exp(h G) cached per h.
+    """One mode's generator G and constraint basis V as their real pair-basis
+    blocks, with exp(h G) cached per h.
 
-    Every dense kernel runs on the real R = U* G U and C = U* V, with U the
-    unitary pair basis of :class:`PairTransform`, split into the blocks
-    R_k and C_k of :attr:`blocks`.  exp(h G) is kept as the blocks'
-    exponentials exp(h R_k) and applied by :meth:`propagate`.  The split and
-    the quantities read from it are computed on first read, so a caller
-    pays only for what it uses.
+    With U the unitary pair basis of :class:`PairTransform`, R = U* G U and
+    C = U* V are real.  ``blocks`` holds the index sets of the unknowns
+    coupled by a nonzero of R or by a column of C, in the index order of the
+    pair basis; ``generators`` the dense read-only R_k and ``bases`` the C_k
+    of each block.  Neither G nor V is kept: every kernel runs on the
+    blocks, and exp(h G) is kept as the blocks' exponentials exp(h R_k) and
+    applied by :meth:`propagate`.  Build one with :meth:`from_matrices`.
+
+    At the canonical background the blocks are the even and the odd vertical
+    wavenumbers.  A background with cosines only in B1 and sines only in
+    B2, such as [[1,1,1],[2,-2,1]], splits further in the pair basis, where
+    its Fourier pattern does not; a background that mixes the two in one
+    component gives one block.  The scaling study keeps the coarser Fourier
+    split of :func:`.operators.compression_blocks` (see the module
+    docstring).
 
     ``oracle_margins`` holds, per h, how close the exponentials came to the
     oracle's gates: (route, eigenvector condition, whether the cross-check
@@ -270,72 +287,42 @@ class ModePropagator:
     """
 
     ctx: ModeContext
-    generator: np.ndarray
-    constraint_basis: np.ndarray
+    blocks: tuple
+    generators: tuple
+    bases: tuple
     propagator_cache: dict = field(default_factory=dict)
     oracle_margins: dict = field(default_factory=dict)
     block_cache: dict = field(default_factory=dict)
 
-    @property
-    def truncation(self) -> int:
-        return (len(self.generator) // 3 - 1) // 2
-
-    @functools.cached_property
-    def _pair_blocks(self) -> tuple:
-        """(blocks, the nonzeros of each R_k as flat indices and values).
+    @classmethod
+    def from_matrices(
+        cls, ctx: ModeContext, generator: np.ndarray, basis: np.ndarray, block_cache=None
+    ) -> "ModePropagator":
+        """The propagator of the generator G and the constraint basis V.
 
         R and C are formed one component's rows at a time into real arrays
-        (:meth:`PairTransform.pair_form`); only the nonzeros of the blocks
-        R_k are kept, 4-9% of their entries at the canonical background.
-        Dropping R's imaginary part is checked per block by
-        :func:`_real_blocks`: G commutes with J, so R is real up to roundoff.
+        (:meth:`PairTransform.pair_form`), once each.  Dropping their
+        imaginary parts is checked per block by :func:`_real_blocks`, which
+        raises :class:`IllConditioned` here: G commutes with J and V's
+        columns are fixed by J, so both are real up to roundoff.
         """
-        pairs = PairTransform(self.truncation)
-        r, r_imag = pairs.pair_form(self.generator)
-        c, _ = pairs.pair_form(self.constraint_basis, square=False)
+        pairs = _pair_transform(len(generator))
+        r, r_imag = pairs.pair_form(generator)
+        c, c_imag = pairs.pair_form(basis, square=False)
         blocks = coupled_blocks(r, c.T != 0)
-        gens = _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator")
-        return blocks, tuple((np.flatnonzero(g), g[g != 0]) for g in gens)
-
-    def _pair_generators(self):
-        """R_k per block, each made dense as it is reached, so one is alive at
-        a time."""
-        for idx, (flat, values) in zip(self.blocks, self._pair_blocks[1]):
-            r = np.zeros((len(idx), len(idx)))
-            r.flat[flat] = values
-            yield r
-
-    @property
-    def blocks(self) -> tuple:
-        """Index sets of the unknowns coupled by a nonzero of R or by a column
-        of C, in the index order of the pair basis.
-
-        At the canonical background these are the even and the odd vertical
-        wavenumbers.  A background with cosines only in B1 and sines only in
-        B2, such as [[1,1,1],[2,-2,1]], splits further in the pair basis, where
-        its Fourier pattern does not; a background that mixes the two in one
-        component gives one block.  The scaling study keeps the coarser
-        Fourier split of :func:`.operators.compression_blocks` (see the
-        module docstring).
-        """
-        return self._pair_blocks[0]
-
-    @functools.cached_property
-    def _basis_blocks(self) -> tuple:
-        """C_k per block.  Only the compressed quantities read them, so C is
-        formed again here (0.5 ms at M = 64) rather than kept from
-        :attr:`_pair_blocks`: evolve holds no C_k.  V's columns are fixed by
-        J, so C is real up to roundoff."""
-        c, c_imag = PairTransform(self.truncation).pair_form(
-            self.constraint_basis, square=False
+        return cls(
+            ctx,
+            blocks,
+            _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator"),
+            _real_blocks(basis_blocks(c, blocks), c_imag, blocks, "constraint basis"),
+            block_cache={} if block_cache is None else block_cache,
         )
-        return _real_blocks(basis_blocks(c, self.blocks), c_imag, self.blocks, "constraint basis")
 
     @functools.cached_property
     def compressed_blocks(self) -> tuple:
         """C_k^T R_k C_k per block, real: up to a permutation, V* G V = C^T R C
         is their direct sum."""
-        return tuple(c.T @ r @ c for r, c in zip(self._pair_generators(), self._basis_blocks))
+        return tuple(c.T @ r @ c for r, c in zip(self.generators, self.bases))
 
     @functools.cached_property
     def _restricted_by_block(self) -> tuple:
@@ -370,7 +357,7 @@ class ModePropagator:
         compressions.  Only a block that fails both tests is factored
         whole.
         """
-        pieces = zip(self._pair_generators(), self._basis_blocks, self._restricted_by_block)
+        pieces = zip(self.generators, self.bases, self._restricted_by_block)
         return max(self._block_abscissa(r, c, restricted) for r, c, restricted in pieces)
 
     def _block_abscissa(self, r: np.ndarray, c: np.ndarray, restricted: float) -> float:
@@ -398,16 +385,6 @@ class ModePropagator:
         )
 
     @functools.cached_property
-    def constraint_invariance_defect(self) -> float:
-        """||(Id - P) G P||, zero when the flow keeps constrained fields
-        constrained; U is unitary, so it is the largest ||R_k C_k - C_k (C_k^T
-        R_k C_k)||."""
-        pieces = zip(self._pair_generators(), self._basis_blocks, self.compressed_blocks)
-        return max(
-            float(np.linalg.norm(r @ c - c @ compressed, 2)) for r, c, compressed in pieces
-        )
-
-    @functools.cached_property
     def _oracles(self) -> tuple:
         """(route, the expm oracle of each R_k), shared by every h.
 
@@ -422,13 +399,11 @@ class ModePropagator:
         can reach sqrt(n_k), and blocks mixed from the two routes could fail
         the gate where one route alone passes.
         """
-        real = tuple(_eigen_oracle(r) for r in self._pair_generators())
+        real = tuple(_eigen_oracle(r) for r in self.generators)
         if _condition(real) <= EXPM_ORACLE_CONDITION:
             return "real", real
         del real
-        return "complex", tuple(
-            _eigen_oracle(r.astype(np.complex128)) for r in self._pair_generators()
-        )
+        return "complex", tuple(_eigen_oracle(r.astype(np.complex128)) for r in self.generators)
 
     def exponential(self, h: float) -> tuple:
         """exp(h R_k) per block, in the pair basis; cached per h.
@@ -441,7 +416,7 @@ class ModePropagator:
         """
         key = float(h)
         if key not in self.propagator_cache:
-            blocks = self._pair_generators()
+            blocks = self.generators
             if key < 0:
                 blocks = (r.astype(np.complex128) for r in blocks)
             outs, cond, error = _checked_expm(blocks, lambda: self._oracles[1], key)
@@ -457,7 +432,7 @@ class ModePropagator:
         acts on the real and imaginary parts of its block of y as the columns
         of one real product.
         """
-        pairs = PairTransform(self.truncation)
+        pairs = _pair_transform(len(x))
         y = pairs.lower(x.reshape(len(x), -1))
         for idx, block in zip(self.blocks, self.exponential(h)):
             if np.isrealobj(block):
@@ -465,6 +440,19 @@ class ModePropagator:
             else:
                 y[idx] = block @ y[idx]
         return pairs.lift(y).reshape(x.shape)
+
+    def power(self, x: np.ndarray) -> float:
+        """Re <x, G x> for one coefficient vector x.
+
+        With y = U* x, <x, G x> = y* R y, and R is real: with a + ib = y_k
+        per block, the real part is the sum of a^T R_k a + b^T R_k b.
+        """
+        y = _pair_transform(len(x)).lower(x[:, None])
+        total = 0.0
+        for idx, r in zip(self.blocks, self.generators):
+            ab = y[idx].view(np.float64)  # the columns a and b
+            total += float(np.sum(ab * (r @ ab)))
+        return total
 
 
 def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
@@ -493,26 +481,26 @@ def build_propagator(
     include_geostrophic: bool = True,
     basis: np.ndarray | None = None,
 ) -> ModePropagator:
-    """Assemble the full per-mode generator (induction plus diffusion, see
-    :func:`lane_generators`) and the constraint basis.
+    """The propagator of the full per-mode generator (induction plus
+    diffusion, see :func:`lane_generators`) and the constraint basis.
 
     The restricted abscissa is the largest real part of the generator
-    compressed to the constrained subspace; the invariance defect
-    ||(Id - P) G P|| is recorded rather than enforced so that runs with
-    the balancing velocity disabled remain expressible.  Both are computed
-    when first read.  ``basis`` is this mode's constraint basis at this
-    truncation, when the caller holds it already.
+    compressed to the constrained subspace, computed when first read.  The
+    invariance of that subspace is not enforced, so that runs with the
+    balancing velocity disabled remain expressible.  ``basis`` is this
+    mode's constraint basis at this truncation, when the caller holds it
+    already.
     """
     (gen,) = lane_generators(ctx, truncation, (include_geostrophic,))
     if basis is None:
         basis = constraint_null_basis(ctx, truncation)
-    return ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis)
+    return ModePropagator.from_matrices(ctx, gen, basis)
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
-    """Advance one mode by the exact flow over a time h."""
-    vec = field_to_vector(b.resample(propagator.truncation))
-    out = vector_to_field(propagator.propagate(vec, h), propagator.truncation)
+    """Advance one mode, given at the propagator's window, by the exact flow
+    over a time h."""
+    out = vector_to_field(propagator.propagate(field_to_vector(b), h), b.truncation)
     r_perp, r_3 = taylor_residual(propagator.ctx, out)
     worst = max(abs(r_perp), abs(r_3), divergence_residual(propagator.ctx, out))
     if worst > STEP_RESIDUAL_LIMIT:
@@ -612,8 +600,8 @@ def initial_state(
 ) -> SimulationState:
     """Constrained random initial data with recorded seed.
 
-    ``bases`` maps a mode key to its constraint basis at this truncation
-    (as a propagator holds it); modes without one factorize their own.
+    ``bases`` maps a mode key to its constraint basis at this truncation;
+    modes without one factorize their own.
     """
     rng = np.random.default_rng(seed)
     bases = bases or {}
@@ -638,8 +626,9 @@ def initial_state(
 
 
 def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
-    """Append the diagnostics at time t; each mode's power is Re <G b, b> plus
-    its dissipation, with G the generator of its propagator."""
+    """Append the diagnostics at time t; each mode's power is Re <b, G b> plus
+    its dissipation, with G the generator of its propagator
+    (:meth:`ModePropagator.power`)."""
     taylor_max = 0.0
     div_max = 0.0
     grad_total = sum(p.derivative().norm() ** 2 for p in state.zero_mode)
@@ -649,9 +638,7 @@ def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
         tay = max(abs(r_perp), abs(r_3))
         div = divergence_residual(ctx, b)
         grad = grad_energy(ctx, b)
-        vec = field_to_vector(b)
-        gen = state.propagators[key].generator
-        power = float(np.vdot(vec, gen @ vec).real) + grad
+        power = state.propagators[key].power(field_to_vector(b)) + grad
         state.mode_rows.append(
             (t, idx, float(b.norm() ** 2), grad, float(tay), float(div), power)
         )
@@ -690,25 +677,31 @@ def run_evolution(
     Modes evolve independently; with ``jobs > 1`` one thread pool builds
     their propagators and advances them at every output step.  Aggregation
     order follows the input mode list, so results are deterministic for a
-    fixed seed regardless of the jobs count.
+    fixed seed regardless of the jobs count.  Each mode's constraint basis
+    is factored once, read by its propagator and by the projection of its
+    initial data, and dropped before the first step.
     """
     contexts = {tuple(k): lattice_mode_context(bg, k) for k in lattice_modes}
+    keys = list(contexts)
 
     def make_propagator(key):
-        return build_propagator(
-            contexts[key], truncation, include_geostrophic=include_geostrophic
-        )
+        basis = constraint_null_basis(contexts[key], truncation)
+        return build_propagator(contexts[key], truncation, include_geostrophic, basis), basis
 
-    keys = list(contexts)
-    with thread_map(jobs, len(keys)) as each:
-        propagators = dict(zip(keys, each(make_propagator, keys)))
-
-        bases = {key: prop.constraint_basis for key, prop in propagators.items()}
+    def start(each) -> SimulationState:
+        """The projected initial data, holding the propagators; the bases go
+        out of scope on return."""
+        built = dict(zip(keys, each(make_propagator, keys)))
+        bases = {key: basis for key, (_, basis) in built.items()}
         state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode, bases)
-        state.propagators = propagators
+        state.propagators = {key: prop for key, (prop, _) in built.items()}
+        return state
+
+    with thread_map(jobs, len(keys)) as each:
+        state = start(each)
 
         def advance(key):
-            return step(propagators[key], state.modes[key], output_step)
+            return step(state.propagators[key], state.modes[key], output_step)
 
         n_steps = int(round(t_final / output_step))
         _log_state(state, contexts, 0.0)
@@ -769,7 +762,7 @@ def abscissa_lanes(
         shared = {}
         rows = []
         for gen in lane_generators(ctx, truncation, lanes):
-            prop = ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis, block_cache=shared)
+            prop = ModePropagator.from_matrices(ctx, gen, basis, shared)
             rows.append((float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa))
         return rows
 

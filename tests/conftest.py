@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import canonical_background, lattice_mode_context, make_background
@@ -186,16 +187,30 @@ def balanced_induction_by_velocity(ctx, b):
     return op._induction_term_exact(ctx, u).resample(b.truncation)
 
 
-def rk4_step(propagator, b, h):
-    """Classical Runge-Kutta step with the propagator's generator: the
+def generator(ctx, truncation, include_geostrophic=True):
+    """The per-mode generator G that :func:`evolution.build_propagator` forms
+    its propagator from; the propagator keeps only its pair-basis blocks."""
+    (g,) = evo.lane_generators(ctx, truncation, (include_geostrophic,))
+    return g
+
+
+def constraint_invariance_defect(propagator):
+    """||(Id - P) G P||, zero when the flow keeps constrained fields
+    constrained; U is unitary, so it is the largest ||R_k C_k - C_k (C_k^T
+    R_k C_k)|| over the propagator's ``generators`` and ``bases``."""
+    pieces = zip(propagator.generators, propagator.bases)
+    return max(float(np.linalg.norm(r @ c - c @ (c.T @ r @ c), 2)) for r, c in pieces)
+
+
+def rk4_step(g, b, h):
+    """Classical Runge-Kutta step with the generator ``g`` at b's window: the
     cross-check oracle for the exact flow."""
-    g = propagator.generator
-    y = op.field_to_vector(b.resample(propagator.truncation))
+    y = op.field_to_vector(b)
     k1 = g @ y
     k2 = g @ (y + 0.5 * h * k1)
     k3 = g @ (y + 0.5 * h * k2)
     k4 = g @ (y + h * k3)
-    return op.vector_to_field(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), propagator.truncation)
+    return op.vector_to_field(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), b.truncation)
 
 
 def fourier_blocks(square, truncation):

@@ -223,7 +223,7 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
     worst_div = max(row[5] for row in state.mode_rows)
     prop = evo.build_propagator(ctx10, 64)
     h = 0.125
-    eye = np.eye(len(prop.generator))
+    eye = np.eye(3 * (2 * 64 + 1))
     once, twice = prop.propagate(eye, h), prop.propagate(eye, 2 * h)
     semi = np.linalg.norm(once @ once - twice, 2) / np.linalg.norm(twice, 2)
     start = evo.initial_state(bg, modes, 64, seed=3)

@@ -11,7 +11,14 @@ from taylorlab.config import validate
 from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
-from conftest import conjugate_by_j, fourier_blocks, random_field, rk4_step
+from conftest import (
+    conjugate_by_j,
+    constraint_invariance_defect,
+    fourier_blocks,
+    generator,
+    random_field,
+    rk4_step,
+)
 
 
 def test_projection_matches_kkt_oracle(ctx10):
@@ -73,7 +80,7 @@ def test_heat_zero_mode_preserves_mean():
 
 def _dense_exponential(prop, h):
     """exp(h G) as one matrix: the propagator applied to the identity."""
-    return prop.propagate(np.eye(len(prop.generator)), h)
+    return prop.propagate(np.eye(sum(len(idx) for idx in prop.blocks)), h)
 
 
 def test_propagator_semigroup_property(ctx10):
@@ -94,7 +101,7 @@ def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
     assert [len(idx) for idx in prop.blocks] == [3 * (m + 1), 3 * m]
     for idx in prop.blocks:
         assert len(set(n[idx] % 2)) == 1
-    full = scipy.linalg.expm(h * prop.generator)
+    full = scipy.linalg.expm(h * generator(ctx10, m))
     rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
     assert rel < 1e-12
 
@@ -107,11 +114,13 @@ def test_single_block_exponential_matches_the_whole_matrix(request, background, 
     # and takes the same pair-basis route as every other block; the real
     # pattern of [[1,1,1],[2,-2,1]] splits it
     m = 8
-    prop = evo.build_propagator(lattice_mode_context(request.getfixturevalue(background), (1, 0)), m)
-    assert [len(idx) for idx in fourier_blocks(prop.generator, m)] == [51]
+    ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
+    prop = evo.build_propagator(ctx, m)
+    g = generator(ctx, m)
+    assert [len(idx) for idx in fourier_blocks(g, m)] == [51]
     assert [len(idx) for idx in prop.blocks] == sizes
     for h in (0.125, -0.125):
-        full = scipy.linalg.expm(h * prop.generator)
+        full = scipy.linalg.expm(h * g)
         rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
         assert rel < 1e-12
 
@@ -129,7 +138,7 @@ def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
     assert sum(e.nbytes for e in forward) <= sum(n * n for n in sizes) * 8
     # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*, with
     # U_k the block of U, which keeps the parity blocks
-    g = prop.generator
+    g = generator(ctx10, 16)
     u = op.PairTransform(16).lift(np.eye(len(g)))
     for idx, e in zip(prop.blocks, forward):
         u_k = u[np.ix_(idx, idx)]
@@ -142,24 +151,25 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     prop = evo.build_propagator(ctx, m)
     assert len(prop.blocks) == 2
-    g, v = prop.generator, prop.constraint_basis
+    g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
     restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
     assert prop.restricted_abscissa == pytest.approx(restricted, rel=1e-12)
     # the raw generator's abscissa is a zero eigenvalue up to roundoff
     assert abs(prop.unconstrained_abscissa - np.linalg.eigvals(g).real.max()) < 1e-12
     defect = np.linalg.norm(g @ v - v @ (v.conj().T @ g @ v), 2)
-    assert prop.constraint_invariance_defect == pytest.approx(defect, abs=1e-12)
+    assert constraint_invariance_defect(prop) == pytest.approx(defect, abs=1e-12)
 
 
 def test_planted_oracle_disagreement_raises(ctx10):
     prop = evo.build_propagator(ctx10, 8)
-    blocks = [prop.generator[np.ix_(idx, idx)] for idx in prop.blocks]
+    g = generator(ctx10, 8)
+    blocks = [g[np.ix_(idx, idx)] for idx in prop.blocks]
     oracles = [evo._eigen_oracle(block) for block in blocks]
-    evo._checked_expm(blocks, oracles, 0.01)  # honest oracles pass
+    evo._checked_expm(blocks, lambda: oracles, 0.01)  # honest oracles pass
     w, vecs, inverse, sigma = oracles[1]
     oracles[1] = (w + 1e-6, vecs, inverse, sigma)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
-        evo._checked_expm(blocks, oracles, 0.01)
+        evo._checked_expm(blocks, lambda: oracles, 0.01)
 
 
 def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypatch):
@@ -215,12 +225,11 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
 def test_oracle_passes_the_gate_wherever_the_complex_route_does(
     request, background, m, key
 ):
-    prop = evo.build_propagator(
-        lattice_mode_context(request.getfixturevalue(background), key), m
-    )
+    ctx = lattice_mode_context(request.getfixturevalue(background), key)
+    prop = evo.build_propagator(ctx, m)
     # the reference: complex eig of each block G_k of G's own Fourier
     # pattern, whose condition the gate read before the real route existed
-    g = prop.generator
+    g = generator(ctx, m)
     sigma = np.concatenate(
         [
             np.linalg.svd(np.linalg.eig(g[np.ix_(idx, idx)])[1], compute_uv=False)
@@ -239,12 +248,75 @@ def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(ctx10)
     # at truncation 8 real eig of the odd block of (1, 0) picks eigenvectors
     # of condition about 456; complex eig of the same R_k, about 89
     prop = evo.build_propagator(ctx10, 8)
-    real = [evo._eigen_oracle(r) for r in prop._pair_generators()]
+    real = [evo._eigen_oracle(r) for r in prop.generators]
     assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
     prop.exponential(0.125)
     route, condition, checked, error = prop.oracle_margins[0.125]
     assert route == "complex" and checked
     assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
+
+
+def _held_arrays(obj):
+    """Every ndarray reachable from ``obj`` through tuples, lists and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _held_arrays(item)
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg"])
+def test_propagator_holds_only_its_real_blocks(request, background):
+    m = 16
+    ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
+    prop = evo.build_propagator(ctx, m)
+    g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
+    held = list(_held_arrays(list(vars(prop).values())))
+    # the index sets are the only arrays that are not float64 matrices
+    index_ids = {id(idx) for idx in prop.blocks}
+    assert all(idx.dtype.kind == "i" for idx in prop.blocks)
+    matrices = [a for a in held if id(a) not in index_ids]
+    assert all(a.dtype == np.float64 for a in matrices)
+    assert not any(a.shape in (g.shape, v.shape) for a in held)
+    sizes = [(len(r), c.shape[1]) for r, c in zip(prop.generators, prop.bases)]
+    assert sum(a.nbytes for a in matrices) <= 8 * sum(n * n + n * c for n, c in sizes)
+    assert all(not r.flags.writeable for r in prop.generators)
+
+
+def test_propagator_forms_r_and_c_once(ctx10, monkeypatch):
+    # one pair_form of G and one of V at construction; no kernel forms a
+    # block again
+    calls = []
+    pair_form = op.PairTransform.pair_form
+    monkeypatch.setattr(
+        op.PairTransform,
+        "pair_form",
+        lambda self, a, square=True: calls.append(square) or pair_form(self, a, square),
+    )
+    prop = evo.build_propagator(ctx10, 16)
+    assert calls == [True, False]
+    prop.restricted_abscissa, prop.unconstrained_abscissa
+    prop.exponential(0.01)
+    prop.power(op.field_to_vector(evo.random_mode_field(16, np.random.default_rng(0))))
+    assert calls == [True, False]
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_power_from_the_blocks_matches_the_generator(request, background):
+    m = 16
+    rng = np.random.default_rng(11)
+    for key in [(1, 0), (2, 1), (0, 3)]:
+        ctx = lattice_mode_context(request.getfixturevalue(background), key)
+        prop = evo.build_propagator(ctx, m)
+        g = generator(ctx, m)
+        bound_per_norm = 3 * (2 * m + 1) * np.finfo(float).eps * np.abs(g).max()
+        for _ in range(3):
+            x = rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
+            want = np.vdot(x, g @ x).real
+            assert abs(prop.power(x) - want) <= bound_per_norm * np.vdot(x, x).real
 
 
 def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
@@ -265,7 +337,7 @@ def test_oracle_is_skipped_for_a_defective_block():
     jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     oracle = evo._eigen_oracle(jordan)
     assert oracle[2] is None
-    (out,), condition, error = evo._checked_expm([jordan], [oracle], 0.5)
+    (out,), condition, error = evo._checked_expm([jordan], lambda: [oracle], 0.5)
     assert condition > evo.EXPM_ORACLE_CONDITION and error is None
     assert np.allclose(out, [[1.0, 0.5], [0.0, 1.0]], rtol=0, atol=1e-15)
 
@@ -274,12 +346,13 @@ def test_exact_flow_matches_rk4(ctx10):
     # independent integrator: 20 classical Runge-Kutta steps at h small
     # enough that the O(h^4) defect sits far below the comparison tolerance
     prop = evo.build_propagator(ctx10, 8)
+    g = generator(ctx10, 8)
     rng = np.random.default_rng(4)
     b = evo.project_constraints(ctx10, evo.random_mode_field(8, rng))
     exact, rk = b, b
     for _ in range(20):
         exact = evo.step(prop, exact, 1e-5)
-        rk = rk4_step(prop, rk, 1e-5)
+        rk = rk4_step(g, rk, 1e-5)
     assert (exact - rk).norm() / exact.norm() < 1e-9
 
 
@@ -303,8 +376,8 @@ def test_energy_identity_central_difference(ctx10):
 def test_invariance_defect_distinguishes_balancing(ctx10):
     on = evo.build_propagator(ctx10, 24, include_geostrophic=True)
     off = evo.build_propagator(ctx10, 24, include_geostrophic=False)
-    assert on.constraint_invariance_defect < 1e-9
-    assert off.constraint_invariance_defect > 1.0
+    assert constraint_invariance_defect(on) < 1e-9
+    assert constraint_invariance_defect(off) > 1.0
 
 
 def test_step_without_balancing_drifts(ctx10):
@@ -466,7 +539,7 @@ def test_full_field_warns_when_not_symmetric(bg):
 def test_generator_commutes_with_j(request, background, key, lane):
     m = 64
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
-    g = evo.build_propagator(ctx, m, include_geostrophic=lane).generator
+    g = generator(ctx, m, include_geostrophic=lane)
     jgj = conjugate_by_j(m, g)
     bound = len(g) * np.finfo(float).eps * np.abs(g).max()
     assert np.abs(jgj - g).max() <= bound
@@ -499,7 +572,7 @@ def test_unconstrained_abscissa_without_balancing_is_minus_xi_squared(bg, m):
 def invariance_ratios(prop):
     """max|W_k^T R_k C_k| over the deflation bound n_k eps max|R_k|, per block."""
     ratios = []
-    for r, c in zip(prop._pair_generators(), prop._basis_blocks):
+    for r, c in zip(prop.generators, prop.bases):
         w = evo._complement(c)
         bound = len(r) * np.finfo(float).eps * np.abs(r).max()
         ratios.append(np.abs(w.T @ r @ c).max(initial=0.0) / bound)
@@ -524,7 +597,7 @@ def grown_deflation_margins(prop):
     values of the coupling W_k^T R_k C_k, the dropped ones, and the residual
     max|W'^T R_k [C_k, t]| of the grown span), each over the deflation bound."""
     margins = []
-    for r, c in zip(prop._pair_generators(), prop._basis_blocks):
+    for r, c in zip(prop.generators, prop.bases):
         w = evo._complement(c)
         bound = len(r) * np.finfo(float).eps * np.abs(r).max()
         coupling = w.T @ r @ c
@@ -550,7 +623,7 @@ def test_grown_deflation_bound_separates_by_a_wide_margin(request, background, m
         ctx = lattice_mode_context(bg, mode)
         basis = op.constraint_null_basis(ctx, m)
         for gen in evo.lane_generators(ctx, m, (True, False)):
-            prop = evo.ModePropagator(ctx=ctx, generator=gen, constraint_basis=basis)
+            prop = evo.ModePropagator.from_matrices(ctx, gen, basis)
             for kept, dropped, residual in grown_deflation_margins(prop):
                 assert len(kept) in (1, 2)
                 assert kept.min() >= 1e6
@@ -573,7 +646,7 @@ def test_abscissa_lanes_factor_no_whole_block(request, monkeypatch, background):
         ctx = lattice_mode_context(bg, key)
         for lane in (True, False):
             prop = evo.build_propagator(ctx, 16, lane)
-            assert not any(r.tobytes() in factored for r in prop._pair_generators())
+            assert not any(r.tobytes() in factored for r in prop.generators)
 
 
 def test_abscissa_lanes_assemble_once_per_mode(bg, monkeypatch):
@@ -607,7 +680,7 @@ def test_deflated_unconstrained_abscissa_matches_the_whole_matrix(
 ):
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
     prop = evo.build_propagator(ctx, 16, include_geostrophic=lane)
-    g = prop.generator
+    g = generator(ctx, 16, include_geostrophic=lane)
     want = np.linalg.eigvals(g).real.max()
     bound = len(g) * np.finfo(float).eps * np.linalg.norm(g, 2)
     assert abs(prop.unconstrained_abscissa - want) <= bound
@@ -639,29 +712,18 @@ def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
 
 def test_generator_off_j_symmetry_raises(ctx10):
     m = 16
-    prop = evo.build_propagator(ctx10, m)
-    g = np.array(prop.generator)
+    honest = generator(ctx10, m)
+    basis = op.constraint_null_basis(ctx10, m)
+    evo.ModePropagator.from_matrices(ctx10, honest, basis)  # the honest pair builds
     # first component, n = 1 row and n = 3 column: both odd, one block
+    g = np.array(honest)
     g[m + 1, m + 3] += 1e-6 * np.abs(g).max()
-    broken = evo.ModePropagator(
-        ctx=ctx10,
-        generator=g,
-        constraint_basis=prop.constraint_basis,
-    )
-    # the blocks are read from the real R, so the first read raises
-    with pytest.raises(IllConditioned, match="not real in the pair basis"):
-        broken.blocks
-    with pytest.raises(IllConditioned, match="not real in the pair basis"):
-        broken.unconstrained_abscissa
-    with pytest.raises(IllConditioned, match="not real in the pair basis"):
-        broken.restricted_abscissa
+    # the real R_k are formed at construction, so construction raises
+    with pytest.raises(IllConditioned, match="generator is not real in the pair basis"):
+        evo.ModePropagator.from_matrices(ctx10, g, basis)
     # a basis whose columns J does not fix: i v for J-fixed v
-    turned = evo.ModePropagator(
-        ctx=ctx10, generator=prop.generator, constraint_basis=1j * prop.constraint_basis
-    )
-    assert len(turned.blocks) == 2
     with pytest.raises(IllConditioned, match="constraint basis is not real"):
-        turned.restricted_abscissa
+        evo.ModePropagator.from_matrices(ctx10, honest, 1j * basis)
 
 
 def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
@@ -673,7 +735,7 @@ def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
     g = np.log(1e4) * np.eye(k, dtype=np.complex128)
     w, vecs, inverse, sigma = evo._eigen_oracle(g)
     planted = (w + 5e-11, vecs, inverse, sigma)
-    (out,), _, error = evo._checked_expm([g], [planted], 1.0)
+    (out,), _, error = evo._checked_expm([g], lambda: [planted], 1.0)
     # the recorded margin is the Frobenius error, not the gate's quantity
     assert error > evo.EXPM_ORACLE_TOL
     delta = out - vecs @ (np.exp(planted[0])[:, None] * inverse)
