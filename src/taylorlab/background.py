@@ -29,7 +29,6 @@ __all__ = [
     "ModeContext",
     "make_background",
     "canonical_background",
-    "delta",
     "mode_context",
     "lattice_mode_context",
 ]
@@ -111,11 +110,6 @@ def make_background(entries, truncation: int = DEFAULT_BACKGROUND_TRUNCATION) ->
 def canonical_background(truncation: int = DEFAULT_BACKGROUND_TRUNCATION) -> BackgroundField:
     """The reference helical profile (cos 2 pi x3, sin 2 pi x3, 0)."""
     return make_background([(1, 1, 1.0), (2, -1, 1.0)], truncation=truncation)
-
-
-def delta(background: BackgroundField) -> float:
-    """Uniform lower bound sqrt(lambda_min(Gram)) for ||beta|| over directions."""
-    return float(np.sqrt(np.linalg.eigvalsh(background.gram)[0]))
 
 
 @dataclass(frozen=True, eq=False)

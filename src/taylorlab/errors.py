@@ -41,10 +41,6 @@ class IllConditioned(TaylorLabError):
     """A dense solve or matrix exponential failed its accuracy cross-check."""
 
 
-class ConstraintDrift(TaylorLabError):
-    """Constraint residuals of an evolved field exceeded the drift budget."""
-
-
 class ConfigError(TaylorLabError):
     """Invalid run configuration."""
 

@@ -11,11 +11,16 @@ and the odd vertical wavenumbers, at a background with cosines only in B1
 and sines only in B2 a split that the Fourier pattern does not show, and
 one block where nothing splits.  Both spectral abscissas and one dense
 ``expm`` per block and step size (cached and reused) are computed in real
-arithmetic on those blocks.  So is the exponentials'
-eigendecomposition oracle, unless its eigenvectors are too ill conditioned
-for the oracle's gate; then the mode falls back to complex ``eig`` of the
-same blocks.  The zero horizontal mode decouples into a scalar heat
-equation and is propagated in closed form.
+arithmetic on those blocks.  So is the exponentials' eigendecomposition
+oracle.  Where a block keeps the span of C_k invariant, it is block upper
+triangular in the basis [C_k, W_k], W_k the orthonormal complement, and
+the oracle factors its two diagonal blocks and writes the off-diagonal
+block of the exponential by divided differences; elsewhere it factors the
+whole block.  Where the oracle's eigenvectors are too ill conditioned for
+its gate, the mode falls back to complex ``eig`` of the same matrices.
+Only the oracle that a later exponential reads is kept.  The zero
+horizontal mode decouples into a scalar heat equation and is propagated
+in closed form.
 
 Each mode assembles one generator, the one without the balancing
 velocity; the balanced one is that plus a rank-3 correction
@@ -49,11 +54,12 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .background import BackgroundField, ModeContext, lattice_mode_context
-from .errors import ConstraintDrift, IllConditioned, NonConjugateModes
+from .errors import IllConditioned, NonConjugateModes
 from .fourier import FourierSeries, phases
 from .operators import (
     ModeField,
@@ -76,8 +82,6 @@ from .operators import (
 # own error would drown the quantity being verified.
 EXPM_ORACLE_CONDITION = 300.0
 EXPM_ORACLE_TOL = 1e-10
-
-STEP_RESIDUAL_LIMIT = 1e-7
 
 
 # ----------------------------------------------------------------------
@@ -142,17 +146,102 @@ def _eigen_oracle(block: np.ndarray) -> tuple:
     return w, vecs, inverse, sigma
 
 
+class _SplitOracle(NamedTuple):
+    """The expm oracle of a block R_k that keeps the span of C_k invariant.
+
+    With Q = [C_k, W_k], W_k the orthonormal complement of C_k, the block
+    is T = Q^T R_k Q = [[A, B], [0, D]] up to roundoff, and ``top`` and
+    ``bottom`` are :func:`_eigen_oracle` of A and D.  ``coupling`` is
+    V_A^-1 B V_D, or None where either inverse is (the check will not
+    run).  Q is stacked only while a check runs.
+    """
+
+    basis: np.ndarray
+    complement: np.ndarray
+    top: tuple
+    bottom: tuple
+    coupling: np.ndarray | None
+
+    def reference(self, h: float) -> np.ndarray:
+        """exp(h T) by the eigendecompositions: [[exp(h A), X], [0, exp(h D)]].
+
+        X = integral_0^h exp((h - s) A) B exp(s D) ds is V_A ((V_A^-1 B V_D)
+        o F) V_D^-1, with F_ij = (e^{h l_i} - e^{h m_j}) / (l_i - m_j) for
+        the eigenvalues l of A and m of D (Van Loan, IEEE TAC 1978; Higham,
+        Functions of Matrices, 2008, ch. 3-4).  It is evaluated as
+        h e^{h v} phi1(h (v' - v)), phi1(z) = expm1(z) / z and phi1(0) = 1,
+        with v whichever of l_i, m_j has the larger real part of h times it
+        and v' the other: exact at coincident eigenvalues with no threshold,
+        and without overflow for strongly damped pairs.
+        """
+        w_a, v_a, inv_a, _ = self.top
+        w_d, v_d, inv_d, _ = self.bottom
+        hl, hm = h * w_a[:, None], h * w_d[None, :]
+        e_a, e_d = np.exp(hl), np.exp(hm)
+        lead = hl.real >= hm.real
+        z = np.where(lead, hm - hl, hl - hm)
+        phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+        f = h * np.where(lead, e_a, e_d) * phi
+        upper = v_a @ np.hstack([e_a * inv_a, (self.coupling * f) @ inv_d])
+        lower = v_d @ (e_d.T * inv_d)
+        return np.block([[upper], [np.zeros((len(w_d), len(w_a))), lower]])
+
+
+def _triangular_form(r: np.ndarray, c: np.ndarray):
+    """(W_k, T = Q^T R_k Q) with Q = [C_k, W_k], where R_k keeps the span of
+    C_k invariant: max|W_k^T R_k C_k| is at most :func:`_rounding_bound` of
+    R_k, the test of :meth:`ModePropagator._block_abscissa`.  None where it
+    does not, or where C_k spans the block."""
+    w = _complement(c)
+    if not w.shape[1]:
+        return None
+    q = np.hstack([c, w])
+    t = q.T @ r @ q
+    if np.abs(t[c.shape[1] :, : c.shape[1]]).max() > _rounding_bound(r):
+        return None
+    return w, t
+
+
+def _block_oracle(r: np.ndarray, c: np.ndarray, split, dtype) -> tuple | _SplitOracle:
+    """The expm oracle of R_k in ``dtype``: :class:`_SplitOracle` where
+    ``split`` is R_k's :func:`_triangular_form`, else :func:`_eigen_oracle`
+    of the whole block."""
+    if split is None:
+        return _eigen_oracle(r.astype(dtype, copy=False))
+    w, t = split
+    n = c.shape[1]
+    top = _eigen_oracle(t[:n, :n].astype(dtype, copy=False))
+    bottom = _eigen_oracle(t[n:, n:].astype(dtype, copy=False))
+    coupling = None
+    if top[2] is not None and bottom[2] is not None:
+        coupling = top[2] @ t[:n, n:] @ bottom[1]
+    return _SplitOracle(c, w, top, bottom, coupling)
+
+
+def _eigen_parts(oracle) -> tuple:
+    """The :func:`_eigen_oracle` tuples one block's oracle is made of."""
+    if isinstance(oracle, _SplitOracle):
+        return oracle.top, oracle.bottom
+    return (oracle,)
+
+
 def _condition(oracles) -> float:
     """Eigenvector condition of a block-diagonal matrix from its blocks'
-    :func:`_eigen_oracle`: the largest singular value over all blocks by
-    the smallest."""
-    sigma = np.concatenate([oracle[3] for oracle in oracles])
+    oracles: the largest singular value over all their eigenvector matrices
+    by the smallest."""
+    sigma = np.concatenate([part[3] for oracle in oracles for part in _eigen_parts(oracle)])
     return sigma.max() / sigma.min() if sigma.min() > 0 else np.inf
 
 
-def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
+def _oracle_error(out: np.ndarray, oracle, h: float, ord=None) -> float:
     """Norm ``ord`` (Frobenius by default) of expm's block ``out`` minus the
-    oracle's V exp(h w) V^-1."""
+    oracle's exponential: V exp(h w) V^-1 for a whole block, and for a
+    :class:`_SplitOracle` Q^T out Q minus its reference, which sees the
+    lower-left block too.  Q is orthogonal, so both norms are those of out
+    minus the reference taken back to the block's basis."""
+    if isinstance(oracle, _SplitOracle):
+        q = np.hstack([oracle.basis, oracle.complement])
+        return np.linalg.norm(q.T @ out @ q - oracle.reference(h), ord)
     w, vecs, inverse, _ = oracle
     return np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), ord)
 
@@ -160,15 +249,16 @@ def _oracle_error(out: np.ndarray, oracle: tuple, h: float, ord=None) -> float:
 def _checked_expm(blocks, oracles, h: float) -> tuple:
     """scipy expm of h times each block, cross-checked against eigendecompositions.
 
-    ``oracles`` is a function that returns :func:`_eigen_oracle` of each
-    block, in the block's basis, so the check costs no factorization for
-    any h.  It is called after the exponentials, so that expm's work arrays
-    and the first factorizations are never alive at the same time.  The
-    gate reads the quantities of the whole block-diagonal matrix: its
-    eigenvector condition is the largest singular value over all blocks by
-    the smallest, and the relative 2-norm error is the largest block error
-    over the largest block norm.  The check runs only when that condition
-    is affordable.
+    ``oracles`` is a function that returns each block's oracle, factored
+    once for every h: :func:`_eigen_oracle` of the whole block, or a
+    :class:`_SplitOracle` of its invariant split.  It is called after the
+    exponentials, so that expm's work arrays and the first factorizations
+    are never alive at the same time.  The gate reads the quantities of the
+    whole block-diagonal matrix: its eigenvector condition is the largest
+    singular value over every eigenvector matrix of the oracles (the whole
+    blocks', and the split blocks' V_A and V_D) by the smallest, and the
+    relative 2-norm error is the largest block error over the largest block
+    norm.  The check runs only when that condition is affordable.
 
     Returns the exponentials, that condition, and the largest Frobenius
     block error, which is None where the check did not run.
@@ -205,17 +295,23 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     return outs, cond, error
 
 
+def _rounding_bound(block: np.ndarray) -> float:
+    """n * eps * max|entry| of a block of n rows: the size of the rounding
+    it was computed with."""
+    return len(block) * np.finfo(float).eps * np.abs(block).max(initial=0.0)
+
+
 def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
     """The blocks ``pieces`` of the real part of a matrix whose imaginary
     part has the largest entry ``imag`` in each row, made read-only.
 
-    A row's imaginary part may be at most dim * eps * max|entry| of its
-    block, the size of the rounding the block was computed with; a larger
-    one means the symmetry that makes the matrix real is broken, and raises.
+    A row's imaginary part may be at most :func:`_rounding_bound` of its
+    block; a larger one means the symmetry that makes the matrix real is
+    broken, and raises.
     """
     out = []
     for idx, piece in zip(blocks, pieces):
-        bound = len(idx) * np.finfo(float).eps * np.abs(piece).max(initial=0.0)
+        bound = _rounding_bound(piece)
         worst = imag[idx].max()
         if worst > bound:
             raise IllConditioned(
@@ -347,7 +443,7 @@ class ModePropagator:
         Loan, Matrix Computations, 7.1 and 7.6): the block's abscissa is
         the larger of its restricted abscissa and the complement's.  The
         span counts as invariant when max|W_k^T R_k C_k| is at most
-        n_k * eps * max|R_k|, the rounding scale of :func:`_real_blocks`.
+        n_k * eps * max|R_k| (:func:`_rounding_bound`).
 
         Where it is not, C_k is grown by t = W_k u, u the left singular
         vectors of the coupling W_k^T R_k C_k over singular values above
@@ -367,7 +463,7 @@ class ModePropagator:
         if not w.shape[1]:
             return restricted
         w_r = w.T @ r
-        bound = len(r) * np.finfo(float).eps * np.abs(r).max()
+        bound = _rounding_bound(r)
         coupling = w_r @ c
         if np.abs(coupling).max(initial=0.0) <= bound:
             return max(restricted, _memo(self.block_cache, _abscissa, w_r @ w))
@@ -388,22 +484,34 @@ class ModePropagator:
     def _oracles(self) -> tuple:
         """(route, the expm oracle of each R_k), shared by every h.
 
-        The "real" route factors each R_k with real ``eig``.  Inside the
-        generator's degenerate eigenspaces real ``eig`` may pick a badly
-        conditioned basis.  Where the gate's condition over the whole mode
-        (the largest singular value of any block's eigenvectors by the
-        smallest) exceeds ``EXPM_ORACLE_CONDITION``, the mode takes the
-        "complex" route instead: complex ``eig`` of the same R_k, which picks
-        its own basis.  The mode decides as a whole, as the gate reads it:
-        ``eig``'s columns have unit norm, so a block's largest singular value
-        can reach sqrt(n_k), and blocks mixed from the two routes could fail
-        the gate where one route alone passes.
+        Where R_k keeps the span of C_k invariant (:func:`_triangular_form`,
+        formed once per block), its oracle factors the two diagonal blocks
+        A and D of T = Q^T R_k Q, 126-130 and 65-66 wide at M = 64, in place
+        of the whole R_k (:class:`_SplitOracle`); a block that fails the
+        test is factored whole.  Without the balancing velocity one block
+        per mode fails it at the canonical background.
+
+        The "real" route factors with real ``eig``.  Inside the generator's
+        degenerate eigenspaces real ``eig`` may pick a badly conditioned
+        basis.  Where the gate's condition over the whole mode (the largest
+        singular value of any eigenvector matrix by the smallest) exceeds
+        ``EXPM_ORACLE_CONDITION``, the mode takes the "complex" route
+        instead: complex ``eig`` of the same matrices, which picks its own
+        basis.  The mode decides as a whole, as the gate reads it: ``eig``'s
+        columns have unit norm, so a matrix's largest singular value can
+        reach the square root of its size, and oracles mixed from the two
+        routes could fail the gate where one route alone passes.
         """
-        real = tuple(_eigen_oracle(r) for r in self.generators)
+        pieces = [(r, c, _triangular_form(r, c)) for r, c in zip(self.generators, self.bases)]
+        real = tuple(_block_oracle(*piece, np.float64) for piece in pieces)
         if _condition(real) <= EXPM_ORACLE_CONDITION:
             return "real", real
         del real
-        return "complex", tuple(_eigen_oracle(r.astype(np.complex128)) for r in self.generators)
+        return "complex", tuple(_block_oracle(*piece, np.complex128) for piece in pieces)
+
+    def release_oracles(self) -> None:
+        """Drop the expm oracle; an exponential at a new h factors it again."""
+        self.__dict__.pop("_oracles", None)
 
     def exponential(self, h: float) -> tuple:
         """exp(h R_k) per block, in the pair basis; cached per h.
@@ -463,14 +571,21 @@ def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
     assembled; G_on is G_off plus :func:`.operators.balancing_term` of
     G_off's columns, taken as one block of fields.  Every column of the
     assembly is a right-hand side g, so this is bitwise the matrix that
-    assembling ``full_induction`` with the balancing velocity gives.
+    assembling ``full_induction`` with the balancing velocity gives.  The
+    term reads g and is nonzero only at |n| <= k, k the background's
+    window, so it is formed from those rows of G_off alone and added there.
     """
     off = assemble_matrix(
         lambda b: full_induction(ctx, b, include_geostrophic=False), truncation
     )
     on = None
     if any(lanes):
-        on = off + field_to_vector(balancing_term(ctx, vector_to_field(off, truncation)))
+        k = min(truncation, ctx.background.truncation)
+        w = 2 * truncation + 1
+        rows = np.concatenate([c * w + truncation + np.arange(-k, k + 1) for c in range(3)])
+        # every entry as in G_off plus the zero-padded term, signed zeros too
+        on = off + 0.0
+        on[rows] = off[rows] + field_to_vector(balancing_term(ctx, vector_to_field(off[rows], k)))
         on.setflags(write=False)
     return tuple(on if lane else off for lane in lanes)
 
@@ -499,16 +614,21 @@ def build_propagator(
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
     """Advance one mode, given at the propagator's window, by the exact flow
-    over a time h."""
-    out = vector_to_field(propagator.propagate(field_to_vector(b), h), b.truncation)
-    r_perp, r_3 = taylor_residual(propagator.ctx, out)
-    worst = max(abs(r_perp), abs(r_3), divergence_residual(propagator.ctx, out))
-    if worst > STEP_RESIDUAL_LIMIT:
-        raise ConstraintDrift(
-            f"constraint residual {worst:.3e} after step h={h} "
-            "(generator assembly or initial data are inconsistent)"
-        )
-    return out
+    over a time h.
+
+    Nothing here checks that the result stays constrained: the flow without
+    the balancing velocity drifts off the constrained subspace, and a run
+    reports that as its residual gates (:func:`constraint_residuals`).
+    """
+    return vector_to_field(propagator.propagate(field_to_vector(b), h), b.truncation)
+
+
+def constraint_residuals(ctx: ModeContext, b: ModeField) -> tuple:
+    """(Taylor residual, divergence residual) of one mode: the larger of the
+    two averaged balance residuals in absolute value, and the divergence
+    residual."""
+    r_perp, r_3 = taylor_residual(ctx, b)
+    return float(max(abs(r_perp), abs(r_3))), float(divergence_residual(ctx, b))
 
 
 def heat_zero_mode(
@@ -634,14 +754,10 @@ def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
     grad_total = sum(p.derivative().norm() ** 2 for p in state.zero_mode)
     for idx, (key, b) in enumerate(state.modes.items()):
         ctx = contexts[key]
-        r_perp, r_3 = taylor_residual(ctx, b)
-        tay = max(abs(r_perp), abs(r_3))
-        div = divergence_residual(ctx, b)
+        tay, div = constraint_residuals(ctx, b)
         grad = grad_energy(ctx, b)
         power = state.propagators[key].power(field_to_vector(b)) + grad
-        state.mode_rows.append(
-            (t, idx, float(b.norm() ** 2), grad, float(tay), float(div), power)
-        )
+        state.mode_rows.append((t, idx, float(b.norm() ** 2), grad, tay, div, power))
         taylor_max = max(taylor_max, tay)
         div_max = max(div_max, div)
         grad_total += grad
@@ -679,7 +795,10 @@ def run_evolution(
     order follows the input mode list, so results are deterministic for a
     fixed seed regardless of the jobs count.  Each mode's constraint basis
     is factored once, read by its propagator and by the projection of its
-    initial data, and dropped before the first step.
+    initial data, and dropped before the first step.  Every mode but the
+    first drops its expm oracle once its exponential is cached: only the
+    first mode's is read again, by the semigroup check of
+    :func:`.checks.run_evolve`.
     """
     contexts = {tuple(k): lattice_mode_context(bg, k) for k in lattice_modes}
     keys = list(contexts)
@@ -701,7 +820,11 @@ def run_evolution(
         state = start(each)
 
         def advance(key):
-            return step(state.propagators[key], state.modes[key], output_step)
+            prop = state.propagators[key]
+            out = step(prop, state.modes[key], output_step)
+            if key != keys[0]:
+                prop.release_oracles()
+            return out
 
         n_steps = int(round(t_final / output_step))
         _log_state(state, contexts, 0.0)

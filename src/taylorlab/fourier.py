@@ -41,11 +41,9 @@ __all__ = [
     "FourierSeries",
     "multiply",
     "integrate_product",
-    "multiplication_matrix",
     "phases",
     "collocation",
     "inverse_collocation",
-    "allclose",
 ]
 
 
@@ -138,20 +136,6 @@ class FourierSeries:
         c[-n + truncation] = 0.5j * amplitude
         return cls(c)
 
-    @classmethod
-    def from_triples(cls, triples, truncation: int | None = None) -> "FourierSeries":
-        """Rebuild a series from ``[n, re, im]`` rows (see :meth:`to_triples`)."""
-        triples = list(triples)
-        if truncation is None:
-            truncation = max((abs(int(t[0])) for t in triples), default=0)
-        c = np.zeros(2 * truncation + 1, dtype=np.complex128)
-        for n, re, im in triples:
-            n = int(n)
-            if abs(n) > truncation:
-                raise ValueError(f"mode {n} outside window [-{truncation}, {truncation}]")
-            c[n + truncation] += re + 1j * im
-        return cls(c)
-
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
@@ -237,11 +221,6 @@ class FourierSeries:
         n = self.modes().astype(np.complex128)
         n[self.truncation] = 1.0  # avoid 0/0; the slot is zeroed below
         out = self.coeffs / _along_modes(TWO_PI * 1j * n, self.coeffs.ndim)
-        out[self.truncation] = 0.0
-        return FourierSeries._adopt(out)
-
-    def remove_mean(self) -> "FourierSeries":
-        out = self.coeffs.copy()
         out[self.truncation] = 0.0
         return FourierSeries._adopt(out)
 
@@ -331,17 +310,6 @@ def integrate_product(f: FourierSeries, g: FourierSeries):
     return np.dot(fc, gc[::-1])
 
 
-def multiplication_matrix(g: FourierSeries, truncation: int) -> np.ndarray:
-    """Dense matrix of f -> multiply(f, g).resample(truncation) at f's window
-    ``truncation``.
-
-    Toeplitz structure: entry (m, n) is the coefficient of g at mode m - n.
-    """
-    n = np.arange(-truncation, truncation + 1)
-    padded = g.resample(max(g.truncation, 2 * truncation))
-    return padded.coeffs[(n[:, None] - n[None, :]) + padded.truncation]
-
-
 def collocation(f: FourierSeries, n_points: int) -> np.ndarray:
     """Sample f at the uniform grid x_j = j / n_points, j = 0 .. n_points - 1."""
     if n_points < 1:
@@ -375,9 +343,3 @@ def inverse_collocation(samples, truncation: int | None = None) -> FourierSeries
     fhat = np.fft.fft(samples) / n
     modes = np.arange(-truncation, truncation + 1)
     return FourierSeries(fhat[modes % n])
-
-
-def allclose(f: FourierSeries, g: FourierSeries, tol: float = 1e-12) -> bool:
-    """Coefficientwise comparison after aligning windows."""
-    m = max(f.truncation, g.truncation)
-    return bool(np.max(np.abs(f.resample(m).coeffs - g.resample(m).coeffs)) <= tol)

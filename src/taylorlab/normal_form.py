@@ -37,7 +37,6 @@ from .operators import (
     ModeField,
     assemble_matrix,
     field_to_vector,
-    proj_profile,
     vector_to_field,
 )
 from . import operators
@@ -46,11 +45,8 @@ from .spectral import SpectralBasis, band_matrix
 __all__ = [
     "NormalFormData",
     "resonant_pairs",
-    "homological_rhs",
     "build_normal_form",
     "conjugate",
-    "unconjugate",
-    "laplacian_commutator_norm",
 ]
 
 
@@ -72,21 +68,6 @@ def resonant_pairs(band: int):
             pairs.add((i, j))
             pairs.add((j, i))
     return tuple(sorted(pairs))
-
-
-def homological_rhs(ctx, basis: SpectralBasis, i: int, j: int) -> complex:
-    """Right-hand side scalar, computed through operator applications.
-
-    This functional route exists as the per-pair oracle; the batch
-    construction in build_normal_form goes through dense matrices instead.
-    """
-    phi_i = basis.phi_plus(i)
-    phi_j = basis.phi_plus(j)
-    drive = operators.symmetric_drive(ctx, phi_i)
-    first = -drive.inner(phi_j)
-    local = operators.magnetostrophic_symmetric(ctx, proj_profile(ctx, phi_i))
-    second = local.inner(proj_profile(ctx, phi_j))
-    return complex(first + second)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,27 +201,3 @@ def conjugate(nf: NormalFormData, b: ModeField, eps: float | None = None) -> Mod
     vec = field_to_vector(b.resample(nf.basis.truncation))
     out = vec + eps * (phi @ (nf.q @ (phi.conj().T @ vec)))
     return vector_to_field(out, nf.basis.truncation)
-
-
-def unconjugate(nf: NormalFormData, d: ModeField, eps: float | None = None) -> ModeField:
-    """Invert the conjugation by a direct band-coordinate solve."""
-    eps = nf.basis.ctx.eps if eps is None else eps
-    _check_regime(nf, eps)
-    phi = band_matrix(nf.basis, nf.band)
-    vec = field_to_vector(d.resample(nf.basis.truncation))
-    coords = phi.conj().T @ vec
-    eye = np.eye(nf.q.shape[0])
-    solved = np.linalg.solve(eye + eps * nf.q, coords)
-    out = vec - eps * (phi @ (nf.q @ solved))
-    return vector_to_field(out, nf.basis.truncation)
-
-
-def laplacian_commutator_norm(nf: NormalFormData) -> float:
-    """Operator norm of [Q_N, d33] on the ambient window."""
-    phi = band_matrix(nf.basis, nf.band)
-    m = nf.basis.truncation
-    factors = (2j * np.pi * np.arange(-m, m + 1)) ** 2
-    d2 = np.tile(factors, 3)
-    q_full = phi @ nf.q @ phi.conj().T
-    comm = q_full * d2[None, :] - d2[:, None] * q_full
-    return float(np.linalg.norm(comm, ord=2))

@@ -41,7 +41,6 @@ from .fourier import FourierSeries, integrate_product, inverse_collocation, mult
 from .operators import (
     ModeField,
     field_to_vector,
-    proj_direction_perp,
     vector_to_field,
 )
 from . import operators
@@ -54,7 +53,6 @@ __all__ = [
     "verify_on_basis",
     "band_matrix",
     "proj_band",
-    "proj_band_complement",
     "band_derivative_norm",
     "high_mode_gap",
 ]
@@ -245,12 +243,6 @@ def proj_band(basis: SpectralBasis, band: int, b: ModeField) -> ModeField:
     phi = band_matrix(basis, band)
     vec = field_to_vector(b.resample(basis.truncation))
     return vector_to_field(phi @ (phi.conj().T @ vec), basis.truncation)
-
-
-def proj_band_complement(basis: SpectralBasis, band: int, b: ModeField) -> ModeField:
-    """High-band complement: pointwise direction-orthogonal projection minus the low band."""
-    b = b.resample(basis.truncation)
-    return proj_direction_perp(basis.ctx, b) - proj_band(basis, band, b)
 
 
 def band_derivative_norm(basis: SpectralBasis, band: int) -> float:

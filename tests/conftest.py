@@ -5,6 +5,8 @@ from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import canonical_background, lattice_mode_context, make_background
+from taylorlab.fourier import FourierSeries, multiply
+from taylorlab.normal_form import _check_regime
 
 
 @pytest.fixture(scope="session")
@@ -254,3 +256,91 @@ def conjugate_by_j(truncation, mat):
     """The matrix of J mat J: entry (i, j) is s_i s_j conj(mat[-i, -j])."""
     reverse, s = _j_reversal(truncation)
     return s[:, None] * s[None, :] * np.conj(mat[np.ix_(reverse, reverse)])
+
+
+# ----------------------------------------------------------------------
+# reference routes that only the tests read
+# ----------------------------------------------------------------------
+
+
+def allclose(f, g, tol=1e-12):
+    """Coefficientwise comparison of two series after aligning windows."""
+    m = max(f.truncation, g.truncation)
+    return bool(np.max(np.abs(f.resample(m).coeffs - g.resample(m).coeffs)) <= tol)
+
+
+def series_from_triples(triples, truncation=None):
+    """Rebuild a series from ``[n, re, im]`` rows (see
+    :meth:`FourierSeries.to_triples`); repeated modes add."""
+    triples = list(triples)
+    if truncation is None:
+        truncation = max((abs(int(t[0])) for t in triples), default=0)
+    c = np.zeros(2 * truncation + 1, dtype=np.complex128)
+    for n, re, im in triples:
+        n = int(n)
+        if abs(n) > truncation:
+            raise ValueError(f"mode {n} outside window [-{truncation}, {truncation}]")
+        c[n + truncation] += re + 1j * im
+    return FourierSeries(c)
+
+
+def remove_mean(f):
+    """The series with its n = 0 coefficient zeroed."""
+    out = np.array(f.coeffs)
+    out[f.truncation] = 0.0
+    return FourierSeries(out)
+
+
+def multiplication_matrix(g, truncation):
+    """Dense matrix of f -> multiply(f, g).resample(truncation) at f's window
+    ``truncation``: Toeplitz, entry (m, n) is the coefficient of g at mode
+    m - n."""
+    n = np.arange(-truncation, truncation + 1)
+    padded = g.resample(max(g.truncation, 2 * truncation))
+    return padded.coeffs[(n[:, None] - n[None, :]) + padded.truncation]
+
+
+def delta(background):
+    """Uniform lower bound sqrt(lambda_min(Gram)) for ||beta|| over directions."""
+    return float(np.sqrt(np.linalg.eigvalsh(background.gram)[0]))
+
+
+def proj_band_complement(basis, band, b):
+    """High-band complement: pointwise direction-orthogonal projection minus
+    the low band."""
+    b = b.resample(basis.truncation)
+    return op.proj_direction_perp(basis.ctx, b) - spectral.proj_band(basis, band, b)
+
+
+def homological_rhs(ctx, basis, i, j):
+    """Right-hand side scalar of the homological equation through operator
+    applications: the per-pair oracle for the dense route of
+    :func:`normal_form.build_normal_form`."""
+    phi_i = basis.phi_plus(i)
+    phi_j = basis.phi_plus(j)
+    first = -op.symmetric_drive(ctx, phi_i).inner(phi_j)
+    local = op.magnetostrophic_symmetric(ctx, op.proj_profile(ctx, phi_i))
+    second = local.inner(op.proj_profile(ctx, phi_j))
+    return complex(first + second)
+
+
+def unconjugate(nf, d, eps=None):
+    """Invert :func:`normal_form.conjugate` by a direct band-coordinate solve."""
+    eps = nf.basis.ctx.eps if eps is None else eps
+    _check_regime(nf, eps)
+    phi = spectral.band_matrix(nf.basis, nf.band)
+    vec = op.field_to_vector(d.resample(nf.basis.truncation))
+    coords = phi.conj().T @ vec
+    solved = np.linalg.solve(np.eye(nf.q.shape[0]) + eps * nf.q, coords)
+    out = vec - eps * (phi @ (nf.q @ solved))
+    return op.vector_to_field(out, nf.basis.truncation)
+
+
+def laplacian_commutator_norm(nf):
+    """Operator norm of [Q_N, d33] on the ambient window."""
+    phi = spectral.band_matrix(nf.basis, nf.band)
+    m = nf.basis.truncation
+    d2 = np.tile((2j * np.pi * np.arange(-m, m + 1)) ** 2, 3)
+    q_full = phi @ nf.q @ phi.conj().T
+    comm = q_full * d2[None, :] - d2[:, None] * q_full
+    return float(np.linalg.norm(comm, ord=2))

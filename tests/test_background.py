@@ -3,13 +3,14 @@ import pytest
 
 from taylorlab.background import (
     canonical_background,
-    delta,
     lattice_mode_context,
     make_background,
     mode_context,
 )
 from taylorlab.errors import DegenerateDirection, ZeroMode
-from taylorlab.fourier import TWO_PI, FourierSeries, allclose
+from taylorlab.fourier import TWO_PI, FourierSeries
+
+from conftest import allclose, delta
 
 
 def test_canonical_gram_is_half_identity(bg):

@@ -57,6 +57,25 @@ def test_tail_gate_override_is_read(tmp_path, capsys):
     assert "ResolutionExceeded" in err and "gate 1.0e-30" in err
 
 
+def test_evolve_without_balancing_reports_the_drift(tmp_path, capsys):
+    # the flow without the balancing velocity leaves the constrained
+    # subspace: the run still writes its report, and the Taylor residual
+    # gate fails it
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kind": "evolve", "include_geostrophic": False}))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", str(path), "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert "check aborted" not in captured.err
+    assert "FAIL taylor_residual_max" in captured.out
+    report = json.load(open(os.path.join(out, "report.json")))
+    outcomes = {o["name"]: o for o in report["outcomes"]}
+    assert report["passed"] is False
+    assert outcomes["taylor_residual_max"]["measured"] > 1e-7
+    assert not outcomes["taylor_residual_max"]["passed"]
+    assert all(o["passed"] for name, o in outcomes.items() if name != "taylor_residual_max")
+
+
 def test_rejected_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, truncation=12, band=8)
     assert cli.main(["run", cfg]) == 2

@@ -8,7 +8,7 @@ from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
 from taylorlab.config import validate
-from taylorlab.errors import ConstraintDrift, IllConditioned, NonConjugateModes
+from taylorlab.errors import IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
 from conftest import (
@@ -172,7 +172,7 @@ def test_planted_oracle_disagreement_raises(ctx10):
         evo._checked_expm(blocks, lambda: oracles, 0.01)
 
 
-def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypatch):
+def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg, monkeypatch):
     oracle = evo._eigen_oracle
 
     def planted(block):
@@ -180,15 +180,21 @@ def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypat
         return w + 1e-6, vecs, inverse, sigma
 
     monkeypatch.setattr(evo, "_eigen_oracle", planted)
-    prop = evo.build_propagator(ctx10, 8)
+    # the whole block of (1, 0) without the balancing velocity at the mixed
+    # background, truncation 19, takes the complex route (see
+    # test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route)
+    ctx = lattice_mode_context(mixed_bg, (1, 0))
+    prop = evo.build_propagator(ctx, 19, include_geostrophic=False)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
         prop.exponential(0.01)
-    # truncation 8 takes the complex route; 16 the real one
     assert prop._oracles[0] == "complex"
-    prop = evo.build_propagator(ctx10, 16)
-    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
-        prop.exponential(0.01)
-    assert prop._oracles[0] == "real"
+    # the split blocks of (1, 0) at truncation 8 and 16 take the real route
+    for m in (8, 16):
+        prop = evo.build_propagator(ctx10, m)
+        with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
+            prop.exponential(0.01)
+        assert prop._oracles[0] == "real"
+        assert all(isinstance(o, evo._SplitOracle) for o in prop._oracles[1])
 
 
 def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
@@ -205,12 +211,19 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
         prop.exponential(0.125)
         route, oracles = prop._oracles
         assert route == "real"
-        sigma = np.concatenate([oracle[3] for oracle in oracles])
+        # every block keeps its C_k invariant, so every oracle is split, into
+        # diagonal blocks A and D that together are as wide as the block
+        assert all(isinstance(oracle, evo._SplitOracle) for oracle in oracles)
+        parts = [(oracle.top, oracle.bottom) for oracle in oracles]
+        for (top, bottom), idx in zip(parts, prop.blocks):
+            assert len(top[0]) + len(bottom[0]) == len(idx)
+        parts = [part for pair in parts for part in pair]
+        sigma = np.concatenate([part[3] for part in parts])
         assert sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION
-        for (_, vecs, inverse, sigma_k), idx in zip(oracles, prop.blocks):
-            # the recorded singular values are those of W, and W^-1 inverts W
+        for _, vecs, inverse, sigma_k in parts:
+            # the recorded singular values are those of V, and V^-1 inverts V
             assert np.allclose(np.linalg.svd(vecs, compute_uv=False), sigma_k, rtol=1e-12)
-            assert np.linalg.norm(inverse @ vecs - np.eye(len(idx))) < 1e-10
+            assert np.linalg.norm(inverse @ vecs - np.eye(len(vecs))) < 1e-10
         assert len(errors) == len(prop.blocks)
         assert max(errors) <= evo.EXPM_ORACLE_TOL
         assert prop.oracle_margins == {
@@ -244,12 +257,17 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
         assert error <= evo.EXPM_ORACLE_TOL
 
 
-def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(ctx10):
-    # at truncation 8 real eig of the odd block of (1, 0) picks eigenvectors
-    # of condition about 456; complex eig of the same R_k, about 89
-    prop = evo.build_propagator(ctx10, 8)
+def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(mixed_bg):
+    # without the balancing velocity the mixed background's one block of
+    # (1, 0) does not keep C_k invariant and is factored whole; at truncation
+    # 19 real eig of it picks eigenvectors of condition about 522, complex
+    # eig of the same R_k about 53
+    ctx = lattice_mode_context(mixed_bg, (1, 0))
+    prop = evo.build_propagator(ctx, 19, include_geostrophic=False)
     real = [evo._eigen_oracle(r) for r in prop.generators]
     assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
+    assert evo._condition(prop._oracles[1]) <= evo.EXPM_ORACLE_CONDITION
+    assert not any(isinstance(o, evo._SplitOracle) for o in prop._oracles[1])
     prop.exponential(0.125)
     route, condition, checked, error = prop.oracle_margins[0.125]
     assert route == "complex" and checked
@@ -381,11 +399,13 @@ def test_invariance_defect_distinguishes_balancing(ctx10):
 
 
 def test_step_without_balancing_drifts(ctx10):
+    # the step returns the drifted field; a run reports the residual as its
+    # failed gate (test_cli's no-balancing evolve)
     prop = evo.build_propagator(ctx10, 24, include_geostrophic=False)
     rng = np.random.default_rng(5)
     b = evo.project_constraints(ctx10, evo.random_mode_field(24, rng))
-    with pytest.raises(ConstraintDrift, match="constraint residual"):
-        evo.step(prop, b, 0.05)
+    out = evo.step(prop, b, 0.05)
+    assert max(evo.constraint_residuals(ctx10, out)) > 1e-7
 
 
 def test_step_with_balancing_stays_constrained(ctx10):
@@ -668,7 +688,7 @@ def test_lane_generators_derive_the_balanced_generator_bitwise(request, backgrou
     on, off = evo.lane_generators(ctx, m, (True, False))
     for lane, gen in ((True, on), (False, off)):
         want = op.assemble_matrix(lambda b: op.full_induction(ctx, b, lane), m)
-        assert np.array_equal(gen, want)
+        assert gen.tobytes() == want.tobytes()  # signed zeros included
         assert not gen.flags.writeable
 
 
@@ -775,3 +795,85 @@ def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
     first = len(order)
     prop.exponential(0.02)
     assert order[first:] == ["expm", "expm"]
+
+
+@pytest.mark.parametrize("m", [16, 64])
+@pytest.mark.parametrize("background", ["bg", "alt_bg"])
+def test_split_oracle_coupling_block_matches_expm(request, background, m):
+    # X, the upper-right block of exp(h T) for T = Q^T R_k Q, from the
+    # eigendecompositions of A and D, against scipy's expm of T itself.
+    # B~ = V_A^-1 B V_D and X = V_A (B~ o F) V_D^-1 are products and solves,
+    # each backward stable to about n_k eps, and |F_ij| <= h where no
+    # eigenvalue has a positive real part: to first order X is off by at
+    # most cond(V_A) cond(V_D) n_k eps h ||B||_2
+    h = 0.125
+    for key in [(1, 0), (1, 1)]:
+        prop = evo.build_propagator(lattice_mode_context(request.getfixturevalue(background), key), m)
+        for r, c, oracle in zip(prop.generators, prop.bases, prop._oracles[1]):
+            _, t = evo._triangular_form(r, c)
+            n = c.shape[1]
+            want = scipy.linalg.expm(h * t)[:n, n:]
+            kappa = [s[0] / s[-1] for s in (oracle.top[3], oracle.bottom[3])]
+            bound = kappa[0] * kappa[1] * len(r) * np.finfo(float).eps * h
+            bound *= np.linalg.norm(t[:n, n:], 2)
+            assert np.linalg.norm(oracle.reference(h)[:n, n:] - want, 2) <= bound
+
+
+def test_split_oracle_is_exact_at_coincident_eigenvalues():
+    # A = [[-1, 0], [0, -2]] and D = [-1] share the eigenvalue -1: phi1(0) = 1
+    # gives F = h e^{-h} there, with no threshold; the other entry is the
+    # divided difference (e^{-2h} - e^{-h}) / (-2 + 1).  C = [e1, e2], whose
+    # complete QR is the identity, so T = R.
+    h = 0.5
+    r = np.array([[-1.0, 0.0, 3.0], [0.0, -2.0, 5.0], [0.0, 0.0, -1.0]])
+    c = np.eye(3)[:, :2]
+    split = evo._triangular_form(r, c)
+    assert np.array_equal(split[1], r)
+    oracle = evo._block_oracle(r, c, split, np.float64)
+    x = oracle.reference(h)[:2, 2]
+    want = [3.0 * h * np.exp(-h), 5.0 * (np.exp(-h) - np.exp(-2 * h))]
+    assert np.all(np.isfinite(x))
+    assert np.allclose(x, want, rtol=4 * np.finfo(float).eps, atol=0)
+    (out,), condition, error = evo._checked_expm([r], lambda: [oracle], h)
+    assert condition <= evo.EXPM_ORACLE_CONDITION
+    assert error <= 10 * np.finfo(float).eps
+
+
+def test_planted_coupling_error_raises(ctx10):
+    # an error in B~ alone moves only X, the upper-right block
+    prop = evo.build_propagator(ctx10, 16)
+    oracles = prop._oracles[1]
+    evo._checked_expm(prop.generators, lambda: oracles, 0.01)  # honest oracles pass
+    planted = list(oracles)
+    planted[1] = planted[1]._replace(coupling=planted[1].coupling + 1e-6)
+    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
+        evo._checked_expm(prop.generators, lambda: planted, 0.01)
+
+
+def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
+    # without the balancing velocity one block of (1, 0) does not keep C_k
+    # invariant: it is factored whole, the other is split, and both pass
+    prop = evo.build_propagator(ctx10, 16, include_geostrophic=False)
+    kinds = [isinstance(o, evo._SplitOracle) for o in prop._oracles[1]]
+    assert sorted(kinds) == [False, True]
+    whole = prop._oracles[1][kinds.index(False)]
+    assert len(whole[0]) == len(prop.generators[kinds.index(False)])
+    prop.exponential(0.125)
+    route, condition, checked, error = prop.oracle_margins[0.125]
+    assert checked and condition <= evo.EXPM_ORACLE_CONDITION
+    assert error <= evo.EXPM_ORACLE_TOL
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
+    modes = [(1, 0), (0, 1), (2, 1)]
+    state = evo.run_evolution(
+        bg, modes, t_final=0.25, output_step=0.125, truncation=16, jobs=jobs
+    )
+    props = [state.propagators[key] for key in modes]
+    assert ["_oracles" in vars(p) for p in props] == [True, False, False]
+    # every exponential was checked before its oracle was dropped, and an
+    # exponential at a new h factors the dropped oracle again
+    assert all(p.oracle_margins[0.125][2] for p in props)
+    props[1].exponential(0.25)
+    assert props[1].oracle_margins[0.25][2]

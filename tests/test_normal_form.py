@@ -5,16 +5,9 @@ from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import lattice_mode_context
 from taylorlab.errors import RegimeViolation, ResonanceViolation
-from taylorlab.normal_form import (
-    build_normal_form,
-    conjugate,
-    homological_rhs,
-    laplacian_commutator_norm,
-    resonant_pairs,
-    unconjugate,
-)
+from taylorlab.normal_form import build_normal_form, conjugate, resonant_pairs
 
-from conftest import random_field
+from conftest import homological_rhs, laplacian_commutator_norm, random_field, unconjugate
 
 
 @pytest.fixture(scope="module")

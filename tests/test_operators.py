@@ -5,9 +5,10 @@ import scipy.linalg
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
 from taylorlab.errors import ConstraintViolated
-from taylorlab.fourier import FourierSeries, allclose
+from taylorlab.fourier import FourierSeries
 
 from conftest import (
+    allclose,
     apply_j,
     assemble_by_columns,
     conjugate_by_j,
@@ -16,6 +17,7 @@ from conftest import (
     geostrophic_velocity,
     magnetostrophic_velocity,
     random_field,
+    series_from_triples,
     taylor_residual_curl_form,
 )
 
@@ -39,7 +41,7 @@ def test_skew_worked_example(ctx10):
         FourierSeries.zeros(8), FourierSeries.zeros(8), FourierSeries.exponential(1, 8)
     )
     out = op.magnetostrophic_skew(ctx10, b)
-    expected = FourierSeries.from_triples(
+    expected = series_from_triples(
         [[1, 1.0 / (16 * np.pi), 0.0], [3, 1.0 / (16 * np.pi), 0.0]], truncation=8
     )
     assert out.c1.norm() < 1e-16

@@ -5,9 +5,8 @@ from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import lattice_mode_context
 from taylorlab.errors import BandExceedsBasis, ResolutionExceeded
-from taylorlab.fourier import FourierSeries, allclose
 
-from conftest import dense_high_mode_gap, random_field
+from conftest import allclose, dense_high_mode_gap, proj_band_complement, random_field
 
 
 def test_profile_zero_is_the_normalized_along_profile(basis64, ctx10):
@@ -90,7 +89,7 @@ def test_band_projector_properties(ctx10, basis64):
     b = random_field(64, rng)
     p = spectral.proj_band(basis64, 4, b)
     assert (spectral.proj_band(basis64, 4, p) - p).norm() < 1e-12
-    q = spectral.proj_band_complement(basis64, 4, b)
+    q = proj_band_complement(basis64, 4, b)
     assert abs(p.inner(q)) < 1e-12
     direction_perp = op.proj_direction_perp(ctx10, b)
     assert ((p + q) - direction_perp).norm() < 1e-12
