@@ -19,10 +19,14 @@ Its other two per-mode quantities are compressions of the drive D and the
 remainder R on the divergence-free and constrained bases V.  The off-direction
 drive c2 = ||V*(D - P_perp D P_perp)V|| takes P_perp D P_perp from P_perp
 applied to D's columns and then to its rows
-(:func:`direction_perp_compression`); no P_perp matrix is assembled.  The
-remainder's matrix is the drive-free part of the remainder minus the D the
-study holds already, so the drive is evaluated once per mode.  Both
-compressions run per block of :func:`operators.compression_blocks`, the
+(:func:`direction_perp_compression`); no P_perp matrix is assembled.  D,
+P_perp D P_perp and the fast skew S depend on the direction eta alone, and
+every eps mode (m, 0) has eta = (1, 0), so the study assembles D and S and
+forms P_perp D P_perp once, not once per mode.  Per mode it assembles only
+the eps-dependent part IND (:func:`operators._balanced_induction`) and forms
+R = eps^2 IND - S / eps - D with the elementwise operations of the field
+arithmetic, bitwise equal to assembling :func:`operators.induction_remainder`.
+Both compressions run per block of :func:`operators.compression_blocks`, the
 exact nonzero patterns of the matrix and the basis, and read the largest
 block norm (:func:`max_over_blocks`): the matrices are block diagonal up to
 a permutation, so that is the whole matrix's norm.
@@ -465,32 +469,59 @@ def run_abscissa_sweep(cfg: RunConfig, bg, report: RunReport) -> None:
 
 def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     m_trunc = cfg.truncation
+    contexts = [lattice_mode_context(bg, (m, 0)) for m in cfg.eps_modes]
+    # D, P_perp D P_perp and S depend on the direction eta alone, which is
+    # (1, 0) at every mode (m, 0): each is formed once, from the first mode
+    first = contexts[0]
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(first, b), m_trunc)
+    diff = drive - direction_perp_compression(first, drive, m_trunc)
 
-    def eps_point(m: int):
-        ctx = lattice_mode_context(bg, (m, 0))
-        drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m_trunc)
+    def off_direction(ctx):
         v_div = op.divergence_null_basis(ctx, m_trunc)
-        diff = drive - direction_perp_compression(ctx, drive, m_trunc)
         c2 = max_over_blocks(spectral_norm, diff, v_div, m_trunc)
-        # drop each dense matrix once read, so that the later assemblies and
-        # the radius do not stack their work arrays on it
-        del diff
-        remainder = op.assemble_matrix(lambda b: op._remainder_without_drive(ctx, b), m_trunc)
-        remainder = remainder - drive
+        # the band sweep reads the first mode's basis; no other outlives its call
+        return c2, (v_div if ctx is first else None)
+
+    def remainder_terms(ctx):
+        # R = eps^2 IND - S / eps - D, elementwise as the field arithmetic of
+        # op._remainder_without_drive forms it, so bitwise equal to assembling it
+        remainder = op.assemble_matrix(
+            lambda b: op._balanced_induction(ctx, b), m_trunc
+        ) * complex(ctx.eps**2)
+        remainder -= skew * complex(1.0 / ctx.eps)
+        remainder -= drive
         v_con = op.constraint_null_basis(ctx, m_trunc)
         rem_form = max_over_blocks(hermitian_part_norm, remainder, v_con, m_trunc) / ctx.eps
         del remainder
-        s_rad = resonant_term_radius(ctx, v_con, m_trunc)
-        return (ctx.eps, c2, rem_form, s_rad), (ctx, drive, v_div)
+        return rem_form, resonant_term_radius(ctx, v_con, m_trunc)
 
-    # the band sweep below reuses the drive and divergence-free basis of the
-    # first eps mode; that point runs last, so they are the only ones alive
-    later = cfg.eps_modes[1:]
-    with evo.thread_map(cfg.jobs, len(later)) as each:
-        # keep only the row, so no point's matrices outlive its own call
-        later_rows = list(each(lambda m: eps_point(m)[0], later))
-    first_row, (ctx, drive, v_div) = eps_point(cfg.eps_modes[0])
-    eps_rows = [first_row] + later_rows
+    # diff, read by every c2, and the first mode's divergence-free basis, read
+    # by the band sweep, are dropped before the skew is assembled: the
+    # remainders run beside the drive and the skew alone
+    with evo.thread_map(cfg.jobs, len(contexts)) as each:
+        c2s, v_divs = zip(*each(off_direction, contexts))
+    del diff
+
+    # band sweep at the first eps mode's direction (band quantities are
+    # direction-only, so any mode with the same direction gives the same
+    # numbers)
+    bands = []
+    n = 2
+    while n <= cfg.band:
+        bands.append(n)
+        n *= 2
+    stored = spectral.stored_band_for(cfg.band, m_trunc)
+    basis = spectral.build_eigenbasis(first, stored, m_trunc, tail_gate=cfg.tolerance("tail_gate"))
+    gaps = spectral.high_mode_gap(basis, bands, drive, v_divs[0])
+    band_rows = [
+        (band, gap, spectral.band_derivative_norm(basis, band)) for band, gap in zip(bands, gaps)
+    ]
+    del v_divs
+
+    skew = op.assemble_matrix(lambda b: op.fast_skew(first, b), m_trunc)
+    with evo.thread_map(cfg.jobs, len(contexts)) as each:
+        terms = list(each(remainder_terms, contexts))
+    eps_rows = [(ctx.eps, c2, *t) for ctx, c2, t in zip(contexts, c2s, terms)]
 
     _write_table(
         cfg,
@@ -520,29 +551,10 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         slack * s_vals[0] + 1e-12,
     )
 
-    # band sweep at the first eps mode's direction (band quantities are
-    # direction-only, so any mode with the same direction gives the same
-    # numbers)
-    stored = spectral.stored_band_for(cfg.band, m_trunc)
-    basis = spectral.build_eigenbasis(
-        ctx, stored, m_trunc, tail_gate=cfg.tolerance("tail_gate")
-    )
-    bands = []
-    n = 2
-    while n <= cfg.band:
-        bands.append(n)
-        n *= 2
-    band_rows = []
-    for band in bands:
-        gap = spectral.high_mode_gap(basis, band, drive, v_div)
-        deriv = spectral.band_derivative_norm(basis, band)
-        band_rows.append((band, gap, deriv))
-
     _write_table(
         cfg, report, "scaling_bands.csv", ["band", "high_mode_gap", "d3_band_norm"], band_rows
     )
 
-    gaps = [r[1] for r in band_rows]
     monotone = all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
     if len(bands) > 1:
         compared = f"gaps at bands {', '.join(map(str, bands))} must not increase along the sweep"

@@ -182,6 +182,15 @@ def validate(raw: dict) -> RunConfig:
     eps_raw = raw.get("eps_modes", [2, 8, 32])
     if not isinstance(eps_raw, list) or not all(_is_a(v, int) and v > 0 for v in eps_raw):
         raise ConfigError("'eps_modes' must be a list of positive integers")
+    if not eps_raw:
+        raise ConfigError("'eps_modes' must be a non-empty list of positive integers")
+    if len(set(eps_raw)) < len(eps_raw):
+        raise ConfigError(f"duplicate entry in 'eps_modes' {eps_raw!r}")
+    if kind == "scaling-study" and len(eps_raw) < 2:
+        raise ConfigError(
+            f"scaling-study fits the c2 slope through its 'eps_modes': needs at least "
+            f"two; got {eps_raw!r}"
+        )
 
     background = raw.get("background", "canonical")
     if background != "canonical":

@@ -256,11 +256,12 @@ def band_derivative_norm(basis: SpectralBasis, band: int) -> float:
 
 def high_mode_gap(
     basis: SpectralBasis,
-    band: int,
+    bands,
     drive_matrix: np.ndarray,
     divergence_free_basis: np.ndarray,
-) -> float:
-    """Quadratic-form gap between full and band compressions of the drive.
+) -> list:
+    """Quadratic-form gaps between full and band compressions of the drive,
+    one per band of ``bands``.
 
     Measures sup |<C P b, P b> - <C P_N b, P_N b>| over unit divergence-free
     b, where P is the stored-family realization of the direction-orthogonal
@@ -273,19 +274,25 @@ def high_mode_gap(
     of C.  Its Hermitian part is Y* H Y with H the Hermitian part of C with
     that window zeroed.  A thin QR Y* = Q R gives Y* H Y = Q (R H R*) Q*, so
     the norm is the largest |eigenvalue| of the (4K+2)-square R H R*, and
-    no matrix of the divergence-free dimension is factored.
+    no matrix of the divergence-free dimension is factored.  C and R do not
+    depend on the band: they are formed once, and each band zeroes its
+    window on a copy of C.
 
     The hypothesis class matters: restricting further (adding the averaged
     momentum-balance rows) collapses the form identically for circularly
     polarized backgrounds, so the divergence condition alone is imposed.
     """
-    band = min(band, basis.band)
     phi = band_matrix(basis, basis.band)
     y = phi.conj().T @ divergence_free_basis  # (4K+2, dim_div_free)
-    outside = phi.conj().T @ (drive_matrix @ phi)
-    lo = 2 * (basis.band - band)
-    hi = lo + 4 * band + 2
-    outside[lo:hi, lo:hi] = 0.0
-    herm = 0.5 * (outside + outside.conj().T)
+    compressed = phi.conj().T @ (drive_matrix @ phi)
     _, r = np.linalg.qr(y.conj().T)
-    return float(np.abs(np.linalg.eigvalsh(r @ herm @ r.conj().T)).max())
+    gaps = []
+    for band in bands:
+        band = min(band, basis.band)
+        outside = compressed.copy()
+        lo = 2 * (basis.band - band)
+        hi = lo + 4 * band + 2
+        outside[lo:hi, lo:hi] = 0.0
+        herm = 0.5 * (outside + outside.conj().T)
+        gaps.append(float(np.abs(np.linalg.eigvalsh(r @ herm @ r.conj().T)).max()))
+    return gaps

@@ -174,6 +174,84 @@ def test_scaling_study_matches_the_dense_route(
             assert abs(measured - dense) <= 1e-12 * dense
 
 
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_direction_only_matrices_are_bitwise_equal_at_every_eps_mode(request, background):
+    # every eps mode (m, 0) has eta = (1, 0) exactly, so the drive D, its
+    # off-direction part D - P_perp D P_perp and the fast skew S come out with
+    # the same bits at each one: the scaling study forms them once
+    bg = request.getfixturevalue(background)
+    m = 32
+    shared = []
+    for m_eps in (2, 8, 32):
+        ctx = lattice_mode_context(bg, (m_eps, 0))
+        assert ctx.eta == (1.0, 0.0)
+        drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
+        diff = drive - direction_perp_compression(ctx, drive, m)
+        skew = op.assemble_matrix(lambda b: op.fast_skew(ctx, b), m)
+        shared.append((drive, diff, skew))
+    for later in shared[1:]:
+        for first, other in zip(shared[0], later):
+            assert np.array_equal(first, other)
+    assert np.count_nonzero(shared[0][1]) and np.count_nonzero(shared[0][2])
+
+
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+def test_remainder_from_the_shared_matrices_is_bitwise_the_assembled_one(request, background):
+    # the study forms R = IND eps^2 - S / eps - D elementwise, with S and D
+    # from the first eps mode; that is the assembled remainder to the bit
+    bg = request.getfixturevalue(background)
+    m = 32
+    first = lattice_mode_context(bg, (2, 0))
+    skew = op.assemble_matrix(lambda b: op.fast_skew(first, b), m)
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(first, b), m)
+    for m_eps in (2, 8, 32):
+        ctx = lattice_mode_context(bg, (m_eps, 0))
+        ind = op.assemble_matrix(lambda b: op._balanced_induction(ctx, b), m)
+        drive_free = ind * complex(ctx.eps**2) - skew * complex(1.0 / ctx.eps)
+        assert np.array_equal(
+            drive_free, op.assemble_matrix(lambda b: op._remainder_without_drive(ctx, b), m)
+        )
+        drive_free -= drive
+        assert np.array_equal(
+            drive_free, op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
+        )
+
+
+def test_scaling_study_assembles_the_direction_only_matrices_once(tmp_path, monkeypatch):
+    # D and S once per study, and one eps-dependent part per eps mode
+    assembled = []
+    real = op.assemble_matrix
+
+    def counting(fn, truncation):
+        assembled.append(truncation)
+        return real(fn, truncation)
+
+    monkeypatch.setattr(op, "assemble_matrix", counting)
+    eps_modes = [2, 8, 32, 4]
+    cfg = validate(
+        {"kind": "scaling-study", "truncation": 40, "band": 2, "eps_modes": eps_modes,
+         "out_dir": str(tmp_path)}
+    )
+    assert execute(cfg).passed
+    assert len(assembled) == 2 + len(eps_modes)
+
+
+def test_scaling_study_report_does_not_depend_on_jobs(tmp_path):
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = validate(
+            {"kind": "scaling-study", "truncation": 48, "band": 4, "eps_modes": [2, 8, 32],
+             "jobs": jobs, "out_dir": str(out)}
+        )
+        assert execute(cfg).passed
+        outputs.append(
+            [(out / name).read_bytes()
+             for name in ("report.json", "scaling_eps.csv", "scaling_bands.csv")]
+        )
+    assert outputs[0] == outputs[1]
+
+
 def test_direction_perp_compression_at_an_oblique_mode(alt_bg):
     # at (2, 1) the direction (eta, 0) is oblique, so P_perp couples the
     # first two components at each wavenumber

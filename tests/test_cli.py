@@ -92,6 +92,18 @@ def test_band_below_the_kinds_least_exits_2(tmp_path, capsys, kind, band):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("eps_modes", [[], [8], [8, 8]])
+def test_eps_modes_that_fit_no_slope_exit_2(tmp_path, capsys, eps_modes):
+    # the study fits the c2 slope through its eps modes, and none of these
+    # gives two distinct points: bad input, not a failed check
+    cfg = write_config(
+        tmp_path, kind="scaling-study", truncation=40, band=2, eps_modes=eps_modes
+    )
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "eps_modes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_t_final_between_output_steps_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, kind="evolve", t_final=0.5, output_step=0.2)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2

@@ -90,6 +90,14 @@ def test_defaults_fill_in():
         # a background whose direction never turns has no per-mode reduction
         (minimal(background=[[1, 1, 1]]), "does not turn"),
         (minimal(background=[[1, 1, 1], [1, -1, 2]]), "does not turn"),
+        # the eps modes are a set of points, and the scaling study fits a
+        # slope through them: at least two distinct ones
+        (minimal(eps_modes=[]), "non-empty list"),
+        (minimal(eps_modes=[8, 2, 8]), "duplicate entry in 'eps_modes'"),
+        ({"kind": "scaling-study", "truncation": 40, "band": 2, "eps_modes": []},
+         "non-empty list"),
+        ({"kind": "scaling-study", "eps_modes": [8]}, "needs at least two"),
+        ({"kind": "scaling-study", "eps_modes": [8, 8]}, "duplicate entry in 'eps_modes'"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -102,6 +110,11 @@ def test_t_final_a_whole_number_of_steps_up_to_rounding(t_final, output_step):
     # 0.3 / 0.1 is 2.9999999999999996 in floating point
     cfg = validate(minimal(t_final=t_final, output_step=output_step))
     assert cfg.t_final == t_final
+
+
+def test_one_eps_mode_is_enough_for_a_kind_that_does_not_fit_a_slope():
+    assert validate(minimal(eps_modes=[8])).eps_modes == (8,)
+    assert validate({"kind": "scaling-study", "eps_modes": [32, 2]}).eps_modes == (32, 2)
 
 
 def test_truncation_band_boundary():

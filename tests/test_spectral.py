@@ -125,12 +125,22 @@ def test_band_derivative_norm_frozen_values(basis64):
 
 
 def test_high_mode_gap_decays_and_vanishes_at_full_band(basis64, drive64, v_div64):
-    gaps = [spectral.high_mode_gap(basis64, n, drive64, v_div64) for n in (2, 4, 8)]
+    gaps = spectral.high_mode_gap(basis64, (2, 4, 8), drive64, v_div64)
     expected = [0.0406878740325432, 0.026132556352143267, 0.014031473255174965]
     assert np.max(np.abs(np.array(gaps) - expected)) < 1e-10
     assert gaps[0] > gaps[1] > gaps[2]
-    full = spectral.high_mode_gap(basis64, 16, drive64, v_div64)
+    [full] = spectral.high_mode_gap(basis64, [16], drive64, v_div64)
     assert full < 1e-12
+
+
+def test_high_mode_gaps_of_a_sweep_equal_one_call_per_band(basis64, drive64, v_div64):
+    # the compression and the QR are shared by the bands; each band zeroes
+    # its window on its own copy, so no band sees another's zeros
+    bands = (2, 4, 8)
+    swept = spectral.high_mode_gap(basis64, bands, drive64, v_div64)
+    single = [spectral.high_mode_gap(basis64, [n], drive64, v_div64)[0] for n in bands]
+    assert swept == single
+    assert spectral.high_mode_gap(basis64, bands[::-1], drive64, v_div64) == single[::-1]
 
 
 @pytest.mark.parametrize("background", ["bg", "alt_bg"])
@@ -140,11 +150,11 @@ def test_high_mode_gap_core_matches_the_dense_formula(request, background):
     basis = spectral.build_eigenbasis(ctx, 16, m)
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     v_div = op.divergence_null_basis(ctx, m)
-    for band in (2, 4, 8):
+    bands = (2, 4, 8)
+    for band, core in zip(bands, spectral.high_mode_gap(basis, bands, drive, v_div)):
         dense = dense_high_mode_gap(basis, band, drive, v_div)
         assert dense > 1e-3
-        core = spectral.high_mode_gap(basis, band, drive, v_div)
         assert abs(core - dense) <= 1e-12 * dense
     # the band covers the whole stored family: both routes read zero
-    assert spectral.high_mode_gap(basis, 16, drive, v_div) <= 1e-14
+    assert spectral.high_mode_gap(basis, [16], drive, v_div)[0] <= 1e-14
     assert dense_high_mode_gap(basis, 16, drive, v_div) <= 1e-14
