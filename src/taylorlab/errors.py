@@ -33,10 +33,6 @@ class ResonanceViolation(TaylorLabError):
     """A structurally resonant coupling coefficient failed to vanish."""
 
 
-class RegimeViolation(TaylorLabError):
-    """Near-identity conjugation requested outside its contraction regime."""
-
-
 class IllConditioned(TaylorLabError):
     """A dense solve or matrix exponential failed its accuracy cross-check."""
 

@@ -102,7 +102,8 @@ def project_constraints(
     if basis is None:
         basis = constraint_null_basis(ctx, b.truncation)
     vec = field_to_vector(b)
-    return vector_to_field(basis @ (basis.conj().T @ vec), b.truncation)
+    # conj(vec* basis) is basis* vec without a conjugated copy of the basis
+    return vector_to_field(basis @ (vec.conj() @ basis).conj(), b.truncation)
 
 
 def grad_energy(ctx: ModeContext, b: ModeField) -> float:

@@ -1,12 +1,16 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import taylorlab
 from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import canonical_background, lattice_mode_context, make_background
+from taylorlab.errors import TaylorLabError
 from taylorlab.fourier import FourierSeries, multiply
-from taylorlab.normal_form import _check_regime
 
 
 @pytest.fixture(scope="session")
@@ -305,17 +309,84 @@ def delta(background):
     return float(np.sqrt(np.linalg.eigvalsh(background.gram)[0]))
 
 
+# every taylorlab module but __main__, which runs the command line on import
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(taylorlab.__path__) if info.name != "__main__"
+)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` from every taylorlab module: each module
+    attribute bound to ``fn`` is replaced by a counting wrapper.  Returns the
+    list that grows by one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name in MODULES:
+        module = importlib.import_module(f"taylorlab.{name}")
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def phi_family_gram(basis):
+    """Gram matrix of the full stored Phi family (minus then plus)."""
+    cols = [op.field_to_vector(basis.phi_minus(k)) for k in range(-basis.band, basis.band + 1)]
+    cols += [op.field_to_vector(basis.phi_plus(j)) for j in basis.plus_indices]
+    mat = np.column_stack(cols)
+    return mat.conj().T @ mat
+
+
+def verify_on_basis_by_fields(ctx, basis):
+    """The residuals of :func:`spectral.verify_on_basis`, with the fast skew
+    operator applied to one stored eigenfield per call: the per-field
+    reference for the stacked-family route."""
+    minus = max(
+        op.fast_skew(ctx, basis.phi_minus(k)).norm() for k in range(-basis.band, basis.band + 1)
+    )
+    plus = max(
+        (op.fast_skew(ctx, basis.phi_plus(j)) - basis.lam(j) * basis.phi_plus(j)).norm()
+        for j in basis.plus_indices
+    )
+    return {"phi_minus_max_residual": minus, "phi_plus_max_residual": plus}
+
+
+def proj_band(basis, band, b):
+    """Orthogonal projection onto the low eigenfield band (span of phi_plus)."""
+    phi = spectral.band_matrix(basis, band)
+    vec = op.field_to_vector(b.resample(basis.truncation))
+    return op.vector_to_field(phi @ (phi.conj().T @ vec), basis.truncation)
+
+
 def proj_band_complement(basis, band, b):
     """High-band complement: pointwise direction-orthogonal projection minus
     the low band."""
     b = b.resample(basis.truncation)
-    return op.proj_direction_perp(basis.ctx, b) - spectral.proj_band(basis, band, b)
+    return op.proj_direction_perp(basis.ctx, b) - proj_band(basis, band, b)
+
+
+def dense_band_compressions(ctx, basis, band):
+    """(Phi* D Phi, (P0 Phi)* L (P0 Phi)) from the assembled drive D, its
+    assembled local part L and the dense componentwise profile projector P0:
+    the dense-matrix oracle for the band matrices ``c_band`` and ``s`` of
+    :func:`normal_form.build_normal_form`."""
+    m = basis.truncation
+    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
+    local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
+    e0 = ctx.e0.resample(m).coeffs
+    projector = np.kron(np.eye(3), np.outer(e0, e0[::-1]))
+    phi = spectral.band_matrix(basis, band)
+    p0_phi = projector @ phi
+    return phi.conj().T @ (drive @ phi), p0_phi.conj().T @ (local @ p0_phi)
 
 
 def homological_rhs(ctx, basis, i, j):
-    """Right-hand side scalar of the homological equation through operator
-    applications: the per-pair oracle for the dense route of
-    :func:`normal_form.build_normal_form`."""
+    """Right-hand side scalar of the homological equation for the pair (i, j),
+    through one operator application per eigenfield: the per-pair oracle for
+    the band-block applications of :func:`normal_form.build_normal_form`."""
     phi_i = basis.phi_plus(i)
     phi_j = basis.phi_plus(j)
     first = -op.symmetric_drive(ctx, phi_i).inner(phi_j)
@@ -324,10 +395,35 @@ def homological_rhs(ctx, basis, i, j):
     return complex(first + second)
 
 
-def unconjugate(nf, d, eps=None):
-    """Invert :func:`normal_form.conjugate` by a direct band-coordinate solve."""
+class RegimeViolation(TaylorLabError):
+    """Near-identity conjugation requested outside its contraction regime."""
+
+
+def check_regime(nf, eps):
+    """Raise RegimeViolation unless eps ||Q|| < 1/2, where the change of
+    unknown d = (Id + eps Q_N) b and its inverse are well conditioned."""
+    if eps * nf.q_norm >= 0.5:
+        raise RegimeViolation(
+            f"eps * ||Q|| = {eps * nf.q_norm:.3f} >= 0.5; the conjugation "
+            "is outside its perturbative regime"
+        )
+
+
+def conjugate(nf, b, eps=None):
+    """d = b + eps * Q_N b with Q_N the band extension-by-zero of Q."""
     eps = nf.basis.ctx.eps if eps is None else eps
-    _check_regime(nf, eps)
+    check_regime(nf, eps)
+    phi = spectral.band_matrix(nf.basis, nf.band)
+    vec = op.field_to_vector(b.resample(nf.basis.truncation))
+    out = vec + eps * (phi @ (nf.q @ (phi.conj().T @ vec)))
+    return op.vector_to_field(out, nf.basis.truncation)
+
+
+def unconjugate(nf, d, eps=None):
+    """Invert :func:`conjugate` by a direct band-coordinate solve of
+    (Id + eps Q) on the band coordinates, not by a series in eps Q."""
+    eps = nf.basis.ctx.eps if eps is None else eps
+    check_regime(nf, eps)
     phi = spectral.band_matrix(nf.basis, nf.band)
     vec = op.field_to_vector(d.resample(nf.basis.truncation))
     coords = phi.conj().T @ vec

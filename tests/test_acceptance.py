@@ -33,9 +33,7 @@ def _verdict(name, ok, text):
 def nf80(bg):
     ctx = lattice_mode_context(bg, (8, 0))
     basis = spectral.build_eigenbasis(ctx, 16, 64)
-    drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), 64)
-    local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), 64)
-    return build_normal_form(ctx, basis, 8, drive, local)
+    return build_normal_form(ctx, basis, 8)
 
 
 @pytest.fixture(scope="module")

@@ -4,15 +4,26 @@ import pytest
 from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import lattice_mode_context
-from taylorlab.errors import RegimeViolation, ResonanceViolation
-from taylorlab.normal_form import build_normal_form, conjugate, resonant_pairs
+from taylorlab.checks import execute
+from taylorlab.config import validate
+from taylorlab.errors import ResonanceViolation
+from taylorlab.normal_form import build_normal_form, resonant_pairs
 
-from conftest import homological_rhs, laplacian_commutator_norm, random_field, unconjugate
+from conftest import (
+    RegimeViolation,
+    conjugate,
+    count_calls,
+    dense_band_compressions,
+    homological_rhs,
+    laplacian_commutator_norm,
+    random_field,
+    unconjugate,
+)
 
 
 @pytest.fixture(scope="module")
-def nf8(ctx10, basis64, drive64, local64):
-    return build_normal_form(ctx10, basis64, 8, drive_matrix=drive64, local_matrix=local64)
+def nf8(ctx10, basis64):
+    return build_normal_form(ctx10, basis64, 8)
 
 
 def test_resonant_pairs_structure():
@@ -27,7 +38,7 @@ def test_resonant_pairs_structure():
 
 def test_resonant_rhs_vanishes_and_solver_matches_oracle(ctx10, basis64, nf8):
     assert max(nf8.resonance_residuals, default=0.0) < 1e-12
-    # per-pair functional oracle against the dense batch construction
+    # per-pair functional oracle against the band-block construction
     offset = 2 * nf8.band
     for i, j in [(2, 5), (-3, 4), (0, 7)]:
         rhs = homological_rhs(ctx10, basis64, i, j)
@@ -49,11 +60,11 @@ def test_eigenvalue_diagonal_matches_compressed_operator(ctx10, basis64, nf8):
     assert np.linalg.norm(np.diag(nf8.lam) - comp, 2) < 1e-12
 
 
-def test_band_growth_of_q_and_laplacian_commutator(ctx10, basis64, drive64, local64):
+def test_band_growth_of_q_and_laplacian_commutator(ctx10, basis64):
     bands = (4, 8, 16)
     q_norms, lap_norms = [], []
     for n in bands:
-        nf = build_normal_form(ctx10, basis64, n, drive_matrix=drive64, local_matrix=local64)
+        nf = build_normal_form(ctx10, basis64, n)
         q_norms.append(nf.q_norm)
         lap_norms.append(laplacian_commutator_norm(nf))
     expected_q = [5.01188995502927, 6.237084129836907, 7.570199283798929]
@@ -94,14 +105,19 @@ def test_conjugation_rejects_gravest_mode(ctx10, basis64, nf8):
         unconjugate(nf8, b)
 
 
-def test_resonance_violation_on_corrupted_drive(ctx10, basis64, drive64, local64):
+def test_resonance_violation_on_corrupted_drive(monkeypatch, ctx10, basis64, drive64):
     rng = np.random.default_rng(2)
     noise = rng.standard_normal(drive64.shape) + 1j * rng.standard_normal(
         drive64.shape
     )
     corrupted = drive64 + 1e-3 * (noise + noise.conj().T)
+    monkeypatch.setattr(
+        op,
+        "symmetric_drive",
+        lambda ctx, b: op.vector_to_field(corrupted @ op.field_to_vector(b), b.truncation),
+    )
     with pytest.raises(ResonanceViolation):
-        build_normal_form(ctx10, basis64, 8, drive_matrix=corrupted, local_matrix=local64)
+        build_normal_form(ctx10, basis64, 8)
 
 
 def test_alt_background_exercises_nonzero_local_part(alt_bg):
@@ -112,7 +128,7 @@ def test_alt_background_exercises_nonzero_local_part(alt_bg):
     basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(4, m), m)
     local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
     assert np.linalg.norm(local, 2) > 0.1
-    nf = build_normal_form(ctx, basis, 4, local_matrix=local)
+    nf = build_normal_form(ctx, basis, 4)
     assert max(nf.resonance_residuals) < 1e-12
     assert nf.commutator_residual < 1e-12
     assert np.linalg.norm(nf.c_band, 2) > 1e-3
@@ -126,3 +142,30 @@ def test_data_arrays_are_write_protected(nf8):
         nf8.q[0, 0] = 1.0
     with pytest.raises(ValueError):
         nf8.lam[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "background, key, band",
+    [("bg", (1, 0), 8), ("bg", (8, 0), 8), ("alt_bg", (8, 0), 4)],
+)
+def test_band_matrices_match_the_dense_compressions(request, background, key, band):
+    # the band-block applications against Phi* D Phi and (P0 Phi)* L (P0 Phi)
+    # formed from the assembled drive, local part and profile projector
+    ctx = lattice_mode_context(request.getfixturevalue(background), key)
+    m = 64
+    basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(band, m), m)
+    nf = build_normal_form(ctx, basis, band)
+    c_dense, s_dense = dense_band_compressions(ctx, basis, band)
+    # s vanishes structurally on these backgrounds, so both matrices are
+    # measured against the scale of the drive compression
+    scale = np.linalg.norm(c_dense)
+    assert scale > 1e-3
+    assert np.linalg.norm(nf.c_band - c_dense) <= 1e-12 * scale
+    assert np.linalg.norm(nf.s - s_dense) <= 1e-12 * scale
+
+
+def test_normalform_check_assembles_no_matrix(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, op.assemble_matrix)
+    report = execute(validate({"kind": "normalform-check", "out_dir": str(tmp_path)}))
+    assert report.passed
+    assert calls == []

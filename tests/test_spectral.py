@@ -6,7 +6,16 @@ from taylorlab import spectral
 from taylorlab.background import lattice_mode_context
 from taylorlab.errors import BandExceedsBasis, ResolutionExceeded
 
-from conftest import allclose, dense_high_mode_gap, proj_band_complement, random_field
+from conftest import (
+    allclose,
+    count_calls,
+    dense_high_mode_gap,
+    phi_family_gram,
+    proj_band,
+    proj_band_complement,
+    random_field,
+    verify_on_basis_by_fields,
+)
 
 
 def test_profile_zero_is_the_normalized_along_profile(basis64, ctx10):
@@ -46,6 +55,18 @@ def test_stored_family_diagonalizes_the_fast_operator(ctx10, basis64):
     assert residuals["phi_plus_max_residual"] < 1e-10
 
 
+def test_verify_on_basis_applies_the_operator_once_per_family(monkeypatch, ctx10):
+    # one block application for the 17 phi_minus fields, one for the 34
+    # phi_plus fields of a basis stored to band 8
+    basis = spectral.build_eigenbasis(ctx10, 8, 64)
+    calls = count_calls(monkeypatch, op.fast_skew)
+    residuals = spectral.verify_on_basis(ctx10, basis)
+    assert len(calls) == 2
+    assert max(residuals.values()) < 1e-10
+    for name, value in verify_on_basis_by_fields(ctx10, basis).items():
+        assert abs(residuals[name] - value) <= 1e-12 * value
+
+
 def test_eigenvalue_pairing_convention(basis64):
     # even branch carries +mu_k, odd branch -mu_k, with k = j // 2
     assert basis64.lam(2) == basis64.eigenvalue_mu(1)
@@ -55,7 +76,7 @@ def test_eigenvalue_pairing_convention(basis64):
 
 
 def test_phi_family_is_orthonormal(basis64):
-    gram = basis64.gram()
+    gram = phi_family_gram(basis64)
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
 
 
@@ -87,8 +108,8 @@ def test_band_matrix_guard(basis64):
 def test_band_projector_properties(ctx10, basis64):
     rng = np.random.default_rng(0)
     b = random_field(64, rng)
-    p = spectral.proj_band(basis64, 4, b)
-    assert (spectral.proj_band(basis64, 4, p) - p).norm() < 1e-12
+    p = proj_band(basis64, 4, b)
+    assert (proj_band(basis64, 4, p) - p).norm() < 1e-12
     q = proj_band_complement(basis64, 4, b)
     assert abs(p.inner(q)) < 1e-12
     direction_perp = op.proj_direction_perp(ctx10, b)
@@ -109,7 +130,7 @@ def test_parseval_on_profile_band_limited_fields(ctx10, basis64):
     total = np.sum(np.abs(c_minus) ** 2) + np.sum(np.abs(c_plus) ** 2)
     assert abs(b.norm() ** 2 - total) < 1e-12 * total
     # and the band projector recovers exactly the plus-branch budget
-    low = spectral.proj_band(basis64, 8, b)
+    low = proj_band(basis64, 8, b)
     assert abs(low.norm() ** 2 - np.sum(np.abs(c_plus) ** 2)) < 1e-12 * total
 
 
