@@ -97,7 +97,7 @@ def factored_numerical_radius(y: np.ndarray, k: np.ndarray, z: np.ndarray) -> fl
     return numerical_radius((q.conj().T @ y) @ k @ (z @ q))
 
 
-def resonant_term_radius(ctx, v_con: np.ndarray, truncation: int) -> float:
+def resonant_term_radius(ctx, v_con: np.ndarray) -> float:
     """Numerical radius of V* (P_perp P_prof L P_prof P_perp / eps) V.
 
     V = ``v_con`` spans the constrained fields, P_perp is the direction
@@ -108,13 +108,12 @@ def resonant_term_radius(ctx, v_con: np.ndarray, truncation: int) -> float:
     by applying the operators to the 3-field block E or to the block V, so
     no dense operator matrix is assembled.
     """
-    e_block = op.profile_fields(ctx, truncation)
+    v_fields = op.vector_to_field(v_con)
+    e_block = op.profile_fields(ctx, v_fields.truncation)
     y = v_con.conj().T @ op.field_to_vector(op.proj_direction_perp(ctx, e_block))
     local = op.magnetostrophic_symmetric(ctx, e_block)
     k = op.profile_averages(ctx, local) / ctx.eps
-    z = op.profile_averages(
-        ctx, op.proj_direction_perp(ctx, op.vector_to_field(v_con, truncation))
-    )
+    z = op.profile_averages(ctx, op.proj_direction_perp(ctx, v_fields))
     return factored_numerical_radius(y, k, z)
 
 
@@ -130,7 +129,7 @@ def spectral_norm(mat: np.ndarray):
     return np.linalg.norm(mat, 2, axis=(-2, -1))
 
 
-def direction_perp_compression(ctx, mat: np.ndarray, truncation: int) -> np.ndarray:
+def direction_perp_compression(ctx, mat: np.ndarray) -> np.ndarray:
     """P_perp A P_perp for a dense A, with P_perp the pointwise projection off
     (eta, 0).
 
@@ -142,14 +141,12 @@ def direction_perp_compression(ctx, mat: np.ndarray, truncation: int) -> np.ndar
     # the block of fields is released once projected, before the result is
     # stacked, so no third dense matrix is alive
     def perp(cols):
-        return op.field_to_vector(
-            op.proj_direction_perp(ctx, op.vector_to_field(cols, truncation))
-        )
+        return op.field_to_vector(op.proj_direction_perp(ctx, op.vector_to_field(cols)))
 
     return perp(perp(mat).conj().T).conj().T
 
 
-def max_over_blocks(norm, square: np.ndarray, basis: np.ndarray, truncation: int) -> float:
+def max_over_blocks(norm, square: np.ndarray, basis: np.ndarray) -> float:
     """``norm`` of V* A V as the largest over its blocks V_k* A_k V_k
     (:func:`operators.compress_by_blocks`), for a norm of a block diagonal
     matrix that is the largest of its blocks' norms.  A block that holds no
@@ -160,7 +157,7 @@ def max_over_blocks(norm, square: np.ndarray, basis: np.ndarray, truncation: int
     :func:`hermitian_part_norm` do: the blocks are grouped by shape, and
     each group is one stacked call (3 shapes for 128 blocks at M = 64).
     """
-    blocks = op.compression_blocks(square, basis, truncation)
+    blocks = op.compression_blocks(square, basis)
     by_shape = {}
     for c in op.compress_by_blocks(square, basis, blocks):
         if c.size:
@@ -210,7 +207,7 @@ def run_spectral_check(cfg: RunConfig, bg, report: RunReport) -> None:
     report.add("eigenvalue_relative_error", worst_val < tol_val, worst_val, tol_val)
     report.add("eigenvector_error", worst_vec < tol_vec, worst_vec, tol_vec)
 
-    residuals = spectral.verify_on_basis(ctx, basis)
+    residuals = spectral.verify_on_basis(basis)
     for name, value in sorted(residuals.items()):
         report.add(name, value < tol_val, value, tol_val)
 
@@ -223,11 +220,12 @@ def run_spectral_check(cfg: RunConfig, bg, report: RunReport) -> None:
 def run_normalform_check(cfg: RunConfig, bg, report: RunReport) -> None:
     ctx = lattice_mode_context(bg, cfg.modes[0])
 
-    stored = spectral.stored_band_for(cfg.band, cfg.truncation)
+    # the normal form reads the band's eigenfields alone, so no profile
+    # beyond the band is collocated
     basis = spectral.build_eigenbasis(
-        ctx, stored, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
+        ctx, cfg.band, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
     )
-    nf = build_normal_form(ctx, basis, cfg.band, resonance_tol=cfg.tolerance("resonance"))
+    nf = build_normal_form(basis, cfg.band, resonance_tol=cfg.tolerance("resonance"))
 
     rows = [
         (i, j, lam_i.real, lam_i.imag, lam_j.real, lam_j.imag, float(rhs))
@@ -279,11 +277,11 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
         basis = op.constraint_null_basis(ctx, cfg.truncation)
         for i in range(CONSTRAINT_FIELDS_PER_MODE):
             raw = evo.random_mode_field(cfg.truncation, rng)
-            proj = evo.project_constraints(ctx, raw, basis)
+            proj = evo.project_constraints(raw, basis)
             r_perp, r_3 = op.taylor_residual(ctx, proj)
             tay = max(abs(r_perp), abs(r_3))
             div = op.divergence_residual(ctx, proj)
-            again = evo.project_constraints(ctx, proj, basis)
+            again = evo.project_constraints(proj, basis)
             idem = (again - proj).norm()
             direct = op.proj_profile(ctx, proj)
             via_constraint = op.proj_profile_from_constraint(ctx, proj)
@@ -325,7 +323,6 @@ def _symmetrized(state: evo.SimulationState) -> evo.SimulationState:
                 *(FourierSeries(np.conj(c.coeffs[::-1])) for c in b.components)
             )
     return evo.SimulationState(
-        background=state.background,
         time=state.time,
         modes=modes,
         zero_mode=state.zero_mode,
@@ -474,11 +471,11 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     # (1, 0) at every mode (m, 0): each is formed once, from the first mode
     first = contexts[0]
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(first, b), m_trunc)
-    diff = drive - direction_perp_compression(first, drive, m_trunc)
+    diff = drive - direction_perp_compression(first, drive)
 
     def off_direction(ctx):
         v_div = op.divergence_null_basis(ctx, m_trunc)
-        c2 = max_over_blocks(spectral_norm, diff, v_div, m_trunc)
+        c2 = max_over_blocks(spectral_norm, diff, v_div)
         # the band sweep reads the first mode's basis; no other outlives its call
         return c2, (v_div if ctx is first else None)
 
@@ -491,9 +488,9 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         remainder -= skew * complex(1.0 / ctx.eps)
         remainder -= drive
         v_con = op.constraint_null_basis(ctx, m_trunc)
-        rem_form = max_over_blocks(hermitian_part_norm, remainder, v_con, m_trunc) / ctx.eps
+        rem_form = max_over_blocks(hermitian_part_norm, remainder, v_con) / ctx.eps
         del remainder
-        return rem_form, resonant_term_radius(ctx, v_con, m_trunc)
+        return rem_form, resonant_term_radius(ctx, v_con)
 
     # diff, read by every c2, and the first mode's divergence-free basis, read
     # by the band sweep, are dropped before the skew is assembled: the

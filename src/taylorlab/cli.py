@@ -30,7 +30,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs",
         type=int,
-        help="worker threads (overrides the config and TAYLORLAB_JOBS)",
+        help="worker threads (overrides the config)",
     )
 
     plot = sub.add_parser("plot", help="regenerate SVG charts from a report directory")
@@ -58,16 +58,8 @@ def main(argv=None) -> int:
             overrides["out_dir"] = args.out
         if args.seed is not None:
             overrides["seed"] = args.seed
-        jobs = args.jobs
-        if jobs is None and os.environ.get("TAYLORLAB_JOBS"):
-            try:
-                jobs = int(os.environ["TAYLORLAB_JOBS"])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"TAYLORLAB_JOBS is not an integer: {os.environ['TAYLORLAB_JOBS']!r}"
-                ) from exc
-        if jobs is not None:
-            overrides["jobs"] = jobs
+        if args.jobs is not None:
+            overrides["jobs"] = args.jobs
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
     except ConfigError as exc:

@@ -64,6 +64,7 @@ from .fourier import FourierSeries, phases
 from .operators import (
     ModeField,
     PairTransform,
+    _window,
     assemble_matrix,
     balancing_term,
     basis_blocks,
@@ -89,21 +90,18 @@ EXPM_ORACLE_TOL = 1e-10
 # ----------------------------------------------------------------------
 
 
-def project_constraints(
-    ctx: ModeContext, b: ModeField, basis: np.ndarray | None = None
-) -> ModeField:
-    """L2-orthogonal projection onto the constrained subspace.
+def project_constraints(b: ModeField, basis: np.ndarray) -> ModeField:
+    """L2-orthogonal projection onto the span of the orthonormal columns
+    ``basis``, for b at their window.
 
-    The subspace is the intersection of the divergence condition (one
-    linear relation per vertical mode) with the two averaged balance
-    relations.  Pass a precomputed orthonormal ``basis`` to amortize the
-    null-space factorization across calls.
+    With the mode's :func:`.operators.constraint_null_basis` that span is
+    the constrained subspace: the intersection of the divergence condition
+    (one linear relation per vertical mode) with the two averaged balance
+    relations.
     """
-    if basis is None:
-        basis = constraint_null_basis(ctx, b.truncation)
     vec = field_to_vector(b)
     # conj(vec* basis) is basis* vec without a conjugated copy of the basis
-    return vector_to_field(basis @ (vec.conj() @ basis).conj(), b.truncation)
+    return vector_to_field(basis @ (vec.conj() @ basis).conj())
 
 
 def grad_energy(ctx: ModeContext, b: ModeField) -> float:
@@ -344,11 +342,6 @@ def _memo(cache: dict, fn, mat: np.ndarray):
     return cache[key]
 
 
-def _pair_transform(dim: int) -> PairTransform:
-    """The pair basis of the stacked vectors of length ``dim`` = 3(2M+1)."""
-    return PairTransform((dim // 3 - 1) // 2)
-
-
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
     """One mode's generator G and constraint basis V as their real pair-basis
@@ -403,7 +396,7 @@ class ModePropagator:
         raises :class:`IllConditioned` here: G commutes with J and V's
         columns are fixed by J, so both are real up to roundoff.
         """
-        pairs = _pair_transform(len(generator))
+        pairs = PairTransform(_window(len(generator)))
         r, r_imag = pairs.pair_form(generator)
         c, c_imag = pairs.pair_form(basis, square=False)
         blocks = coupled_blocks(r, c.T != 0)
@@ -515,20 +508,16 @@ class ModePropagator:
         self.__dict__.pop("_oracles", None)
 
     def exponential(self, h: float) -> tuple:
-        """exp(h R_k) per block, in the pair basis; cached per h.
+        """exp(h R_k) per block, real, in the pair basis; cached per h.
 
-        For h > 0 each is computed and stored real.  Backward flow (h < 0,
-        which only the tests use) exponentiates the same R_k in complex
-        dtype: there scipy's real-dtype ``expm`` loses digits (2.0e-12
-        against 1.3e-13 relative 2-norm from the whole-matrix complex route
-        at M = 8, h = -0.125).
+        The flow is a forward semigroup: backward diffusion is ill-posed, and
+        h <= 0 raises ValueError.
         """
         key = float(h)
+        if not key > 0:
+            raise ValueError(f"the flow runs forward only: h = {key} must be positive")
         if key not in self.propagator_cache:
-            blocks = self.generators
-            if key < 0:
-                blocks = (r.astype(np.complex128) for r in blocks)
-            outs, cond, error = _checked_expm(blocks, lambda: self._oracles[1], key)
+            outs, cond, error = _checked_expm(self.generators, lambda: self._oracles[1], key)
             self.propagator_cache[key] = tuple(outs)
             self.oracle_margins[key] = (self._oracles[0], cond, error is not None, error)
         return self.propagator_cache[key]
@@ -537,17 +526,14 @@ class ModePropagator:
         """exp(h G) x, for stacked coefficient vectors x along the first axis.
 
         x is lowered to y = U* x once, each block of y is multiplied by its
-        exponential, and the result is lifted by U once.  A real exponential
-        acts on the real and imaginary parts of its block of y as the columns
-        of one real product.
+        exponential, and the result is lifted by U once.  Each exponential is
+        real, so it acts on the real and imaginary parts of its block of y as
+        the columns of one real product.
         """
-        pairs = _pair_transform(len(x))
+        pairs = PairTransform(_window(len(x)))
         y = pairs.lower(x.reshape(len(x), -1))
         for idx, block in zip(self.blocks, self.exponential(h)):
-            if np.isrealobj(block):
-                y[idx] = (block @ y[idx].view(np.float64)).view(np.complex128)
-            else:
-                y[idx] = block @ y[idx]
+            y[idx] = (block @ y[idx].view(np.float64)).view(np.complex128)
         return pairs.lift(y).reshape(x.shape)
 
     def power(self, x: np.ndarray) -> float:
@@ -556,7 +542,7 @@ class ModePropagator:
         With y = U* x, <x, G x> = y* R y, and R is real: with a + ib = y_k
         per block, the real part is the sum of a^T R_k a + b^T R_k b.
         """
-        y = _pair_transform(len(x)).lower(x[:, None])
+        y = PairTransform(_window(len(x))).lower(x[:, None])
         total = 0.0
         for idx, r in zip(self.blocks, self.generators):
             ab = y[idx].view(np.float64)  # the columns a and b
@@ -586,30 +572,24 @@ def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
         rows = np.concatenate([c * w + truncation + np.arange(-k, k + 1) for c in range(3)])
         # every entry as in G_off plus the zero-padded term, signed zeros too
         on = off + 0.0
-        on[rows] = off[rows] + field_to_vector(balancing_term(ctx, vector_to_field(off[rows], k)))
+        on[rows] = off[rows] + field_to_vector(balancing_term(ctx, vector_to_field(off[rows])))
         on.setflags(write=False)
     return tuple(on if lane else off for lane in lanes)
 
 
 def build_propagator(
-    ctx: ModeContext,
-    truncation: int,
-    include_geostrophic: bool = True,
-    basis: np.ndarray | None = None,
+    ctx: ModeContext, basis: np.ndarray, include_geostrophic: bool = True
 ) -> ModePropagator:
     """The propagator of the full per-mode generator (induction plus
-    diffusion, see :func:`lane_generators`) and the constraint basis.
+    diffusion, see :func:`lane_generators`) and the mode's constraint
+    ``basis``, at the basis's window.
 
     The restricted abscissa is the largest real part of the generator
     compressed to the constrained subspace, computed when first read.  The
     invariance of that subspace is not enforced, so that runs with the
-    balancing velocity disabled remain expressible.  ``basis`` is this
-    mode's constraint basis at this truncation, when the caller holds it
-    already.
+    balancing velocity disabled remain expressible.
     """
-    (gen,) = lane_generators(ctx, truncation, (include_geostrophic,))
-    if basis is None:
-        basis = constraint_null_basis(ctx, truncation)
+    (gen,) = lane_generators(ctx, _window(len(basis)), (include_geostrophic,))
     return ModePropagator.from_matrices(ctx, gen, basis)
 
 
@@ -621,7 +601,7 @@ def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
     the balancing velocity drifts off the constrained subspace, and a run
     reports that as its residual gates (:func:`constraint_residuals`).
     """
-    return vector_to_field(propagator.propagate(field_to_vector(b), h), b.truncation)
+    return vector_to_field(propagator.propagate(field_to_vector(b), h))
 
 
 def constraint_residuals(ctx: ModeContext, b: ModeField) -> tuple:
@@ -695,7 +675,6 @@ class SimulationState:
     propagators: the per-mode propagators that advanced the modes.
     """
 
-    background: BackgroundField
     time: float
     modes: dict
     zero_mode: tuple
@@ -711,33 +690,23 @@ class SimulationState:
         return float(total)
 
 
-def initial_state(
-    bg: BackgroundField,
-    lattice_modes: list,
-    truncation: int,
-    seed: int = 0,
-    with_zero_mode: bool = True,
-    bases: dict | None = None,
-) -> SimulationState:
+def initial_state(bases: dict, seed: int = 0, with_zero_mode: bool = True) -> SimulationState:
     """Constrained random initial data with recorded seed.
 
-    ``bases`` maps a mode key to its constraint basis at this truncation;
-    modes without one factorize their own.
+    ``bases`` maps each mode key, in the order of the modes, to its
+    constraint basis, all at one window: every field is drawn at that
+    window, and each mode's is projected by its basis.
     """
     rng = np.random.default_rng(seed)
-    bases = bases or {}
+    truncation = _window(len(next(iter(bases.values()))))
     modes = {}
-    for key in lattice_modes:
-        key = tuple(key)
-        ctx = lattice_mode_context(bg, key)
-        raw = random_mode_field(truncation, rng)
-        modes[key] = project_constraints(ctx, raw, bases.get(key))
+    for key, basis in bases.items():
+        modes[key] = project_constraints(random_mode_field(truncation, rng), basis)
     if with_zero_mode:
         zero = random_zero_mode(truncation, rng)
     else:
         zero = tuple(FourierSeries.zeros(truncation) for _ in range(3))
     return SimulationState(
-        background=bg,
         time=0.0,
         modes=modes,
         zero_mode=zero,
@@ -746,18 +715,18 @@ def initial_state(
     )
 
 
-def _log_state(state: SimulationState, contexts: dict, t: float) -> None:
-    """Append the diagnostics at time t; each mode's power is Re <b, G b> plus
-    its dissipation, with G the generator of its propagator
-    (:meth:`ModePropagator.power`)."""
+def _log_state(state: SimulationState, t: float) -> None:
+    """Append the diagnostics at time t, each mode's read with its
+    propagator's context; its power is Re <b, G b> plus its dissipation,
+    with G the generator of its propagator (:meth:`ModePropagator.power`)."""
     taylor_max = 0.0
     div_max = 0.0
     grad_total = sum(p.derivative().norm() ** 2 for p in state.zero_mode)
     for idx, (key, b) in enumerate(state.modes.items()):
-        ctx = contexts[key]
-        tay, div = constraint_residuals(ctx, b)
-        grad = grad_energy(ctx, b)
-        power = state.propagators[key].power(field_to_vector(b)) + grad
+        prop = state.propagators[key]
+        tay, div = constraint_residuals(prop.ctx, b)
+        grad = grad_energy(prop.ctx, b)
+        power = prop.power(field_to_vector(b)) + grad
         state.mode_rows.append((t, idx, float(b.norm() ** 2), grad, tay, div, power))
         taylor_max = max(taylor_max, tay)
         div_max = max(div_max, div)
@@ -806,14 +775,14 @@ def run_evolution(
 
     def make_propagator(key):
         basis = constraint_null_basis(contexts[key], truncation)
-        return build_propagator(contexts[key], truncation, include_geostrophic, basis), basis
+        return build_propagator(contexts[key], basis, include_geostrophic), basis
 
     def start(each) -> SimulationState:
         """The projected initial data, holding the propagators; the bases go
         out of scope on return."""
         built = dict(zip(keys, each(make_propagator, keys)))
         bases = {key: basis for key, (_, basis) in built.items()}
-        state = initial_state(bg, lattice_modes, truncation, seed, with_zero_mode, bases)
+        state = initial_state(bases, seed, with_zero_mode)
         state.propagators = {key: prop for key, (prop, _) in built.items()}
         return state
 
@@ -828,14 +797,14 @@ def run_evolution(
             return out
 
         n_steps = int(round(t_final / output_step))
-        _log_state(state, contexts, 0.0)
+        _log_state(state, 0.0)
         for k in range(1, n_steps + 1):
             t = k * output_step
             for key, b in zip(keys, list(each(advance, keys))):
                 state.modes[key] = b
             state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
             state.time = t
-            _log_state(state, contexts, t)
+            _log_state(state, t)
     return state
 
 

@@ -102,12 +102,12 @@ class NormalFormData:
 
 
 def build_normal_form(
-    ctx,
     basis: SpectralBasis,
     band: int,
     resonance_tol: float = 1e-8,
 ) -> NormalFormData:
-    """Solve the homological equation on the band; verify all vanishing claims.
+    """Solve the homological equation on the band of the basis's mode; verify
+    all vanishing claims.
 
     The drive and its local part are applied once each to the block of band
     eigenfields (the local part to their profile projections), compressed
@@ -120,7 +120,8 @@ def build_normal_form(
     indices = range(-2 * band, 2 * band + 2)
     lam = np.array([basis.lam(j) for j in indices])
 
-    fields = vector_to_field(phi, basis.truncation)
+    ctx = basis.ctx
+    fields = vector_to_field(phi)
     c_band = phi.conj().T @ field_to_vector(operators.symmetric_drive(ctx, fields))
     p0 = operators.proj_profile(ctx, fields)
     p0_phi = field_to_vector(p0)

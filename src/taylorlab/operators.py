@@ -174,10 +174,17 @@ def field_to_vector(field: ModeField) -> np.ndarray:
     return np.concatenate([c.coeffs for c in field.components])
 
 
-def vector_to_field(vec: np.ndarray, truncation: int) -> ModeField:
-    w = 2 * truncation + 1
-    if vec.shape[0] != 3 * w:
-        raise ValueError(f"expected a vector of size {3 * w}, got {vec.shape[0]}")
+def _window(n: int) -> int:
+    """The window M of stacked vectors of length n = 3(2M+1)."""
+    if n % 3 or n // 3 % 2 == 0:
+        raise ValueError(f"a stacked vector has length 3(2M+1), got {n}")
+    return (n // 3 - 1) // 2
+
+
+def vector_to_field(vec: np.ndarray) -> ModeField:
+    """The field, or block of fields, of a stacked vector or (3(2M+1), K)
+    array; the window M is read from its length."""
+    w = 2 * _window(vec.shape[0]) + 1
     return ModeField(
         FourierSeries(vec[:w]), FourierSeries(vec[w : 2 * w]), FourierSeries(vec[2 * w :])
     )
@@ -628,7 +635,7 @@ def constraint_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
 
     Every column v is fixed by the symmetry J of :class:`PairTransform`.
     """
-    return _null_space_by_blocks(constraint_matrix(ctx, truncation), truncation)
+    return _null_space_by_blocks(constraint_matrix(ctx, truncation))
 
 
 def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
@@ -636,7 +643,7 @@ def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
 
     Every column v is fixed by the symmetry J of :class:`PairTransform`.
     """
-    return _null_space_by_blocks(divergence_matrix(ctx, truncation), truncation)
+    return _null_space_by_blocks(divergence_matrix(ctx, truncation))
 
 
 # J b_c(n) = s_c conj(b_c(-n)), per component c
@@ -804,11 +811,11 @@ def coupled_blocks(square: np.ndarray | None = None, rows: np.ndarray | None = N
     return tuple(np.split(order, np.flatnonzero(np.diff(label[order])) + 1))
 
 
-def compression_blocks(square: np.ndarray, basis: np.ndarray, truncation: int):
+def compression_blocks(square: np.ndarray, basis: np.ndarray):
     """:func:`coupled_blocks` for compressing ``square`` by ``basis``: unknowns
     coupled by a nonzero of the square matrix, by a column of the basis or as
     the pair n, -n of :class:`PairTransform`."""
-    pairs = PairTransform(truncation).pair_rows()
+    pairs = PairTransform(_window(len(square))).pair_rows()
     return coupled_blocks(square, np.vstack([basis.T != 0, pairs]))
 
 
@@ -869,7 +876,7 @@ def _block_labels(square: np.ndarray | None = None, rows: np.ndarray | None = No
         label = new
 
 
-def _null_space_by_blocks(rows: np.ndarray, truncation: int) -> np.ndarray:
+def _null_space_by_blocks(rows: np.ndarray) -> np.ndarray:
     """Orthonormal J-fixed basis of the null space of J-invariant ``rows``.
 
     With U = T sqrt(D) the unitary of :class:`PairTransform`, the real
@@ -883,7 +890,7 @@ def _null_space_by_blocks(rows: np.ndarray, truncation: int) -> np.ndarray:
     is supported inside one block and its partners, so the basis also
     splits along any coarser partition closed under n -> -n.
     """
-    pairs = PairTransform(truncation)
+    pairs = PairTransform(_window(rows.shape[1]))
     real = pairs.real_rows(rows)
     touched = real != 0
     _, block = np.unique(_block_labels(rows=touched), return_inverse=True)

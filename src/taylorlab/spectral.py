@@ -61,11 +61,10 @@ OVERSAMPLE = 4
 
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
-    """Stored eigenprofiles e_k (|k| <= band) at a fixed mode window."""
+    """Stored eigenprofiles e_k (|k| <= band) at a fixed mode window; the
+    band and the window are read from the shape of ``profiles``."""
 
     ctx: ModeContext
-    band: int
-    truncation: int
     profiles: np.ndarray  # (2*band+1, 2*truncation+1); row band+k holds e_k
     mu: np.ndarray  # (2*band+1,) eigenvalues; mu[band] = 0 by convention
     tails: np.ndarray  # (2*band+1,) collocation tail norms
@@ -75,6 +74,14 @@ class SpectralBasis:
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def band(self) -> int:
+        return (self.profiles.shape[0] - 1) // 2
+
+    @property
+    def truncation(self) -> int:
+        return (self.profiles.shape[1] - 1) // 2
 
     # -- scalar layer ---------------------------------------------------
 
@@ -155,8 +162,7 @@ def build_eigenbasis(
         )
     n_points = OVERSAMPLE * truncation
     x = np.arange(n_points) / n_points
-    slope, periodic = ctx.psi_slope, ctx.psi_periodic
-    psi = slope * x + np.real(periodic.evaluate(x) - periodic.evaluate(np.array([0.0]))[0])
+    psi = ctx.psi_values(x)
     beta_x = ctx.beta.evaluate(x)
     norm = np.sqrt(ctx.beta_norm_sq)
 
@@ -165,7 +171,7 @@ def build_eigenbasis(
     mu = np.zeros(2 * band + 1, dtype=np.complex128)
     tails = np.zeros(2 * band + 1)
     for k in range(-band, band + 1):
-        samples = beta_x * np.exp(2j * np.pi * k * psi / slope) / norm
+        samples = beta_x * np.exp(2j * np.pi * k * psi / ctx.psi_slope) / norm
         full = inverse_collocation(samples)
         modes = full.modes()
         tail = float(np.linalg.norm(full.coeffs[np.abs(modes) > truncation]))
@@ -187,9 +193,7 @@ def build_eigenbasis(
     if np.max(np.abs(gram - np.eye(2 * band + 1))) > 1e-10:
         raise ResolutionExceeded("stored profiles are not orthonormal at 1e-10")
 
-    return SpectralBasis(
-        ctx=ctx, band=band, truncation=truncation, profiles=profiles, mu=mu, tails=tails
-    )
+    return SpectralBasis(ctx=ctx, profiles=profiles, mu=mu, tails=tails)
 
 
 def assemble_core_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
@@ -206,9 +210,10 @@ def assemble_core_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
     return core(FourierSeries(np.eye(2 * truncation + 1, dtype=np.complex128))).coeffs
 
 
-def verify_on_basis(ctx: ModeContext, basis: SpectralBasis) -> dict:
-    """Apply the fast skew operator once to the stacked phi_minus family and
-    once to the stacked phi_plus family; report the largest residual of each."""
+def verify_on_basis(basis: SpectralBasis) -> dict:
+    """Apply the fast skew operator of the basis's mode once to the stacked
+    phi_minus family and once to the stacked phi_plus family; report the
+    largest residual of each."""
     minus = np.column_stack(
         [field_to_vector(basis.phi_minus(k)) for k in range(-basis.band, basis.band + 1)]
     )
@@ -216,7 +221,7 @@ def verify_on_basis(ctx: ModeContext, basis: SpectralBasis) -> dict:
     lam = np.array([basis.lam(j) for j in basis.plus_indices])
 
     def residual(vecs: np.ndarray) -> np.ndarray:
-        return field_to_vector(operators.fast_skew(ctx, vector_to_field(vecs, basis.truncation)))
+        return field_to_vector(operators.fast_skew(basis.ctx, vector_to_field(vecs)))
 
     minus_res = residual(minus)
     plus_res = residual(plus) - lam * plus
@@ -241,7 +246,6 @@ def band_matrix(basis: SpectralBasis, band: int) -> np.ndarray:
 def band_derivative_norm(basis: SpectralBasis, band: int) -> float:
     """Operator norm of (d/dx3) composed with the band projector."""
     phi = band_matrix(basis, band)
-    w = 2 * basis.truncation + 1
     factors = 2j * np.pi * np.arange(-basis.truncation, basis.truncation + 1)
     deriv = np.tile(factors, 3)[:, None] * phi
     return float(np.linalg.svd(deriv, compute_uv=False)[0])

@@ -193,6 +193,29 @@ def balanced_induction_by_velocity(ctx, b):
     return op._induction_term_exact(ctx, u).resample(b.truncation)
 
 
+def propagator(ctx, truncation, include_geostrophic=True):
+    """:func:`evolution.build_propagator` of the mode at ``truncation``, with
+    the constraint basis factored here."""
+    basis = op.constraint_null_basis(ctx, truncation)
+    return evo.build_propagator(ctx, basis, include_geostrophic)
+
+
+def project(ctx, b):
+    """:func:`evolution.project_constraints` of b onto the mode's
+    constrained subspace at b's window, with the basis factored here."""
+    return evo.project_constraints(b, op.constraint_null_basis(ctx, b.truncation))
+
+
+def start_state(bg, modes, truncation, seed=0, with_zero_mode=True):
+    """:func:`evolution.initial_state` of the lattice ``modes`` at
+    ``truncation``, with each mode's constraint basis factored here."""
+    bases = {
+        tuple(key): op.constraint_null_basis(lattice_mode_context(bg, key), truncation)
+        for key in modes
+    }
+    return evo.initial_state(bases, seed, with_zero_mode)
+
+
 def generator(ctx, truncation, include_geostrophic=True):
     """The per-mode generator G that :func:`evolution.build_propagator` forms
     its propagator from; the propagator keeps only its pair-basis blocks."""
@@ -216,7 +239,7 @@ def rk4_step(g, b, h):
     k2 = g @ (y + 0.5 * h * k1)
     k3 = g @ (y + 0.5 * h * k2)
     k4 = g @ (y + h * k3)
-    return op.vector_to_field(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), b.truncation)
+    return op.vector_to_field(y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def fourier_blocks(square, truncation):
@@ -340,10 +363,11 @@ def phi_family_gram(basis):
     return mat.conj().T @ mat
 
 
-def verify_on_basis_by_fields(ctx, basis):
+def verify_on_basis_by_fields(basis):
     """The residuals of :func:`spectral.verify_on_basis`, with the fast skew
     operator applied to one stored eigenfield per call: the per-field
     reference for the stacked-family route."""
+    ctx = basis.ctx
     minus = max(
         op.fast_skew(ctx, basis.phi_minus(k)).norm() for k in range(-basis.band, basis.band + 1)
     )
@@ -358,7 +382,7 @@ def proj_band(basis, band, b):
     """Orthogonal projection onto the low eigenfield band (span of phi_plus)."""
     phi = spectral.band_matrix(basis, band)
     vec = op.field_to_vector(b.resample(basis.truncation))
-    return op.vector_to_field(phi @ (phi.conj().T @ vec), basis.truncation)
+    return op.vector_to_field(phi @ (phi.conj().T @ vec))
 
 
 def proj_band_complement(basis, band, b):
@@ -368,12 +392,12 @@ def proj_band_complement(basis, band, b):
     return op.proj_direction_perp(basis.ctx, b) - proj_band(basis, band, b)
 
 
-def dense_band_compressions(ctx, basis, band):
+def dense_band_compressions(basis, band):
     """(Phi* D Phi, (P0 Phi)* L (P0 Phi)) from the assembled drive D, its
     assembled local part L and the dense componentwise profile projector P0:
     the dense-matrix oracle for the band matrices ``c_band`` and ``s`` of
     :func:`normal_form.build_normal_form`."""
-    m = basis.truncation
+    ctx, m = basis.ctx, basis.truncation
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
     e0 = ctx.e0.resample(m).coeffs
@@ -383,10 +407,11 @@ def dense_band_compressions(ctx, basis, band):
     return phi.conj().T @ (drive @ phi), p0_phi.conj().T @ (local @ p0_phi)
 
 
-def homological_rhs(ctx, basis, i, j):
+def homological_rhs(basis, i, j):
     """Right-hand side scalar of the homological equation for the pair (i, j),
     through one operator application per eigenfield: the per-pair oracle for
     the band-block applications of :func:`normal_form.build_normal_form`."""
+    ctx = basis.ctx
     phi_i = basis.phi_plus(i)
     phi_j = basis.phi_plus(j)
     first = -op.symmetric_drive(ctx, phi_i).inner(phi_j)
@@ -416,7 +441,7 @@ def conjugate(nf, b, eps=None):
     phi = spectral.band_matrix(nf.basis, nf.band)
     vec = op.field_to_vector(b.resample(nf.basis.truncation))
     out = vec + eps * (phi @ (nf.q @ (phi.conj().T @ vec)))
-    return op.vector_to_field(out, nf.basis.truncation)
+    return op.vector_to_field(out)
 
 
 def unconjugate(nf, d, eps=None):
@@ -429,7 +454,7 @@ def unconjugate(nf, d, eps=None):
     coords = phi.conj().T @ vec
     solved = np.linalg.solve(np.eye(nf.q.shape[0]) + eps * nf.q, coords)
     out = vec - eps * (phi @ (nf.q @ solved))
-    return op.vector_to_field(out, nf.basis.truncation)
+    return op.vector_to_field(out)
 
 
 def laplacian_commutator_norm(nf):

@@ -16,7 +16,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.checks import fit_loglog_slope, hermitian_part_norm, no_upward_trend, numerical_radius
 from taylorlab.normal_form import build_normal_form
 
-from conftest import random_field
+from conftest import propagator, random_field, start_state
 
 
 def _verdict(name, ok, text):
@@ -33,7 +33,7 @@ def _verdict(name, ok, text):
 def nf80(bg):
     ctx = lattice_mode_context(bg, (8, 0))
     basis = spectral.build_eigenbasis(ctx, 16, 64)
-    return build_normal_form(ctx, basis, 8)
+    return build_normal_form(basis, 8)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,7 @@ def test_criterion_01_closed_form_eigenpairs(ctx10):
         numeric = vecs[:, idx] / np.linalg.norm(vecs[:, idx])
         overlap = abs(np.vdot(basis.profile(k).coeffs, numeric))
         worst_vec = max(worst_vec, np.sqrt(max(0.0, 2.0 - 2.0 * overlap)))
-    residuals = spectral.verify_on_basis(ctx10, basis)
+    residuals = spectral.verify_on_basis(basis)
     worst_res = max(residuals.values())
     mu1_err = abs(basis.eigenvalue_mu(1) - (-1j / (4 * np.pi)))
     ok = worst_val < 1e-8 and worst_vec < 1e-6 and worst_res < 1e-8 and mu1_err < 1e-15
@@ -115,7 +115,7 @@ def test_criterion_03_constrained_projection(bg):
         ctx = lattice_mode_context(bg, key)
         basis = op.constraint_null_basis(ctx, 24)
         for _ in range(per_mode):
-            proj = evo.project_constraints(ctx, evo.random_mode_field(24, rng), basis)
+            proj = evo.project_constraints(evo.random_mode_field(24, rng), basis)
             r_perp, r_3 = op.taylor_residual(ctx, proj)
             worst_res = max(worst_res, abs(r_perp), abs(r_3), op.divergence_residual(ctx, proj))
             gap = (op.proj_profile(ctx, proj) - op.proj_profile_from_constraint(ctx, proj)).norm()
@@ -219,12 +219,12 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
     )
     worst_tay = max(row[4] for row in state.mode_rows)
     worst_div = max(row[5] for row in state.mode_rows)
-    prop = evo.build_propagator(ctx10, 64)
+    prop = propagator(ctx10, 64)
     h = 0.125
     eye = np.eye(3 * (2 * 64 + 1))
     once, twice = prop.propagate(eye, h), prop.propagate(eye, 2 * h)
     semi = np.linalg.norm(once @ once - twice, 2) / np.linalg.norm(twice, 2)
-    start = evo.initial_state(bg, modes, 64, seed=3)
+    start = start_state(bg, modes, 64, seed=3)
     c0 = start.zero_mode[0].coefficient(1)
     c1 = state.zero_mode[0].coefficient(1)
     rate_err = abs(-np.log(abs(c1 / c0)) / state.time - 4 * np.pi**2) / (4 * np.pi**2)

@@ -19,8 +19,10 @@ from taylorlab.checks import (
     spectral_norm,
 )
 from taylorlab.config import validate
-from taylorlab.evolution import induction_power, initial_state
+from taylorlab.evolution import induction_power
 from taylorlab.report import read_csv
+
+from conftest import start_state
 
 
 def test_factored_radius_matches_dense_on_random_rank_3():
@@ -63,7 +65,7 @@ def test_resonant_term_radius_matches_full_matrix_route(request, background, m_e
     ctx = lattice_mode_context(bg, (m_eps, 0))
     m = 32
     dense = dense_resonant_term_radius(ctx, m)
-    factored = resonant_term_radius(ctx, op.constraint_null_basis(ctx, m), m)
+    factored = resonant_term_radius(ctx, op.constraint_null_basis(ctx, m))
     if background == "mixed":
         assert dense > 1e-3
         assert abs(factored - dense) <= 1e-12 * dense
@@ -106,8 +108,8 @@ def dense_c2_and_remainder_form(ctx, m):
     c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
     rem_form = hermitian_part_norm(v_con.conj().T @ remainder @ v_con) / ctx.eps
     blocks = (
-        len(op.compression_blocks(diff, v_div, m)),
-        len(op.compression_blocks(remainder, v_con, m)),
+        len(op.compression_blocks(diff, v_div)),
+        len(op.compression_blocks(remainder, v_con)),
     )
     return c2, rem_form, blocks
 
@@ -118,7 +120,7 @@ def test_stacked_block_norms_equal_the_per_block_loop(bg):
     ctx = lattice_mode_context(bg, (8, 0))
     m = 64
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
-    diff = drive - direction_perp_compression(ctx, drive, m)
+    diff = drive - direction_perp_compression(ctx, drive)
     remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
     # (stacked norm, the same norm of one block, matrix, basis, the number
     # of compressed blocks and of their shapes)
@@ -129,7 +131,7 @@ def test_stacked_block_norms_equal_the_per_block_loop(bg):
          remainder, op.constraint_null_basis(ctx, m), (2, 2)),
     )
     for stacked, single, square, basis, counts in cases:
-        blocks = op.compression_blocks(square, basis, m)
+        blocks = op.compression_blocks(square, basis)
         compressed = [c for c in op.compress_by_blocks(square, basis, blocks) if c.size]
         shapes = {c.shape for c in compressed}
         assert (len(compressed), len(shapes)) == counts
@@ -137,7 +139,7 @@ def test_stacked_block_norms_equal_the_per_block_loop(bg):
             group = [c for c in compressed if c.shape == shape]
             assert np.array_equal(stacked(np.stack(group)), [single(c) for c in group])
         loop = max(single(c) for c in compressed)
-        assert max_over_blocks(stacked, square, basis, m) == loop
+        assert max_over_blocks(stacked, square, basis) == loop
 
 
 @pytest.mark.parametrize(
@@ -186,7 +188,7 @@ def test_direction_only_matrices_are_bitwise_equal_at_every_eps_mode(request, ba
         ctx = lattice_mode_context(bg, (m_eps, 0))
         assert ctx.eta == (1.0, 0.0)
         drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
-        diff = drive - direction_perp_compression(ctx, drive, m)
+        diff = drive - direction_perp_compression(ctx, drive)
         skew = op.assemble_matrix(lambda b: op.fast_skew(ctx, b), m)
         shared.append((drive, diff, skew))
     for later in shared[1:]:
@@ -262,7 +264,7 @@ def test_direction_perp_compression_at_an_oblique_mode(alt_bg):
     assert np.count_nonzero(perp[:w, w : 2 * w]) == w
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     dense = perp @ drive @ perp
-    got = direction_perp_compression(ctx, drive, m)
+    got = direction_perp_compression(ctx, drive)
     assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
@@ -328,7 +330,7 @@ def test_evolve_writes_the_induction_power(tmp_path, bg):
     report = json.loads((tmp_path / "report.json").read_text())
     assert "power" not in json.dumps(report)
     # at t = 0 the field is the seeded initial data
-    start = initial_state(bg, [(1, 0)], 16, seed=cfg.seed).modes[(1, 0)]
+    start = start_state(bg, [(1, 0)], 16, seed=cfg.seed).modes[(1, 0)]
     want = induction_power(lattice_mode_context(bg, (1, 0)), start)
     assert float(rows[0][-1]) == pytest.approx(want, rel=1e-12)
 

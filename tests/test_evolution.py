@@ -16,8 +16,11 @@ from conftest import (
     constraint_invariance_defect,
     fourier_blocks,
     generator,
+    project,
+    propagator,
     random_field,
     rk4_step,
+    start_state,
 )
 
 
@@ -32,13 +35,13 @@ def test_projection_matches_kkt_oracle(ctx10):
         b = evo.random_mode_field(16, rng)
         v = op.field_to_vector(b)
         x = v - a.conj().T @ np.linalg.solve(gram, a @ v)
-        p = op.field_to_vector(evo.project_constraints(ctx10, b))
+        p = op.field_to_vector(project(ctx10, b))
         assert np.linalg.norm(x - p) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_projection_output_satisfies_constraints(ctx10):
     rng = np.random.default_rng(8)
-    b = evo.project_constraints(ctx10, random_field(20, rng))
+    b = project(ctx10, random_field(20, rng))
     r_perp, r_3 = op.taylor_residual(ctx10, b)
     assert max(abs(r_perp), abs(r_3)) < 1e-13
     assert op.divergence_residual(ctx10, b) < 1e-13
@@ -84,7 +87,7 @@ def _dense_exponential(prop, h):
 
 
 def test_propagator_semigroup_property(ctx10):
-    prop = evo.build_propagator(ctx10, 12)
+    prop = propagator(ctx10, 12)
     h = 0.01
     one = _dense_exponential(prop, h)
     two = _dense_exponential(prop, 2 * h)
@@ -92,11 +95,10 @@ def test_propagator_semigroup_property(ctx10):
     assert rel < 1e-10
 
 
-@pytest.mark.parametrize("h", [0.125, -0.125])
+@pytest.mark.parametrize("h", [0.125])
 def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
-    # truncation 8 keeps the backward diffusion exp(4 pi^2 M^2 |h|) finite
     m = 8
-    prop = evo.build_propagator(ctx10, m)
+    prop = propagator(ctx10, m)
     n = np.tile(np.arange(-m, m + 1), 3)
     assert [len(idx) for idx in prop.blocks] == [3 * (m + 1), 3 * m]
     for idx in prop.blocks:
@@ -115,26 +117,23 @@ def test_single_block_exponential_matches_the_whole_matrix(request, background, 
     # pattern of [[1,1,1],[2,-2,1]] splits it
     m = 8
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
-    prop = evo.build_propagator(ctx, m)
+    prop = propagator(ctx, m)
     g = generator(ctx, m)
     assert [len(idx) for idx in fourier_blocks(g, m)] == [51]
     assert [len(idx) for idx in prop.blocks] == sizes
-    for h in (0.125, -0.125):
-        full = scipy.linalg.expm(h * g)
-        rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
-        assert rel < 1e-12
+    full = scipy.linalg.expm(0.125 * g)
+    rel = np.linalg.norm(_dense_exponential(prop, 0.125) - full, 2) / np.linalg.norm(full, 2)
+    assert rel < 1e-12
 
 
 def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
-    prop = evo.build_propagator(ctx10, 16)
+    prop = propagator(ctx10, 16)
     prop.exponential(0.01)
-    prop.exponential(-0.01)
-    forward, backward = prop.propagator_cache[0.01], prop.propagator_cache[-0.01]
+    forward = prop.propagator_cache[0.01]
     sizes = [len(idx) for idx in prop.blocks]
-    assert len(sizes) == 2 and len(forward) == len(backward) == 2
+    assert len(sizes) == 2 and len(forward) == 2
     assert [e.shape for e in forward] == [(n, n) for n in sizes]
     assert all(e.dtype == np.float64 for e in forward)
-    assert all(e.dtype == np.complex128 for e in backward)
     assert sum(e.nbytes for e in forward) <= sum(n * n for n in sizes) * 8
     # the pair basis of each block: exp(h G_k) = U_k exp(h R_k) U_k*, with
     # U_k the block of U, which keeps the parity blocks
@@ -146,10 +145,21 @@ def test_exponential_is_cached_per_block_in_the_pair_basis(ctx10):
         assert np.linalg.norm(u_k @ e @ u_k.conj().T - want, 2) < 1e-13 * np.linalg.norm(want, 2)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.0, -0.125])
+def test_exponential_runs_forward_only(ctx10, h):
+    # backward diffusion is ill-posed: the propagator is a forward semigroup
+    prop = propagator(ctx10, 8)
+    with pytest.raises(ValueError, match="forward only"):
+        prop.exponential(h)
+    with pytest.raises(ValueError, match="forward only"):
+        evo.step(prop, evo.random_mode_field(8, np.random.default_rng(0)), h)
+    assert prop.propagator_cache == {} and prop.oracle_margins == {}
+
+
 @pytest.mark.parametrize("background,m", [("bg", 16), ("alt_bg", 8)], ids=["bg", "alt_bg"])
 def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
-    prop = evo.build_propagator(ctx, m)
+    prop = propagator(ctx, m)
     assert len(prop.blocks) == 2
     g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
     restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
@@ -161,7 +171,7 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
 
 
 def test_planted_oracle_disagreement_raises(ctx10):
-    prop = evo.build_propagator(ctx10, 8)
+    prop = propagator(ctx10, 8)
     g = generator(ctx10, 8)
     blocks = [g[np.ix_(idx, idx)] for idx in prop.blocks]
     oracles = [evo._eigen_oracle(block) for block in blocks]
@@ -184,13 +194,13 @@ def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg,
     # background, truncation 19, takes the complex route (see
     # test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route)
     ctx = lattice_mode_context(mixed_bg, (1, 0))
-    prop = evo.build_propagator(ctx, 19, include_geostrophic=False)
+    prop = propagator(ctx, 19, include_geostrophic=False)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
         prop.exponential(0.01)
     assert prop._oracles[0] == "complex"
     # the split blocks of (1, 0) at truncation 8 and 16 take the real route
     for m in (8, 16):
-        prop = evo.build_propagator(ctx10, m)
+        prop = propagator(ctx10, m)
         with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
             prop.exponential(0.01)
         assert prop._oracles[0] == "real"
@@ -207,7 +217,7 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
         evo, "_oracle_error", lambda *a: errors.append(measure(*a)) or errors[-1]
     )
     for key in validate({"kind": "evolve"}).modes:
-        prop = evo.build_propagator(lattice_mode_context(bg, key), 64)
+        prop = propagator(lattice_mode_context(bg, key), 64)
         prop.exponential(0.125)
         route, oracles = prop._oracles
         assert route == "real"
@@ -239,7 +249,7 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
     request, background, m, key
 ):
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
-    prop = evo.build_propagator(ctx, m)
+    prop = propagator(ctx, m)
     # the reference: complex eig of each block G_k of G's own Fourier
     # pattern, whose condition the gate read before the real route existed
     g = generator(ctx, m)
@@ -263,7 +273,7 @@ def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(mixed_
     # 19 real eig of it picks eigenvectors of condition about 522, complex
     # eig of the same R_k about 53
     ctx = lattice_mode_context(mixed_bg, (1, 0))
-    prop = evo.build_propagator(ctx, 19, include_geostrophic=False)
+    prop = propagator(ctx, 19, include_geostrophic=False)
     real = [evo._eigen_oracle(r) for r in prop.generators]
     assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
     assert evo._condition(prop._oracles[1]) <= evo.EXPM_ORACLE_CONDITION
@@ -290,7 +300,7 @@ def _held_arrays(obj):
 def test_propagator_holds_only_its_real_blocks(request, background):
     m = 16
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
-    prop = evo.build_propagator(ctx, m)
+    prop = propagator(ctx, m)
     g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
     held = list(_held_arrays(list(vars(prop).values())))
     # the index sets are the only arrays that are not float64 matrices
@@ -314,7 +324,7 @@ def test_propagator_forms_r_and_c_once(ctx10, monkeypatch):
         "pair_form",
         lambda self, a, square=True: calls.append(square) or pair_form(self, a, square),
     )
-    prop = evo.build_propagator(ctx10, 16)
+    prop = propagator(ctx10, 16)
     assert calls == [True, False]
     prop.restricted_abscissa, prop.unconstrained_abscissa
     prop.exponential(0.01)
@@ -328,7 +338,7 @@ def test_power_from_the_blocks_matches_the_generator(request, background):
     rng = np.random.default_rng(11)
     for key in [(1, 0), (2, 1), (0, 3)]:
         ctx = lattice_mode_context(request.getfixturevalue(background), key)
-        prop = evo.build_propagator(ctx, m)
+        prop = propagator(ctx, m)
         g = generator(ctx, m)
         bound_per_norm = 3 * (2 * m + 1) * np.finfo(float).eps * np.abs(g).max()
         for _ in range(3):
@@ -363,10 +373,10 @@ def test_oracle_is_skipped_for_a_defective_block():
 def test_exact_flow_matches_rk4(ctx10):
     # independent integrator: 20 classical Runge-Kutta steps at h small
     # enough that the O(h^4) defect sits far below the comparison tolerance
-    prop = evo.build_propagator(ctx10, 8)
+    prop = propagator(ctx10, 8)
     g = generator(ctx10, 8)
     rng = np.random.default_rng(4)
-    b = evo.project_constraints(ctx10, evo.random_mode_field(8, rng))
+    b = project(ctx10, evo.random_mode_field(8, rng))
     exact, rk = b, b
     for _ in range(20):
         exact = evo.step(prop, exact, 1e-5)
@@ -376,24 +386,27 @@ def test_exact_flow_matches_rk4(ctx10):
 
 def test_energy_identity_central_difference(ctx10):
     # d/dt ||b||^2 = 2 (power - grad_energy); the forward/backward flows give
-    # a second-order difference quotient, so the mismatch must shrink ~h^2
-    prop = evo.build_propagator(ctx10, 12)
+    # a second-order difference quotient, so the mismatch must shrink ~h^2.
+    # The propagator runs forward only: the backward flow is scipy's expm of
+    # -h G, the dense generator
+    prop = propagator(ctx10, 12)
+    g = generator(ctx10, 12)
     rng = np.random.default_rng(3)
-    b = evo.project_constraints(ctx10, evo.random_mode_field(12, rng))
+    b = project(ctx10, evo.random_mode_field(12, rng))
     v = op.field_to_vector(b)
     analytic = 2.0 * (evo.induction_power(ctx10, b) - evo.grad_energy(ctx10, b))
     errs = []
     for h in (1e-5, 1e-6):
         ep = np.linalg.norm(prop.propagate(v, h)) ** 2
-        em = np.linalg.norm(prop.propagate(v, -h)) ** 2
+        em = np.linalg.norm(scipy.linalg.expm(-h * g) @ v) ** 2
         errs.append(abs((ep - em) / (2 * h) - analytic) / abs(analytic))
     assert errs[1] < 1e-5
     assert 50.0 < errs[0] / errs[1] < 200.0
 
 
 def test_invariance_defect_distinguishes_balancing(ctx10):
-    on = evo.build_propagator(ctx10, 24, include_geostrophic=True)
-    off = evo.build_propagator(ctx10, 24, include_geostrophic=False)
+    on = propagator(ctx10, 24, include_geostrophic=True)
+    off = propagator(ctx10, 24, include_geostrophic=False)
     assert constraint_invariance_defect(on) < 1e-9
     assert constraint_invariance_defect(off) > 1.0
 
@@ -401,17 +414,17 @@ def test_invariance_defect_distinguishes_balancing(ctx10):
 def test_step_without_balancing_drifts(ctx10):
     # the step returns the drifted field; a run reports the residual as its
     # failed gate (test_cli's no-balancing evolve)
-    prop = evo.build_propagator(ctx10, 24, include_geostrophic=False)
+    prop = propagator(ctx10, 24, include_geostrophic=False)
     rng = np.random.default_rng(5)
-    b = evo.project_constraints(ctx10, evo.random_mode_field(24, rng))
+    b = project(ctx10, evo.random_mode_field(24, rng))
     out = evo.step(prop, b, 0.05)
     assert max(evo.constraint_residuals(ctx10, out)) > 1e-7
 
 
 def test_step_with_balancing_stays_constrained(ctx10):
-    prop = evo.build_propagator(ctx10, 24)
+    prop = propagator(ctx10, 24)
     rng = np.random.default_rng(5)
-    b = evo.project_constraints(ctx10, evo.random_mode_field(24, rng))
+    b = project(ctx10, evo.random_mode_field(24, rng))
     out = evo.step(prop, b, 0.05)
     r_perp, r_3 = op.taylor_residual(ctx10, out)
     assert max(abs(r_perp), abs(r_3)) < 1e-10
@@ -435,9 +448,9 @@ def test_abscissa_sweep_values(bg):
 
 
 def test_initial_state_deterministic(bg):
-    s1 = evo.initial_state(bg, [(1, 0), (0, 2)], 12, seed=9)
-    s2 = evo.initial_state(bg, [(1, 0), (0, 2)], 12, seed=9)
-    s3 = evo.initial_state(bg, [(1, 0), (0, 2)], 12, seed=10)
+    s1 = start_state(bg, [(1, 0), (0, 2)], 12, seed=9)
+    s2 = start_state(bg, [(1, 0), (0, 2)], 12, seed=9)
+    s3 = start_state(bg, [(1, 0), (0, 2)], 12, seed=10)
     for key in s1.modes:
         for c1, c2 in zip(s1.modes[key].components, s2.modes[key].components):
             assert np.array_equal(c1.coeffs, c2.coeffs)
@@ -448,7 +461,7 @@ def test_initial_state_deterministic(bg):
 
 
 def test_initial_state_is_constrained(bg):
-    state = evo.initial_state(bg, [(1, 0), (2, 1)], 16, seed=2)
+    state = start_state(bg, [(1, 0), (2, 1)], 16, seed=2)
     for key, b in state.modes.items():
         ctx = lattice_mode_context(bg, key)
         r_perp, r_3 = op.taylor_residual(ctx, b)
@@ -457,7 +470,7 @@ def test_initial_state_is_constrained(bg):
 
 
 def test_initial_state_without_zero_mode(bg):
-    state = evo.initial_state(bg, [(1, 0)], 8, seed=0, with_zero_mode=False)
+    state = start_state(bg, [(1, 0)], 8, seed=0, with_zero_mode=False)
     assert all(p.norm() == 0.0 for p in state.zero_mode)
 
 
@@ -500,7 +513,7 @@ def test_run_evolution_zero_mode_heat_decay(bg):
     state = evo.run_evolution(
         bg, [(1, 0)], t_final=0.02, output_step=0.01, truncation=12, seed=7
     )
-    start = evo.initial_state(bg, [(1, 0)], 12, seed=7)
+    start = start_state(bg, [(1, 0)], 12, seed=7)
     for comp in range(2):
         c0 = start.zero_mode[comp].coefficient(1)
         c1 = state.zero_mode[comp].coefficient(1)
@@ -508,7 +521,7 @@ def test_run_evolution_zero_mode_heat_decay(bg):
 
 
 def _symmetrized_state(bg, keys, truncation, seed):
-    state = evo.initial_state(bg, keys, truncation, seed=seed)
+    state = start_state(bg, keys, truncation, seed=seed)
     for key in list(state.modes):
         partner = (-key[0], -key[1])
         if partner not in state.modes:
@@ -542,7 +555,7 @@ def test_full_field_real_and_divergence_free(bg):
 
 
 def test_full_field_warns_when_not_symmetric(bg):
-    state = evo.initial_state(bg, [(1, 0)], 8, seed=0)
+    state = start_state(bg, [(1, 0)], 8, seed=0)
     with pytest.warns(NonConjugateModes):
         snap = evo.assemble_full_field(state)
     assert np.iscomplexobj(snap)
@@ -568,13 +581,13 @@ def test_generator_commutes_with_j(request, background, key, lane):
 def test_restricted_abscissa_of_the_first_mode_is_minus_four_pi_squared(ctx10):
     # at the canonical background the slowest constrained field of mode (1, 0)
     # decays at the diffusion rate of |xi|^2 = 4 pi^2
-    prop = evo.build_propagator(ctx10, 64)
+    prop = propagator(ctx10, 64)
     assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m", [16, 32])
 def test_restricted_abscissa_of_the_first_mode_at_smaller_windows(ctx10, m):
-    prop = evo.build_propagator(ctx10, m)
+    prop = propagator(ctx10, m)
     assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
 
 
@@ -584,7 +597,7 @@ def test_unconstrained_abscissa_without_balancing_is_minus_xi_squared(bg, m):
     # slowest field of mode (k, 0) decays at the diffusion rate |xi|^2
     for k in (1, 2, 4):
         ctx = lattice_mode_context(bg, (k, 0))
-        prop = evo.build_propagator(ctx, m, include_geostrophic=False)
+        prop = propagator(ctx, m, include_geostrophic=False)
         want = -ctx.xi_norm**2
         assert prop.unconstrained_abscissa == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -603,8 +616,8 @@ def invariance_ratios(prop):
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
 def test_invariance_bound_separates_the_blocks_by_a_wide_margin(request, background, mode):
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
-    on = invariance_ratios(evo.build_propagator(ctx, 16, include_geostrophic=True))
-    off = invariance_ratios(evo.build_propagator(ctx, 16, include_geostrophic=False))
+    on = invariance_ratios(propagator(ctx, 16, include_geostrophic=True))
+    off = invariance_ratios(propagator(ctx, 16, include_geostrophic=False))
     # the balancing velocity keeps every block's constrained span invariant
     assert max(on) <= 0.1
     # without it some block is far from invariant, and none is near the bound
@@ -665,7 +678,7 @@ def test_abscissa_lanes_factor_no_whole_block(request, monkeypatch, background):
     for key in modes:
         ctx = lattice_mode_context(bg, key)
         for lane in (True, False):
-            prop = evo.build_propagator(ctx, 16, lane)
+            prop = propagator(ctx, 16, lane)
             assert not any(r.tobytes() in factored for r in prop.generators)
 
 
@@ -699,7 +712,7 @@ def test_deflated_unconstrained_abscissa_matches_the_whole_matrix(
     request, background, mode, lane
 ):
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
-    prop = evo.build_propagator(ctx, 16, include_geostrophic=lane)
+    prop = propagator(ctx, 16, include_geostrophic=lane)
     g = generator(ctx, 16, include_geostrophic=lane)
     want = np.linalg.eigvals(g).real.max()
     bound = len(g) * np.finfo(float).eps * np.linalg.norm(g, 2)
@@ -723,7 +736,7 @@ def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
     assert len(set(factored)) == len(factored)
     for key in modes:
         ctx = lattice_mode_context(bg, key)
-        on, off = (evo.build_propagator(ctx, 16, lane) for lane in (True, False))
+        on, off = (propagator(ctx, 16, lane) for lane in (True, False))
         on_blocks = {c.tobytes() for c in on.compressed_blocks}
         off_blocks = {c.tobytes() for c in off.compressed_blocks}
         assert (on_blocks == off_blocks) is shared
@@ -788,7 +801,7 @@ def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
     expm, oracle = scipy.linalg.expm, evo._eigen_oracle
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: order.append("expm") or expm(a))
     monkeypatch.setattr(evo, "_eigen_oracle", lambda a: order.append("eig") or oracle(a))
-    prop = evo.build_propagator(ctx10, 8)
+    prop = propagator(ctx10, 8)
     prop.exponential(0.01)
     assert order[:2] == ["expm", "expm"]
     assert set(order[2:]) == {"eig"}
@@ -808,7 +821,7 @@ def test_split_oracle_coupling_block_matches_expm(request, background, m):
     # most cond(V_A) cond(V_D) n_k eps h ||B||_2
     h = 0.125
     for key in [(1, 0), (1, 1)]:
-        prop = evo.build_propagator(lattice_mode_context(request.getfixturevalue(background), key), m)
+        prop = propagator(lattice_mode_context(request.getfixturevalue(background), key), m)
         for r, c, oracle in zip(prop.generators, prop.bases, prop._oracles[1]):
             _, t = evo._triangular_form(r, c)
             n = c.shape[1]
@@ -841,7 +854,7 @@ def test_split_oracle_is_exact_at_coincident_eigenvalues():
 
 def test_planted_coupling_error_raises(ctx10):
     # an error in B~ alone moves only X, the upper-right block
-    prop = evo.build_propagator(ctx10, 16)
+    prop = propagator(ctx10, 16)
     oracles = prop._oracles[1]
     evo._checked_expm(prop.generators, lambda: oracles, 0.01)  # honest oracles pass
     planted = list(oracles)
@@ -853,7 +866,7 @@ def test_planted_coupling_error_raises(ctx10):
 def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
     # without the balancing velocity one block of (1, 0) does not keep C_k
     # invariant: it is factored whole, the other is split, and both pass
-    prop = evo.build_propagator(ctx10, 16, include_geostrophic=False)
+    prop = propagator(ctx10, 16, include_geostrophic=False)
     kinds = [isinstance(o, evo._SplitOracle) for o in prop._oracles[1]]
     assert sorted(kinds) == [False, True]
     whole = prop._oracles[1][kinds.index(False)]

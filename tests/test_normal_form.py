@@ -22,8 +22,8 @@ from conftest import (
 
 
 @pytest.fixture(scope="module")
-def nf8(ctx10, basis64):
-    return build_normal_form(ctx10, basis64, 8)
+def nf8(basis64):
+    return build_normal_form(basis64, 8)
 
 
 def test_resonant_pairs_structure():
@@ -41,12 +41,12 @@ def test_resonant_rhs_vanishes_and_solver_matches_oracle(ctx10, basis64, nf8):
     # per-pair functional oracle against the band-block construction
     offset = 2 * nf8.band
     for i, j in [(2, 5), (-3, 4), (0, 7)]:
-        rhs = homological_rhs(ctx10, basis64, i, j)
+        rhs = homological_rhs(basis64, i, j)
         lam_i, lam_j = nf8.lam[i + offset], nf8.lam[j + offset]
         lhs = (lam_j - lam_i) * nf8.q[j + offset, i + offset]
         assert abs(lhs - rhs) < 1e-12
     for i, j in [(0, 1), (2, -1), (-4, 9)]:  # resonant: rhs must vanish
-        assert abs(homological_rhs(ctx10, basis64, i, j)) < 1e-12
+        assert abs(homological_rhs(basis64, i, j)) < 1e-12
 
 
 def test_commutator_identity_holds(nf8):
@@ -64,7 +64,7 @@ def test_band_growth_of_q_and_laplacian_commutator(ctx10, basis64):
     bands = (4, 8, 16)
     q_norms, lap_norms = [], []
     for n in bands:
-        nf = build_normal_form(ctx10, basis64, n)
+        nf = build_normal_form(basis64, n)
         q_norms.append(nf.q_norm)
         lap_norms.append(laplacian_commutator_norm(nf))
     expected_q = [5.01188995502927, 6.237084129836907, 7.570199283798929]
@@ -82,7 +82,7 @@ def test_conjugation_round_trip_in_regime(bg):
     ctx = lattice_mode_context(bg, (8, 0))
     m = 64
     basis = spectral.build_eigenbasis(ctx, 16, m)
-    nf = build_normal_form(ctx, basis, 8)
+    nf = build_normal_form(basis, 8)
     rng = np.random.default_rng(0)
     b = random_field(m, rng)
     d = conjugate(nf, b)
@@ -114,10 +114,10 @@ def test_resonance_violation_on_corrupted_drive(monkeypatch, ctx10, basis64, dri
     monkeypatch.setattr(
         op,
         "symmetric_drive",
-        lambda ctx, b: op.vector_to_field(corrupted @ op.field_to_vector(b), b.truncation),
+        lambda ctx, b: op.vector_to_field(corrupted @ op.field_to_vector(b)),
     )
     with pytest.raises(ResonanceViolation):
-        build_normal_form(ctx10, basis64, 8)
+        build_normal_form(basis64, 8)
 
 
 def test_alt_background_exercises_nonzero_local_part(alt_bg):
@@ -128,7 +128,7 @@ def test_alt_background_exercises_nonzero_local_part(alt_bg):
     basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(4, m), m)
     local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
     assert np.linalg.norm(local, 2) > 0.1
-    nf = build_normal_form(ctx, basis, 4)
+    nf = build_normal_form(basis, 4)
     assert max(nf.resonance_residuals) < 1e-12
     assert nf.commutator_residual < 1e-12
     assert np.linalg.norm(nf.c_band, 2) > 1e-3
@@ -154,8 +154,8 @@ def test_band_matrices_match_the_dense_compressions(request, background, key, ba
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
     m = 64
     basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(band, m), m)
-    nf = build_normal_form(ctx, basis, band)
-    c_dense, s_dense = dense_band_compressions(ctx, basis, band)
+    nf = build_normal_form(basis, band)
+    c_dense, s_dense = dense_band_compressions(basis, band)
     # s vanishes structurally on these backgrounds, so both matrices are
     # measured against the scale of the drive compression
     scale = np.linalg.norm(c_dense)

@@ -180,7 +180,7 @@ def test_profile_projection_formula_on_constrained_fields(ctx10, v_con64):
 
     rng = np.random.default_rng(10)
     for _ in range(5):
-        b = project_constraints(ctx10, random_field(64, rng), v_con64)
+        b = project_constraints(random_field(64, rng), v_con64)
         direct = op.proj_profile(ctx10, b)
         via = op.proj_profile_from_constraint(ctx10, b)
         assert (direct - via).norm() < 1e-12 * b.norm()
@@ -202,7 +202,7 @@ def test_constraint_null_basis_shape_and_membership(ctx10):
     rows = op.constraint_matrix(ctx10, m)
     assert np.max(np.abs(rows @ v)) < 1e-12
     for col in (0, v.shape[1] // 2, v.shape[1] - 1):
-        b = op.vector_to_field(v[:, col], m)
+        b = op.vector_to_field(v[:, col])
         r_perp, r_3 = op.taylor_residual(ctx10, b)
         assert max(abs(r_perp), abs(r_3)) < 1e-13
         assert op.divergence_residual(ctx10, b) < 1e-13
@@ -257,7 +257,7 @@ def test_compress_by_blocks_keeps_every_block(request, background, n_blocks):
     m = 24
     rem = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
     v = op.constraint_null_basis(ctx, m)
-    blocks = op.compression_blocks(rem, v, m)
+    blocks = op.compression_blocks(rem, v)
     assert len(blocks) == n_blocks
     compressed = op.compress_by_blocks(rem, v, blocks)
     assert sum(c.shape[0] for c in compressed) == v.shape[1]
@@ -346,7 +346,7 @@ def test_balancing_velocity_freezes_the_taylor_residual(ctx10, v_con64):
     from taylorlab.evolution import project_constraints
 
     rng = np.random.default_rng(14)
-    b = project_constraints(ctx10, random_field(64, rng), v_con64)
+    b = project_constraints(random_field(64, rng), v_con64)
     rhs = op.full_induction(ctx10, b, include_geostrophic=True)
     r_perp, r_3 = op.taylor_residual(ctx10, rhs)
     assert max(abs(r_perp), abs(r_3)) < 1e-12
@@ -424,11 +424,31 @@ def test_operator_matrix_apply_and_vector_round_trip(ctx10):
     assert isinstance(mat, np.ndarray) and not mat.flags.writeable
     rng = np.random.default_rng(18)
     b = random_field(m, rng)
-    via_matrix = op.vector_to_field(mat @ op.field_to_vector(b), m)
+    via_matrix = op.vector_to_field(mat @ op.field_to_vector(b))
     assert (via_matrix - op.fast_skew(ctx10, b)).norm() < 1e-13
-    assert op.field_to_vector(op.vector_to_field(op.field_to_vector(b), m)).size == 3 * (2 * m + 1)
+    assert op.field_to_vector(op.vector_to_field(op.field_to_vector(b))).size == 3 * (2 * m + 1)
     with pytest.raises(ValueError):
-        op.vector_to_field(np.zeros(5), m)
+        op.vector_to_field(np.zeros(5))
+
+
+def test_window_is_read_from_the_stacked_length():
+    assert [op._window(3 * (2 * m + 1)) for m in (0, 1, 8, 64)] == [0, 1, 8, 64]
+    # not a multiple of 3, or 3 times an even number: no window M fits
+    for n in (0, 1, 5, 6, 12, 386, 388):
+        with pytest.raises(ValueError, match="3\\(2M\\+1\\)"):
+            op._window(n)
+        with pytest.raises(ValueError):
+            op.vector_to_field(np.zeros((n, 2)))
+
+
+def test_vector_to_field_reads_the_window_of_a_block():
+    m, k = 5, 4
+    rng = np.random.default_rng(7)
+    vecs = rng.standard_normal((3 * (2 * m + 1), k)) + 1j * rng.standard_normal((3 * (2 * m + 1), k))
+    block = op.vector_to_field(vecs)
+    assert block.truncation == m
+    assert all(c.coeffs.shape == (2 * m + 1, k) for c in block.components)
+    assert np.array_equal(op.field_to_vector(block), vecs)
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +482,7 @@ def test_batched_assembly_matches_per_column_oracle(
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
     m = 16  # the window of criterion 10
     single = random_field(m, np.random.default_rng(19))
-    block = op.vector_to_field(np.column_stack([op.field_to_vector(single)] * 2), m)
+    block = op.vector_to_field(np.column_stack([op.field_to_vector(single)] * 2))
     for name, fn in criterion_10_operators(ctx, include_geostrophic).items():
         if not include_geostrophic and name != "full induction":
             continue  # the lane only reaches the full induction operator

@@ -12,10 +12,11 @@ import os
 import numpy as np
 import pytest
 
-from taylorlab import evolution as evo
 from taylorlab.background import canonical_background, lattice_mode_context
 from taylorlab.checks import execute
 from taylorlab.config import validate
+
+from conftest import propagator
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("TAYLORLAB_SCALE") != "1",
@@ -47,5 +48,5 @@ def test_restricted_abscissa_of_the_first_mode_at_truncation_128():
     # the tier-1 suite checks -4 pi^2 at windows 16, 32 and 64; the
     # measured relative error here is 2.4e-13
     ctx = lattice_mode_context(canonical_background(), (1, 0))
-    prop = evo.build_propagator(ctx, 128)
+    prop = propagator(ctx, 128)
     assert prop.restricted_abscissa == pytest.approx(-4 * np.pi**2, rel=1e-12, abs=0)
