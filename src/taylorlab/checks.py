@@ -45,7 +45,6 @@ from . import spectral
 from .background import lattice_mode_context
 from .config import RunConfig, resolve_background
 from .errors import MissingData
-from .fourier import FourierSeries
 from .normal_form import build_normal_form
 from .report import RunReport, read_csv, write_csv, write_report, write_snapshot
 from .svg import line_chart
@@ -63,22 +62,28 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def no_upward_trend(values, slack: float = 1.25, floor: float = 1e-12) -> bool:
-    """True when later values stay within slack of the first one.
+# The absolute floor of a trend bound: it keeps identically-zero sequences
+# (which arise for degenerate backgrounds) from failing on rounding noise.
+TREND_FLOOR = 1e-12
 
-    The absolute floor keeps identically-zero sequences (which arise for
-    degenerate backgrounds) from failing on rounding noise.
-    """
+# The numerical radius samples theta in steps of 2 pi / RADIUS_ANGLES over
+# [0, pi]; Re(e^{i (theta + pi)} M) = -Re(e^{i theta} M) covers the rest.
+RADIUS_ANGLES = 72
+
+
+def no_upward_trend(values, slack: float) -> bool:
+    """True when later values stay within slack of the first one, plus
+    ``TREND_FLOOR``."""
     vals = [float(v) for v in values]
     if len(vals) < 2:
         return True
-    return max(vals[1:]) <= slack * vals[0] + floor
+    return max(vals[1:]) <= slack * vals[0] + TREND_FLOOR
 
 
-def numerical_radius(mat: np.ndarray, n_angles: int = 72) -> float:
+def numerical_radius(mat: np.ndarray) -> float:
     """max_theta lambda_max(Re(e^{i theta} M)), the field-of-values radius."""
     radius = 0.0
-    for theta in np.linspace(0.0, np.pi, n_angles // 2 + 1):
+    for theta in np.linspace(0.0, np.pi, RADIUS_ANGLES // 2 + 1):
         z = np.exp(1j * theta) * mat
         herm = 0.5 * (z + z.conj().T)
         radius = max(radius, float(np.abs(np.linalg.eigvalsh(herm)).max()))
@@ -173,9 +178,7 @@ def max_over_blocks(norm, square: np.ndarray, basis: np.ndarray) -> float:
 def run_spectral_check(cfg: RunConfig, bg, report: RunReport) -> None:
     ctx = lattice_mode_context(bg, cfg.modes[0])
 
-    basis = spectral.build_eigenbasis(
-        ctx, cfg.band, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
-    )
+    basis = spectral.build_eigenbasis(ctx, cfg.band, cfg.truncation, cfg.tolerance("tail_gate"))
     core = spectral.assemble_core_matrix(ctx, cfg.truncation)
     w, vecs = np.linalg.eig(core)
 
@@ -222,10 +225,8 @@ def run_normalform_check(cfg: RunConfig, bg, report: RunReport) -> None:
 
     # the normal form reads the band's eigenfields alone, so no profile
     # beyond the band is collocated
-    basis = spectral.build_eigenbasis(
-        ctx, cfg.band, cfg.truncation, tail_gate=cfg.tolerance("tail_gate")
-    )
-    nf = build_normal_form(basis, cfg.band, resonance_tol=cfg.tolerance("resonance"))
+    basis = spectral.build_eigenbasis(ctx, cfg.band, cfg.truncation, cfg.tolerance("tail_gate"))
+    nf = build_normal_form(basis, cfg.band, cfg.tolerance("resonance"))
 
     rows = [
         (i, j, lam_i.real, lam_i.imag, lam_j.real, lam_j.imag, float(rhs))
@@ -313,20 +314,15 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
 # ----------------------------------------------------------------------
 
 
-def _symmetrized(state: evo.SimulationState) -> evo.SimulationState:
-    """Add conjugate partners so the exported snapshot is real."""
-    modes = dict(state.modes)
-    for key, b in state.modes.items():
+def _symmetrized(modes: dict) -> dict:
+    """The modes with their conjugate partners added, so the exported
+    snapshot is real."""
+    out = dict(modes)
+    for key, b in modes.items():
         partner = (-key[0], -key[1])
-        if partner not in modes:
-            modes[partner] = op.ModeField(
-                *(FourierSeries(np.conj(c.coeffs[::-1])) for c in b.components)
-            )
-    return evo.SimulationState(
-        time=state.time,
-        modes=modes,
-        zero_mode=state.zero_mode,
-    )
+        if partner not in out:
+            out[partner] = op.ModeField(*(c.conj() for c in b.components))
+    return out
 
 
 def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
@@ -357,7 +353,7 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
     )
     write_snapshot(
         os.path.join(cfg.out_dir, "snapshot.json"),
-        evo.assemble_full_field(_symmetrized(state)),
+        evo.assemble_full_field(_symmetrized(state.modes), state.zero_mode),
     )
     report.artifacts.append("snapshot.json")
 
@@ -427,9 +423,7 @@ def _trend_margin(rows, slack: float) -> tuple[float, float]:
 
 
 def run_abscissa_sweep(cfg: RunConfig, bg, report: RunReport) -> None:
-    rows_on, rows_off = evo.abscissa_lanes(
-        bg, list(cfg.modes), truncation=cfg.truncation, lanes=(True, False), jobs=cfg.jobs
-    )
+    rows_on, rows_off = evo.abscissa_lanes(bg, list(cfg.modes), cfg.truncation, cfg.jobs)
 
     for lane, rows in (("on", rows_on), ("off", rows_off)):
         _write_table(
@@ -481,7 +475,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
 
     def remainder_terms(ctx):
         # R = eps^2 IND - S / eps - D, elementwise as the field arithmetic of
-        # op._remainder_without_drive forms it, so bitwise equal to assembling it
+        # op.induction_remainder forms it, so bitwise equal to assembling it
         remainder = op.assemble_matrix(
             lambda b: op._balanced_induction(ctx, b), m_trunc
         ) * complex(ctx.eps**2)
@@ -508,7 +502,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         bands.append(n)
         n *= 2
     stored = spectral.stored_band_for(cfg.band, m_trunc)
-    basis = spectral.build_eigenbasis(first, stored, m_trunc, tail_gate=cfg.tolerance("tail_gate"))
+    basis = spectral.build_eigenbasis(first, stored, m_trunc, cfg.tolerance("tail_gate"))
     gaps = spectral.high_mode_gap(basis, bands, drive, v_divs[0])
     band_rows = [
         (band, gap, spectral.band_derivative_norm(basis, band)) for band, gap in zip(bands, gaps)
@@ -537,7 +531,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         "remainder_form_bounded",
         no_upward_trend(rem_vals, slack),
         max(rem_vals[1:], default=rem_vals[0]),
-        slack * rem_vals[0] + 1e-12,
+        slack * rem_vals[0] + TREND_FLOOR,
         detail="Hermitian part of the remainder on constrained fields, scaled by 1/eps",
     )
     s_vals = [r[3] for r in eps_rows]
@@ -545,7 +539,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         "resonant_term_bounded",
         no_upward_trend(s_vals, slack),
         max(s_vals[1:], default=s_vals[0]),
-        slack * s_vals[0] + 1e-12,
+        slack * s_vals[0] + TREND_FLOOR,
     )
 
     _write_table(

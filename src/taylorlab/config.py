@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field
 
 from .background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background, make_background
 from .errors import ConfigError, DegenerateDirection
@@ -36,6 +36,10 @@ KINDS = (
 
 # Kinds that build one mode: a second mode would be ignored, so it is refused.
 SINGLE_MODE_KINDS = ("spectral-check", "normalform-check")
+
+# Kinds that collocate the eigenprofiles of the band: only they read `band`,
+# so only they are held to the window rule truncation >= 4*band + 8.
+BAND_KINDS = ("spectral-check", "normalform-check", "scaling-study")
 
 # Named tolerances with their defaults.  A config may override any subset
 # through the "tolerances" object; checks read them by name only.
@@ -139,6 +143,16 @@ def _check_type(value, types, key):
     return value
 
 
+def _get(raw: dict, key: str):
+    """raw[key], or the default of RunConfig's field ``key`` as JSON would
+    write it (a list for a tuple)."""
+    if key in raw:
+        return raw[key]
+    spec = RunConfig.__dataclass_fields__[key]
+    value = spec.default_factory() if spec.default is MISSING else spec.default
+    return list(value) if isinstance(value, tuple) else value
+
+
 def validate(raw: dict) -> RunConfig:
     """Turn a parsed JSON object into a validated RunConfig."""
     if not isinstance(raw, dict):
@@ -152,13 +166,15 @@ def validate(raw: dict) -> RunConfig:
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}")
 
-    truncation = int(_check_type(raw.get("truncation", 64), int, "truncation"))
-    band = int(_check_type(raw.get("band", 8), int, "band"))
+    truncation = int(_check_type(_get(raw, "truncation"), int, "truncation"))
+    band = int(_check_type(_get(raw, "band"), int, "band"))
+    if truncation < 1:
+        raise ConfigError(f"'truncation' must be at least 1; got {truncation}")
     if band < 1:
         raise ConfigError(f"'band' must be at least 1; got {band}")
     if kind == "scaling-study" and band < 2:
         raise ConfigError(f"scaling-study sweeps the bands 2, 4, ... <= band; got band {band}")
-    if truncation < 4 * band + 8:
+    if kind in BAND_KINDS and truncation < 4 * band + 8:
         raise ConfigError(
             f"truncation {truncation} too small for band {band}: "
             f"require truncation >= 4*band + 8 = {4 * band + 8}"
@@ -179,7 +195,7 @@ def validate(raw: dict) -> RunConfig:
     if kind in SINGLE_MODE_KINDS and len(modes) > 1:
         raise ConfigError(f"kind {kind!r} checks one mode; got {len(modes)} modes")
 
-    eps_raw = raw.get("eps_modes", [2, 8, 32])
+    eps_raw = _get(raw, "eps_modes")
     if not isinstance(eps_raw, list) or not all(_is_a(v, int) and v > 0 for v in eps_raw):
         raise ConfigError("'eps_modes' must be a list of positive integers")
     if not eps_raw:
@@ -192,7 +208,7 @@ def validate(raw: dict) -> RunConfig:
             f"two; got {eps_raw!r}"
         )
 
-    background = raw.get("background", "canonical")
+    background = _get(raw, "background")
     if background != "canonical":
         if not isinstance(background, list):
             raise ConfigError("'background' must be \"canonical\" or a list of entries")
@@ -219,8 +235,8 @@ def validate(raw: dict) -> RunConfig:
         except DegenerateDirection as exc:
             raise ConfigError(f"background {background!r}: {exc}") from exc
 
-    t_final = float(_check_type(raw.get("t_final", 0.5), (int, float), "t_final"))
-    output_step = float(_check_type(raw.get("output_step", 0.125), (int, float), "output_step"))
+    t_final = float(_check_type(_get(raw, "t_final"), (int, float), "t_final"))
+    output_step = float(_check_type(_get(raw, "output_step"), (int, float), "output_step"))
     if not (0 < t_final < math.inf and 0 < output_step < math.inf):
         raise ConfigError("'t_final' and 'output_step' must be positive and finite")
     if output_step > t_final:
@@ -234,7 +250,7 @@ def validate(raw: dict) -> RunConfig:
             f"'t_final' {t_final!r} is not a whole number of output steps {output_step!r}"
         )
 
-    tolerances = raw.get("tolerances", {})
+    tolerances = _get(raw, "tolerances")
     if not isinstance(tolerances, dict):
         raise ConfigError("'tolerances' must be an object")
     for name, value in tolerances.items():
@@ -252,13 +268,13 @@ def validate(raw: dict) -> RunConfig:
         eps_modes=tuple(eps_raw),
         t_final=t_final,
         output_step=output_step,
-        seed=int(_check_type(raw.get("seed", 0), int, "seed")),
+        seed=int(_check_type(_get(raw, "seed"), int, "seed")),
         include_geostrophic=_check_type(
-            raw.get("include_geostrophic", True), bool, "include_geostrophic"
+            _get(raw, "include_geostrophic"), bool, "include_geostrophic"
         ),
         tolerances=dict(tolerances),
-        out_dir=str(_check_type(raw.get("out_dir", "out"), str, "out_dir")),
-        jobs=int(_check_type(raw.get("jobs", 1), int, "jobs")),
+        out_dir=str(_check_type(_get(raw, "out_dir"), str, "out_dir")),
+        jobs=int(_check_type(_get(raw, "jobs"), int, "jobs")),
     )
 
 

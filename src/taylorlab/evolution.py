@@ -31,8 +31,8 @@ abscissa is deflated by it: the spectrum of R_k is that of the compressed
 block and of its compression to the orthogonal complement.  Where it does
 not, the subspace is grown by the directions the coupling reaches, and
 deflated by that when it is invariant: without the balancing velocity,
-the divergence-free subspace.  The lanes of one mode in
-:func:`abscissa_lanes` share the factorizations of bitwise equal blocks.
+the divergence-free subspace.  The lanes of one mode, built together by
+:func:`build_propagator`, share the factorizations of bitwise equal blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
@@ -84,6 +84,9 @@ from .operators import (
 EXPM_ORACLE_CONDITION = 300.0
 EXPM_ORACLE_TOL = 1e-10
 
+# Random initial data have coefficients of size (1 + |n|)^-DECAY.
+DECAY = 2.0
+
 
 # ----------------------------------------------------------------------
 # constraint projection
@@ -108,21 +111,6 @@ def grad_energy(ctx: ModeContext, b: ModeField) -> float:
     """Squared H1 seminorm of one mode: |xi|^2 ||b||^2 + ||d3 b||^2."""
     vertical = sum(c.derivative().norm() ** 2 for c in b.components)
     return float(ctx.xi_norm**2 * b.norm() ** 2 + vertical)
-
-
-def induction_power(
-    ctx: ModeContext, b: ModeField, include_geostrophic: bool = True
-) -> float:
-    """Re <curl(u x B) b, b>, the mode-wise power input of the induction term.
-
-    Computed as Re <L b, b> plus the (exactly known) dissipation, which
-    avoids assembling the diffusion-free right-hand side separately.  No
-    sign claim is attached to this quantity; it is diagnostic only.  This is
-    the functional route; :func:`run_evolution` logs the same quantity from
-    each propagator's assembled generator.
-    """
-    lb = full_induction(ctx, b, include_geostrophic=include_geostrophic)
-    return float(np.real(lb.inner(b.resample(lb.truncation))) + grad_energy(ctx, b))
 
 
 # ----------------------------------------------------------------------
@@ -370,25 +358,25 @@ class ModePropagator:
 
     ``block_cache`` holds the abscissas and complements computed from
     single blocks, keyed on the exact bytes of the block they were computed
-    from (:func:`_memo`).  Propagators of one mode that share a constraint
-    basis may share it: :func:`abscissa_lanes` passes one dict to both
-    lanes, so a compressed block that the lanes hold bitwise equal is
-    factored once.
+    from (:func:`_memo`).  The lanes of one mode share it
+    (:func:`build_propagator`), so a compressed block that the lanes hold
+    bitwise equal is factored once.
     """
 
     ctx: ModeContext
     blocks: tuple
     generators: tuple
     bases: tuple
+    block_cache: dict
     propagator_cache: dict = field(default_factory=dict)
     oracle_margins: dict = field(default_factory=dict)
-    block_cache: dict = field(default_factory=dict)
 
     @classmethod
     def from_matrices(
-        cls, ctx: ModeContext, generator: np.ndarray, basis: np.ndarray, block_cache=None
+        cls, ctx: ModeContext, generator: np.ndarray, basis: np.ndarray, block_cache: dict
     ) -> "ModePropagator":
-        """The propagator of the generator G and the constraint basis V.
+        """The propagator of the generator G and the constraint basis V, with
+        the ``block_cache`` it shares with the other lanes of its mode.
 
         R and C are formed one component's rows at a time into real arrays
         (:meth:`PairTransform.pair_form`), once each.  Dropping their
@@ -405,7 +393,7 @@ class ModePropagator:
             blocks,
             _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator"),
             _real_blocks(basis_blocks(c, blocks), c_imag, blocks, "constraint basis"),
-            block_cache={} if block_cache is None else block_cache,
+            block_cache,
         )
 
     @functools.cached_property
@@ -577,20 +565,26 @@ def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
     return tuple(on if lane else off for lane in lanes)
 
 
-def build_propagator(
-    ctx: ModeContext, basis: np.ndarray, include_geostrophic: bool = True
-) -> ModePropagator:
+def build_propagator(ctx: ModeContext, basis: np.ndarray, lanes: tuple) -> tuple:
     """The propagator of the full per-mode generator (induction plus
-    diffusion, see :func:`lane_generators`) and the mode's constraint
-    ``basis``, at the basis's window.
+    diffusion) for each ``include_geostrophic`` in ``lanes``, with the
+    mode's constraint ``basis``, at the basis's window.
 
-    The restricted abscissa is the largest real part of the generator
-    compressed to the constrained subspace, computed when first read.  The
-    invariance of that subspace is not enforced, so that runs with the
-    balancing velocity disabled remain expressible.
+    The lanes' generators come from one assembly (:func:`lane_generators`),
+    and the lanes share one :attr:`ModePropagator.block_cache`: at the
+    canonical background the balancing velocity's rows vanish in C, so
+    every compressed block is bitwise equal in the two lanes and factored
+    once, and so is each block's complement W_k.  The restricted abscissa
+    is the largest real part of the generator compressed to the
+    constrained subspace, computed when first read.  The invariance of
+    that subspace is not enforced, so that runs with the balancing velocity
+    disabled remain expressible.
     """
-    (gen,) = lane_generators(ctx, _window(len(basis)), (include_geostrophic,))
-    return ModePropagator.from_matrices(ctx, gen, basis)
+    shared = {}
+    return tuple(
+        ModePropagator.from_matrices(ctx, gen, basis, shared)
+        for gen in lane_generators(ctx, _window(len(basis)), lanes)
+    )
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
@@ -631,12 +625,10 @@ def heat_zero_mode(
 # ----------------------------------------------------------------------
 
 
-def random_mode_field(
-    truncation: int, rng: np.random.Generator, decay: float = 2.0
-) -> ModeField:
-    """Random complex field with coefficient decay (1+|n|)^-decay."""
+def random_mode_field(truncation: int, rng: np.random.Generator) -> ModeField:
+    """Random complex field with coefficient decay (1+|n|)^-DECAY."""
     n = np.arange(-truncation, truncation + 1)
-    weight = (1.0 + np.abs(n)) ** (-decay)
+    weight = (1.0 + np.abs(n)) ** (-DECAY)
     coeffs = weight * (
         rng.standard_normal((3, n.size)) + 1j * rng.standard_normal((3, n.size))
     )
@@ -644,7 +636,7 @@ def random_mode_field(
 
 
 def random_zero_mode(
-    truncation: int, rng: np.random.Generator, decay: float = 2.0
+    truncation: int, rng: np.random.Generator
 ) -> tuple[FourierSeries, FourierSeries, FourierSeries]:
     """Random real zero-mean horizontal profiles for the averaged field.
 
@@ -656,7 +648,7 @@ def random_zero_mode(
     for _ in range(2):
         coeffs = np.zeros(2 * truncation + 1, dtype=np.complex128)
         for n in range(1, truncation + 1):
-            c = (1.0 + n) ** (-decay) * (rng.standard_normal() + 1j * rng.standard_normal())
+            c = (1.0 + n) ** (-DECAY) * (rng.standard_normal() + 1j * rng.standard_normal())
             coeffs[truncation + n] = c
             coeffs[truncation - n] = np.conj(c)
         out.append(FourierSeries(coeffs))
@@ -690,7 +682,7 @@ class SimulationState:
         return float(total)
 
 
-def initial_state(bases: dict, seed: int = 0, with_zero_mode: bool = True) -> SimulationState:
+def initial_state(bases: dict, seed: int) -> SimulationState:
     """Constrained random initial data with recorded seed.
 
     ``bases`` maps each mode key, in the order of the modes, to its
@@ -702,10 +694,7 @@ def initial_state(bases: dict, seed: int = 0, with_zero_mode: bool = True) -> Si
     modes = {}
     for key, basis in bases.items():
         modes[key] = project_constraints(random_mode_field(truncation, rng), basis)
-    if with_zero_mode:
-        zero = random_zero_mode(truncation, rng)
-    else:
-        zero = tuple(FourierSeries.zeros(truncation) for _ in range(3))
+    zero = random_zero_mode(truncation, rng)
     return SimulationState(
         time=0.0,
         modes=modes,
@@ -752,11 +741,10 @@ def run_evolution(
     lattice_modes: list,
     t_final: float,
     output_step: float,
-    truncation: int = 64,
-    seed: int = 0,
-    include_geostrophic: bool = True,
-    with_zero_mode: bool = True,
-    jobs: int = 1,
+    truncation: int,
+    seed: int,
+    include_geostrophic: bool,
+    jobs: int,
 ) -> SimulationState:
     """Propagate constrained random data and log diagnostics at each output time.
 
@@ -775,14 +763,15 @@ def run_evolution(
 
     def make_propagator(key):
         basis = constraint_null_basis(contexts[key], truncation)
-        return build_propagator(contexts[key], basis, include_geostrophic), basis
+        (prop,) = build_propagator(contexts[key], basis, (include_geostrophic,))
+        return prop, basis
 
     def start(each) -> SimulationState:
         """The projected initial data, holding the propagators; the bases go
         out of scope on return."""
         built = dict(zip(keys, each(make_propagator, keys)))
         bases = {key: basis for key, (_, basis) in built.items()}
-        state = initial_state(bases, seed, with_zero_mode)
+        state = initial_state(bases, seed)
         state.propagators = {key: prop for key, (prop, _) in built.items()}
         return state
 
@@ -813,51 +802,27 @@ def run_evolution(
 # ----------------------------------------------------------------------
 
 
-def abscissa_sweep(
-    bg: BackgroundField,
-    lattice_modes: list,
-    truncation: int = 64,
-    include_geostrophic: bool = True,
-) -> list:
-    """Rows (|xi|, restricted abscissa, unconstrained abscissa) per mode.
+def abscissa_lanes(bg: BackgroundField, lattice_modes: list, truncation: int, jobs: int) -> list:
+    """Rows (|xi|, restricted abscissa, unconstrained abscissa) per mode, one
+    list with the balancing velocity and one without.
 
     The restricted abscissa governs constrained data; uniform boundedness
     across |xi| is the computational signature of well-posedness, while
     the unconstrained column shows what the raw generator would allow.
-    """
-    (rows,) = abscissa_lanes(bg, lattice_modes, truncation, (include_geostrophic,))
-    return rows
-
-
-def abscissa_lanes(
-    bg: BackgroundField,
-    lattice_modes: list,
-    truncation: int = 64,
-    lanes: tuple = (True, False),
-    jobs: int = 1,
-) -> list:
-    """:func:`abscissa_sweep` rows for each ``include_geostrophic`` in ``lanes``.
-
-    Each mode assembles once (:func:`lane_generators`) and factors its
-    constraint basis once, which does not depend on the lane, and builds
-    its lanes' propagators from them, one after the other; a mode is
-    finished before the next one starts.  The lanes also share
-    one :attr:`ModePropagator.block_cache`, which lives for the mode: at
-    the canonical background the balancing velocity's rows vanish in C, so
-    every compressed block is bitwise equal in the two lanes and factored
-    once, and so is each block's complement W_k.  With ``jobs > 1`` the
-    modes are mapped over a thread pool; rows keep the input order.
+    Each mode factors its constraint basis once, which does not depend on
+    the lane, and builds both lanes' propagators from one assembly
+    (:func:`build_propagator`); a mode is finished before the next one
+    starts.  With ``jobs > 1`` the modes are mapped over a thread pool;
+    rows keep the input order.
     """
 
     def mode_rows(key):
         ctx = lattice_mode_context(bg, key)
         basis = constraint_null_basis(ctx, truncation)
-        shared = {}
-        rows = []
-        for gen in lane_generators(ctx, truncation, lanes):
-            prop = ModePropagator.from_matrices(ctx, gen, basis, shared)
-            rows.append((float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa))
-        return rows
+        return [
+            (float(ctx.xi_norm), prop.restricted_abscissa, prop.unconstrained_abscissa)
+            for prop in build_propagator(ctx, basis, (True, False))
+        ]
 
     with thread_map(jobs, len(lattice_modes)) as each:
         per_mode = list(each(mode_rows, lattice_modes))
@@ -874,31 +839,28 @@ def _conjugate_symmetric(modes: dict, zero_mode: tuple) -> bool:
         partner = modes[partner_key]
         for mine, theirs in zip(b.components, partner.components):
             scale = max(mine.norm(), 1e-300)
-            if np.linalg.norm(theirs.coeffs - np.conj(mine.coeffs[::-1])) > 1e-10 * scale:
+            if np.linalg.norm(theirs.coeffs - mine.conj().coeffs) > 1e-10 * scale:
                 return False
     return True
 
 
-def assemble_full_field(
-    state: SimulationState,
-    horizontal_points: int | None = None,
-    vertical_points: int | None = None,
-) -> np.ndarray:
-    """Physical-space snapshot on a regular 3-torus grid.
+def assemble_full_field(modes: dict, zero_mode: tuple) -> np.ndarray:
+    """Physical-space snapshot of the horizontal ``modes`` and the averaged
+    profiles ``zero_mode`` on a regular 3-torus grid.
 
-    Returns an array of shape (nh, nh, nz, 3).  When the stored mode set
-    is conjugate-symmetric the imaginary part cancels and a real array is
+    Returns an array of shape (nh, nh, nz, 3), with nh = max(4, 2 max|m| + 2)
+    and nz = 2M + 2 at the modes' window M.  When the stored mode set is
+    conjugate-symmetric the imaginary part cancels and a real array is
     returned; otherwise a NonConjugateModes warning is emitted and the
     complex sum is returned as-is.
     """
-    max_m = max((max(abs(k[0]), abs(k[1])) for k in state.modes), default=0)
-    nh = horizontal_points or max(4, 2 * max_m + 2)
-    some_mode = next(iter(state.modes.values()), None)
-    trunc = some_mode.truncation if some_mode is not None else state.zero_mode[0].truncation
-    nz = vertical_points or 2 * trunc + 2
+    max_m = max((max(abs(k[0]), abs(k[1])) for k in modes), default=0)
+    nh = max(4, 2 * max_m + 2)
+    some_mode = next(iter(modes.values()), None)
+    trunc = some_mode.truncation if some_mode is not None else zero_mode[0].truncation
+    nz = 2 * trunc + 2
 
-    x1 = np.arange(nh) / nh
-    x2 = np.arange(nh) / nh
+    x = np.arange(nh) / nh
     z = np.arange(nz) / nz
     vertical = {}  # the phase matrix at z of each window, formed once
 
@@ -909,13 +871,13 @@ def assemble_full_field(
 
     out = np.zeros((nh, nh, nz, 3), dtype=np.complex128)
     for comp in range(3):
-        out[..., comp] += profile(state.zero_mode[comp])[None, None, :]
-    for (m1, m2), b in state.modes.items():
-        phase = np.exp(2j * np.pi * (m1 * x1[:, None] + m2 * x2[None, :]))
+        out[..., comp] += profile(zero_mode[comp])[None, None, :]
+    for (m1, m2), b in modes.items():
+        phase = np.exp(2j * np.pi * (m1 * x[:, None] + m2 * x[None, :]))
         for comp in range(3):
             out[..., comp] += phase[:, :, None] * profile(b.components[comp])[None, None, :]
 
-    if _conjugate_symmetric(state.modes, state.zero_mode):
+    if _conjugate_symmetric(modes, zero_mode):
         return np.ascontiguousarray(out.real)
     warnings.warn(
         "mode set is not conjugate-symmetric; snapshot stays complex",

@@ -101,11 +101,7 @@ class NormalFormData:
         return rows
 
 
-def build_normal_form(
-    basis: SpectralBasis,
-    band: int,
-    resonance_tol: float = 1e-8,
-) -> NormalFormData:
+def build_normal_form(basis: SpectralBasis, band: int, resonance_tol: float) -> NormalFormData:
     """Solve the homological equation on the band of the basis's mode; verify
     all vanishing claims.
 

@@ -552,21 +552,16 @@ def induction_remainder(ctx: ModeContext, b: ModeField) -> ModeField:
     The decomposition eps^3 (L - diffusion) = fast_skew + eps drive + eps R
     therefore holds identically.
     """
-    return _remainder_without_drive(ctx, b) - symmetric_drive(ctx, b)
-
-
-def _remainder_without_drive(ctx: ModeContext, b: ModeField) -> ModeField:
-    """eps^2 * (induction without diffusion) - (fast skew) b / eps: the
-    remainder plus the symmetric drive, for a caller that holds the drive's
-    matrix already."""
-    return (ctx.eps**2) * _balanced_induction(ctx, b) - (1.0 / ctx.eps) * fast_skew(ctx, b)
+    drive_free = (ctx.eps**2) * _balanced_induction(ctx, b) - (1.0 / ctx.eps) * fast_skew(ctx, b)
+    return drive_free - symmetric_drive(ctx, b)
 
 
 def _balanced_induction(ctx: ModeContext, b: ModeField) -> ModeField:
     """The induction without diffusion, with the balancing velocity read
     from it plus the diffusion term, as in :func:`full_induction`: the only
-    part of :func:`_remainder_without_drive` that is not a function of the
-    direction eta alone, for a caller that holds the fast skew's matrix."""
+    part of :func:`induction_remainder` that is not a function of the
+    direction eta alone, for a caller that holds the fast skew's and the
+    drive's matrices."""
     u_m = _magnetostrophic_velocity_exact(ctx, b)
     ind = _induction_term_exact(ctx, u_m).resample(b.truncation)
     return ind + balancing_term(ctx, ind + diffusion_term(ctx, b))

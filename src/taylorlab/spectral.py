@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import ModeContext
-from .config import DEFAULT_TOLERANCES
 from .errors import BandExceedsBasis, ResolutionExceeded
 from .fourier import FourierSeries, integrate_product, inverse_collocation, multiply
 from .operators import (
@@ -142,10 +141,7 @@ def stored_band_for(band: int, truncation: int) -> int:
 
 
 def build_eigenbasis(
-    ctx: ModeContext,
-    band: int,
-    truncation: int,
-    tail_gate: float = DEFAULT_TOLERANCES["tail_gate"],
+    ctx: ModeContext, band: int, truncation: int, tail_gate: float
 ) -> SpectralBasis:
     """Collocate the closed-form profiles e_k for |k| <= band at the window.
 

@@ -9,8 +9,13 @@ from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import canonical_background, lattice_mode_context, make_background
+from taylorlab.config import DEFAULT_TOLERANCES
 from taylorlab.errors import TaylorLabError
 from taylorlab.fourier import FourierSeries, multiply
+
+# the gates a run reads from its config, at their defaults
+TAIL_GATE = DEFAULT_TOLERANCES["tail_gate"]
+RESONANCE_TOL = DEFAULT_TOLERANCES["resonance"]
 
 
 @pytest.fixture(scope="session")
@@ -46,7 +51,7 @@ def ctx10(bg):
 
 @pytest.fixture(scope="session")
 def basis64(ctx10):
-    return spectral.build_eigenbasis(ctx10, 16, 64)
+    return spectral.build_eigenbasis(ctx10, 16, 64, TAIL_GATE)
 
 
 @pytest.fixture(scope="session")
@@ -194,10 +199,11 @@ def balanced_induction_by_velocity(ctx, b):
 
 
 def propagator(ctx, truncation, include_geostrophic=True):
-    """:func:`evolution.build_propagator` of the mode at ``truncation``, with
-    the constraint basis factored here."""
+    """:func:`evolution.build_propagator` of the mode at ``truncation`` for
+    one lane, with the constraint basis factored here."""
     basis = op.constraint_null_basis(ctx, truncation)
-    return evo.build_propagator(ctx, basis, include_geostrophic)
+    (prop,) = evo.build_propagator(ctx, basis, (include_geostrophic,))
+    return prop
 
 
 def project(ctx, b):
@@ -206,14 +212,14 @@ def project(ctx, b):
     return evo.project_constraints(b, op.constraint_null_basis(ctx, b.truncation))
 
 
-def start_state(bg, modes, truncation, seed=0, with_zero_mode=True):
+def start_state(bg, modes, truncation, seed=0):
     """:func:`evolution.initial_state` of the lattice ``modes`` at
     ``truncation``, with each mode's constraint basis factored here."""
     bases = {
         tuple(key): op.constraint_null_basis(lattice_mode_context(bg, key), truncation)
         for key in modes
     }
-    return evo.initial_state(bases, seed, with_zero_mode)
+    return evo.initial_state(bases, seed)
 
 
 def generator(ctx, truncation, include_geostrophic=True):
@@ -221,6 +227,27 @@ def generator(ctx, truncation, include_geostrophic=True):
     its propagator from; the propagator keeps only its pair-basis blocks."""
     (g,) = evo.lane_generators(ctx, truncation, (include_geostrophic,))
     return g
+
+
+def induction_power(ctx, b, include_geostrophic=True):
+    """Re <curl(u x B) b, b>, the mode-wise power input of the induction term,
+    by the functional route: Re <L b, b> plus the (exactly known)
+    dissipation.  The oracle for the power :func:`evolution.run_evolution`
+    logs from each propagator's blocks."""
+    lb = op.full_induction(ctx, b, include_geostrophic=include_geostrophic)
+    return float(np.real(lb.inner(b.resample(lb.truncation))) + evo.grad_energy(ctx, b))
+
+
+def abscissa_sweep(bg, modes, truncation, include_geostrophic):
+    """Rows (|xi|, restricted abscissa, unconstrained abscissa) per mode for
+    one lane, each mode's propagator built on its own: the oracle for the
+    lanes of :func:`evolution.abscissa_lanes`, which share one assembly and
+    one block cache per mode."""
+    props = [
+        propagator(lattice_mode_context(bg, key), truncation, include_geostrophic)
+        for key in modes
+    ]
+    return [(float(p.ctx.xi_norm), p.restricted_abscissa, p.unconstrained_abscissa) for p in props]
 
 
 def constraint_invariance_defect(propagator):

@@ -14,9 +14,10 @@ from taylorlab import operators as op
 from taylorlab import spectral
 from taylorlab.background import lattice_mode_context
 from taylorlab.checks import fit_loglog_slope, hermitian_part_norm, no_upward_trend, numerical_radius
+from taylorlab.fourier import FourierSeries
 from taylorlab.normal_form import build_normal_form
 
-from conftest import propagator, random_field, start_state
+from conftest import RESONANCE_TOL, TAIL_GATE, propagator, random_field, start_state
 
 
 def _verdict(name, ok, text):
@@ -32,13 +33,13 @@ def _verdict(name, ok, text):
 @pytest.fixture(scope="module")
 def nf80(bg):
     ctx = lattice_mode_context(bg, (8, 0))
-    basis = spectral.build_eigenbasis(ctx, 16, 64)
-    return build_normal_form(basis, 8)
+    basis = spectral.build_eigenbasis(ctx, 16, 64, TAIL_GATE)
+    return build_normal_form(basis, 8, RESONANCE_TOL)
 
 
 @pytest.fixture(scope="module")
 def band_study(ctx10):
-    basis = spectral.build_eigenbasis(ctx10, 40, 160)
+    basis = spectral.build_eigenbasis(ctx10, 40, 160, TAIL_GATE)
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx10, b), 160)
     v_div = op.divergence_null_basis(ctx10, 160)
     return basis, drive, v_div
@@ -50,7 +51,7 @@ def band_study(ctx10):
 
 
 def test_criterion_01_closed_form_eigenpairs(ctx10):
-    basis = spectral.build_eigenbasis(ctx10, 8, 64)
+    basis = spectral.build_eigenbasis(ctx10, 8, 64, TAIL_GATE)
     core = spectral.assemble_core_matrix(ctx10, 64)
     w, vecs = np.linalg.eig(core)
     worst_val = worst_vec = 0.0
@@ -196,13 +197,12 @@ def test_criterion_07_band_projector_scalings(band_study):
 
 def test_criterion_08_abscissa_uniform_boundedness(bg):
     modes = [(1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (32, 0)]
-    rows_on = evo.abscissa_sweep(bg, modes, truncation=64, include_geostrophic=True)
+    rows_on, rows_off = evo.abscissa_lanes(bg, modes, truncation=64, jobs=1)
     values = [r[1] for r in rows_on]
     head = max(values[:2])
     bound = head + 0.1 * abs(head)
     tail = max(values[2:])
     ok = tail <= bound
-    rows_off = evo.abscissa_sweep(bg, modes, truncation=64, include_geostrophic=False)
     off_tail = max(r[1] for r in rows_off[2:])
     _verdict(
         "abscissa uniform boundedness",
@@ -215,7 +215,8 @@ def test_criterion_08_abscissa_uniform_boundedness(bg):
 def test_criterion_09_constrained_evolution(bg, ctx10):
     modes = [(1, 0), (0, 1), (1, 1), (2, 1)]
     state = evo.run_evolution(
-        bg, modes, t_final=0.5, output_step=0.125, truncation=64, seed=3
+        bg, modes, t_final=0.5, output_step=0.125, truncation=64, seed=3,
+        include_geostrophic=True, jobs=1,
     )
     worst_tay = max(row[4] for row in state.mode_rows)
     worst_div = max(row[5] for row in state.mode_rows)
@@ -228,11 +229,8 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
     c0 = start.zero_mode[0].coefficient(1)
     c1 = state.zero_mode[0].coefficient(1)
     rate_err = abs(-np.log(abs(c1 / c0)) / state.time - 4 * np.pi**2) / (4 * np.pi**2)
-    empty = evo.run_evolution(
-        bg, [(1, 0)], t_final=0.5, output_step=0.125, truncation=12, seed=3,
-        with_zero_mode=False,
-    )
-    zero_stays = all(p.norm() == 0.0 for p in empty.zero_mode)
+    empty = evo.heat_zero_mode(tuple(FourierSeries.zeros(12) for _ in range(3)), 0.5)
+    zero_stays = all(p.norm() == 0.0 for p in empty)
     ok = worst_tay < 1e-7 and worst_div < 1e-7 and semi < 1e-10 and rate_err < 1e-6 and zero_stays
     _verdict(
         "constrained evolution",

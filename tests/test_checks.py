@@ -19,10 +19,9 @@ from taylorlab.checks import (
     spectral_norm,
 )
 from taylorlab.config import validate
-from taylorlab.evolution import induction_power
 from taylorlab.report import read_csv
 
-from conftest import start_state
+from conftest import induction_power, start_state
 
 
 def test_factored_radius_matches_dense_on_random_rank_3():
@@ -210,9 +209,6 @@ def test_remainder_from_the_shared_matrices_is_bitwise_the_assembled_one(request
         ctx = lattice_mode_context(bg, (m_eps, 0))
         ind = op.assemble_matrix(lambda b: op._balanced_induction(ctx, b), m)
         drive_free = ind * complex(ctx.eps**2) - skew * complex(1.0 / ctx.eps)
-        assert np.array_equal(
-            drive_free, op.assemble_matrix(lambda b: op._remainder_without_drive(ctx, b), m)
-        )
         drive_free -= drive
         assert np.array_equal(
             drive_free, op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)

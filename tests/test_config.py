@@ -8,6 +8,7 @@ import pytest
 import taylorlab
 from taylorlab import cli
 from taylorlab.background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background
+from taylorlab.checks import execute
 from taylorlab.config import (
     DEFAULT_TOLERANCES,
     RunConfig,
@@ -98,6 +99,12 @@ def test_defaults_fill_in():
          "non-empty list"),
         ({"kind": "scaling-study", "eps_modes": [8]}, "needs at least two"),
         ({"kind": "scaling-study", "eps_modes": [8, 8]}, "duplicate entry in 'eps_modes'"),
+        # the band rule holds for the kinds that read the band; every kind
+        # takes a window of at least one mode
+        ({"kind": "normalform-check", "truncation": 16}, "too small for band 8"),
+        ({"kind": "scaling-study", "truncation": 16}, "too small for band 8"),
+        ({"kind": "evolve", "truncation": 0}, "'truncation' must be at least 1"),
+        (minimal(truncation=-4, band=1), "'truncation' must be at least 1"),
     ],
 )
 def test_rejects_bad_documents(raw, fragment):
@@ -123,6 +130,16 @@ def test_truncation_band_boundary():
     assert cfg.truncation == 40
     with pytest.raises(ConfigError):
         validate(minimal(truncation=39, band=8))
+
+
+@pytest.mark.parametrize("kind", ["evolve", "constraint-check", "abscissa-sweep"])
+def test_kinds_that_do_not_read_the_band_run_below_the_band_rule(tmp_path, kind):
+    # truncation 16 is below 4*8 + 8 for the default band 8, a rule only for
+    # the kinds that collocate the band's profiles
+    cfg = validate({"kind": kind, "truncation": 16, "out_dir": str(tmp_path)})
+    assert cfg.band == 8
+    assert execute(cfg).passed
+    assert validate({"kind": kind, "truncation": 1}).truncation == 1
 
 
 def test_tolerance_lookup():

@@ -7,15 +7,19 @@ import scipy.linalg
 from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context
+from taylorlab.checks import execute
 from taylorlab.config import validate
 from taylorlab.errors import IllConditioned, NonConjugateModes
 from taylorlab.fourier import FourierSeries
 
 from conftest import (
+    abscissa_sweep,
     conjugate_by_j,
     constraint_invariance_defect,
+    count_calls,
     fourier_blocks,
     generator,
+    induction_power,
     project,
     propagator,
     random_field,
@@ -350,12 +354,13 @@ def test_power_from_the_blocks_matches_the_generator(request, background):
 def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
     modes = [(1, 0), (2, 1)]
     state = evo.run_evolution(
-        bg, modes, t_final=0.01, output_step=0.005, truncation=16, seed=5
+        bg, modes, t_final=0.01, output_step=0.005, truncation=16, seed=5,
+        include_geostrophic=True, jobs=1,
     )
     logged = {(row[0], row[1]): row[6] for row in state.mode_rows}
     for t, fields in ((0.0, state.initial_modes), (state.time, state.modes)):
         for idx, key in enumerate(modes):
-            want = evo.induction_power(lattice_mode_context(bg, key), fields[key])
+            want = induction_power(lattice_mode_context(bg, key), fields[key])
             assert logged[t, idx] == pytest.approx(want, rel=1e-12)
 
 
@@ -394,7 +399,7 @@ def test_energy_identity_central_difference(ctx10):
     rng = np.random.default_rng(3)
     b = project(ctx10, evo.random_mode_field(12, rng))
     v = op.field_to_vector(b)
-    analytic = 2.0 * (evo.induction_power(ctx10, b) - evo.grad_energy(ctx10, b))
+    analytic = 2.0 * (induction_power(ctx10, b) - evo.grad_energy(ctx10, b))
     errs = []
     for h in (1e-5, 1e-6):
         ep = np.linalg.norm(prop.propagate(v, h)) ** 2
@@ -432,7 +437,7 @@ def test_step_with_balancing_stays_constrained(ctx10):
 
 
 def test_abscissa_sweep_values(bg):
-    rows = evo.abscissa_sweep(bg, [(1, 0), (2, 0), (4, 0), (8, 0)], truncation=40)
+    rows, _ = evo.abscissa_lanes(bg, [(1, 0), (2, 0), (4, 0), (8, 0)], truncation=40, jobs=1)
     frozen = [
         -39.47841760436865,
         -191.06570996268118,
@@ -469,11 +474,6 @@ def test_initial_state_is_constrained(bg):
         assert op.divergence_residual(ctx, b) < 1e-13
 
 
-def test_initial_state_without_zero_mode(bg):
-    state = start_state(bg, [(1, 0)], 8, seed=0, with_zero_mode=False)
-    assert all(p.norm() == 0.0 for p in state.zero_mode)
-
-
 def test_random_zero_mode_structure():
     rng = np.random.default_rng(0)
     profiles = evo.random_zero_mode(10, rng)
@@ -487,7 +487,8 @@ def test_random_zero_mode_structure():
 
 def test_run_evolution_diagnostics(bg):
     state = evo.run_evolution(
-        bg, [(1, 0), (0, 2)], t_final=0.02, output_step=0.005, truncation=16, seed=5
+        bg, [(1, 0), (0, 2)], t_final=0.02, output_step=0.005, truncation=16, seed=5,
+        include_geostrophic=True, jobs=1,
     )
     assert state.time == pytest.approx(0.02)
     assert len(state.diagnostics_log) == 5
@@ -500,7 +501,9 @@ def test_run_evolution_diagnostics(bg):
 
 
 def test_run_evolution_jobs_deterministic(bg):
-    kwargs = dict(t_final=0.01, output_step=0.005, truncation=12, seed=1)
+    kwargs = dict(
+        t_final=0.01, output_step=0.005, truncation=12, seed=1, include_geostrophic=True
+    )
     serial = evo.run_evolution(bg, [(1, 0), (0, 2)], jobs=1, **kwargs)
     pooled = evo.run_evolution(bg, [(1, 0), (0, 2)], jobs=3, **kwargs)
     assert serial.diagnostics_log == pooled.diagnostics_log
@@ -511,7 +514,8 @@ def test_run_evolution_jobs_deterministic(bg):
 
 def test_run_evolution_zero_mode_heat_decay(bg):
     state = evo.run_evolution(
-        bg, [(1, 0)], t_final=0.02, output_step=0.01, truncation=12, seed=7
+        bg, [(1, 0)], t_final=0.02, output_step=0.01, truncation=12, seed=7,
+        include_geostrophic=True, jobs=1,
     )
     start = start_state(bg, [(1, 0)], 12, seed=7)
     for comp in range(2):
@@ -527,20 +531,19 @@ def _symmetrized_state(bg, keys, truncation, seed):
         if partner not in state.modes:
             continue
         b = state.modes[key]
-        state.modes[partner] = op.ModeField(
-            *(FourierSeries(np.conj(c.coeffs[::-1])) for c in b.components)
-        )
+        state.modes[partner] = op.ModeField(*(c.conj() for c in b.components))
     return state
 
 
 def test_full_field_real_and_divergence_free(bg):
     state = _symmetrized_state(bg, [(1, 0), (-1, 0), (0, 2), (0, -2)], 12, seed=7)
-    snap = evo.assemble_full_field(state, horizontal_points=16, vertical_points=64)
+    snap = evo.assemble_full_field(state.modes, state.zero_mode)
+    # 2 max|m| + 2 points across and 2M + 2 down
     assert snap.dtype == np.float64
-    assert snap.shape == (16, 16, 64, 3)
+    assert snap.shape == (6, 6, 26, 3)
 
-    # spectral divergence on the sampling grid; the snapshot is band-limited
-    # well inside the grid, so this is exact up to roundoff
+    # spectral divergence on the sampling grid; every mode of the snapshot
+    # sits below the grid's Nyquist index, so this is exact up to roundoff
     nh, _, nz, _ = snap.shape
     k1 = 2 * np.pi * np.fft.fftfreq(nh, d=1.0 / nh)
     k3 = 2 * np.pi * np.fft.fftfreq(nz, d=1.0 / nz)
@@ -557,7 +560,7 @@ def test_full_field_real_and_divergence_free(bg):
 def test_full_field_warns_when_not_symmetric(bg):
     state = start_state(bg, [(1, 0)], 8, seed=0)
     with pytest.warns(NonConjugateModes):
-        snap = evo.assemble_full_field(state)
+        snap = evo.assemble_full_field(state.modes, state.zero_mode)
     assert np.iscomplexobj(snap)
 
 
@@ -656,7 +659,7 @@ def test_grown_deflation_bound_separates_by_a_wide_margin(request, background, m
         ctx = lattice_mode_context(bg, mode)
         basis = op.constraint_null_basis(ctx, m)
         for gen in evo.lane_generators(ctx, m, (True, False)):
-            prop = evo.ModePropagator.from_matrices(ctx, gen, basis)
+            prop = evo.ModePropagator.from_matrices(ctx, gen, basis, {})
             for kept, dropped, residual in grown_deflation_margins(prop):
                 assert len(kept) in (1, 2)
                 assert kept.min() >= 1e6
@@ -673,7 +676,7 @@ def test_abscissa_lanes_factor_no_whole_block(request, monkeypatch, background):
     factored = set()
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.add(a.tobytes()) or eigvals(a))
-    evo.abscissa_lanes(bg, modes, truncation=16)
+    evo.abscissa_lanes(bg, modes, truncation=16, jobs=1)
     monkeypatch.undo()
     for key in modes:
         ctx = lattice_mode_context(bg, key)
@@ -682,13 +685,21 @@ def test_abscissa_lanes_factor_no_whole_block(request, monkeypatch, background):
             assert not any(r.tobytes() in factored for r in prop.generators)
 
 
-def test_abscissa_lanes_assemble_once_per_mode(bg, monkeypatch):
-    modes = [(1, 0), (2, 0), (2, 1)]
-    calls = []
-    assemble = evo.assemble_matrix
-    monkeypatch.setattr(evo, "assemble_matrix", lambda *a: calls.append(a) or assemble(*a))
-    evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False))
-    assert len(calls) == len(modes)
+def test_each_mode_builds_its_lanes_from_one_assembly(tmp_path, monkeypatch):
+    # evolve builds one lane per mode and the sweep both: either way each
+    # mode makes one build_propagator call and one generator assembly, and
+    # the semigroup probe reuses the first mode's propagator
+    modes = [[1, 0], [2, 0], [2, 1]]
+    for kind in ("evolve", "abscissa-sweep"):
+        with monkeypatch.context() as patch:
+            builds = count_calls(patch, evo.build_propagator)
+            assemblies = count_calls(patch, op.assemble_matrix)
+            cfg = validate(
+                {"kind": kind, "truncation": 16, "modes": modes, "t_final": 0.125,
+                 "output_step": 0.125, "out_dir": str(tmp_path / kind)}
+            )
+            assert execute(cfg).passed
+        assert len(builds) == len(assemblies) == len(modes), kind
 
 
 @pytest.mark.parametrize("m", [16, 40])
@@ -731,7 +742,7 @@ def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
     factored = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.append(a.tobytes()) or eigvals(a))
-    evo.abscissa_lanes(bg, modes, truncation=16)
+    evo.abscissa_lanes(bg, modes, truncation=16, jobs=1)
     monkeypatch.undo()
     assert len(set(factored)) == len(factored)
     for key in modes:
@@ -747,16 +758,16 @@ def test_generator_off_j_symmetry_raises(ctx10):
     m = 16
     honest = generator(ctx10, m)
     basis = op.constraint_null_basis(ctx10, m)
-    evo.ModePropagator.from_matrices(ctx10, honest, basis)  # the honest pair builds
+    evo.ModePropagator.from_matrices(ctx10, honest, basis, {})  # the honest pair builds
     # first component, n = 1 row and n = 3 column: both odd, one block
     g = np.array(honest)
     g[m + 1, m + 3] += 1e-6 * np.abs(g).max()
     # the real R_k are formed at construction, so construction raises
     with pytest.raises(IllConditioned, match="generator is not real in the pair basis"):
-        evo.ModePropagator.from_matrices(ctx10, g, basis)
+        evo.ModePropagator.from_matrices(ctx10, g, basis, {})
     # a basis whose columns J does not fix: i v for J-fixed v
     with pytest.raises(IllConditioned, match="constraint basis is not real"):
-        evo.ModePropagator.from_matrices(ctx10, honest, 1j * basis)
+        evo.ModePropagator.from_matrices(ctx10, honest, 1j * basis, {})
 
 
 def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
@@ -784,12 +795,12 @@ def test_abscissa_lanes_share_one_basis_per_mode(bg, monkeypatch):
     monkeypatch.setattr(
         evo, "constraint_null_basis", lambda *a: calls.append(a) or factor(*a)
     )
-    on, off = evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False))
+    on, off = evo.abscissa_lanes(bg, modes, truncation=16, jobs=1)
     assert len(calls) == len(modes)
     monkeypatch.undo()
-    assert on == evo.abscissa_sweep(bg, modes, truncation=16, include_geostrophic=True)
-    assert off == evo.abscissa_sweep(bg, modes, truncation=16, include_geostrophic=False)
-    pooled = evo.abscissa_lanes(bg, modes, truncation=16, lanes=(True, False), jobs=2)
+    assert on == abscissa_sweep(bg, modes, 16, include_geostrophic=True)
+    assert off == abscissa_sweep(bg, modes, 16, include_geostrophic=False)
+    pooled = evo.abscissa_lanes(bg, modes, truncation=16, jobs=2)
     assert pooled == [on, off]
 
 
@@ -881,7 +892,8 @@ def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
 def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
     modes = [(1, 0), (0, 1), (2, 1)]
     state = evo.run_evolution(
-        bg, modes, t_final=0.25, output_step=0.125, truncation=16, jobs=jobs
+        bg, modes, t_final=0.25, output_step=0.125, truncation=16, seed=0,
+        include_geostrophic=True, jobs=jobs,
     )
     props = [state.propagators[key] for key in modes]
     assert ["_oracles" in vars(p) for p in props] == [True, False, False]

@@ -10,6 +10,8 @@ from taylorlab.errors import ResonanceViolation
 from taylorlab.normal_form import build_normal_form, resonant_pairs
 
 from conftest import (
+    RESONANCE_TOL,
+    TAIL_GATE,
     RegimeViolation,
     conjugate,
     count_calls,
@@ -23,7 +25,7 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def nf8(basis64):
-    return build_normal_form(basis64, 8)
+    return build_normal_form(basis64, 8, RESONANCE_TOL)
 
 
 def test_resonant_pairs_structure():
@@ -64,7 +66,7 @@ def test_band_growth_of_q_and_laplacian_commutator(ctx10, basis64):
     bands = (4, 8, 16)
     q_norms, lap_norms = [], []
     for n in bands:
-        nf = build_normal_form(basis64, n)
+        nf = build_normal_form(basis64, n, RESONANCE_TOL)
         q_norms.append(nf.q_norm)
         lap_norms.append(laplacian_commutator_norm(nf))
     expected_q = [5.01188995502927, 6.237084129836907, 7.570199283798929]
@@ -81,8 +83,8 @@ def test_conjugation_round_trip_in_regime(bg):
     # eps ||Q|| ~ 0.12 at |xi| = 16 pi: safely inside the invertibility regime
     ctx = lattice_mode_context(bg, (8, 0))
     m = 64
-    basis = spectral.build_eigenbasis(ctx, 16, m)
-    nf = build_normal_form(basis, 8)
+    basis = spectral.build_eigenbasis(ctx, 16, m, TAIL_GATE)
+    nf = build_normal_form(basis, 8, RESONANCE_TOL)
     rng = np.random.default_rng(0)
     b = random_field(m, rng)
     d = conjugate(nf, b)
@@ -117,7 +119,7 @@ def test_resonance_violation_on_corrupted_drive(monkeypatch, ctx10, basis64, dri
         lambda ctx, b: op.vector_to_field(corrupted @ op.field_to_vector(b)),
     )
     with pytest.raises(ResonanceViolation):
-        build_normal_form(basis64, 8)
+        build_normal_form(basis64, 8, RESONANCE_TOL)
 
 
 def test_alt_background_exercises_nonzero_local_part(alt_bg):
@@ -125,10 +127,10 @@ def test_alt_background_exercises_nonzero_local_part(alt_bg):
     # sides still vanish and the band identity still closes
     ctx = lattice_mode_context(alt_bg, (8, 0))
     m = 64
-    basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(4, m), m)
+    basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(4, m), m, TAIL_GATE)
     local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
     assert np.linalg.norm(local, 2) > 0.1
-    nf = build_normal_form(basis, 4)
+    nf = build_normal_form(basis, 4, RESONANCE_TOL)
     assert max(nf.resonance_residuals) < 1e-12
     assert nf.commutator_residual < 1e-12
     assert np.linalg.norm(nf.c_band, 2) > 1e-3
@@ -153,8 +155,8 @@ def test_band_matrices_match_the_dense_compressions(request, background, key, ba
     # formed from the assembled drive, local part and profile projector
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
     m = 64
-    basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(band, m), m)
-    nf = build_normal_form(basis, band)
+    basis = spectral.build_eigenbasis(ctx, spectral.stored_band_for(band, m), m, TAIL_GATE)
+    nf = build_normal_form(basis, band, RESONANCE_TOL)
     c_dense, s_dense = dense_band_compressions(basis, band)
     # s vanishes structurally on these backgrounds, so both matrices are
     # measured against the scale of the drive compression

@@ -7,6 +7,7 @@ from taylorlab.background import lattice_mode_context
 from taylorlab.errors import BandExceedsBasis, ResolutionExceeded
 
 from conftest import (
+    TAIL_GATE,
     allclose,
     count_calls,
     dense_high_mode_gap,
@@ -40,7 +41,7 @@ def test_profiles_are_orthonormal(basis64):
 def test_eigenvalues_match_numeric_diagonalization(ctx10):
     # independent route: dense scalar compression, numeric eigensolve
     m = 48
-    basis = spectral.build_eigenbasis(ctx10, 8, m)
+    basis = spectral.build_eigenbasis(ctx10, 8, m, TAIL_GATE)
     core = spectral.assemble_core_matrix(ctx10, m)
     w = np.linalg.eigvals(core)
     for k in [k for k in range(-8, 9) if k != 0]:
@@ -58,7 +59,7 @@ def test_stored_family_diagonalizes_the_fast_operator(basis64):
 def test_verify_on_basis_applies_the_operator_once_per_family(monkeypatch, ctx10):
     # one block application for the 17 phi_minus fields, one for the 34
     # phi_plus fields of a basis stored to band 8
-    basis = spectral.build_eigenbasis(ctx10, 8, 64)
+    basis = spectral.build_eigenbasis(ctx10, 8, 64, TAIL_GATE)
     calls = count_calls(monkeypatch, op.fast_skew)
     residuals = spectral.verify_on_basis(basis)
     assert len(calls) == 2
@@ -85,11 +86,11 @@ def test_resolution_guards():
 
     ctx = lattice_mode_context(canonical_background(), (1, 0))
     with pytest.raises(ResolutionExceeded):
-        spectral.build_eigenbasis(ctx, 17, 64)  # > truncation // 4
+        spectral.build_eigenbasis(ctx, 17, 64, TAIL_GATE)  # > truncation // 4
     # band 8 passes the arithmetic guard at window 32, but the phase
     # modulation spreads profile 8 past the window: the tail gate trips
     with pytest.raises(ResolutionExceeded, match="tail"):
-        spectral.build_eigenbasis(ctx, 8, 32)
+        spectral.build_eigenbasis(ctx, 8, 32, TAIL_GATE)
 
 
 def test_stored_band_for_values():
@@ -168,7 +169,7 @@ def test_high_mode_gaps_of_a_sweep_equal_one_call_per_band(basis64, drive64, v_d
 def test_high_mode_gap_core_matches_the_dense_formula(request, background):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     m = 64
-    basis = spectral.build_eigenbasis(ctx, 16, m)
+    basis = spectral.build_eigenbasis(ctx, 16, m, TAIL_GATE)
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     v_div = op.divergence_null_basis(ctx, m)
     bands = (2, 4, 8)
