@@ -44,7 +44,7 @@ from . import operators as op
 from . import spectral
 from .background import lattice_mode_context
 from .config import RunConfig, resolve_background
-from .errors import MissingData
+from .errors import ConfigError, MissingData
 from .normal_form import build_normal_form
 from .report import RunReport, read_csv, write_csv, write_report, write_snapshot
 from .svg import line_chart
@@ -586,8 +586,12 @@ _RUNNERS = {
 
 
 def execute(cfg: RunConfig) -> RunReport:
-    """Run ``cfg`` into ``cfg.out_dir``: every artifact, then ``report.json``."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Run ``cfg`` into ``cfg.out_dir``: every artifact, then ``report.json``.
+    An ``out_dir`` that cannot be made a directory raises :class:`ConfigError`."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {cfg.out_dir!r}: {exc}") from exc
     bg = resolve_background(cfg)
     report = RunReport(kind=cfg.kind, config_hash=cfg.config_hash(), package_version=__version__)
     _RUNNERS[cfg.kind](cfg, bg, report)

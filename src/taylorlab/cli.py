@@ -62,12 +62,10 @@ def main(argv=None) -> int:
             overrides["jobs"] = args.jobs
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
+        report = execute(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        report = execute(cfg)
     except TaylorLabError as exc:
         print(f"check aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -9,36 +9,30 @@ R_k and C_k, which are all a :class:`ModePropagator` keeps of G and V, on
 their own exact nonzero patterns: at the canonical background the even
 and the odd vertical wavenumbers, at a background with cosines only in B1
 and sines only in B2 a split that the Fourier pattern does not show, and
-one block where nothing splits.  Both spectral abscissas and one dense
-``expm`` per block and step size (cached and reused) are computed in real
-arithmetic on those blocks.  So is the exponentials' eigendecomposition
-oracle.  Where a block keeps the span of C_k invariant, it is block upper
-triangular in the basis [C_k, W_k], W_k the orthonormal complement, and
-the oracle factors its two diagonal blocks and writes the off-diagonal
-block of the exponential by divided differences; elsewhere it factors the
-whole block.  Where the oracle's eigenvectors are too ill conditioned for
-its gate, the mode falls back to complex ``eig`` of the same matrices.
-Only the oracle that a later exponential reads is kept.  The zero
+one block where nothing splits.  Both spectral abscissas, one dense
+``expm`` per block and step size (cached and reused) and the exponentials'
+eigendecomposition oracle are computed in real arithmetic on those blocks;
+where the oracle's eigenvectors are too ill conditioned for its gate, the
+mode falls back to complex ``eig`` of the same matrices.  The zero
 horizontal mode decouples into a scalar heat equation and is propagated
 in closed form.
 
 Each mode assembles one generator, the one without the balancing
 velocity; the balanced one is that plus a rank-3 correction
-(:func:`lane_generators`).  The restricted abscissa factors each
-compressed block C_k^T R_k C_k.  Where the flow keeps the constrained
-subspace invariant, as the balancing velocity makes it, the unconstrained
-abscissa is deflated by it: the spectrum of R_k is that of the compressed
-block and of its compression to the orthogonal complement.  Where it does
-not, the subspace is grown by the directions the coupling reaches, and
-deflated by that when it is invariant: without the balancing velocity,
-the divergence-free subspace.  The lanes of one mode, built together by
-:func:`build_propagator`, share the factorizations of bitwise equal blocks.
+(:func:`lane_generators`).  Each block is split once by the constrained
+subspace (:func:`_split`) for both abscissas and the oracle: where R_k
+keeps the span of C_k invariant, as the balancing velocity makes it, they
+factor A = C_k^T R_k C_k and D = W_k^T R_k W_k, W_k the orthonormal
+complement.  Elsewhere the unconstrained abscissa grows the span by the
+directions the coupling reaches (without the balancing velocity, to the
+divergence-free subspace), and the oracle factors the whole block.  The
+lanes of one mode, built together by :func:`build_propagator`, share the
+factorizations of bitwise equal blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
 pattern plus the pairs n, -n: its norms do not depend on the basis, and
-the real pattern splits its matrices finer for no gain (c2 at M = 64 takes
-18 ms per eps point on 257 blocks, against 10 ms on 129).
+the real pattern splits its matrices finer at a higher cost.
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
@@ -133,6 +127,59 @@ def _eigen_oracle(block: np.ndarray) -> tuple:
     return w, vecs, inverse, sigma
 
 
+class _Split(NamedTuple):
+    """One block R_k split by an invariant span S that holds C_k (:func:`_split`).
+
+    ``restricted`` is A = C_k^T R_k C_k, ``size`` the width of S (n, n + rank
+    for a grown span, 0 where nothing splits), ``complement`` S's orthonormal
+    complement, and ``diagonal`` the diagonal blocks of R_k in [S, complement],
+    whose spectra together are R_k's: the whole R_k where nothing splits.
+    """
+
+    restricted: np.ndarray
+    size: int
+    complement: np.ndarray | None
+    diagonal: tuple
+
+
+def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
+    """The :class:`_Split` of R_k: the one deflation rule, read by both
+    abscissas and the expm oracle.
+
+    A span S is invariant under R_k when max|W'^T R_k S|, W' its complement,
+    is at most :func:`_rounding_bound` of R_k; R_k is then block upper
+    triangular in [S, W'] (Golub and Van Loan, Matrix Computations, 7.1 and
+    7.6).  S is the span of C_k, with W' = W_k the :func:`_complement`
+    memoized in ``cache``, or else C_k grown by W_k u, u the left singular
+    vectors of the coupling W_k^T R_k C_k above the same bound.  The products
+    (C_k^T R_k) C_k, (W_k^T R_k) C_k and (W_k^T R_k) W_k keep the bits of
+    the abscissas.
+    """
+    n = c.shape[1]
+    w = _memo(cache, _complement, c)
+    a = c.T @ r @ c
+    if not w.shape[1]:
+        return _Split(a, n, w, (a,))
+    bound = _rounding_bound(r)
+
+    def invariant(coupling: np.ndarray) -> bool:
+        return np.abs(coupling).max(initial=0.0) <= bound
+
+    w_r = w.T @ r
+    coupling = w_r @ c
+    if invariant(coupling):
+        return _Split(a, n, w, (a, w_r @ w))
+    # grow C_k by the directions of W_k that R_k C_k reaches
+    left, sigma, _ = np.linalg.svd(coupling)
+    rank = np.count_nonzero(sigma > bound)
+    grown = np.hstack([c, w @ left[:, :rank]])
+    rest = w @ left[:, rank:]
+    r_grown = r @ grown
+    if not invariant(rest.T @ r_grown):
+        return _Split(a, 0, None, (r,))
+    return _Split(a, n + rank, rest, (grown.T @ r_grown, rest.T @ r @ rest))
+
+
 class _SplitOracle(NamedTuple):
     """The expm oracle of a block R_k that keeps the span of C_k invariant.
 
@@ -140,14 +187,23 @@ class _SplitOracle(NamedTuple):
     is T = Q^T R_k Q = [[A, B], [0, D]] up to roundoff, and ``top`` and
     ``bottom`` are :func:`_eigen_oracle` of A and D.  ``coupling`` is
     V_A^-1 B V_D, or None where either inverse is (the check will not
-    run).  Q is stacked only while a check runs.
+    run); ``basis`` is Q.
     """
 
     basis: np.ndarray
-    complement: np.ndarray
     top: tuple
     bottom: tuple
     coupling: np.ndarray | None
+
+    @classmethod
+    def factor(cls, r: np.ndarray, c: np.ndarray, split: _Split, dtype) -> "_SplitOracle":
+        """The oracle of R_k in ``dtype`` from the diagonal blocks A and D of
+        its :class:`_Split` at size n; B = C_k^T R_k W_k is formed only here."""
+        top, bottom = (_eigen_oracle(d.astype(dtype, copy=False)) for d in split.diagonal)
+        coupling = None
+        if top[2] is not None and bottom[2] is not None:
+            coupling = top[2] @ (c.T @ r @ split.complement) @ bottom[1]
+        return cls(np.hstack([c, split.complement]), top, bottom, coupling)
 
     def reference(self, h: float) -> np.ndarray:
         """exp(h T) by the eigendecompositions: [[exp(h A), X], [0, exp(h D)]].
@@ -174,37 +230,6 @@ class _SplitOracle(NamedTuple):
         return np.block([[upper], [np.zeros((len(w_d), len(w_a))), lower]])
 
 
-def _triangular_form(r: np.ndarray, c: np.ndarray):
-    """(W_k, T = Q^T R_k Q) with Q = [C_k, W_k], where R_k keeps the span of
-    C_k invariant: max|W_k^T R_k C_k| is at most :func:`_rounding_bound` of
-    R_k, the test of :meth:`ModePropagator._block_abscissa`.  None where it
-    does not, or where C_k spans the block."""
-    w = _complement(c)
-    if not w.shape[1]:
-        return None
-    q = np.hstack([c, w])
-    t = q.T @ r @ q
-    if np.abs(t[c.shape[1] :, : c.shape[1]]).max() > _rounding_bound(r):
-        return None
-    return w, t
-
-
-def _block_oracle(r: np.ndarray, c: np.ndarray, split, dtype) -> tuple | _SplitOracle:
-    """The expm oracle of R_k in ``dtype``: :class:`_SplitOracle` where
-    ``split`` is R_k's :func:`_triangular_form`, else :func:`_eigen_oracle`
-    of the whole block."""
-    if split is None:
-        return _eigen_oracle(r.astype(dtype, copy=False))
-    w, t = split
-    n = c.shape[1]
-    top = _eigen_oracle(t[:n, :n].astype(dtype, copy=False))
-    bottom = _eigen_oracle(t[n:, n:].astype(dtype, copy=False))
-    coupling = None
-    if top[2] is not None and bottom[2] is not None:
-        coupling = top[2] @ t[:n, n:] @ bottom[1]
-    return _SplitOracle(c, w, top, bottom, coupling)
-
-
 def _eigen_parts(oracle) -> tuple:
     """The :func:`_eigen_oracle` tuples one block's oracle is made of."""
     if isinstance(oracle, _SplitOracle):
@@ -227,7 +252,7 @@ def _oracle_error(out: np.ndarray, oracle, h: float, ord=None) -> float:
     lower-left block too.  Q is orthogonal, so both norms are those of out
     minus the reference taken back to the block's basis."""
     if isinstance(oracle, _SplitOracle):
-        q = np.hstack([oracle.basis, oracle.complement])
+        q = oracle.basis
         return np.linalg.norm(q.T @ out @ q - oracle.reference(h), ord)
     w, vecs, inverse, _ = oracle
     return np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), ord)
@@ -360,7 +385,7 @@ class ModePropagator:
     single blocks, keyed on the exact bytes of the block they were computed
     from (:func:`_memo`).  The lanes of one mode share it
     (:func:`build_propagator`), so a compressed block that the lanes hold
-    bitwise equal is factored once.
+    bitwise equal is factored once.  Forming the expm oracle empties it.
     """
 
     ctx: ModeContext
@@ -397,81 +422,43 @@ class ModePropagator:
         )
 
     @functools.cached_property
-    def compressed_blocks(self) -> tuple:
-        """C_k^T R_k C_k per block, real: up to a permutation, V* G V = C^T R C
-        is their direct sum."""
-        return tuple(c.T @ r @ c for r, c in zip(self.generators, self.bases))
-
-    @functools.cached_property
-    def _restricted_by_block(self) -> tuple:
-        """The abscissa of each compressed block C_k^T R_k C_k, read by both
-        abscissas."""
-        return tuple(_memo(self.block_cache, _abscissa, c) for c in self.compressed_blocks)
+    def _splits(self) -> tuple:
+        """The :func:`_split` of each block, read by both abscissas and the
+        expm oracle, which drops them once it is formed."""
+        return tuple(_split(r, c, self.block_cache) for r, c in zip(self.generators, self.bases))
 
     @functools.cached_property
     def restricted_abscissa(self) -> float:
-        """Largest real part of the spectrum of the compressed generator."""
-        return max(self._restricted_by_block)
+        """Largest real part of the spectrum of the compressed generator
+        V* G V = C^T R C, the direct sum of the blocks C_k^T R_k C_k."""
+        return max(_memo(self.block_cache, _abscissa, s.restricted) for s in self._splits)
 
     @functools.cached_property
     def unconstrained_abscissa(self) -> float:
         """Largest real part of the spectrum of G itself, the largest over
         the blocks R_k.
 
-        Let W_k be the orthonormal complement of C_k.  Where R_k keeps the
-        span of C_k invariant, R_k is block upper triangular in the basis
-        [C_k, W_k], so its spectrum is that of C_k^T R_k C_k and of
-        W_k^T R_k W_k (deflation by an invariant subspace; Golub and Van
-        Loan, Matrix Computations, 7.1 and 7.6): the block's abscissa is
-        the larger of its restricted abscissa and the complement's.  The
-        span counts as invariant when max|W_k^T R_k C_k| is at most
-        n_k * eps * max|R_k| (:func:`_rounding_bound`).
-
-        Where it is not, C_k is grown by t = W_k u, u the left singular
-        vectors of the coupling W_k^T R_k C_k over singular values above
-        the same bound.  If the span of [C_k, t] passes the same test
-        against its complement W_k u' (the other left singular vectors),
-        the block's abscissa is the larger of the abscissas of the two
-        compressions.  Only a block that fails both tests is factored
-        whole.
+        Each block's spectrum is that of the diagonal blocks of its
+        :func:`_split`: C_k^T R_k C_k, the restricted abscissa's own block,
+        and W_k^T R_k W_k where R_k keeps the span of C_k invariant, the two
+        compressions of the grown span where that is invariant instead, and
+        the whole R_k only where neither is.
         """
-        pieces = zip(self.generators, self.bases, self._restricted_by_block)
-        return max(self._block_abscissa(r, c, restricted) for r, c, restricted in pieces)
-
-    def _block_abscissa(self, r: np.ndarray, c: np.ndarray, restricted: float) -> float:
-        """The abscissa of R_k, given C_k and its restricted abscissa (see
-        :attr:`unconstrained_abscissa`)."""
-        w = _memo(self.block_cache, _complement, c)
-        if not w.shape[1]:
-            return restricted
-        w_r = w.T @ r
-        bound = _rounding_bound(r)
-        coupling = w_r @ c
-        if np.abs(coupling).max(initial=0.0) <= bound:
-            return max(restricted, _memo(self.block_cache, _abscissa, w_r @ w))
-        # grow C_k by the directions of W_k that R_k C_k reaches
-        left, sigma, _ = np.linalg.svd(coupling)
-        rank = np.count_nonzero(sigma > bound)
-        grown = np.hstack([c, w @ left[:, :rank]])
-        rest = w @ left[:, rank:]
-        r_grown = r @ grown
-        if np.abs(rest.T @ r_grown).max(initial=0.0) > bound:
-            return _memo(self.block_cache, _abscissa, r)
         return max(
-            _memo(self.block_cache, _abscissa, grown.T @ r_grown),
-            _memo(self.block_cache, _abscissa, rest.T @ r @ rest),
+            _memo(self.block_cache, _abscissa, block)
+            for split in self._splits
+            for block in split.diagonal
         )
 
     @functools.cached_property
     def _oracles(self) -> tuple:
         """(route, the expm oracle of each R_k), shared by every h.
 
-        Where R_k keeps the span of C_k invariant (:func:`_triangular_form`,
-        formed once per block), its oracle factors the two diagonal blocks
-        A and D of T = Q^T R_k Q, 126-130 and 65-66 wide at M = 64, in place
-        of the whole R_k (:class:`_SplitOracle`); a block that fails the
-        test is factored whole.  Without the balancing velocity one block
-        per mode fails it at the canonical background.
+        Where a block's :func:`_split` is the span of C_k with a nonempty
+        complement, its oracle is the :class:`_SplitOracle` of the split's A
+        and D (126-130 and 65-66 wide at M = 64); any other block is factored
+        whole.  The splits and :attr:`block_cache` are dropped here: nothing
+        reads them again, so a mode that keeps its oracle holds only that.
 
         The "real" route factors with real ``eig``.  Inside the generator's
         degenerate eigenspaces real ``eig`` may pick a badly conditioned
@@ -484,12 +471,23 @@ class ModePropagator:
         reach the square root of its size, and oracles mixed from the two
         routes could fail the gate where one route alone passes.
         """
-        pieces = [(r, c, _triangular_form(r, c)) for r, c in zip(self.generators, self.bases)]
-        real = tuple(_block_oracle(*piece, np.float64) for piece in pieces)
+        pieces = list(zip(self.generators, self.bases, self._splits))
+        self.__dict__.pop("_splits")
+        self.block_cache.clear()
+
+        def factor(dtype) -> tuple:
+            return tuple(
+                _SplitOracle.factor(r, c, split, dtype)
+                if split.size == c.shape[1] and split.complement.shape[1]
+                else _eigen_oracle(r.astype(dtype, copy=False))
+                for r, c, split in pieces
+            )
+
+        real = factor(np.float64)
         if _condition(real) <= EXPM_ORACLE_CONDITION:
             return "real", real
         del real
-        return "complex", tuple(_block_oracle(*piece, np.complex128) for piece in pieces)
+        return "complex", factor(np.complex128)
 
     def release_oracles(self) -> None:
         """Drop the expm oracle; an exponential at a new h factors it again."""

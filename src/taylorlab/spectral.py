@@ -66,10 +66,9 @@ class SpectralBasis:
     ctx: ModeContext
     profiles: np.ndarray  # (2*band+1, 2*truncation+1); row band+k holds e_k
     mu: np.ndarray  # (2*band+1,) eigenvalues; mu[band] = 0 by convention
-    tails: np.ndarray  # (2*band+1,) collocation tail norms
 
     def __post_init__(self):
-        for name in ("profiles", "mu", "tails"):
+        for name in ("profiles", "mu"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -165,7 +164,6 @@ def build_eigenbasis(
     width = 2 * truncation + 1
     profiles = np.zeros((2 * band + 1, width), dtype=np.complex128)
     mu = np.zeros(2 * band + 1, dtype=np.complex128)
-    tails = np.zeros(2 * band + 1)
     for k in range(-band, band + 1):
         samples = beta_x * np.exp(2j * np.pi * k * psi / ctx.psi_slope) / norm
         full = inverse_collocation(samples)
@@ -177,7 +175,6 @@ def build_eigenbasis(
                 f" (gate {tail_gate:.1e}); increase the window"
             )
         profiles[band + k] = full.resample(truncation).coeffs
-        tails[band + k] = tail
         mu[band + k] = ctx.beta_norm_sq / (2j * k * np.pi) if k != 0 else 0.0
 
     norms = np.linalg.norm(profiles, axis=1)
@@ -189,7 +186,7 @@ def build_eigenbasis(
     if np.max(np.abs(gram - np.eye(2 * band + 1))) > 1e-10:
         raise ResolutionExceeded("stored profiles are not orthonormal at 1e-10")
 
-    return SpectralBasis(ctx=ctx, profiles=profiles, mu=mu, tails=tails)
+    return SpectralBasis(ctx=ctx, profiles=profiles, mu=mu)
 
 
 def assemble_core_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:

@@ -127,6 +127,27 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+def test_directory_as_config_exits_2(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path)]) == 2
+    assert "config error: config file cannot be read" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["run", str(path)]) == 2
+    assert "config error: config file cannot be read" in capsys.readouterr().err
+
+
+def test_out_naming_an_existing_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert cli.main(["run", cfg, "--out", str(taken)]) == 2
+    assert "config error: cannot make the output directory" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 def test_seed_override_changes_hash(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = str(tmp_path / "s0"), str(tmp_path / "s9")

@@ -748,10 +748,31 @@ def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
     for key in modes:
         ctx = lattice_mode_context(bg, key)
         on, off = (propagator(ctx, 16, lane) for lane in (True, False))
-        on_blocks = {c.tobytes() for c in on.compressed_blocks}
-        off_blocks = {c.tobytes() for c in off.compressed_blocks}
+        on_blocks = {split.restricted.tobytes() for split in on._splits}
+        off_blocks = {split.restricted.tobytes() for split in off._splits}
         assert (on_blocks == off_blocks) is shared
         assert all(block in factored for block in on_blocks | off_blocks)
+
+
+def test_abscissas_and_oracle_read_one_split_per_block(ctx10, monkeypatch):
+    # the deflation is decided once per block: the oracle built after the
+    # abscissas takes no QR of its own, and factors the very A and D whose
+    # abscissas were taken
+    prop = propagator(ctx10, 16)
+    qrs, factored, oracles = [], [], []
+    qr, eigvals, eigen_oracle = np.linalg.qr, np.linalg.eigvals, evo._eigen_oracle
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(a) or qr(a, mode))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.append(a.tobytes()) or eigvals(a))
+    monkeypatch.setattr(
+        evo, "_eigen_oracle", lambda a: oracles.append(a.tobytes()) or eigen_oracle(a)
+    )
+    prop.unconstrained_abscissa
+    prop.exponential(0.125)
+    assert len(qrs) == len(prop.blocks)
+    route, built = prop._oracles
+    assert route == "real" and all(isinstance(o, evo._SplitOracle) for o in built)
+    assert len(oracles) == 2 * len(prop.blocks)
+    assert set(oracles) <= set(factored)
 
 
 def test_generator_off_j_symmetry_raises(ctx10):
@@ -834,7 +855,7 @@ def test_split_oracle_coupling_block_matches_expm(request, background, m):
     for key in [(1, 0), (1, 1)]:
         prop = propagator(lattice_mode_context(request.getfixturevalue(background), key), m)
         for r, c, oracle in zip(prop.generators, prop.bases, prop._oracles[1]):
-            _, t = evo._triangular_form(r, c)
+            t = oracle.basis.T @ r @ oracle.basis
             n = c.shape[1]
             want = scipy.linalg.expm(h * t)[:n, n:]
             kappa = [s[0] / s[-1] for s in (oracle.top[3], oracle.bottom[3])]
@@ -851,9 +872,10 @@ def test_split_oracle_is_exact_at_coincident_eigenvalues():
     h = 0.5
     r = np.array([[-1.0, 0.0, 3.0], [0.0, -2.0, 5.0], [0.0, 0.0, -1.0]])
     c = np.eye(3)[:, :2]
-    split = evo._triangular_form(r, c)
-    assert np.array_equal(split[1], r)
-    oracle = evo._block_oracle(r, c, split, np.float64)
+    split = evo._split(r, c, {})
+    assert split.size == 2
+    oracle = evo._SplitOracle.factor(r, c, split, np.float64)
+    assert np.array_equal(oracle.basis.T @ r @ oracle.basis, r)
     x = oracle.reference(h)[:2, 2]
     want = [3.0 * h * np.exp(-h), 5.0 * (np.exp(-h) - np.exp(-2 * h))]
     assert np.all(np.isfinite(x))
@@ -897,6 +919,9 @@ def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
     )
     props = [state.propagators[key] for key in modes]
     assert ["_oracles" in vars(p) for p in props] == [True, False, False]
+    # the splits the oracles were factored from, and their complements, are
+    # held by no mode
+    assert not any("_splits" in vars(p) or p.block_cache for p in props)
     # every exponential was checked before its oracle was dropped, and an
     # exponential at a new h factors the dropped oracle again
     assert all(p.oracle_margins[0.125][2] for p in props)
