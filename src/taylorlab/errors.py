@@ -45,9 +45,5 @@ class MissingData(TaylorLabError):
     """A plot or report was requested for an empty data set."""
 
 
-class AliasingWarning(UserWarning):
-    """Collocation grid too coarse for an alias-free round trip."""
-
-
 class NonConjugateModes(UserWarning):
     """Assembled horizontal mode set is not closed under conjugation."""

@@ -23,11 +23,11 @@ velocity; the balanced one is that plus a rank-3 correction
 subspace (:func:`_split`) for both abscissas and the oracle: where R_k
 keeps the span of C_k invariant, as the balancing velocity makes it, they
 factor A = C_k^T R_k C_k and D = W_k^T R_k W_k, W_k the orthonormal
-complement.  Elsewhere the unconstrained abscissa grows the span by the
-directions the coupling reaches (without the balancing velocity, to the
-divergence-free subspace), and the oracle factors the whole block.  The
-lanes of one mode, built together by :func:`build_propagator`, share the
-factorizations of bitwise equal blocks.
+complement.  Elsewhere they grow the span by the directions the coupling
+reaches (without the balancing velocity, to the divergence-free subspace)
+and factor its two compressions; a block that no span splits is factored
+whole.  The lanes of one mode, built together by :func:`build_propagator`,
+share the factorizations of bitwise equal blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
@@ -130,21 +130,22 @@ def _eigen_oracle(block: np.ndarray) -> tuple:
 class _Split(NamedTuple):
     """One block R_k split by an invariant span S that holds C_k (:func:`_split`).
 
-    ``restricted`` is A = C_k^T R_k C_k, ``size`` the width of S (n, n + rank
-    for a grown span, 0 where nothing splits), ``complement`` S's orthonormal
+    ``restricted`` is A = C_k^T R_k C_k, ``span`` S's orthonormal basis (C_k,
+    or C_k grown; None where nothing splits), ``complement`` S's orthonormal
     complement, and ``diagonal`` the diagonal blocks of R_k in [S, complement],
-    whose spectra together are R_k's: the whole R_k where nothing splits.
+    whose spectra together are R_k's: the whole R_k where nothing splits, and
+    A alone where the complement is empty.
     """
 
     restricted: np.ndarray
-    size: int
+    span: np.ndarray | None
     complement: np.ndarray | None
     diagonal: tuple
 
 
 def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
     """The :class:`_Split` of R_k: the one deflation rule, read by both
-    abscissas and the expm oracle.
+    abscissas and the expm oracle, which factors the same diagonal blocks.
 
     A span S is invariant under R_k when max|W'^T R_k S|, W' its complement,
     is at most :func:`_rounding_bound` of R_k; R_k is then block upper
@@ -155,11 +156,10 @@ def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
     (C_k^T R_k) C_k, (W_k^T R_k) C_k and (W_k^T R_k) W_k keep the bits of
     the abscissas.
     """
-    n = c.shape[1]
     w = _memo(cache, _complement, c)
     a = c.T @ r @ c
     if not w.shape[1]:
-        return _Split(a, n, w, (a,))
+        return _Split(a, c, w, (a,))
     bound = _rounding_bound(r)
 
     def invariant(coupling: np.ndarray) -> bool:
@@ -168,7 +168,7 @@ def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
     w_r = w.T @ r
     coupling = w_r @ c
     if invariant(coupling):
-        return _Split(a, n, w, (a, w_r @ w))
+        return _Split(a, c, w, (a, w_r @ w))
     # grow C_k by the directions of W_k that R_k C_k reaches
     left, sigma, _ = np.linalg.svd(coupling)
     rank = np.count_nonzero(sigma > bound)
@@ -176,18 +176,18 @@ def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
     rest = w @ left[:, rank:]
     r_grown = r @ grown
     if not invariant(rest.T @ r_grown):
-        return _Split(a, 0, None, (r,))
-    return _Split(a, n + rank, rest, (grown.T @ r_grown, rest.T @ r @ rest))
+        return _Split(a, None, None, (r,))
+    return _Split(a, grown, rest, (grown.T @ r_grown, rest.T @ r @ rest))
 
 
 class _SplitOracle(NamedTuple):
-    """The expm oracle of a block R_k that keeps the span of C_k invariant.
+    """The expm oracle of a block R_k on its :class:`_Split`.
 
-    With Q = [C_k, W_k], W_k the orthonormal complement of C_k, the block
-    is T = Q^T R_k Q = [[A, B], [0, D]] up to roundoff, and ``top`` and
-    ``bottom`` are :func:`_eigen_oracle` of A and D.  ``coupling`` is
-    V_A^-1 B V_D, or None where either inverse is (the check will not
-    run); ``basis`` is Q.
+    With Q = [S, W'], S the split's invariant span and W' its orthonormal
+    complement, the block is T = Q^T R_k Q = [[A, B], [0, D]] up to
+    roundoff, and ``top`` and ``bottom`` are :func:`_eigen_oracle` of the
+    split's diagonal blocks A and D.  ``coupling`` is V_A^-1 B V_D, or None
+    where either inverse is (the check will not run); ``basis`` is Q.
     """
 
     basis: np.ndarray
@@ -196,14 +196,14 @@ class _SplitOracle(NamedTuple):
     coupling: np.ndarray | None
 
     @classmethod
-    def factor(cls, r: np.ndarray, c: np.ndarray, split: _Split, dtype) -> "_SplitOracle":
-        """The oracle of R_k in ``dtype`` from the diagonal blocks A and D of
-        its :class:`_Split` at size n; B = C_k^T R_k W_k is formed only here."""
+    def factor(cls, r: np.ndarray, split: _Split, dtype) -> "_SplitOracle":
+        """The oracle of R_k in ``dtype`` from its two-block :class:`_Split`;
+        B = S^T R_k W' is formed only here."""
         top, bottom = (_eigen_oracle(d.astype(dtype, copy=False)) for d in split.diagonal)
         coupling = None
         if top[2] is not None and bottom[2] is not None:
-            coupling = top[2] @ (c.T @ r @ split.complement) @ bottom[1]
-        return cls(np.hstack([c, split.complement]), top, bottom, coupling)
+            coupling = top[2] @ (split.span.T @ r @ split.complement) @ bottom[1]
+        return cls(np.hstack([split.span, split.complement]), top, bottom, coupling)
 
     def reference(self, h: float) -> np.ndarray:
         """exp(h T) by the eigendecompositions: [[exp(h A), X], [0, exp(h D)]].
@@ -439,10 +439,11 @@ class ModePropagator:
         the blocks R_k.
 
         Each block's spectrum is that of the diagonal blocks of its
-        :func:`_split`: C_k^T R_k C_k, the restricted abscissa's own block,
-        and W_k^T R_k W_k where R_k keeps the span of C_k invariant, the two
-        compressions of the grown span where that is invariant instead, and
-        the whole R_k only where neither is.
+        :func:`_split`, the blocks the expm oracle factors: C_k^T R_k C_k,
+        the restricted abscissa's own block, and W_k^T R_k W_k where R_k
+        keeps the span of C_k invariant, the two compressions of the grown
+        span where that is invariant instead, and the whole R_k only where
+        neither is.
         """
         return max(
             _memo(self.block_cache, _abscissa, block)
@@ -454,11 +455,13 @@ class ModePropagator:
     def _oracles(self) -> tuple:
         """(route, the expm oracle of each R_k), shared by every h.
 
-        Where a block's :func:`_split` is the span of C_k with a nonempty
-        complement, its oracle is the :class:`_SplitOracle` of the split's A
-        and D (126-130 and 65-66 wide at M = 64); any other block is factored
-        whole.  The splits and :attr:`block_cache` are dropped here: nothing
-        reads them again, so a mode that keeps its oracle holds only that.
+        A block whose :func:`_split` has two diagonal blocks gets the
+        :class:`_SplitOracle` of that split, on the very A and D (or the two
+        compressions of the grown span) whose abscissas were taken; R_k is
+        factored whole only where no span splits it or the complement of
+        C_k is empty.  The splits and :attr:`block_cache` are dropped here:
+        nothing reads them again, so a mode that keeps its oracle holds only
+        that.
 
         The "real" route factors with real ``eig``.  Inside the generator's
         degenerate eigenspaces real ``eig`` may pick a badly conditioned
@@ -471,16 +474,16 @@ class ModePropagator:
         reach the square root of its size, and oracles mixed from the two
         routes could fail the gate where one route alone passes.
         """
-        pieces = list(zip(self.generators, self.bases, self._splits))
+        pieces = list(zip(self.generators, self._splits))
         self.__dict__.pop("_splits")
         self.block_cache.clear()
 
         def factor(dtype) -> tuple:
             return tuple(
-                _SplitOracle.factor(r, c, split, dtype)
-                if split.size == c.shape[1] and split.complement.shape[1]
+                _SplitOracle.factor(r, split, dtype)
+                if len(split.diagonal) == 2
                 else _eigen_oracle(r.astype(dtype, copy=False))
-                for r, c, split in pieces
+                for r, split in pieces
             )
 
         real = factor(np.float64)

@@ -23,17 +23,16 @@ column by column; ``mean`` and ``integrate_product`` then return a length-K
 row, and a series times a length-K row scales each column.  A product of a
 single series (a profile) with a block is a shift-and-add over the profile's
 nonzero coefficients.  Pointwise queries (``coefficient``, ``norm``,
-``inner``, ``is_real``, ``to_triples``) are for single series only.
+``inner``, ``is_real``) are for single series only.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingWarning, TruncationMismatch
+from .errors import TruncationMismatch
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,7 +41,6 @@ __all__ = [
     "multiply",
     "integrate_product",
     "phases",
-    "collocation",
     "inverse_collocation",
 ]
 
@@ -249,14 +247,6 @@ class FourierSeries:
         vals = phases(xs, self.truncation) @ self.coeffs
         return vals[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
-    def to_triples(self):
-        """Serialize as ``[n, re, im]`` rows over the full window (deterministic)."""
-        m = self.truncation
-        return [
-            [int(n), float(c.real), float(c.imag)]
-            for n, c in zip(range(-m, m + 1), self.coeffs)
-        ]
-
 
 def phases(xs: np.ndarray, truncation: int) -> np.ndarray:
     """The matrix exp(2 pi i x_j n) for the points ``xs`` and the modes n of
@@ -310,36 +300,12 @@ def integrate_product(f: FourierSeries, g: FourierSeries):
     return np.dot(fc, gc[::-1])
 
 
-def collocation(f: FourierSeries, n_points: int) -> np.ndarray:
-    """Sample f at the uniform grid x_j = j / n_points, j = 0 .. n_points - 1."""
-    if n_points < 1:
-        raise ValueError("n_points must be positive")
-    if n_points < 2 * f.truncation + 2:
-        warnings.warn(
-            f"{n_points} points cannot round-trip a window of size {f.truncation}",
-            AliasingWarning,
-            stacklevel=2,
-        )
-    bins = np.zeros(n_points, dtype=np.complex128)
-    np.add.at(bins, f.modes() % n_points, f.coeffs)
-    return np.fft.ifft(bins) * n_points
-
-
-def inverse_collocation(samples, truncation: int | None = None) -> FourierSeries:
-    """Recover coefficients on [-M, M] from uniform samples by discrete transform.
-
-    The default window is the largest alias-free one, M = (n_points - 2) // 2.
-    """
+def inverse_collocation(samples) -> FourierSeries:
+    """Recover coefficients from uniform samples by discrete transform, on the
+    largest alias-free window M = (n_points - 2) // 2."""
     samples = np.asarray(samples, dtype=np.complex128)
     n = samples.size
-    if truncation is None:
-        truncation = max((n - 2) // 2, 0)
-    if n < 2 * truncation + 2:
-        warnings.warn(
-            f"{n} samples alias a window of size {truncation}",
-            AliasingWarning,
-            stacklevel=2,
-        )
+    truncation = max((n - 2) // 2, 0)
     fhat = np.fft.fft(samples) / n
     modes = np.arange(-truncation, truncation + 1)
     return FourierSeries(fhat[modes % n])

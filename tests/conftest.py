@@ -324,8 +324,9 @@ def allclose(f, g, tol=1e-12):
 
 
 def series_from_triples(triples, truncation=None):
-    """Rebuild a series from ``[n, re, im]`` rows (see
-    :meth:`FourierSeries.to_triples`); repeated modes add."""
+    """The series with coefficient re + i im at mode n for each ``[n, re,
+    im]`` row, on the window ``truncation`` (by default the widest |n|);
+    repeated modes add."""
     triples = list(triples)
     if truncation is None:
         truncation = max((abs(int(t[0])) for t in triples), default=0)

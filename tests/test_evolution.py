@@ -6,7 +6,7 @@ import scipy.linalg
 
 from taylorlab import evolution as evo
 from taylorlab import operators as op
-from taylorlab.background import lattice_mode_context
+from taylorlab.background import lattice_mode_context, make_background
 from taylorlab.checks import execute
 from taylorlab.config import validate
 from taylorlab.errors import IllConditioned, NonConjugateModes
@@ -186,6 +186,17 @@ def test_planted_oracle_disagreement_raises(ctx10):
         evo._checked_expm(blocks, lambda: oracles, 0.01)
 
 
+def _whole_block_propagator(mixed_bg):
+    """A propagator of one block R_k whose C_k is square, so that its
+    complement is empty and the oracle factors R_k whole.  R_k is the one
+    block of (1, 0) without the balancing velocity at the mixed background,
+    truncation 19, where real eig picks eigenvectors of condition about 522
+    and complex eig of the same R_k about 53."""
+    ctx = lattice_mode_context(mixed_bg, (1, 0))
+    (r,) = propagator(ctx, 19, include_geostrophic=False).generators
+    return evo.ModePropagator(ctx, (np.arange(len(r)),), (r,), (np.eye(len(r)),), {})
+
+
 def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg, monkeypatch):
     oracle = evo._eigen_oracle
 
@@ -194,11 +205,9 @@ def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg,
         return w + 1e-6, vecs, inverse, sigma
 
     monkeypatch.setattr(evo, "_eigen_oracle", planted)
-    # the whole block of (1, 0) without the balancing velocity at the mixed
-    # background, truncation 19, takes the complex route (see
+    # a whole block that takes the complex route (see
     # test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route)
-    ctx = lattice_mode_context(mixed_bg, (1, 0))
-    prop = propagator(ctx, 19, include_geostrophic=False)
+    prop = _whole_block_propagator(mixed_bg)
     with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
         prop.exponential(0.01)
     assert prop._oracles[0] == "complex"
@@ -248,15 +257,19 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
 
 @pytest.mark.parametrize("key", [(1, 0), (0, 1), (1, 1), (2, 1), (4, 0)])
 @pytest.mark.parametrize("m", [8, 16, 40])
-@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
+@pytest.mark.parametrize(
+    "background,lane",
+    [(name, lane) for lane in (True, False) for name in ("bg", "alt_bg", "mixed_bg")],
+    ids=["bg", "alt_bg", "mixed_bg", "bg-off", "alt_bg-off", "mixed_bg-off"],
+)
 def test_oracle_passes_the_gate_wherever_the_complex_route_does(
-    request, background, m, key
+    request, background, lane, m, key
 ):
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
-    prop = propagator(ctx, m)
+    prop = propagator(ctx, m, include_geostrophic=lane)
     # the reference: complex eig of each block G_k of G's own Fourier
     # pattern, whose condition the gate read before the real route existed
-    g = generator(ctx, m)
+    g = generator(ctx, m, include_geostrophic=lane)
     sigma = np.concatenate(
         [
             np.linalg.svd(np.linalg.eig(g[np.ix_(idx, idx)])[1], compute_uv=False)
@@ -272,13 +285,9 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
 
 
 def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(mixed_bg):
-    # without the balancing velocity the mixed background's one block of
-    # (1, 0) does not keep C_k invariant and is factored whole; at truncation
-    # 19 real eig of it picks eigenvectors of condition about 522, complex
-    # eig of the same R_k about 53
-    ctx = lattice_mode_context(mixed_bg, (1, 0))
-    prop = propagator(ctx, 19, include_geostrophic=False)
-    real = [evo._eigen_oracle(r) for r in prop.generators]
+    prop = _whole_block_propagator(mixed_bg)
+    (r,) = prop.generators
+    real = [evo._eigen_oracle(r)]
     assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
     assert evo._condition(prop._oracles[1]) <= evo.EXPM_ORACLE_CONDITION
     assert not any(isinstance(o, evo._SplitOracle) for o in prop._oracles[1])
@@ -286,6 +295,21 @@ def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(mixed_
     route, condition, checked, error = prop.oracle_margins[0.125]
     assert route == "complex" and checked
     assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=IllConditioned)
+def test_oracle_of_a_double_zero_eigenvalue_aborts_a_validated_evolve(tmp_path):
+    # mode (0, 1) splits at C_k (48 + 27 wide at truncation 12), and its D
+    # has a double zero eigenvalue: real eig returns the two eigenvectors at
+    # |cos| = 0.998 with column residuals about 1e5 times the rounding bound,
+    # so V exp(h L) V^-1 is off by 2e-7 while expm agrees with a 60-digit
+    # reference to 1e-14.  The config passes validation and should run to a
+    # report; the check aborts it instead
+    cfg = validate(
+        {"kind": "evolve", "background": [[1, 1, 1], [2, -1, 1], [1, 2, 0.3]],
+         "truncation": 12, "modes": [[0, 1]], "out_dir": str(tmp_path / "out")}
+    )
+    assert execute(cfg) is not None
 
 
 def _held_arrays(obj):
@@ -873,8 +897,8 @@ def test_split_oracle_is_exact_at_coincident_eigenvalues():
     r = np.array([[-1.0, 0.0, 3.0], [0.0, -2.0, 5.0], [0.0, 0.0, -1.0]])
     c = np.eye(3)[:, :2]
     split = evo._split(r, c, {})
-    assert split.size == 2
-    oracle = evo._SplitOracle.factor(r, c, split, np.float64)
+    assert split.span is c and len(split.diagonal) == 2
+    oracle = evo._SplitOracle.factor(r, split, np.float64)
     assert np.array_equal(oracle.basis.T @ r @ oracle.basis, r)
     x = oracle.reference(h)[:2, 2]
     want = [3.0 * h * np.exp(-h), 5.0 * (np.exp(-h) - np.exp(-2 * h))]
@@ -898,16 +922,44 @@ def test_planted_coupling_error_raises(ctx10):
 
 def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
     # without the balancing velocity one block of (1, 0) does not keep C_k
-    # invariant: it is factored whole, the other is split, and both pass
+    # invariant: its oracle factors the grown span, n + rank wide, which the
+    # unconstrained abscissa factored, and the other block is split at C_k
     prop = propagator(ctx10, 16, include_geostrophic=False)
+    widths = [c.shape[1] for c in prop.bases]
+    ranks = [s.span.shape[1] - n for s, n in zip(prop._splits, widths)]
+    assert sorted(ranks) == [0, 2]
+    oracles = prop._oracles[1]
+    assert all(isinstance(o, evo._SplitOracle) for o in oracles)
+    assert [len(o.top[0]) for o in oracles] == [n + k for n, k in zip(widths, ranks)]
+    prop.exponential(0.125)
+    route, condition, checked, error = prop.oracle_margins[0.125]
+    assert route == "real" and checked and condition <= evo.EXPM_ORACLE_CONDITION
+    assert error <= evo.EXPM_ORACLE_TOL
+    # at [[1,2,1],[2,-2,1]] the 12-wide block of (1, 1) has a grown span that
+    # is not invariant either: it alone is factored whole, and all pass
+    ctx = lattice_mode_context(make_background([(1, 2, 1.0), (2, -2, 1.0)]), (1, 1))
+    prop = propagator(ctx, 8, include_geostrophic=False)
     kinds = [isinstance(o, evo._SplitOracle) for o in prop._oracles[1]]
-    assert sorted(kinds) == [False, True]
+    assert kinds.count(False) == 1
     whole = prop._oracles[1][kinds.index(False)]
-    assert len(whole[0]) == len(prop.generators[kinds.index(False)])
+    assert len(whole[0]) == len(prop.generators[kinds.index(False)]) == 12
     prop.exponential(0.125)
     route, condition, checked, error = prop.oracle_margins[0.125]
     assert checked and condition <= evo.EXPM_ORACLE_CONDITION
     assert error <= evo.EXPM_ORACLE_TOL
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_grown_split_checks_where_the_whole_blocks_exceed_the_gate(alt_bg, m):
+    # without the balancing velocity mode (3, 2) at [[1,1,1],[2,-2,1]] grows
+    # both blocks' C_k by one direction.  The whole blocks' eigenvectors
+    # exceed the gate on both routes (condition about 380); those of the
+    # grown split's diagonal blocks do not, so the real route checks it
+    prop = propagator(lattice_mode_context(alt_bg, (3, 2)), m, include_geostrophic=False)
+    prop.exponential(0.125)
+    route, condition, checked, error = prop.oracle_margins[0.125]
+    assert route == "real" and checked
+    assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

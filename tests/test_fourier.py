@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
-from taylorlab.errors import AliasingWarning, TruncationMismatch
+from taylorlab.errors import TruncationMismatch
 from taylorlab.fourier import (
     TWO_PI,
     FourierSeries,
-    collocation,
     integrate_product,
     inverse_collocation,
     multiply,
@@ -58,9 +57,11 @@ def test_multiply_matches_direct_convolution():
 
 
 def test_exponential_of_sine_matches_bessel():
-    # f(x) = exp(i sin 2 pi x) has coefficients J_n(1)
+    # f(x) = exp(i sin 2 pi x) has coefficients J_n(1); 256 samples give
+    # the window M = 127
     samples = np.exp(1j * np.sin(TWO_PI * grid(256)))
-    f = inverse_collocation(samples, truncation=32)
+    f = inverse_collocation(samples)
+    assert f.truncation == 127
     for n in range(0, 20):
         assert abs(f.coefficient(n) - jv(n, 1.0)) < 1e-14
     x = grid(97)
@@ -130,7 +131,7 @@ def test_is_real_flags():
 
 
 # ----------------------------------------------------------------------
-# windows, resampling, collocation
+# windows and resampling
 # ----------------------------------------------------------------------
 
 
@@ -169,29 +170,10 @@ def test_resample_pad_and_cut():
     assert cut.coefficient(3) == f.coefficient(3)
 
 
-def test_collocation_round_trip_and_aliasing_warning():
-    rng = np.random.default_rng(7)
-    f = random_series(6, rng)
-    samples = collocation(f, 16)
-    assert np.max(np.abs(samples - f.evaluate(grid(16)))) < 1e-13
-    back = inverse_collocation(samples, truncation=6)
-    assert allclose(back, f, tol=1e-13)
-    with pytest.warns(AliasingWarning):
-        collocation(f, 8)
-    with pytest.warns(AliasingWarning):
-        inverse_collocation(samples, truncation=9)
-
-
 def test_scalar_product_guard():
     f = FourierSeries.cosine(1, 2)
     with pytest.raises(TypeError):
         f * f
-
-
-def test_from_triples_round_trip():
-    rng = np.random.default_rng(8)
-    f = random_series(4, rng)
-    assert allclose(series_from_triples(f.to_triples()), f, tol=1e-15)
 
 
 # ----------------------------------------------------------------------
