@@ -43,7 +43,9 @@ mode's logged power is read from the blocks R_k.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import platform
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -258,8 +260,60 @@ def _oracle_error(out: np.ndarray, oracle, h: float, ord=None) -> float:
     return np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), ord)
 
 
+# Flush-to-zero and denormals-are-zero, bits 15 and 6 of the SSE control
+# register MXCSR.  On x86-64 glibc fenv_t is 32 bytes, MXCSR its unsigned int
+# at byte offset 28 (bits/fenv.h).  The saved environment is edited rather
+# than replaced by FE_DFL_DISABLE_SSE_DENORMS_ENV, which glibc 2.36 does not
+# provide: fesetenv of it segfaults there.
+_FTZ_DAZ = 0x8040
+_Fenv = ctypes.c_uint * 8
+_MXCSR = 7
+
+
+@functools.cache
+def _fenv_functions() -> tuple:
+    """libm's (fegetenv, fesetenv), typed for :data:`_Fenv`."""
+    libm = ctypes.CDLL("libm.so.6")
+    for fn in (libm.fegetenv, libm.fesetenv):
+        fn.argtypes = [ctypes.POINTER(ctypes.c_uint)]
+        fn.restype = ctypes.c_int
+    return libm.fegetenv, libm.fesetenv
+
+
+@contextmanager
+def _subnormals_flushed():
+    """Set FTZ and DAZ in the calling thread's MXCSR for the body, and restore
+    the thread's saved floating-point environment on the way out, also when
+    the body raises.
+
+    Each generator is strongly damped, so scaling and squaring ends in
+    squarings whose products underflow, and subnormal arithmetic costs far
+    more than normal.  Only this thread's own register changes: neither
+    another thread (OpenBLAS's workers among them) nor the machine sees it.
+    Off x86-64 glibc this does nothing.
+    """
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        yield
+        return
+    fegetenv, fesetenv = _fenv_functions()
+    saved = _Fenv()
+    if fegetenv(saved) != 0:
+        raise OSError("fegetenv failed")
+    flushed = _Fenv(*saved)
+    flushed[_MXCSR] |= _FTZ_DAZ
+    try:
+        if fesetenv(flushed) != 0:
+            raise OSError("fesetenv failed")
+        yield
+    finally:
+        fesetenv(saved)
+
+
 def _checked_expm(blocks, oracles, h: float) -> tuple:
     """scipy expm of h times each block, cross-checked against eigendecompositions.
+
+    Subnormals are flushed inside each expm call alone
+    (:func:`_subnormals_flushed`); the oracle runs in IEEE arithmetic.
 
     ``oracles`` is a function that returns each block's oracle, factored
     once for every h: :func:`_eigen_oracle` of the whole block, or a
@@ -284,7 +338,11 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     # the one that runs.
     import scipy.linalg
 
-    outs = [scipy.linalg.expm(h * block) for block in blocks]
+    outs = []
+    for block in blocks:
+        scaled = h * block
+        with _subnormals_flushed():
+            outs.append(scipy.linalg.expm(scaled))
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise IllConditioned("matrix exponential produced non-finite entries")
     oracles = oracles()

@@ -223,8 +223,8 @@ def test_criterion_09_constrained_evolution(bg, ctx10):
     prop = propagator(ctx10, 64)
     h = 0.125
     eye = np.eye(3 * (2 * 64 + 1))
-    once, twice = prop.propagate(eye, h), prop.propagate(eye, 2 * h)
-    semi = np.linalg.norm(once @ once - twice, 2) / np.linalg.norm(twice, 2)
+    once, thrice = prop.propagate(eye, h), prop.propagate(eye, 3 * h)
+    semi = np.linalg.norm(once @ once @ once - thrice, 2) / np.linalg.norm(thrice, 2)
     start = start_state(bg, modes, 64, seed=3)
     c0 = start.zero_mode[0].coefficient(1)
     c1 = state.zero_mode[0].coefficient(1)

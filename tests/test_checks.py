@@ -1,11 +1,13 @@
 """The factored numerical radius of the scaling study against the dense route,
 and the abscissa sweep's runner."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from taylorlab import evolution as evo
 from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context, make_background
 from taylorlab.checks import (
@@ -332,7 +334,7 @@ def test_evolve_writes_the_induction_power(tmp_path, bg):
 
 
 def test_evolve_writes_the_oracle_margins(tmp_path):
-    # one row per exponential, the semigroup probe's exp(2h G) on the first
+    # one row per exponential, the semigroup probe's exp(3h G) on the first
     # mode included
     cfg = validate(
         {"kind": "evolve", "truncation": 12, "band": 1, "modes": [[1, 0], [0, 1]],
@@ -344,8 +346,36 @@ def test_evolve_writes_the_oracle_margins(tmp_path):
     header, rows = read_csv(str(tmp_path / "oracle.csv"))
     assert header == ["mode_index", "h", "route", "condition", "checked", "frobenius_error"]
     assert [row[:3] for row in rows] == [
-        ["0", "0.01", "real"], ["0", "0.02", "real"], ["1", "0.01", "real"]
+        ["0", "0.01", "real"], ["0", "0.03", "real"], ["1", "0.01", "real"]
     ]
     for row in rows:
         assert float(row[3]) <= 300.0 and row[4] == "true"
         assert 0.0 < float(row[5]) <= 1e-10
+
+
+def test_semigroup_probe_is_not_a_product_of_the_steps_exponentials(tmp_path, monkeypatch):
+    # scaling and squaring forms exp(2h R_k) by squaring exp(h R_k) where it
+    # picks the same Pade degree for both, as it does here: a probe whose
+    # exponential is bitwise a product of the step's checks nothing
+    computed = {}
+    exponential = evo.ModePropagator.exponential
+
+    def record(prop, h):
+        outs = exponential(prop, h)
+        computed.setdefault(prop, {})[h] = outs
+        return outs
+
+    monkeypatch.setattr(evo.ModePropagator, "exponential", record)
+    cfg = validate(
+        {"kind": "evolve", "truncation": 12, "band": 1, "modes": [[1, 0], [0, 1]],
+         "t_final": 0.01, "output_step": 0.01, "out_dir": str(tmp_path)}
+    )
+    assert execute(cfg).passed
+    (probed,) = [per_h for per_h in computed.values() if len(per_h) == 2]
+    h, probe_h = sorted(probed)
+    k = round(probe_h / h)
+    assert k * h == probe_h
+    for step, probe in zip(probed[h], probed[probe_h]):
+        products = [functools.reduce(np.matmul, [step] * k)]
+        products.append(functools.reduce(lambda a, b: b @ a, [step] * k))
+        assert not any(np.array_equal(probe, p) for p in products)

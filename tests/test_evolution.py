@@ -1,5 +1,7 @@
 """Time stepping: projection, exact flow, averaged profile, snapshots."""
 
+import platform
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -91,11 +93,13 @@ def _dense_exponential(prop, h):
 
 
 def test_propagator_semigroup_property(ctx10):
+    # three steps against one of 3h: scipy forms exp(2h R_k) here by squaring
+    # exp(h R_k), so a 2h step would compare a product with itself
     prop = propagator(ctx10, 12)
     h = 0.01
     one = _dense_exponential(prop, h)
-    two = _dense_exponential(prop, 2 * h)
-    rel = np.linalg.norm(one @ one - two, 2) / np.linalg.norm(two, 2)
+    three = _dense_exponential(prop, 3 * h)
+    rel = np.linalg.norm(one @ one @ one - three, 2) / np.linalg.norm(three, 2)
     assert rel < 1e-10
 
 
@@ -979,3 +983,93 @@ def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
     assert all(p.oracle_margins[0.125][2] for p in props)
     props[1].exponential(0.25)
     assert props[1].oracle_margins[0.25][2]
+
+
+# ----------------------------------------------------------------------
+# the floating-point environment around expm
+# ----------------------------------------------------------------------
+
+x86_64_glibc = pytest.mark.skipif(
+    platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+    reason="MXCSR is read through glibc's x86-64 fenv_t",
+)
+
+
+def _mxcsr() -> int:
+    """The calling thread's MXCSR control bits, without the sticky
+    exception flags (bits 0-5) that any arithmetic may raise."""
+    fegetenv, _ = evo._fenv_functions()
+    env = evo._Fenv()
+    assert fegetenv(env) == 0
+    return env[evo._MXCSR] & ~0x3F
+
+
+@x86_64_glibc
+def test_subnormals_are_flushed_only_inside_expm(ctx10, monkeypatch):
+    before = _mxcsr()
+    assert before & evo._FTZ_DAZ == 0
+    inside = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: inside.append(_mxcsr()) or expm(a))
+    prop = propagator(ctx10, 8)
+    prop.exponential(0.125)
+    assert inside == [before | evo._FTZ_DAZ] * len(prop.blocks)
+    assert _mxcsr() == before
+
+
+@x86_64_glibc
+def test_environment_is_restored_when_expm_raises(ctx10, monkeypatch):
+    before = _mxcsr()
+    inside = []
+
+    def fail(a):
+        inside.append(_mxcsr())
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(scipy.linalg, "expm", fail)
+    prop = propagator(ctx10, 8)
+    with pytest.raises(RuntimeError, match="planted"):
+        prop.exponential(0.125)
+    assert inside == [before | evo._FTZ_DAZ]
+    assert _mxcsr() == before
+
+
+@x86_64_glibc
+def test_environment_is_restored_in_each_pool_thread(bg):
+    # each thread sets and restores its own register: the main thread's is
+    # never touched, and a pool thread's is as it was after its exponential
+    before = _mxcsr()
+    props = [propagator(lattice_mode_context(bg, key), 8) for key in [(1, 0), (0, 1)]]
+
+    def run(prop):
+        start = _mxcsr()
+        prop.exponential(0.125)
+        return start, _mxcsr()
+
+    with evo.thread_map(2, len(props)) as each:
+        for start, end in each(run, props):
+            assert start == end == before
+    assert _mxcsr() == before
+
+
+@x86_64_glibc
+@pytest.mark.parametrize("machine", ["x86_64", "aarch64"])
+def test_environment_is_read_only_on_x86_64(ctx10, monkeypatch, machine):
+    calls = []
+    fegetenv, fesetenv = evo._fenv_functions()
+    monkeypatch.setattr(platform, "machine", lambda: machine)
+    monkeypatch.setattr(
+        evo, "_fenv_functions", lambda: (lambda env: calls.append(1) or fegetenv(env), fesetenv)
+    )
+    prop = propagator(ctx10, 8)
+    prop.exponential(0.125)
+    assert len(calls) == (len(prop.blocks) if machine == "x86_64" else 0)
+
+
+def test_default_exponentials_are_bitwise_ieee_expm(ctx10):
+    # flushing subnormals moves no entry of the default exponentials: mode
+    # (1, 0) at M = 64 and h = 0.125 against expm outside the flushed scope
+    prop = propagator(ctx10, 64)
+    outs = prop.exponential(0.125)
+    for r, out in zip(prop.generators, outs):
+        assert np.array_equal(out, scipy.linalg.expm(0.125 * r))
