@@ -71,13 +71,13 @@ TREND_FLOOR = 1e-12
 RADIUS_ANGLES = 72
 
 
-def no_upward_trend(values, slack: float) -> bool:
-    """True when later values stay within slack of the first one, plus
-    ``TREND_FLOOR``."""
+def no_upward_trend(values, slack: float) -> tuple[float, float]:
+    """(measured, bound) of the trend rule: the largest of the later values
+    (the first one when there is no other), and slack times the first one
+    plus ``TREND_FLOOR``.  The values show no upward trend when measured
+    <= bound."""
     vals = [float(v) for v in values]
-    if len(vals) < 2:
-        return True
-    return max(vals[1:]) <= slack * vals[0] + TREND_FLOOR
+    return max(vals[1:], default=vals[0]), slack * vals[0] + TREND_FLOOR
 
 
 def numerical_radius(mat: np.ndarray) -> float:
@@ -268,6 +268,7 @@ CONSTRAINT_FIELDS_PER_MODE = 10
 
 def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
     rng = np.random.default_rng(cfg.seed)
+    tol_formula = cfg.tolerance("taylor_projection")
 
     rows = []
     worst_residual = 0.0
@@ -285,7 +286,7 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
             again = evo.project_constraints(proj, basis)
             idem = (again - proj).norm()
             direct = op.proj_profile(ctx, proj)
-            via_constraint = op.proj_profile_from_constraint(ctx, proj)
+            via_constraint = op.proj_profile_from_constraint(ctx, proj, tol_formula)
             formula = (direct - via_constraint).norm() / max(proj.norm(), 1e-300)
             rows.append((key[0], key[1], i, float(tay), float(div), float(idem), float(formula)))
             worst_residual = max(worst_residual, float(tay), float(div))
@@ -301,7 +302,6 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
     )
 
     tol_proj = cfg.tolerance("projection_residual")
-    tol_formula = cfg.tolerance("taylor_projection")
     report.add("projection_residual_max", worst_residual < tol_proj, worst_residual, tol_proj)
     report.add("projection_idempotence", worst_idem < tol_proj, worst_idem, tol_proj)
     report.add(
@@ -312,17 +312,6 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
 # ----------------------------------------------------------------------
 # evolve
 # ----------------------------------------------------------------------
-
-
-def _symmetrized(modes: dict) -> dict:
-    """The modes with their conjugate partners added, so the exported
-    snapshot is real."""
-    out = dict(modes)
-    for key, b in modes.items():
-        partner = (-key[0], -key[1])
-        if partner not in out:
-            out[partner] = op.ModeField(*(c.conj() for c in b.components))
-    return out
 
 
 def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
@@ -353,7 +342,7 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
     )
     write_snapshot(
         os.path.join(cfg.out_dir, "snapshot.json"),
-        evo.assemble_full_field(_symmetrized(state.modes), state.zero_mode),
+        evo.assemble_full_field(state.modes, state.zero_mode),
     )
     report.artifacts.append("snapshot.json")
 
@@ -532,21 +521,16 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     tol_slope = cfg.tolerance("c2_slope_min")
     report.add("c2_loglog_slope", slope >= tol_slope, slope, tol_slope)
     slack = cfg.tolerance("trend_slack")
-    rem_vals = [r[2] for r in eps_rows]
+    rem_max, rem_bound = no_upward_trend([r[2] for r in eps_rows], slack)
     report.add(
         "remainder_form_bounded",
-        no_upward_trend(rem_vals, slack),
-        max(rem_vals[1:], default=rem_vals[0]),
-        slack * rem_vals[0] + TREND_FLOOR,
+        rem_max <= rem_bound,
+        rem_max,
+        rem_bound,
         detail="Hermitian part of the remainder on constrained fields, scaled by 1/eps",
     )
-    s_vals = [r[3] for r in eps_rows]
-    report.add(
-        "resonant_term_bounded",
-        no_upward_trend(s_vals, slack),
-        max(s_vals[1:], default=s_vals[0]),
-        slack * s_vals[0] + TREND_FLOOR,
-    )
+    s_max, s_bound = no_upward_trend([r[3] for r in eps_rows], slack)
+    report.add("resonant_term_bounded", s_max <= s_bound, s_max, s_bound)
 
     _write_table(
         cfg, report, "scaling_bands.csv", ["band", "high_mode_gap", "d3_band_norm"], band_rows

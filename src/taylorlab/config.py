@@ -12,7 +12,10 @@ A run is described by one JSON document.  Example:
     }
 
 Unknown keys are rejected so that typos fail loudly instead of silently
-running with defaults.
+running with defaults.  The field is real, so a mode k and its negative -k
+are one mode: a list that names both is rejected.  So is a window that
+cannot resolve the eigenprofiles the kind collocates: validation collocates
+them, so a config it accepts never stops partway on the resolution guard.
 """
 
 from __future__ import annotations
@@ -22,8 +25,14 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field
 
-from .background import DEFAULT_BACKGROUND_TRUNCATION, canonical_background, make_background
-from .errors import ConfigError, DegenerateDirection
+from .background import (
+    DEFAULT_BACKGROUND_TRUNCATION,
+    canonical_background,
+    lattice_mode_context,
+    make_background,
+)
+from .errors import ConfigError, DegenerateDirection, ResolutionExceeded
+from .spectral import build_eigenbasis, stored_band_for
 
 KINDS = (
     "spectral-check",
@@ -38,7 +47,8 @@ KINDS = (
 SINGLE_MODE_KINDS = ("spectral-check", "normalform-check")
 
 # Kinds that collocate the eigenprofiles of the band: only they read `band`,
-# so only they are held to the window rule truncation >= 4*band + 8.
+# so only they are held to the window rule truncation >= 4*band + 8 and
+# have their profiles collocated at validation.
 BAND_KINDS = ("spectral-check", "normalform-check", "scaling-study")
 
 # Named tolerances with their defaults.  A config may override any subset
@@ -191,6 +201,11 @@ def validate(raw: dict) -> RunConfig:
             raise ConfigError("horizontal mode [0, 0] is reserved for the averaged profile")
         if (m[0], m[1]) in modes:
             raise ConfigError(f"duplicate mode entry {m!r}")
+        if (-m[0], -m[1]) in modes:
+            raise ConfigError(
+                f"mode entry {m!r} is the negative of a listed mode: the field is "
+                f"real, so k and -k are one mode"
+            )
         modes.append((m[0], m[1]))
     if kind in SINGLE_MODE_KINDS and len(modes) > 1:
         raise ConfigError(f"kind {kind!r} checks one mode; got {len(modes)} modes")
@@ -259,7 +274,7 @@ def validate(raw: dict) -> RunConfig:
         if not _is_a(value, (int, float)) or not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be a positive number")
 
-    return RunConfig(
+    cfg = RunConfig(
         kind=kind,
         background=background,
         truncation=truncation,
@@ -276,6 +291,28 @@ def validate(raw: dict) -> RunConfig:
         out_dir=str(_check_type(_get(raw, "out_dir"), str, "out_dir")),
         jobs=int(_check_type(_get(raw, "jobs"), int, "jobs")),
     )
+    if kind in BAND_KINDS:
+        _require_resolved(cfg)
+    return cfg
+
+
+def _require_resolved(cfg: RunConfig) -> None:
+    """Collocate the eigenprofiles the run collocates, at the same mode and
+    gate: the band at the first mode, or for the scaling study the stored
+    band at its first eps mode."""
+    bg = resolve_background(cfg)
+    if cfg.kind == "scaling-study":
+        ctx = lattice_mode_context(bg, (cfg.eps_modes[0], 0))
+        band = stored_band_for(cfg.band, cfg.truncation)
+    else:
+        ctx = lattice_mode_context(bg, cfg.modes[0])
+        band = cfg.band
+    try:
+        build_eigenbasis(ctx, band, cfg.truncation, cfg.tolerance("tail_gate"))
+    except ResolutionExceeded as exc:
+        raise ConfigError(
+            f"truncation {cfg.truncation} does not resolve band {band}: {exc}"
+        ) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class TaylorLabError(Exception):
@@ -43,7 +43,3 @@ class ConfigError(TaylorLabError):
 
 class MissingData(TaylorLabError):
     """A plot or report was requested for an empty data set."""
-
-
-class NonConjugateModes(UserWarning):
-    """Assembled horizontal mode set is not closed under conjugation."""

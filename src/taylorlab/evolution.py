@@ -46,7 +46,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import platform
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -55,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .background import BackgroundField, ModeContext, lattice_mode_context
-from .errors import IllConditioned, NonConjugateModes
+from .errors import IllConditioned
 from .fourier import FourierSeries, phases
 from .operators import (
     ModeField,
@@ -888,31 +887,23 @@ def abscissa_lanes(bg: BackgroundField, lattice_modes: list, truncation: int, jo
     return [list(rows) for rows in zip(*per_mode)]
 
 
-def _conjugate_symmetric(modes: dict, zero_mode: tuple) -> bool:
-    if any(not p.is_real() for p in zero_mode):
-        return False
-    for key, b in modes.items():
-        partner_key = (-key[0], -key[1])
-        if partner_key not in modes:
-            return False
-        partner = modes[partner_key]
-        for mine, theirs in zip(b.components, partner.components):
-            scale = max(mine.norm(), 1e-300)
-            if np.linalg.norm(theirs.coeffs - mine.conj().coeffs) > 1e-10 * scale:
-                return False
-    return True
-
-
 def assemble_full_field(modes: dict, zero_mode: tuple) -> np.ndarray:
-    """Physical-space snapshot of the horizontal ``modes`` and the averaged
-    profiles ``zero_mode`` on a regular 3-torus grid.
+    """Physical-space snapshot of the real field whose horizontal modes are
+    ``modes`` and whose averaged profiles are ``zero_mode``, on a regular
+    3-torus grid.
 
-    Returns an array of shape (nh, nh, nz, 3), with nh = max(4, 2 max|m| + 2)
-    and nz = 2M + 2 at the modes' window M.  When the stored mode set is
-    conjugate-symmetric the imaginary part cancels and a real array is
-    returned; otherwise a NonConjugateModes warning is emitted and the
-    complex sum is returned as-is.
+    The field is real, so the coefficients of -k are the conjugates of
+    those of k: ``modes`` holds one mode of each pair, and each partner is
+    added after all of them.  Returns a real array of shape (nh, nh, nz, 3),
+    with nh = max(4, 2 max|m| + 2) and nz = 2M + 2 at the modes' window M.
+    Raises ValueError when a mode is given together with its negative.
     """
+    paired = sorted(k for k in modes if (-k[0], -k[1]) in modes)
+    if paired:
+        raise ValueError(f"modes {paired} are given together with their negatives")
+    partners = {
+        (-m1, -m2): ModeField(*(c.conj() for c in b.components)) for (m1, m2), b in modes.items()
+    }
     max_m = max((max(abs(k[0]), abs(k[1])) for k in modes), default=0)
     nh = max(4, 2 * max_m + 2)
     some_mode = next(iter(modes.values()), None)
@@ -931,15 +922,8 @@ def assemble_full_field(modes: dict, zero_mode: tuple) -> np.ndarray:
     out = np.zeros((nh, nh, nz, 3), dtype=np.complex128)
     for comp in range(3):
         out[..., comp] += profile(zero_mode[comp])[None, None, :]
-    for (m1, m2), b in modes.items():
+    for (m1, m2), b in [*modes.items(), *partners.items()]:
         phase = np.exp(2j * np.pi * (m1 * x[:, None] + m2 * x[None, :]))
         for comp in range(3):
             out[..., comp] += phase[:, :, None] * profile(b.components[comp])[None, None, :]
-
-    if _conjugate_symmetric(modes, zero_mode):
-        return np.ascontiguousarray(out.real)
-    warnings.warn(
-        "mode set is not conjugate-symmetric; snapshot stays complex",
-        NonConjugateModes,
-    )
-    return out
+    return np.ascontiguousarray(out.real)

@@ -22,8 +22,8 @@ series sharing one window (column k is series k).  Linear operations act
 column by column; ``mean`` and ``integrate_product`` then return a length-K
 row, and a series times a length-K row scales each column.  A product of a
 single series (a profile) with a block is a shift-and-add over the profile's
-nonzero coefficients.  Pointwise queries (``coefficient``, ``norm``,
-``inner``, ``is_real``) are for single series only.
+nonzero coefficients.  Pointwise queries (``coefficient``, ``norm``
+and ``inner``) are for single series only.
 """
 
 from __future__ import annotations
@@ -161,10 +161,6 @@ class FourierSeries:
     def norm(self) -> float:
         """L2 norm over one period (Parseval)."""
         return float(np.linalg.norm(self.coeffs))
-
-    def is_real(self, tol: float = 1e-14) -> bool:
-        """Whether the represented function is real valued: c_{-n} = conj(c_n)."""
-        return bool(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))) <= tol)
 
     # ------------------------------------------------------------------
     # algebra

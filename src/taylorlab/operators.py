@@ -416,9 +416,7 @@ def _lorentz_average_integrand(ctx: ModeContext, b: ModeField) -> ModeField:
     return first + _cross(curl_bg, b.components).resample(first.truncation)
 
 
-def proj_profile_from_constraint(
-    ctx: ModeContext, b: ModeField, tol: float = 1e-10
-) -> ModeField:
+def proj_profile_from_constraint(ctx: ModeContext, b: ModeField, tol: float) -> ModeField:
     """Profile-aligned component recovered from averages of b3 alone.
 
     On divergence-free, Taylor-constrained fields the componentwise profile
@@ -427,8 +425,9 @@ def proj_profile_from_constraint(
         eps * (beta / ||beta||^2) * int (i b3 B' - 2 i beta' b3 (eta, 0)) dx3,
 
     which involves only vertical-component averages.  Raises
-    :class:`ConstraintViolated` when the input fails either constraint,
-    relative to its norm, so it takes a single field, not a block.
+    :class:`ConstraintViolated` when the input fails either constraint by
+    more than ``tol`` relative to its norm, so it takes a single field, not
+    a block.
     """
     scale = max(1.0, b.norm())
     r_perp, r_3 = taylor_residual(ctx, b)

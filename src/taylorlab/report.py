@@ -118,22 +118,9 @@ def read_csv(path: str) -> tuple[list, list]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    """Complex array as nested [re, im] pairs with explicit shape."""
-    arr = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "shape": list(arr.shape),
-        "real": arr.real.tolist(),
-        "imag": arr.imag.tolist(),
-    }
-
-
 def write_snapshot(path: str, array: np.ndarray) -> None:
-    payload = (
-        matrix_to_json(array)
-        if np.iscomplexobj(array)
-        else {"shape": list(array.shape), "values": np.asarray(array, dtype=float).tolist()}
-    )
+    """A real array as its ``shape`` and its nested ``values``."""
+    payload = {"shape": list(array.shape), "values": np.asarray(array, dtype=float).tolist()}
     # the bytes of json.dump(payload, fh, sort_keys=True), which runs the
     # pure-Python encoder; json.dumps runs the C one in half the time but
     # holds its whole output (1.7 MB at the default evolve snapshot), so it

@@ -16,6 +16,7 @@ from taylorlab.fourier import FourierSeries, multiply
 # the gates a run reads from its config, at their defaults
 TAIL_GATE = DEFAULT_TOLERANCES["tail_gate"]
 RESONANCE_TOL = DEFAULT_TOLERANCES["resonance"]
+PROJECTION_TOL = DEFAULT_TOLERANCES["taylor_projection"]
 
 
 @pytest.fixture(scope="session")
@@ -321,6 +322,11 @@ def allclose(f, g, tol=1e-12):
     """Coefficientwise comparison of two series after aligning windows."""
     m = max(f.truncation, g.truncation)
     return bool(np.max(np.abs(f.resample(m).coeffs - g.resample(m).coeffs)) <= tol)
+
+
+def is_real(f, tol=1e-14):
+    """Whether a single series represents a real function: c_{-n} = conj(c_n)."""
+    return bool(np.max(np.abs(f.coeffs[::-1] - np.conj(f.coeffs))) <= tol)
 
 
 def series_from_triples(triples, truncation=None):

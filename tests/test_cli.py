@@ -50,11 +50,53 @@ def test_tolerance_override_can_fail_the_run(tmp_path, capsys):
 
 
 def test_tail_gate_override_is_read(tmp_path, capsys):
-    # the default gate 1e-8 passes this window; no collocation tail is below 1e-30
+    # the default gate 1e-8 passes this window; no collocation tail is below
+    # 1e-30, and validation collocates the band at the config's gate
     cfg = write_config(tmp_path, tolerances={"tail_gate": 1e-30})
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "ResolutionExceeded" in err and "gate 1.0e-30" in err
+    assert err.startswith("config error:") and "gate 1.0e-30" in err
+    assert not (tmp_path / "out").exists()
+
+
+MIXED = [[1, 1, 1.0], [1, -2, 0.5], [2, -1, 1.0], [2, 3, 0.4]]
+
+
+@pytest.mark.parametrize(
+    "doc, fragment",
+    [
+        # each window passes the rule truncation >= 4*band + 8, but a profile
+        # the run collocates has a tail beyond it
+        ({"kind": "spectral-check", "truncation": 16, "band": 2}, "profile k=-2 has"),
+        ({"kind": "normalform-check", "truncation": 16, "band": 2}, "profile k=-2 has"),
+        # the scaling study collocates stored_band_for(2, 24) = 6 profiles each side
+        ({"kind": "scaling-study", "truncation": 24, "band": 2}, "profile k=-6 has"),
+        (
+            {"kind": "spectral-check", "background": [[1, 8, 1], [2, -8, 1]],
+             "truncation": 48, "band": 4},
+            "profile k=-4 has",
+        ),
+        ({"kind": "scaling-study", "background": MIXED}, "profile k=-16 has"),
+        # a real field's -k repeats k: two random draws would be no real field
+        (
+            {"kind": "evolve", "modes": [[1, 0], [-1, 0]], "truncation": 16},
+            "k and -k are one mode",
+        ),
+    ],
+    ids=[
+        "spectral16", "normalform16", "scaling24", "spectral_wide48", "scaling_mixed",
+        "evolve_plus_minus_k",
+    ],
+)
+def test_config_that_would_stop_or_mislead_the_run_exits_2(tmp_path, capsys, doc, fragment):
+    # bad input, not a failed check: one line, and no run directory
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:")
+    assert fragment in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_without_balancing_reports_the_drift(tmp_path, capsys):
@@ -194,18 +236,35 @@ def test_normalform_check_collocates_only_its_band(tmp_path, capsys, doc):
     assert "PASS resonance_rhs_max" in printed and "FAIL" not in printed
 
 
+def small_config(root, kind):
+    """The config file of ``kind`` at truncation 40, band 2 (the smallest
+    window every kind resolves), written under ``root``."""
+    cfg = root / f"{kind}.json"
+    cfg.write_text(json.dumps({"kind": kind, "truncation": 40, "band": 2}))
+    return str(cfg)
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
-    """The run directory of every kind at truncation 40, band 2 (the smallest
-    window every kind resolves), made through the command line."""
+    """The run directory of every kind's :func:`small_config`, made through
+    the command line."""
     root = tmp_path_factory.mktemp("small")
     dirs = {}
     for kind in KINDS:
-        cfg = root / f"{kind}.json"
-        cfg.write_text(json.dumps({"kind": kind, "truncation": 40, "band": 2}))
         dirs[kind] = str(root / kind)
-        assert cli.main(["run", str(cfg), "--out", dirs[kind]]) == 0
+        assert cli.main(["run", small_config(root, kind), "--out", dirs[kind]]) == 0
     return dirs
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_outputs_do_not_depend_on_the_output_directory(small_runs, tmp_path, kind):
+    out = str(tmp_path / "another" / "place")
+    assert cli.main(["run", small_config(tmp_path, kind), "--out", out]) == 0
+    names = sorted(os.listdir(small_runs[kind]))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        first = open(os.path.join(small_runs[kind], name), "rb").read()
+        assert open(os.path.join(out, name), "rb").read() == first, name
 
 
 @pytest.mark.parametrize(

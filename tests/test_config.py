@@ -74,6 +74,10 @@ def test_defaults_fill_in():
         (minimal(t_final=0.5, output_step=0.2), "whole number of output steps"),
         (minimal(t_final=0.5, output_step=0.1 + 1e-12), "whole number of output steps"),
         (minimal(modes=[[1, 0], [0, 1], [1, 0]]), "duplicate mode entry"),
+        # the field is real: -k repeats k, whatever the kind
+        ({"kind": "evolve", "modes": [[1, 0], [-1, 0]]}, "k and -k are one mode"),
+        ({"kind": "abscissa-sweep", "modes": [[2, -1], [1, 1], [-2, 1]]}, "k and -k"),
+        ({"kind": "constraint-check", "modes": [[0, -3], [0, 3]]}, "k and -k"),
         # JSON parsers accept NaN and Infinity; the schema does not
         (minimal(t_final=float("nan")), "positive and finite"),
         (minimal(output_step=float("inf")), "positive and finite"),
@@ -256,8 +260,11 @@ def test_background_that_does_not_turn_exits_2(tmp_path, capsys):
 
 
 def test_background_window_edges_are_accepted():
+    # evolve collocates no band profiles, so only the background rule reads
+    # these entries; a spectral-check at the default window is rejected for
+    # its band instead (profile k=-8 has a tail of 1.2e-4 beyond it)
     n = DEFAULT_BACKGROUND_TRUNCATION
-    cfg = validate(minimal(background=[[1, n, 1.0], [2, -n, 1.0]]))
+    cfg = validate({"kind": "evolve", "background": [[1, n, 1.0], [2, -n, 1.0]]})
     assert cfg.background == [[1, n, 1.0], [2, -n, 1.0]]
 
 

@@ -11,7 +11,7 @@ from taylorlab import operators as op
 from taylorlab.background import lattice_mode_context, make_background
 from taylorlab.checks import execute
 from taylorlab.config import validate
-from taylorlab.errors import IllConditioned, NonConjugateModes
+from taylorlab.errors import IllConditioned
 from taylorlab.fourier import FourierSeries
 
 from conftest import (
@@ -22,6 +22,7 @@ from conftest import (
     fourier_blocks,
     generator,
     induction_power,
+    is_real,
     project,
     propagator,
     random_field,
@@ -76,7 +77,7 @@ def test_heat_zero_mode_exact_factors():
         assert q.coefficient(2) == pytest.approx(
             2.0 * 1.3864251631056479e-07, rel=1e-12
         )
-        assert q.is_real()
+        assert is_real(q)
 
 
 def test_heat_zero_mode_preserves_mean():
@@ -506,7 +507,7 @@ def test_random_zero_mode_structure():
     rng = np.random.default_rng(0)
     profiles = evo.random_zero_mode(10, rng)
     for p in profiles[:2]:
-        assert p.is_real()
+        assert is_real(p)
         assert p.coefficient(0) == 0.0
         assert p.norm() > 0.0
     # averaged vertical component of a solenoidal zero-mean field vanishes
@@ -552,19 +553,9 @@ def test_run_evolution_zero_mode_heat_decay(bg):
         assert c1 == pytest.approx(c0 * np.exp(-4 * np.pi**2 * 0.02), rel=1e-12)
 
 
-def _symmetrized_state(bg, keys, truncation, seed):
-    state = start_state(bg, keys, truncation, seed=seed)
-    for key in list(state.modes):
-        partner = (-key[0], -key[1])
-        if partner not in state.modes:
-            continue
-        b = state.modes[key]
-        state.modes[partner] = op.ModeField(*(c.conj() for c in b.components))
-    return state
-
-
 def test_full_field_real_and_divergence_free(bg):
-    state = _symmetrized_state(bg, [(1, 0), (-1, 0), (0, 2), (0, -2)], 12, seed=7)
+    # one mode of each conjugate pair; the snapshot adds the partners
+    state = start_state(bg, [(1, 0), (0, 2)], 12, seed=7)
     snap = evo.assemble_full_field(state.modes, state.zero_mode)
     # 2 max|m| + 2 points across and 2M + 2 down
     assert snap.dtype == np.float64
@@ -585,11 +576,13 @@ def test_full_field_real_and_divergence_free(bg):
     assert np.linalg.norm(div) < 1e-12 * scale
 
 
-def test_full_field_warns_when_not_symmetric(bg):
-    state = start_state(bg, [(1, 0)], 8, seed=0)
-    with pytest.warns(NonConjugateModes):
-        snap = evo.assemble_full_field(state.modes, state.zero_mode)
-    assert np.iscomplexobj(snap)
+def test_full_field_refuses_a_mode_with_its_negative(bg):
+    # -k's coefficients are conj of k's in a real field: two independent
+    # draws for k and -k are no real field, and the snapshot's real part
+    # would drop their imaginary part
+    state = start_state(bg, [(1, 0), (0, 2), (-1, 0)], 8, seed=0)
+    with pytest.raises(ValueError, match=r"\(-1, 0\), \(1, 0\)"):
+        evo.assemble_full_field(state.modes, state.zero_mode)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from taylorlab.fourier import (
 
 from conftest import (
     allclose,
+    is_real,
     multiplication_matrix,
     random_series,
     remove_mean,
@@ -125,9 +126,9 @@ def test_conj_represents_conjugate_function():
 
 
 def test_is_real_flags():
-    assert FourierSeries.cosine(2, 4).is_real()
-    assert FourierSeries.sine(1, 4).is_real()
-    assert not FourierSeries.exponential(1, 4).is_real()
+    assert is_real(FourierSeries.cosine(2, 4))
+    assert is_real(FourierSeries.sine(1, 4))
+    assert not is_real(FourierSeries.exponential(1, 4))
 
 
 # ----------------------------------------------------------------------

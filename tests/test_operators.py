@@ -8,6 +8,7 @@ from taylorlab.errors import ConstraintViolated
 from taylorlab.fourier import FourierSeries
 
 from conftest import (
+    PROJECTION_TOL,
     allclose,
     apply_j,
     assemble_by_columns,
@@ -182,7 +183,7 @@ def test_profile_projection_formula_on_constrained_fields(ctx10, v_con64):
     for _ in range(5):
         b = project_constraints(random_field(64, rng), v_con64)
         direct = op.proj_profile(ctx10, b)
-        via = op.proj_profile_from_constraint(ctx10, b)
+        via = op.proj_profile_from_constraint(ctx10, b, PROJECTION_TOL)
         assert (direct - via).norm() < 1e-12 * b.norm()
 
 
@@ -190,7 +191,7 @@ def test_profile_projection_formula_rejects_unconstrained(ctx10):
     rng = np.random.default_rng(11)
     b = random_field(16, rng)
     with pytest.raises(ConstraintViolated):
-        op.proj_profile_from_constraint(ctx10, b)
+        op.proj_profile_from_constraint(ctx10, b, PROJECTION_TOL)
 
 
 def test_constraint_null_basis_shape_and_membership(ctx10):

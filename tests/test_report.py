@@ -8,7 +8,6 @@ from taylorlab.errors import MissingData
 from taylorlab.report import (
     RunReport,
     _format_cell,
-    matrix_to_json,
     read_csv,
     write_csv,
     write_report,
@@ -106,25 +105,12 @@ def test_non_finite_measurement_is_a_failed_null(tmp_path):
     assert overflowed["tolerance"] == 1e-8
 
 
-def test_matrix_to_json_shape_and_parts():
-    m = np.array([[1 + 2j, 0], [0, -1j]])
-    doc = matrix_to_json(m)
-    assert doc["shape"] == [2, 2]
-    assert doc["real"][0][0] == 1.0
-    assert doc["imag"][1][1] == -1.0
-
-
-def test_write_snapshot_real_and_complex(tmp_path):
+def test_write_snapshot_shape_and_values(tmp_path):
     real_path = str(tmp_path / "real.json")
     write_snapshot(real_path, np.ones((2, 3)))
     doc = json.load(open(real_path))
     assert doc["shape"] == [2, 3]
     assert "values" in doc and "real" not in doc
-
-    cplx_path = str(tmp_path / "cplx.json")
-    write_snapshot(cplx_path, np.full((2,), 1j))
-    doc = json.load(open(cplx_path))
-    assert doc["imag"] == [1.0, 1.0]
 
 
 SPECIAL = [[-0.0, 5e-324, 1e300], [1.0 / 3.0, -2.5e-17, 0.0]]
@@ -134,23 +120,18 @@ SPECIAL = [[-0.0, 5e-324, 1e300], [1.0 / 3.0, -2.5e-17, 0.0]]
     "values",
     [
         np.array(SPECIAL),
-        np.array(SPECIAL) * (1 + 0j),
         np.array(SPECIAL)[0],
         np.array(-0.0),
         np.zeros((0, 3)),
     ],
-    ids=["real", "complex", "vector", "0-d", "empty"],
+    ids=["real", "vector", "0-d", "empty"],
 )
 def test_write_snapshot_bytes_match_the_pure_python_encoder(tmp_path, values):
     # signed zeros, subnormals and large exponents, written as json.dump
     # (the pure-Python encoder) writes them
     path = tmp_path / "snap.json"
     write_snapshot(str(path), values)
-    payload = (
-        matrix_to_json(values)
-        if np.iscomplexobj(values)
-        else {"shape": list(values.shape), "values": values.tolist()}
-    )
+    payload = {"shape": list(values.shape), "values": values.tolist()}
     want = "".join(json.JSONEncoder(sort_keys=True).iterencode(payload)) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
     if values.size >= 3:
