@@ -51,6 +51,10 @@ SINGLE_MODE_KINDS = ("spectral-check", "normalform-check")
 # have their profiles collocated at validation.
 BAND_KINDS = ("spectral-check", "normalform-check", "scaling-study")
 
+# An unresolved window's error names the smallest truncation up to this
+# many times the config's that resolves the band.
+_SEARCH_FACTOR = 4
+
 # Named tolerances with their defaults.  A config may override any subset
 # through the "tolerances" object; checks read them by name only.
 DEFAULT_TOLERANCES = {
@@ -299,20 +303,44 @@ def validate(raw: dict) -> RunConfig:
 def _require_resolved(cfg: RunConfig) -> None:
     """Collocate the eigenprofiles the run collocates, at the same mode and
     gate: the band at the first mode, or for the scaling study the stored
-    band at its first eps mode."""
+    band at its first eps mode.
+
+    Where that fails, the error names the smallest larger truncation at
+    which the same collocation passes, searched upward to
+    ``_SEARCH_FACTOR`` times the config's, or says that none does.
+    """
     bg = resolve_background(cfg)
     if cfg.kind == "scaling-study":
         ctx = lattice_mode_context(bg, (cfg.eps_modes[0], 0))
-        band = stored_band_for(cfg.band, cfg.truncation)
     else:
         ctx = lattice_mode_context(bg, cfg.modes[0])
-        band = cfg.band
-    try:
-        build_eigenbasis(ctx, band, cfg.truncation, cfg.tolerance("tail_gate"))
-    except ResolutionExceeded as exc:
-        raise ConfigError(
-            f"truncation {cfg.truncation} does not resolve band {band}: {exc}"
-        ) from exc
+
+    def band_at(truncation: int) -> int:
+        if cfg.kind == "scaling-study":
+            return stored_band_for(cfg.band, truncation)
+        return cfg.band
+
+    def failure(truncation: int) -> ResolutionExceeded | None:
+        try:
+            build_eigenbasis(ctx, band_at(truncation), truncation, cfg.tolerance("tail_gate"))
+        except ResolutionExceeded as exc:
+            return exc
+        return None
+
+    exc = failure(cfg.truncation)
+    if exc is None:
+        return
+    last = _SEARCH_FACTOR * cfg.truncation
+    found = next((t for t in range(cfg.truncation + 1, last + 1) if failure(t) is None), None)
+    hint = (
+        f"the smallest truncation that resolves it is {found}"
+        if found is not None
+        else f"no truncation up to {last} resolves it"
+    )
+    raise ConfigError(
+        f"truncation {cfg.truncation} does not resolve band {band_at(cfg.truncation)}: "
+        f"{exc}; {hint}"
+    ) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -4,30 +4,33 @@ The generator G of each horizontal mode is autonomous, so propagation is
 by matrix exponential rather than time stepping.  Every dense kernel runs
 in the pair basis U of :class:`.operators.PairTransform`, where G is the
 real R = U* G U and the constraint basis V has the real coordinates
-C = U* V.  R and C are formed once per mode and split into coupled blocks
-R_k and C_k, which are all a :class:`ModePropagator` keeps of G and V, on
-their own exact nonzero patterns: at the canonical background the even
-and the odd vertical wavenumbers, at a background with cosines only in B1
-and sines only in B2 a split that the Fourier pattern does not show, and
-one block where nothing splits.  Both spectral abscissas, one dense
-``expm`` per block and step size (cached and reused) and the exponentials'
-eigendecomposition oracle are computed in real arithmetic on those blocks;
-where the oracle's eigenvectors are too ill conditioned for its gate, the
-mode falls back to complex ``eig`` of the same matrices.  The zero
-horizontal mode decouples into a scalar heat equation and is propagated
-in closed form.
+C = U* V.  R and C are split into coupled blocks R_k and C_k, which are
+all a :class:`ModePropagator` keeps of G and V, on their own exact nonzero
+patterns: at the canonical background the even and the odd vertical
+wavenumbers, at a background with cosines only in B1 and sines only in B2
+a split that the Fourier pattern does not show, and one block where
+nothing splits.  Both spectral abscissas, one dense ``expm`` per block and
+step size (cached and reused) and the exponentials' eigendecomposition
+oracle are computed in real arithmetic on those blocks; where the oracle's
+eigenvectors are too ill conditioned for its gate, the mode falls back to
+complex ``eig`` of the same matrices.  The zero horizontal mode decouples
+into a scalar heat equation and is propagated in closed form.
 
 Each mode assembles one generator, the one without the balancing
-velocity; the balanced one is that plus a rank-3 correction
-(:func:`lane_generators`).  Each block is split once by the constrained
-subspace (:func:`_split`) for both abscissas and the oracle: where R_k
-keeps the span of C_k invariant, as the balancing velocity makes it, they
-factor A = C_k^T R_k C_k and D = W_k^T R_k W_k, W_k the orthonormal
-complement.  Elsewhere they grow the span by the directions the coupling
-reaches (without the balancing velocity, to the divergence-free subspace)
-and factor its two compressions; a block that no span splits is factored
-whole.  The lanes of one mode, built together by :func:`build_propagator`,
-share the factorizations of bitwise equal blocks.
+velocity; the balanced one is that plus a rank-3 correction, nonzero only
+in the rows of the background's window (:func:`lane_generators`).  Each
+mode makes one square and one basis pair form, whatever its lanes
+(:func:`build_propagator`): R_off and C, which the lanes share, whole, and
+R_on as R_off with only those rows formed again.  Each block is split
+once by the constrained subspace (:func:`_split`) for both abscissas and
+the oracle: where R_k keeps the span of C_k invariant, as the balancing
+velocity makes it, they factor A = C_k^T R_k C_k and D = W_k^T R_k W_k,
+W_k the orthonormal complement.  Elsewhere they grow the span by the
+directions the coupling reaches (without the balancing velocity, to the
+divergence-free subspace) and factor its two compressions; a block that no
+span splits is factored whole.  The lanes of one mode, built together by
+:func:`build_propagator`, share the factorizations of bitwise equal
+blocks.
 
 The scaling study (:mod:`.checks`) splits its compressions along
 :func:`.operators.compression_blocks` instead, the complex Fourier
@@ -423,7 +426,7 @@ class ModePropagator:
     pair basis; ``generators`` the dense read-only R_k and ``bases`` the C_k
     of each block.  Neither G nor V is kept: every kernel runs on the
     blocks, and exp(h G) is kept as the blocks' exponentials exp(h R_k) and
-    applied by :meth:`propagate`.  Build one with :meth:`from_matrices`.
+    applied by :meth:`propagate`.  Build one with :meth:`from_pair_forms`.
 
     At the canonical background the blocks are the even and the odd vertical
     wavenumbers.  A background with cosines only in B1 and sines only in
@@ -454,21 +457,23 @@ class ModePropagator:
     oracle_margins: dict = field(default_factory=dict)
 
     @classmethod
-    def from_matrices(
-        cls, ctx: ModeContext, generator: np.ndarray, basis: np.ndarray, block_cache: dict
+    def from_pair_forms(
+        cls, ctx: ModeContext, generator: tuple, basis: tuple, block_cache: dict
     ) -> "ModePropagator":
-        """The propagator of the generator G and the constraint basis V, with
-        the ``block_cache`` it shares with the other lanes of its mode.
+        """The propagator of the generator G and the constraint basis V, given
+        as the pair forms of R = U* G U and C = U* V
+        (:meth:`PairTransform.pair_form`: the real part and the largest
+        |imaginary part| in each row), with the ``block_cache`` it shares
+        with the other lanes of its mode.
 
-        R and C are formed one component's rows at a time into real arrays
-        (:meth:`PairTransform.pair_form`), once each.  Dropping their
-        imaginary parts is checked per block by :func:`_real_blocks`, which
-        raises :class:`IllConditioned` here: G commutes with J and V's
-        columns are fixed by J, so both are real up to roundoff.
+        Dropping the imaginary parts is checked per block by
+        :func:`_real_blocks`, which raises :class:`IllConditioned` here: G
+        commutes with J and V's columns are fixed by J, so both are real up
+        to roundoff.  The blocks of a single-block C are C itself, which the
+        lanes of a mode then share, read-only.
         """
-        pairs = PairTransform(_window(len(generator)))
-        r, r_imag = pairs.pair_form(generator)
-        c, c_imag = pairs.pair_form(basis, square=False)
+        r, r_imag = generator
+        c, c_imag = basis
         blocks = coupled_blocks(r, c.T != 0)
         return cls(
             ctx,
@@ -596,31 +601,31 @@ class ModePropagator:
         return total
 
 
-def lane_generators(ctx: ModeContext, truncation: int, lanes: tuple) -> tuple:
-    """The generator of each ``include_geostrophic`` in ``lanes``, from one
+def lane_generators(ctx: ModeContext, truncation: int, balanced: bool) -> tuple:
+    """(G_off, (rows, G_on[rows]) where ``balanced``, else None), from one
     assembly.
 
     G_off, the induction plus diffusion without the balancing velocity, is
-    assembled; G_on is G_off plus :func:`.operators.balancing_term` of
-    G_off's columns, taken as one block of fields.  Every column of the
-    assembly is a right-hand side g, so this is bitwise the matrix that
-    assembling ``full_induction`` with the balancing velocity gives.  The
-    term reads g and is nonzero only at |n| <= k, k the background's
-    window, so it is formed from those rows of G_off alone and added there.
+    assembled.  G_on is G_off with its rows |n| <= k of each component, k
+    the background's window, replaced by those rows plus
+    :func:`.operators.balancing_term` of G_off's columns, taken as one
+    block of fields: the term reads g and vanishes at |n| > k.  Every
+    column of the assembly is a right-hand side g, so G_on[rows] is bitwise
+    those rows of the matrix that assembling ``full_induction`` with the
+    balancing velocity gives.  Its other rows are G_off's; that assembly
+    adds the term's padding zeros there, which differ from them only in
+    the sign of zero entries (-0 + 0 = +0).
     """
     off = assemble_matrix(
         lambda b: full_induction(ctx, b, include_geostrophic=False), truncation
     )
-    on = None
-    if any(lanes):
-        k = min(truncation, ctx.background.truncation)
-        w = 2 * truncation + 1
-        rows = np.concatenate([c * w + truncation + np.arange(-k, k + 1) for c in range(3)])
-        # every entry as in G_off plus the zero-padded term, signed zeros too
-        on = off + 0.0
-        on[rows] = off[rows] + field_to_vector(balancing_term(ctx, vector_to_field(off[rows])))
-        on.setflags(write=False)
-    return tuple(on if lane else off for lane in lanes)
+    if not balanced:
+        return off, None
+    k = min(truncation, ctx.background.truncation)
+    w = 2 * truncation + 1
+    rows = np.concatenate([c * w + truncation + np.arange(-k, k + 1) for c in range(3)])
+    on = off[rows] + field_to_vector(balancing_term(ctx, vector_to_field(off[rows])))
+    return off, (rows, on)
 
 
 def build_propagator(ctx: ModeContext, basis: np.ndarray, lanes: tuple) -> tuple:
@@ -628,8 +633,17 @@ def build_propagator(ctx: ModeContext, basis: np.ndarray, lanes: tuple) -> tuple
     diffusion) for each ``include_geostrophic`` in ``lanes``, with the
     mode's constraint ``basis``, at the basis's window.
 
-    The lanes' generators come from one assembly (:func:`lane_generators`),
-    and the lanes share one :attr:`ModePropagator.block_cache`: at the
+    The lanes' generators come from one assembly (:func:`lane_generators`)
+    and are pair-formed once: R_off = U* G_off U whole
+    (:meth:`PairTransform.pair_form`), then C = U* V, which the lanes
+    share, and R_on as R_off with only G_on's balancing rows formed again
+    (:meth:`PairTransform.pair_form_rows`).  So every mode makes one square
+    and one basis pair form, whatever its lanes, and no complex G_on is
+    made.  On the tested grid R_on is bitwise the whole pair form of the
+    balanced assembly, whose other rows differ from G_off's only in the
+    sign of zeros (:func:`lane_generators`).
+
+    The lanes share one :attr:`ModePropagator.block_cache`: at the
     canonical background the balancing velocity's rows vanish in C, so
     every compressed block is bitwise equal in the two lanes and factored
     once, and so is each block's complement W_k.  The restricted abscissa
@@ -638,11 +652,20 @@ def build_propagator(ctx: ModeContext, basis: np.ndarray, lanes: tuple) -> tuple
     that subspace is not enforced, so that runs with the balancing velocity
     disabled remain expressible.
     """
+    pairs = PairTransform(_window(len(basis)))
+    # G_off stays alive to the return: freed before R_on was formed, it let
+    # glibc trim the heap that the next arrays then faulted in again (at
+    # M = 64, 2.2 times the page faults of a two-lane build)
+    off, balanced = lane_generators(ctx, pairs.truncation, any(lanes))
+    forms = {False: pairs.pair_form(off)}
+    c = pairs.pair_form(basis, square=False)
+    if balanced is not None:
+        rows, on = balanced
+        r, r_imag = (a.copy() for a in forms[False])
+        r[rows], r_imag[rows] = pairs.pair_form_rows(on)
+        forms[True] = r, r_imag
     shared = {}
-    return tuple(
-        ModePropagator.from_matrices(ctx, gen, basis, shared)
-        for gen in lane_generators(ctx, _window(len(basis)), lanes)
-    )
+    return tuple(ModePropagator.from_pair_forms(ctx, forms[lane], c, shared) for lane in lanes)
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:

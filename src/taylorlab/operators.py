@@ -735,13 +735,28 @@ class PairTransform:
         B is formed one component's rows at a time, so no complex matrix of
         the size of ``a`` is made.
         """
+        return self._lowered(a, self._times_u if square else lambda part: part)
+
+    def pair_form_rows(self, a: np.ndarray) -> tuple:
+        """:meth:`pair_form` of a square matrix at its rows |n| <= k of each
+        component, from those rows alone: ``a`` holds them as a stacked
+        vector of window k <= M along the first axis.
+
+        The rows n and -n pair among themselves, and every entry of U* a U
+        is formed elementwise, so the result is bitwise those rows of the
+        whole pair form.
+        """
+        return PairTransform(_window(len(a)))._lowered(a, self._times_u)
+
+    def _lowered(self, a: np.ndarray, columns) -> tuple:
+        """(Re B, the largest |Im B| in each row) for B = U* columns(a), with
+        ``a``'s rows at this window, one component's rows at a time."""
         w = 2 * self.truncation + 1
         real = np.empty(a.shape)
         imag = np.empty(len(a))
         for c in range(3):
             rows = slice(c * w, (c + 1) * w)
-            part = a[rows]
-            part = self.lower(self._times_u(part) if square else part, c)
+            part = self.lower(columns(a[rows]), c)
             real[rows] = part.real
             imag[rows] = np.abs(part.imag).max(axis=1)
         return real, imag

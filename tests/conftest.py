@@ -224,10 +224,22 @@ def start_state(bg, modes, truncation, seed=0):
 
 
 def generator(ctx, truncation, include_geostrophic=True):
-    """The per-mode generator G that :func:`evolution.build_propagator` forms
-    its propagator from; the propagator keeps only its pair-basis blocks."""
-    (g,) = evo.lane_generators(ctx, truncation, (include_geostrophic,))
-    return g
+    """The per-mode generator G of one lane, assembled from its right-hand
+    side: :func:`evolution.build_propagator`'s pair forms are bitwise this
+    matrix's, and the propagator keeps only their blocks."""
+    return op.assemble_matrix(
+        lambda b: op.full_induction(ctx, b, include_geostrophic), truncation
+    )
+
+
+def propagator_from_matrices(ctx, g, basis):
+    """:meth:`evolution.ModePropagator.from_pair_forms` of the whole pair
+    forms of a generator ``g`` and a constraint ``basis``, with a cache of
+    its own."""
+    pairs = op.PairTransform(op._window(len(g)))
+    return evo.ModePropagator.from_pair_forms(
+        ctx, pairs.pair_form(g), pairs.pair_form(basis, square=False), {}
+    )
 
 
 def induction_power(ctx, b, include_geostrophic=True):

@@ -274,3 +274,35 @@ def test_single_mode_kind_with_two_modes_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "checks one mode" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+MIXED = [[1, 1, 1.0], [1, -2, 0.5], [2, -1, 1.0], [2, 3, 0.4]]
+
+
+@pytest.mark.parametrize(
+    "raw, smallest",
+    [
+        (minimal(truncation=16, band=2), 19),
+        ({"kind": "normalform-check", "truncation": 16, "band": 2}, 19),
+        # the scaling study's stored band grows with the window: 6 at 24 and 33
+        ({"kind": "scaling-study", "truncation": 24, "band": 2}, 33),
+        (minimal(background=[[1, 8, 1], [2, -8, 1]], truncation=48, band=4), 92),
+        ({"kind": "scaling-study", "background": MIXED}, 89),
+    ],
+    ids=["spectral", "normalform", "scaling", "wide", "scaling_mixed"],
+)
+def test_unresolved_window_names_the_smallest_truncation_that_resolves(raw, smallest):
+    with pytest.raises(ConfigError) as info:
+        validate(raw)
+    assert str(info.value).endswith(f"the smallest truncation that resolves it is {smallest}")
+    # the named window validates, and the one below it is rejected
+    validate({**raw, "truncation": smallest})
+    with pytest.raises(ConfigError, match="does not resolve"):
+        validate({**raw, "truncation": smallest - 1})
+
+
+def test_unresolvable_band_says_no_truncation_resolves_it():
+    # no collocation tail is below 1e-30 at any window
+    raw = minimal(truncation=16, band=2, tolerances={"tail_gate": 1e-30})
+    with pytest.raises(ConfigError, match="no truncation up to 64 resolves it$"):
+        validate(raw)

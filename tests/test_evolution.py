@@ -25,6 +25,7 @@ from conftest import (
     is_real,
     project,
     propagator,
+    propagator_from_matrices,
     random_field,
     rk4_step,
     start_state,
@@ -363,6 +364,22 @@ def test_propagator_forms_r_and_c_once(ctx10, monkeypatch):
     prop.exponential(0.01)
     prop.power(op.field_to_vector(evo.random_mode_field(16, np.random.default_rng(0))))
     assert calls == [True, False]
+    # both lanes of a mode share C and R_off: one whole square pair_form and
+    # one basis pair_form, the balanced lane forming only its balancing rows
+    # again (PairTransform.pair_form_rows)
+    calls.clear()
+    rows = []
+    pair_form_rows = op.PairTransform.pair_form_rows
+    monkeypatch.setattr(
+        op.PairTransform,
+        "pair_form_rows",
+        lambda self, a: rows.append(a.shape) or pair_form_rows(self, a),
+    )
+    basis = op.constraint_null_basis(ctx10, 16)
+    evo.build_propagator(ctx10, basis, (True, False))
+    assert calls == [True, False]
+    k = ctx10.background.truncation
+    assert rows == [(3 * (2 * k + 1), len(basis))]
 
 
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
@@ -679,8 +696,7 @@ def test_grown_deflation_bound_separates_by_a_wide_margin(request, background, m
     for mode in [(1, 0), (2, 0), (4, 0), (8, 0), (16, 0), (32, 0), (2, 1)]:
         ctx = lattice_mode_context(bg, mode)
         basis = op.constraint_null_basis(ctx, m)
-        for gen in evo.lane_generators(ctx, m, (True, False)):
-            prop = evo.ModePropagator.from_matrices(ctx, gen, basis, {})
+        for prop in evo.build_propagator(ctx, basis, (True, False)):
             for kept, dropped, residual in grown_deflation_margins(prop):
                 assert len(kept) in (1, 2)
                 assert kept.min() >= 1e6
@@ -727,14 +743,68 @@ def test_each_mode_builds_its_lanes_from_one_assembly(tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", [(1, 0), (2, 1), (8, 0), (0, 3)])
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg", "wide_bg"])
 def test_lane_generators_derive_the_balanced_generator_bitwise(request, background, mode, m):
-    # G_on = G_off + the balancing term of G_off's columns, from one
-    # assembly, is bitwise the assembly of the balanced right-hand side
+    # G_on's balancing rows, G_off's rows plus the balancing term of G_off's
+    # columns from one assembly, are bitwise those of the assembly of the
+    # balanced right-hand side; its other rows are G_off's plus the term's
+    # padding zeros
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
-    on, off = evo.lane_generators(ctx, m, (True, False))
-    for lane, gen in ((True, on), (False, off)):
-        want = op.assemble_matrix(lambda b: op.full_induction(ctx, b, lane), m)
-        assert gen.tobytes() == want.tobytes()  # signed zeros included
-        assert not gen.flags.writeable
+    off, (rows, on) = evo.lane_generators(ctx, m, True)
+    want_off, want_on = (
+        op.assemble_matrix(lambda b: op.full_induction(ctx, b, lane), m) for lane in (False, True)
+    )
+    # signed zeros included
+    assert off.tobytes() == want_off.tobytes()
+    assert not off.flags.writeable
+    assert on.tobytes() == want_on[rows].tobytes()
+    others = np.setdiff1d(np.arange(len(off)), rows)
+    assert (off[others] + 0.0).tobytes() == want_on[others].tobytes()
+    k = min(m, ctx.background.truncation)
+    assert len(rows) == 3 * (2 * k + 1)
+    assert evo.lane_generators(ctx, m, False)[1] is None
+
+
+@pytest.mark.parametrize("m", [16, 40])
+@pytest.mark.parametrize("mode", [(1, 0), (2, 1), (8, 0), (0, 3)])
+@pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg", "wide_bg"])
+def test_shared_lane_build_matches_each_lanes_whole_pair_form_bitwise(
+    request, background, mode, m
+):
+    # the lanes built together, sharing C and re-forming only R_on's
+    # balancing rows, hold bitwise the blocks, R_k and C_k that the whole
+    # pair forms of each lane's own assembly give
+    ctx = lattice_mode_context(request.getfixturevalue(background), mode)
+    basis = op.constraint_null_basis(ctx, m)
+    for lane, prop in zip((True, False), evo.build_propagator(ctx, basis, (True, False))):
+        want = propagator_from_matrices(ctx, generator(ctx, m, lane), basis)
+        assert len(prop.blocks) == len(want.blocks)
+        for got, expected in (
+            (prop.blocks, want.blocks),
+            (prop.generators, want.generators),
+            (prop.bases, want.bases),
+        ):
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+def test_balanced_rows_are_checked_for_realness(ctx10, monkeypatch):
+    # a J-breaking entry in one balancing row reaches only the rows that the
+    # balanced lane forms again: the build raises only if their imaginary
+    # parts are checked
+    m = 16
+    basis = op.constraint_null_basis(ctx10, m)
+    k = ctx10.background.truncation
+    balancing_term = op.balancing_term
+
+    def broken(ctx, g):
+        out = op.field_to_vector(balancing_term(ctx, g))
+        # first component, n = 1 row and n = 3 column: both odd, one block
+        out[k + 1, m + 3] += 1e-6 * np.abs(out).max()
+        return op.vector_to_field(out)
+
+    monkeypatch.setattr(evo, "balancing_term", broken)
+    with pytest.raises(IllConditioned, match="generator is not real in the pair basis"):
+        evo.build_propagator(ctx10, basis, (True, False))
 
 
 @pytest.mark.parametrize("lane", [True, False], ids=["on", "off"])
@@ -800,16 +870,16 @@ def test_generator_off_j_symmetry_raises(ctx10):
     m = 16
     honest = generator(ctx10, m)
     basis = op.constraint_null_basis(ctx10, m)
-    evo.ModePropagator.from_matrices(ctx10, honest, basis, {})  # the honest pair builds
+    propagator_from_matrices(ctx10, honest, basis)  # the honest pair builds
     # first component, n = 1 row and n = 3 column: both odd, one block
     g = np.array(honest)
     g[m + 1, m + 3] += 1e-6 * np.abs(g).max()
     # the real R_k are formed at construction, so construction raises
     with pytest.raises(IllConditioned, match="generator is not real in the pair basis"):
-        evo.ModePropagator.from_matrices(ctx10, g, basis, {})
+        propagator_from_matrices(ctx10, g, basis)
     # a basis whose columns J does not fix: i v for J-fixed v
     with pytest.raises(IllConditioned, match="constraint basis is not real"):
-        evo.ModePropagator.from_matrices(ctx10, honest, 1j * basis, {})
+        propagator_from_matrices(ctx10, honest, 1j * basis)
 
 
 def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
