@@ -384,11 +384,11 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
         cfg,
         report,
         "oracle.csv",
-        ["mode_index", "h", "route", "condition", "checked", "frobenius_error"],
+        ["mode_index", "h", "condition", "checked", "frobenius_error"],
         [
-            (idx, h, route, cond, checked, "" if error is None else error)
+            (idx, h, cond, checked, "" if error is None else error)
             for idx, per_h in enumerate(margins)
-            for h, (route, cond, checked, error) in per_h.items()
+            for h, (cond, checked, error) in per_h.items()
         ],
     )
 

@@ -11,10 +11,10 @@ wavenumbers, at a background with cosines only in B1 and sines only in B2
 a split that the Fourier pattern does not show, and one block where
 nothing splits.  Both spectral abscissas, one dense ``expm`` per block and
 step size (cached and reused) and the exponentials' eigendecomposition
-oracle are computed in real arithmetic on those blocks; where the oracle's
-eigenvectors are too ill conditioned for its gate, the mode falls back to
-complex ``eig`` of the same matrices.  The zero horizontal mode decouples
-into a scalar heat equation and is propagated in closed form.
+oracle are computed in real arithmetic on those blocks; the oracle deflates
+each matrix's exact kernel before real ``eig`` (:func:`_eigen_oracle`).
+The zero horizontal mode decouples into a scalar heat equation and is
+propagated in closed form.
 
 Each mode assembles one generator, the one without the balancing
 velocity; the balanced one is that plus a rank-3 correction, nonzero only
@@ -117,13 +117,34 @@ def grad_energy(ctx: ModeContext, b: ModeField) -> float:
 
 
 def _eigen_oracle(block: np.ndarray) -> tuple:
-    """(w, V, V^-1, singular values of V) of one block.
+    """(w, V, V^-1, singular values of V) of one real block.
+
+    The block's exact kernel is deflated first: inside it real ``eig`` may
+    return nearly parallel or inaccurate eigenvectors.  Z is the block's
+    right singular vectors whose singular values are at most
+    :func:`_rounding_bound` of it, and Z' the rest, so that the block is
+    [[0, Z^T block Z'], [0, D']] in [Z, Z'] with D' = Z'^T block Z'.  The
+    kernel's eigenvectors are Z, and each eigenpair (mu, v) of D' lifts to
+    the eigenvector Z' v + Z (Z^T block Z' v) / mu.  Where D' still has an
+    eigenvalue within the bound, a defective zero as in a Jordan block, or
+    the block has no kernel, the block is factored by plain ``eig``.
 
     V^-1 is None where the block's own eigenvector condition already
     exceeds ``EXPM_ORACLE_CONDITION``: the check will not run, and V may be
     singular.
     """
-    w, vecs = np.linalg.eig(block)
+    bound = _rounding_bound(block)
+    w = None
+    if np.linalg.svd(block, compute_uv=False)[-1] <= bound:
+        _, singular, vt = np.linalg.svd(block)
+        z, rest = vt[singular <= bound].T, vt[singular > bound].T
+        moved = block @ rest
+        mu, v = np.linalg.eig(rest.T @ moved)
+        if not np.any(np.abs(mu) <= bound):
+            w = np.concatenate([np.zeros(z.shape[1]), mu])
+            vecs = np.hstack([z, rest @ v + z @ ((z.T @ moved) @ v / mu)])
+    if w is None:
+        w, vecs = np.linalg.eig(block)
     sigma = np.linalg.svd(vecs, compute_uv=False)
     inverse = None
     if sigma[0] <= EXPM_ORACLE_CONDITION * sigma[-1]:
@@ -200,10 +221,10 @@ class _SplitOracle(NamedTuple):
     coupling: np.ndarray | None
 
     @classmethod
-    def factor(cls, r: np.ndarray, split: _Split, dtype) -> "_SplitOracle":
-        """The oracle of R_k in ``dtype`` from its two-block :class:`_Split`;
-        B = S^T R_k W' is formed only here."""
-        top, bottom = (_eigen_oracle(d.astype(dtype, copy=False)) for d in split.diagonal)
+    def factor(cls, r: np.ndarray, split: _Split) -> "_SplitOracle":
+        """The oracle of R_k from its two-block :class:`_Split`; B = S^T R_k W'
+        is formed only here."""
+        top, bottom = (_eigen_oracle(d) for d in split.diagonal)
         coupling = None
         if top[2] is not None and bottom[2] is not None:
             coupling = top[2] @ (split.span.T @ r @ split.complement) @ bottom[1]
@@ -437,9 +458,8 @@ class ModePropagator:
     docstring).
 
     ``oracle_margins`` holds, per h, how close the exponentials came to the
-    oracle's gates: (route, eigenvector condition, whether the cross-check
-    ran, its largest Frobenius block error or None), with route "real" or
-    "complex" as :attr:`_oracles` chose.
+    oracle's gates: (eigenvector condition, whether the cross-check ran, its
+    largest Frobenius block error or None).
 
     ``block_cache`` holds the abscissas and complements computed from
     single blocks, keyed on the exact bytes of the block they were computed
@@ -515,44 +535,24 @@ class ModePropagator:
 
     @functools.cached_property
     def _oracles(self) -> tuple:
-        """(route, the expm oracle of each R_k), shared by every h.
+        """The expm oracle of each R_k, shared by every h.
 
         A block whose :func:`_split` has two diagonal blocks gets the
         :class:`_SplitOracle` of that split, on the very A and D (or the two
         compressions of the grown span) whose abscissas were taken; R_k is
         factored whole only where no span splits it or the complement of
-        C_k is empty.  The splits and :attr:`block_cache` are dropped here:
-        nothing reads them again, so a mode that keeps its oracle holds only
-        that.
-
-        The "real" route factors with real ``eig``.  Inside the generator's
-        degenerate eigenspaces real ``eig`` may pick a badly conditioned
-        basis.  Where the gate's condition over the whole mode (the largest
-        singular value of any eigenvector matrix by the smallest) exceeds
-        ``EXPM_ORACLE_CONDITION``, the mode takes the "complex" route
-        instead: complex ``eig`` of the same matrices, which picks its own
-        basis.  The mode decides as a whole, as the gate reads it: ``eig``'s
-        columns have unit norm, so a matrix's largest singular value can
-        reach the square root of its size, and oracles mixed from the two
-        routes could fail the gate where one route alone passes.
+        C_k is empty.  Each matrix is factored by :func:`_eigen_oracle`,
+        which deflates its exact kernel.  The splits and :attr:`block_cache`
+        are dropped here: nothing reads them again, so a mode that keeps its
+        oracle holds only that.
         """
         pieces = list(zip(self.generators, self._splits))
         self.__dict__.pop("_splits")
         self.block_cache.clear()
-
-        def factor(dtype) -> tuple:
-            return tuple(
-                _SplitOracle.factor(r, split, dtype)
-                if len(split.diagonal) == 2
-                else _eigen_oracle(r.astype(dtype, copy=False))
-                for r, split in pieces
-            )
-
-        real = factor(np.float64)
-        if _condition(real) <= EXPM_ORACLE_CONDITION:
-            return "real", real
-        del real
-        return "complex", factor(np.complex128)
+        return tuple(
+            _SplitOracle.factor(r, split) if len(split.diagonal) == 2 else _eigen_oracle(r)
+            for r, split in pieces
+        )
 
     def release_oracles(self) -> None:
         """Drop the expm oracle; an exponential at a new h factors it again."""
@@ -568,9 +568,9 @@ class ModePropagator:
         if not key > 0:
             raise ValueError(f"the flow runs forward only: h = {key} must be positive")
         if key not in self.propagator_cache:
-            outs, cond, error = _checked_expm(self.generators, lambda: self._oracles[1], key)
+            outs, cond, error = _checked_expm(self.generators, lambda: self._oracles, key)
             self.propagator_cache[key] = tuple(outs)
-            self.oracle_margins[key] = (self._oracles[0], cond, error is not None, error)
+            self.oracle_margins[key] = (cond, error is not None, error)
         return self.propagator_cache[key]
 
     def propagate(self, x: np.ndarray, h: float) -> np.ndarray:

@@ -344,13 +344,11 @@ def test_evolve_writes_the_oracle_margins(tmp_path):
     assert report.passed and report.artifacts[-1] == "oracle.csv"
     assert not (tmp_path / "oracle.svg").exists()
     header, rows = read_csv(str(tmp_path / "oracle.csv"))
-    assert header == ["mode_index", "h", "route", "condition", "checked", "frobenius_error"]
-    assert [row[:3] for row in rows] == [
-        ["0", "0.01", "real"], ["0", "0.03", "real"], ["1", "0.01", "real"]
-    ]
+    assert header == ["mode_index", "h", "condition", "checked", "frobenius_error"]
+    assert [row[:2] for row in rows] == [["0", "0.01"], ["0", "0.03"], ["1", "0.01"]]
     for row in rows:
-        assert float(row[3]) <= 300.0 and row[4] == "true"
-        assert 0.0 < float(row[5]) <= 1e-10
+        assert float(row[2]) <= 300.0 and row[3] == "true"
+        assert 0.0 < float(row[4]) <= 1e-10
 
 
 def test_semigroup_probe_is_not_a_product_of_the_steps_exponentials(tmp_path, monkeypatch):

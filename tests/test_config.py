@@ -1,9 +1,12 @@
 import json
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taylorlab
 from taylorlab import cli
@@ -11,6 +14,7 @@ from taylorlab.background import DEFAULT_BACKGROUND_TRUNCATION, canonical_backgr
 from taylorlab.checks import execute
 from taylorlab.config import (
     DEFAULT_TOLERANCES,
+    KINDS,
     RunConfig,
     load_config,
     resolve_background,
@@ -306,3 +310,52 @@ def test_unresolvable_band_says_no_truncation_resolves_it():
     raw = minimal(truncation=16, band=2, tolerances={"tail_gate": 1e-30})
     with pytest.raises(ConfigError, match="no truncation up to 64 resolves it$"):
         validate(raw)
+
+
+# backgrounds of two or three entries inside the window, in both components
+window = range(-DEFAULT_BACKGROUND_TRUNCATION, DEFAULT_BACKGROUND_TRUNCATION + 1)
+backgrounds = st.lists(
+    st.tuples(
+        st.sampled_from([1, 2]), st.sampled_from([n for n in window if n]), st.floats(0.1, 1.5)
+    ).map(list),
+    min_size=2,
+    max_size=3,
+).filter(lambda entries: len({entry[0] for entry in entries}) == 2)
+# one or two of the modes k > 0 with |k_i| <= 2, so never k with -k
+modes = st.lists(
+    st.sampled_from([[m1, m2] for m1 in range(3) for m2 in range(-2, 3) if (m1, m2) > (0, 0)]),
+    min_size=1,
+    max_size=2,
+    unique_by=tuple,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.one_of(st.just("evolve"), st.sampled_from(KINDS)),
+    background=backgrounds,
+    truncation=st.integers(8, 24),
+    band=st.integers(1, 2),
+    modes=modes,
+    include_geostrophic=st.booleans(),
+)
+def test_a_validated_config_runs_to_a_verdict(
+    kind, background, truncation, band, modes, include_geostrophic
+):
+    # validation either refuses a config or lets it run to a report, passed
+    # or failed: a run that validation accepted never stops partway.  Evolve,
+    # whose expm oracle validation cannot foresee, is drawn about half the
+    # time; the scaling study's stored band is never resolved at these
+    # windows, so validation refuses it
+    with tempfile.TemporaryDirectory() as out_dir:
+        raw = {
+            "kind": kind, "background": background, "truncation": truncation, "band": band,
+            "modes": modes, "include_geostrophic": include_geostrophic, "out_dir": out_dir,
+        }
+        try:
+            cfg = validate(raw)
+        except ConfigError:
+            return
+        report = execute(cfg)
+        assert isinstance(report.passed, bool)
+        assert pathlib.Path(out_dir, "report.json").is_file()

@@ -13,6 +13,7 @@ from taylorlab.checks import execute
 from taylorlab.config import validate
 from taylorlab.errors import IllConditioned
 from taylorlab.fourier import FourierSeries
+from taylorlab.report import read_csv
 
 from conftest import (
     abscissa_sweep,
@@ -181,9 +182,7 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
 
 
 def test_planted_oracle_disagreement_raises(ctx10):
-    prop = propagator(ctx10, 8)
-    g = generator(ctx10, 8)
-    blocks = [g[np.ix_(idx, idx)] for idx in prop.blocks]
+    blocks = propagator(ctx10, 8).generators
     oracles = [evo._eigen_oracle(block) for block in blocks]
     evo._checked_expm(blocks, lambda: oracles, 0.01)  # honest oracles pass
     w, vecs, inverse, sigma = oracles[1]
@@ -192,18 +191,7 @@ def test_planted_oracle_disagreement_raises(ctx10):
         evo._checked_expm(blocks, lambda: oracles, 0.01)
 
 
-def _whole_block_propagator(mixed_bg):
-    """A propagator of one block R_k whose C_k is square, so that its
-    complement is empty and the oracle factors R_k whole.  R_k is the one
-    block of (1, 0) without the balancing velocity at the mixed background,
-    truncation 19, where real eig picks eigenvectors of condition about 522
-    and complex eig of the same R_k about 53."""
-    ctx = lattice_mode_context(mixed_bg, (1, 0))
-    (r,) = propagator(ctx, 19, include_geostrophic=False).generators
-    return evo.ModePropagator(ctx, (np.arange(len(r)),), (r,), (np.eye(len(r)),), {})
-
-
-def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg, monkeypatch):
+def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, monkeypatch):
     oracle = evo._eigen_oracle
 
     def planted(block):
@@ -211,25 +199,18 @@ def test_planted_eigenvalue_error_raises_through_the_propagator(ctx10, mixed_bg,
         return w + 1e-6, vecs, inverse, sigma
 
     monkeypatch.setattr(evo, "_eigen_oracle", planted)
-    # a whole block that takes the complex route (see
-    # test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route)
-    prop = _whole_block_propagator(mixed_bg)
-    with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
-        prop.exponential(0.01)
-    assert prop._oracles[0] == "complex"
-    # the split blocks of (1, 0) at truncation 8 and 16 take the real route
+    # every block of (1, 0) at truncation 8 and 16 is split
     for m in (8, 16):
         prop = propagator(ctx10, m)
         with pytest.raises(IllConditioned, match="disagrees with eigendecomposition"):
             prop.exponential(0.01)
-        assert prop._oracles[0] == "real"
-        assert all(isinstance(o, evo._SplitOracle) for o in prop._oracles[1])
+        assert all(isinstance(o, evo._SplitOracle) for o in prop._oracles)
 
 
 def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
-    # the pair basis must not switch the cross-check off: every default mode
-    # takes the real route, the eigenvector condition the gate reads stays
-    # affordable, and the errors are taken
+    # the pair basis must not switch the cross-check off: at every default
+    # mode the eigenvector condition the gate reads stays affordable, and
+    # the errors are taken
     errors = []
     measure = evo._oracle_error
     monkeypatch.setattr(
@@ -238,8 +219,7 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
     for key in validate({"kind": "evolve"}).modes:
         prop = propagator(lattice_mode_context(bg, key), 64)
         prop.exponential(0.125)
-        route, oracles = prop._oracles
-        assert route == "real"
+        oracles = prop._oracles
         # every block keeps its C_k invariant, so every oracle is split, into
         # diagonal blocks A and D that together are as wide as the block
         assert all(isinstance(oracle, evo._SplitOracle) for oracle in oracles)
@@ -256,7 +236,7 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
         assert len(errors) == len(prop.blocks)
         assert max(errors) <= evo.EXPM_ORACLE_TOL
         assert prop.oracle_margins == {
-            0.125: ("real", sigma.max() / sigma.min(), True, max(errors))
+            0.125: (sigma.max() / sigma.min(), True, max(errors))
         }
         errors.clear()
 
@@ -274,7 +254,7 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
     prop = propagator(ctx, m, include_geostrophic=lane)
     # the reference: complex eig of each block G_k of G's own Fourier
-    # pattern, whose condition the gate read before the real route existed
+    # pattern, whose condition the gate read before the pair basis existed
     g = generator(ctx, m, include_geostrophic=lane)
     sigma = np.concatenate(
         [
@@ -283,39 +263,38 @@ def test_oracle_passes_the_gate_wherever_the_complex_route_does(
         ]
     )
     prop.exponential(0.125)
-    route, condition, checked, error = prop.oracle_margins[0.125]
+    condition, checked, error = prop.oracle_margins[0.125]
     if sigma.max() / sigma.min() <= evo.EXPM_ORACLE_CONDITION:
         assert checked and condition <= evo.EXPM_ORACLE_CONDITION
         # the largest of the blocks' Frobenius errors
         assert error <= evo.EXPM_ORACLE_TOL
 
 
-def test_real_eigenvectors_beyond_the_gate_fall_back_to_the_complex_route(mixed_bg):
-    prop = _whole_block_propagator(mixed_bg)
-    (r,) = prop.generators
-    real = [evo._eigen_oracle(r)]
-    assert evo._condition(real) > evo.EXPM_ORACLE_CONDITION
-    assert evo._condition(prop._oracles[1]) <= evo.EXPM_ORACLE_CONDITION
-    assert not any(isinstance(o, evo._SplitOracle) for o in prop._oracles[1])
-    prop.exponential(0.125)
-    route, condition, checked, error = prop.oracle_margins[0.125]
-    assert route == "complex" and checked
-    assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
-
-
-@pytest.mark.xfail(strict=True, raises=IllConditioned)
-def test_oracle_of_a_double_zero_eigenvalue_aborts_a_validated_evolve(tmp_path):
-    # mode (0, 1) splits at C_k (48 + 27 wide at truncation 12), and its D
-    # has a double zero eigenvalue: real eig returns the two eigenvectors at
-    # |cos| = 0.998 with column residuals about 1e5 times the rounding bound,
-    # so V exp(h L) V^-1 is off by 2e-7 while expm agrees with a 60-digit
-    # reference to 1e-14.  The config passes validation and should run to a
-    # report; the check aborts it instead
+@pytest.mark.parametrize(
+    "background,m,mode",
+    [
+        ([[1, 1, 1], [2, -1, 1], [1, 2, 0.3]], 12, [0, 1]),
+        ([[2, 1, 0.91], [1, 3, 1.31]], 24, [2, 0]),
+        ([[1, -2, 0.87], [2, 3, 0.52]], 12, [0, 1]),
+        ([[1, 3, 0.34], [2, -2, 0.51]], 16, [0, 1]),
+    ],
+)
+def test_oracle_checks_a_double_zero_eigenvalue_in_a_validated_evolve(
+    tmp_path, background, m, mode
+):
+    # each mode splits at C_k, and its D has a double zero eigenvalue, for
+    # which real eig of D returns two nearly parallel eigenvectors: without
+    # the deflation of D's kernel V exp(h L) V^-1 is off by about 2e-7 and
+    # the oracle aborts the run.  With it every exponential is checked
+    out = tmp_path / "out"
     cfg = validate(
-        {"kind": "evolve", "background": [[1, 1, 1], [2, -1, 1], [1, 2, 0.3]],
-         "truncation": 12, "modes": [[0, 1]], "out_dir": str(tmp_path / "out")}
+        {"kind": "evolve", "background": background, "truncation": m, "modes": [mode],
+         "out_dir": str(out)}
     )
-    assert execute(cfg) is not None
+    report = execute(cfg)
+    assert report.passed
+    _, rows = read_csv(str(out / "oracle.csv"))
+    assert rows and all(row[3] == "true" for row in rows)
 
 
 def _held_arrays(obj):
@@ -410,10 +389,35 @@ def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
             assert logged[t, idx] == pytest.approx(want, rel=1e-12)
 
 
+def test_oracle_deflates_an_exact_kernel():
+    # Q T Q^T with T = [[0, B'], [0, D']]: a 2-dimensional kernel, span(Q e1,
+    # Q e2), coupled to the rest by B' != 0, and D' with the eigenvalues -1,
+    # -2, -3 and -5.  The kernel's eigenvectors are exact zeros of the
+    # oracle, and the lifted eigenvectors of D' keep V well conditioned
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    t = np.zeros((6, 6))
+    t[:2, 2:] = rng.standard_normal((2, 4))
+    t[2:, 2:] = np.triu(rng.standard_normal((4, 4)), 1) + np.diag([-1.0, -2.0, -3.0, -5.0])
+    block = q @ t @ q.T
+    w, vecs, inverse, sigma = oracle = evo._eigen_oracle(block)
+    assert np.count_nonzero(w == 0) == 2
+    assert np.allclose(np.sort(w[w != 0].real), [-5, -3, -2, -1], rtol=0, atol=1e-13)
+    residual = np.linalg.norm(block @ vecs - vecs * w, axis=0)
+    assert np.all(residual <= evo._rounding_bound(block) * np.linalg.norm(vecs, axis=0))
+    assert sigma[0] / sigma[-1] < 10
+    h = 0.5
+    (out,), condition, error = evo._checked_expm([block], lambda: [oracle], h)
+    assert condition < 10 and error <= evo.EXPM_ORACLE_TOL
+    assert np.array_equal(out, scipy.linalg.expm(h * block))
+
+
 def test_oracle_is_skipped_for_a_defective_block():
-    # a Jordan block has no eigenvector basis: the exponential is still
-    # returned, unchecked, as when the condition exceeds the gate
-    jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    # a Jordan block has no eigenvector basis: its kernel is deflated, but
+    # D' = [0] still has an eigenvalue within the bound, so the block is
+    # factored by plain eig.  The exponential is still returned, unchecked,
+    # as when the condition exceeds the gate
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
     oracle = evo._eigen_oracle(jordan)
     assert oracle[2] is None
     (out,), condition, error = evo._checked_expm([jordan], lambda: [oracle], 0.5)
@@ -860,8 +864,8 @@ def test_abscissas_and_oracle_read_one_split_per_block(ctx10, monkeypatch):
     prop.unconstrained_abscissa
     prop.exponential(0.125)
     assert len(qrs) == len(prop.blocks)
-    route, built = prop._oracles
-    assert route == "real" and all(isinstance(o, evo._SplitOracle) for o in built)
+    built = prop._oracles
+    assert all(isinstance(o, evo._SplitOracle) for o in built)
     assert len(oracles) == 2 * len(prop.blocks)
     assert set(oracles) <= set(factored)
 
@@ -888,7 +892,7 @@ def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
     # even relative to ||exp(G)||_2 = 1e4 (5e-10), the exact relative
     # 2-norm error 5e-11, which the gate reads, is not
     k = 100
-    g = np.log(1e4) * np.eye(k, dtype=np.complex128)
+    g = np.log(1e4) * np.eye(k)
     w, vecs, inverse, sigma = evo._eigen_oracle(g)
     planted = (w + 5e-11, vecs, inverse, sigma)
     (out,), _, error = evo._checked_expm([g], lambda: [planted], 1.0)
@@ -918,8 +922,7 @@ def test_abscissa_lanes_share_one_basis_per_mode(bg, monkeypatch):
 
 def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
     # the propagator hands _checked_expm a function for its oracles, so the
-    # eigendecompositions, the complex fallback's included, start only once
-    # every expm of the same h has returned; a second h factors nothing
+    # eigendecompositions start only once every expm of the same h has returned; a second h factors nothing
     order = []
     expm, oracle = scipy.linalg.expm, evo._eigen_oracle
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: order.append("expm") or expm(a))
@@ -945,7 +948,7 @@ def test_split_oracle_coupling_block_matches_expm(request, background, m):
     h = 0.125
     for key in [(1, 0), (1, 1)]:
         prop = propagator(lattice_mode_context(request.getfixturevalue(background), key), m)
-        for r, c, oracle in zip(prop.generators, prop.bases, prop._oracles[1]):
+        for r, c, oracle in zip(prop.generators, prop.bases, prop._oracles):
             t = oracle.basis.T @ r @ oracle.basis
             n = c.shape[1]
             want = scipy.linalg.expm(h * t)[:n, n:]
@@ -965,7 +968,7 @@ def test_split_oracle_is_exact_at_coincident_eigenvalues():
     c = np.eye(3)[:, :2]
     split = evo._split(r, c, {})
     assert split.span is c and len(split.diagonal) == 2
-    oracle = evo._SplitOracle.factor(r, split, np.float64)
+    oracle = evo._SplitOracle.factor(r, split)
     assert np.array_equal(oracle.basis.T @ r @ oracle.basis, r)
     x = oracle.reference(h)[:2, 2]
     want = [3.0 * h * np.exp(-h), 5.0 * (np.exp(-h) - np.exp(-2 * h))]
@@ -979,7 +982,7 @@ def test_split_oracle_is_exact_at_coincident_eigenvalues():
 def test_planted_coupling_error_raises(ctx10):
     # an error in B~ alone moves only X, the upper-right block
     prop = propagator(ctx10, 16)
-    oracles = prop._oracles[1]
+    oracles = prop._oracles
     evo._checked_expm(prop.generators, lambda: oracles, 0.01)  # honest oracles pass
     planted = list(oracles)
     planted[1] = planted[1]._replace(coupling=planted[1].coupling + 1e-6)
@@ -995,23 +998,23 @@ def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
     widths = [c.shape[1] for c in prop.bases]
     ranks = [s.span.shape[1] - n for s, n in zip(prop._splits, widths)]
     assert sorted(ranks) == [0, 2]
-    oracles = prop._oracles[1]
+    oracles = prop._oracles
     assert all(isinstance(o, evo._SplitOracle) for o in oracles)
     assert [len(o.top[0]) for o in oracles] == [n + k for n, k in zip(widths, ranks)]
     prop.exponential(0.125)
-    route, condition, checked, error = prop.oracle_margins[0.125]
-    assert route == "real" and checked and condition <= evo.EXPM_ORACLE_CONDITION
+    condition, checked, error = prop.oracle_margins[0.125]
+    assert checked and condition <= evo.EXPM_ORACLE_CONDITION
     assert error <= evo.EXPM_ORACLE_TOL
     # at [[1,2,1],[2,-2,1]] the 12-wide block of (1, 1) has a grown span that
     # is not invariant either: it alone is factored whole, and all pass
     ctx = lattice_mode_context(make_background([(1, 2, 1.0), (2, -2, 1.0)]), (1, 1))
     prop = propagator(ctx, 8, include_geostrophic=False)
-    kinds = [isinstance(o, evo._SplitOracle) for o in prop._oracles[1]]
+    kinds = [isinstance(o, evo._SplitOracle) for o in prop._oracles]
     assert kinds.count(False) == 1
-    whole = prop._oracles[1][kinds.index(False)]
+    whole = prop._oracles[kinds.index(False)]
     assert len(whole[0]) == len(prop.generators[kinds.index(False)]) == 12
     prop.exponential(0.125)
-    route, condition, checked, error = prop.oracle_margins[0.125]
+    condition, checked, error = prop.oracle_margins[0.125]
     assert checked and condition <= evo.EXPM_ORACLE_CONDITION
     assert error <= evo.EXPM_ORACLE_TOL
 
@@ -1020,12 +1023,12 @@ def test_non_invariant_block_takes_the_whole_block_oracle(ctx10):
 def test_grown_split_checks_where_the_whole_blocks_exceed_the_gate(alt_bg, m):
     # without the balancing velocity mode (3, 2) at [[1,1,1],[2,-2,1]] grows
     # both blocks' C_k by one direction.  The whole blocks' eigenvectors
-    # exceed the gate on both routes (condition about 380); those of the
-    # grown split's diagonal blocks do not, so the real route checks it
+    # exceed the gate (condition about 380); those of the grown split's
+    # diagonal blocks do not, so the oracle checks it
     prop = propagator(lattice_mode_context(alt_bg, (3, 2)), m, include_geostrophic=False)
     prop.exponential(0.125)
-    route, condition, checked, error = prop.oracle_margins[0.125]
-    assert route == "real" and checked
+    condition, checked, error = prop.oracle_margins[0.125]
+    assert checked
     assert condition <= evo.EXPM_ORACLE_CONDITION and error <= evo.EXPM_ORACLE_TOL
 
 
@@ -1043,9 +1046,9 @@ def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
     assert not any("_splits" in vars(p) or p.block_cache for p in props)
     # every exponential was checked before its oracle was dropped, and an
     # exponential at a new h factors the dropped oracle again
-    assert all(p.oracle_margins[0.125][2] for p in props)
+    assert all(p.oracle_margins[0.125][1] for p in props)
     props[1].exponential(0.25)
-    assert props[1].oracle_margins[0.25][2]
+    assert props[1].oracle_margins[0.25][1]
 
 
 # ----------------------------------------------------------------------
