@@ -276,7 +276,8 @@ def run_constraint_check(cfg: RunConfig, bg, report: RunReport) -> None:
     worst_formula = 0.0
     for key in cfg.modes:
         ctx = lattice_mode_context(bg, key)
-        basis = op.constraint_null_basis(ctx, cfg.truncation)
+        null, _ = op.constraint_null_basis(ctx, cfg.truncation)
+        basis = op.PairTransform(cfg.truncation).lift(null)
         for i in range(CONSTRAINT_FIELDS_PER_MODE):
             raw = evo.random_mode_field(cfg.truncation, rng)
             proj = evo.project_constraints(raw, basis)
@@ -463,7 +464,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
     diff = drive - direction_perp_compression(first, drive)
 
     def off_direction(ctx):
-        v_div = op.divergence_null_basis(ctx, m_trunc)
+        v_div = op.PairTransform(m_trunc).lift(op.divergence_null_basis(ctx, m_trunc)[0])
         c2 = max_over_blocks(spectral_norm, diff, v_div)
         # the band sweep reads the first mode's basis; no other outlives its call
         return c2, (v_div if ctx is first else None)
@@ -476,7 +477,7 @@ def run_scaling_study(cfg: RunConfig, bg, report: RunReport) -> None:
         ) * complex(ctx.eps**2)
         remainder -= skew * complex(1.0 / ctx.eps)
         remainder -= drive
-        v_con = op.constraint_null_basis(ctx, m_trunc)
+        v_con = op.PairTransform(m_trunc).lift(op.constraint_null_basis(ctx, m_trunc)[0])
         rem_form = max_over_blocks(hermitian_part_norm, remainder, v_con) / ctx.eps
         del remainder
         return rem_form, resonant_term_radius(ctx, v_con)

@@ -3,32 +3,32 @@
 The generator G of each horizontal mode is autonomous, so propagation is
 by matrix exponential rather than time stepping.  Every dense kernel runs
 in the pair basis U of :class:`.operators.PairTransform`, where G is the
-real R = U* G U and the constraint basis V has the real coordinates
-C = U* V.  R and C are split into coupled blocks R_k and C_k, which are
-all a :class:`ModePropagator` keeps of G and V, on their own exact nonzero
-patterns: at the canonical background the even and the odd vertical
-wavenumbers, at a background with cosines only in B1 and sines only in B2
-a split that the Fourier pattern does not show, and one block where
-nothing splits.  Both spectral abscissas, one dense ``expm`` per block and
-step size (cached and reused) and the exponentials' eigendecomposition
-oracle are computed in real arithmetic on those blocks; the oracle deflates
-each matrix's exact kernel before real ``eig`` (:func:`_eigen_oracle`).
+real R = U* G U, and the constrained subspace and its complement have the
+real orthonormal bases C and W of :func:`.operators.constraint_null_basis`.
+R, C and W are split into coupled blocks R_k, C_k and W_k, all that a
+:class:`ModePropagator` keeps, on their own exact nonzero patterns: at the
+canonical background the even and the odd vertical wavenumbers, at a
+background with cosines only in B1 and sines only in B2 a split that the
+Fourier pattern does not show, and one block where nothing splits.  Both
+spectral abscissas, one dense ``expm`` per block and step size (cached and
+reused) and the exponentials' eigendecomposition oracle are computed in
+real arithmetic on those blocks; the oracle deflates each matrix's exact
+kernel before real ``eig`` (:func:`_eigen_oracle`).
 The zero horizontal mode decouples into a scalar heat equation and is
 propagated in closed form.
 
 Each mode assembles one generator, the one without the balancing
 velocity; the balanced one is that plus a rank-3 correction, nonzero only
 in the rows of the background's window (:func:`lane_generators`).  Each
-mode makes one square and one basis pair form, whatever its lanes
-(:func:`build_propagator`): R_off and C, which the lanes share, whole, and
-R_on as R_off with only those rows formed again.  Each block is split
-once by the constrained subspace (:func:`_split`) for both abscissas and
-the oracle: where R_k keeps the span of C_k invariant, as the balancing
-velocity makes it, they factor A = C_k^T R_k C_k and D = W_k^T R_k W_k,
-W_k the orthonormal complement.  Elsewhere they grow the span by the
-directions the coupling reaches (without the balancing velocity, to the
-divergence-free subspace) and factor its two compressions; a block that no
-span splits is factored whole.  The lanes of one mode, built together by
+mode makes one pair form, whatever its lanes (:func:`build_propagator`):
+R_off whole, and R_on as R_off with only those rows formed again.  Each
+block is split once by the constrained subspace (:func:`_split`) for both
+abscissas and the oracle: where R_k keeps the span of C_k invariant, as the
+balancing velocity makes it, they factor A = C_k^T R_k C_k and
+D = W_k^T R_k W_k.  Elsewhere they grow the span by the directions the
+coupling reaches (without the balancing velocity, to the divergence-free
+subspace) and factor its two compressions; a block that no span splits is
+factored whole.  The lanes of one mode, built together by
 :func:`build_propagator`, share the factorizations of bitwise equal
 blocks.
 
@@ -39,8 +39,7 @@ the real pattern splits its matrices finer at a higher cost.
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
-subspaces; the projection is realized by an orthonormal null-space basis
-computed once per mode, the one its propagator is built from.  Each
+subspaces by the basis U C, C the one its propagator is built from.  Each
 mode's logged power is read from the blocks R_k.
 """
 
@@ -95,10 +94,10 @@ def project_constraints(b: ModeField, basis: np.ndarray) -> ModeField:
     """L2-orthogonal projection onto the span of the orthonormal columns
     ``basis``, for b at their window.
 
-    With the mode's :func:`.operators.constraint_null_basis` that span is
-    the constrained subspace: the intersection of the divergence condition
-    (one linear relation per vertical mode) with the two averaged balance
-    relations.
+    With U C, C of the mode's :func:`.operators.constraint_null_basis`,
+    that span is the constrained subspace: the intersection of the
+    divergence condition (one linear relation per vertical mode) with the
+    two averaged balance relations.
     """
     vec = field_to_vector(b)
     # conj(vec* basis) is basis* vec without a conjugated copy of the basis
@@ -168,20 +167,18 @@ class _Split(NamedTuple):
     diagonal: tuple
 
 
-def _split(r: np.ndarray, c: np.ndarray, cache: dict) -> _Split:
+def _split(r: np.ndarray, c: np.ndarray, w: np.ndarray) -> _Split:
     """The :class:`_Split` of R_k: the one deflation rule, read by both
     abscissas and the expm oracle, which factors the same diagonal blocks.
 
     A span S is invariant under R_k when max|W'^T R_k S|, W' its complement,
     is at most :func:`_rounding_bound` of R_k; R_k is then block upper
     triangular in [S, W'] (Golub and Van Loan, Matrix Computations, 7.1 and
-    7.6).  S is the span of C_k, with W' = W_k the :func:`_complement`
-    memoized in ``cache``, or else C_k grown by W_k u, u the left singular
-    vectors of the coupling W_k^T R_k C_k above the same bound.  The products
-    (C_k^T R_k) C_k, (W_k^T R_k) C_k and (W_k^T R_k) W_k keep the bits of
-    the abscissas.
+    7.6).  S is the span of C_k, with W' = W_k its orthonormal complement, or
+    else C_k grown by W_k u, u the left singular vectors of the coupling
+    W_k^T R_k C_k above the same bound.  The products (C_k^T R_k) C_k,
+    (W_k^T R_k) C_k and (W_k^T R_k) W_k keep the bits of the abscissas.
     """
-    w = _memo(cache, _complement, c)
     a = c.T @ r @ c
     if not w.shape[1]:
         return _Split(a, c, w, (a,))
@@ -394,12 +391,12 @@ def _rounding_bound(block: np.ndarray) -> float:
     return len(block) * np.finfo(float).eps * np.abs(block).max(initial=0.0)
 
 
-def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
-    """The blocks ``pieces`` of the real part of a matrix whose imaginary
+def _real_blocks(pieces, imag: np.ndarray, blocks) -> tuple:
+    """The blocks ``pieces`` of the real part of a generator whose imaginary
     part has the largest entry ``imag`` in each row, made read-only.
 
     A row's imaginary part may be at most :func:`_rounding_bound` of its
-    block; a larger one means the symmetry that makes the matrix real is
+    block; a larger one means the symmetry that makes the generator real is
     broken, and raises.
     """
     out = []
@@ -408,7 +405,7 @@ def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
         worst = imag[idx].max()
         if worst > bound:
             raise IllConditioned(
-                f"{what} is not real in the pair basis: imaginary part {worst:.3e} "
+                f"generator is not real in the pair basis: imaginary part {worst:.3e} "
                 f"exceeds {bound:.3e}"
             )
         piece.setflags(write=False)
@@ -419,12 +416,6 @@ def _real_blocks(pieces, imag: np.ndarray, blocks, what: str) -> tuple:
 def _abscissa(mat: np.ndarray) -> float:
     """Largest real part of the spectrum of a real square matrix."""
     return float(np.linalg.eigvals(mat).real.max())
-
-
-def _complement(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the orthonormal
-    columns ``basis``: the trailing columns of its complete QR."""
-    return np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1] :]
 
 
 def _memo(cache: dict, fn, mat: np.ndarray):
@@ -438,16 +429,18 @@ def _memo(cache: dict, fn, mat: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class ModePropagator:
-    """One mode's generator G and constraint basis V as their real pair-basis
-    blocks, with exp(h G) cached per h.
+    """One mode's generator G and constrained subspace as their real
+    pair-basis blocks, with exp(h G) cached per h.
 
-    With U the unitary pair basis of :class:`PairTransform`, R = U* G U and
-    C = U* V are real.  ``blocks`` holds the index sets of the unknowns
-    coupled by a nonzero of R or by a column of C, in the index order of the
-    pair basis; ``generators`` the dense read-only R_k and ``bases`` the C_k
-    of each block.  Neither G nor V is kept: every kernel runs on the
-    blocks, and exp(h G) is kept as the blocks' exponentials exp(h R_k) and
-    applied by :meth:`propagate`.  Build one with :meth:`from_pair_forms`.
+    With U the unitary pair basis of :class:`PairTransform`, R = U* G U is
+    real, and so are the orthonormal bases C and W of the constrained
+    subspace and of its complement.  ``blocks`` holds the index sets of the
+    unknowns coupled by a nonzero of R or by a column of C or W, in the
+    index order of the pair basis; ``generators`` the dense read-only R_k,
+    ``bases`` the C_k and ``complements`` the W_k of each block.  G is not
+    kept: every kernel runs on the blocks, and exp(h G) is kept as the
+    blocks' exponentials exp(h R_k), applied by :meth:`propagate`.  Build
+    one with :meth:`from_pair_forms`.
 
     At the canonical background the blocks are the even and the odd vertical
     wavenumbers.  A background with cosines only in B1 and sines only in
@@ -461,17 +454,18 @@ class ModePropagator:
     oracle's gates: (eigenvector condition, whether the cross-check ran, its
     largest Frobenius block error or None).
 
-    ``block_cache`` holds the abscissas and complements computed from
-    single blocks, keyed on the exact bytes of the block they were computed
-    from (:func:`_memo`).  The lanes of one mode share it
-    (:func:`build_propagator`), so a compressed block that the lanes hold
-    bitwise equal is factored once.  Forming the expm oracle empties it.
+    ``block_cache`` holds the abscissas computed from single blocks, keyed
+    on the exact bytes of the block they were computed from (:func:`_memo`).
+    The lanes of one mode share it (:func:`build_propagator`), so a
+    compressed block that the lanes hold bitwise equal is factored once.
+    Forming the expm oracle empties it.
     """
 
     ctx: ModeContext
     blocks: tuple
     generators: tuple
     bases: tuple
+    complements: tuple
     block_cache: dict
     propagator_cache: dict = field(default_factory=dict)
     oracle_margins: dict = field(default_factory=dict)
@@ -480,26 +474,26 @@ class ModePropagator:
     def from_pair_forms(
         cls, ctx: ModeContext, generator: tuple, basis: tuple, block_cache: dict
     ) -> "ModePropagator":
-        """The propagator of the generator G and the constraint basis V, given
-        as the pair forms of R = U* G U and C = U* V
+        """The propagator of G, given as the pair form of R = U* G U
         (:meth:`PairTransform.pair_form`: the real part and the largest
-        |imaginary part| in each row), with the ``block_cache`` it shares
-        with the other lanes of its mode.
+        |imaginary part| in each row), on ``basis`` = (C, W) of
+        :func:`.operators.constraint_null_basis`, with the ``block_cache``
+        it shares with the other lanes of its mode.
 
-        Dropping the imaginary parts is checked per block by
+        Dropping R's imaginary part is checked per block by
         :func:`_real_blocks`, which raises :class:`IllConditioned` here: G
-        commutes with J and V's columns are fixed by J, so both are real up
-        to roundoff.  The blocks of a single-block C are C itself, which the
-        lanes of a mode then share, read-only.
+        commutes with J, so R is real up to roundoff.  The blocks of a
+        single-block C and W are C and W themselves, shared by the lanes.
         """
         r, r_imag = generator
-        c, c_imag = basis
-        blocks = coupled_blocks(r, c.T != 0)
+        c, w = basis
+        blocks = coupled_blocks(r, np.vstack([c.T, w.T]) != 0)
         return cls(
             ctx,
             blocks,
-            _real_blocks(square_blocks(r, blocks), r_imag, blocks, "generator"),
-            _real_blocks(basis_blocks(c, blocks), c_imag, blocks, "constraint basis"),
+            _real_blocks(square_blocks(r, blocks), r_imag, blocks),
+            tuple(basis_blocks(c, blocks)),
+            tuple(basis_blocks(w, blocks)),
             block_cache,
         )
 
@@ -507,7 +501,7 @@ class ModePropagator:
     def _splits(self) -> tuple:
         """The :func:`_split` of each block, read by both abscissas and the
         expm oracle, which drops them once it is formed."""
-        return tuple(_split(r, c, self.block_cache) for r, c in zip(self.generators, self.bases))
+        return tuple(map(_split, self.generators, self.bases, self.complements))
 
     @functools.cached_property
     def restricted_abscissa(self) -> float:
@@ -628,44 +622,42 @@ def lane_generators(ctx: ModeContext, truncation: int, balanced: bool) -> tuple:
     return off, (rows, on)
 
 
-def build_propagator(ctx: ModeContext, basis: np.ndarray, lanes: tuple) -> tuple:
+def build_propagator(ctx: ModeContext, basis: tuple, lanes: tuple) -> tuple:
     """The propagator of the full per-mode generator (induction plus
-    diffusion) for each ``include_geostrophic`` in ``lanes``, with the
-    mode's constraint ``basis``, at the basis's window.
+    diffusion) for each ``include_geostrophic`` in ``lanes``, on the mode's
+    constrained subspace ``basis`` = (C, W) of
+    :func:`.operators.constraint_null_basis`, at its window.
 
-    The lanes' generators come from one assembly (:func:`lane_generators`)
-    and are pair-formed once: R_off = U* G_off U whole
-    (:meth:`PairTransform.pair_form`), then C = U* V, which the lanes
-    share, and R_on as R_off with only G_on's balancing rows formed again
-    (:meth:`PairTransform.pair_form_rows`).  So every mode makes one square
-    and one basis pair form, whatever its lanes, and no complex G_on is
-    made.  On the tested grid R_on is bitwise the whole pair form of the
-    balanced assembly, whose other rows differ from G_off's only in the
-    sign of zeros (:func:`lane_generators`).
+    The lanes share C and W, and their generators come from one assembly
+    (:func:`lane_generators`), pair-formed once: R_off = U* G_off U whole
+    (:meth:`PairTransform.pair_form`), and R_on as R_off with only G_on's
+    balancing rows formed again (:meth:`PairTransform.pair_form_rows`).  So
+    no complex G_on is made.  On the tested grid R_on is bitwise the whole
+    pair form of the balanced assembly, whose other rows differ from
+    G_off's only in the sign of zeros (:func:`lane_generators`).
 
     The lanes share one :attr:`ModePropagator.block_cache`: at the
     canonical background the balancing velocity's rows vanish in C, so
     every compressed block is bitwise equal in the two lanes and factored
-    once, and so is each block's complement W_k.  The restricted abscissa
-    is the largest real part of the generator compressed to the
-    constrained subspace, computed when first read.  The invariance of
+    once.  The restricted abscissa is the largest real part of the
+    generator compressed to the constrained subspace, computed when first
+    read.  The invariance of
     that subspace is not enforced, so that runs with the balancing velocity
     disabled remain expressible.
     """
-    pairs = PairTransform(_window(len(basis)))
+    pairs = PairTransform(_window(len(basis[0])))
     # G_off stays alive to the return: freed before R_on was formed, it let
     # glibc trim the heap that the next arrays then faulted in again (at
     # M = 64, 2.2 times the page faults of a two-lane build)
     off, balanced = lane_generators(ctx, pairs.truncation, any(lanes))
     forms = {False: pairs.pair_form(off)}
-    c = pairs.pair_form(basis, square=False)
     if balanced is not None:
         rows, on = balanced
         r, r_imag = (a.copy() for a in forms[False])
         r[rows], r_imag[rows] = pairs.pair_form_rows(on)
         forms[True] = r, r_imag
     shared = {}
-    return tuple(ModePropagator.from_pair_forms(ctx, forms[lane], c, shared) for lane in lanes)
+    return tuple(ModePropagator.from_pair_forms(ctx, forms[lane], basis, shared) for lane in lanes)
 
 
 def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
@@ -832,9 +824,9 @@ def run_evolution(
     Modes evolve independently; with ``jobs > 1`` one thread pool builds
     their propagators and advances them at every output step.  Aggregation
     order follows the input mode list, so results are deterministic for a
-    fixed seed regardless of the jobs count.  Each mode's constraint basis
-    is factored once, read by its propagator and by the projection of its
-    initial data, and dropped before the first step.  Every mode but the
+    fixed seed regardless of the jobs count.  Each mode's constrained
+    subspace is factored once: its propagator keeps C and W, and U C
+    projects its initial data and is dropped before the first step.  Every mode but the
     first drops its expm oracle once its exponential is cached: only the
     first mode's is read again, by the semigroup check of
     :func:`.checks.run_evolve`.
@@ -845,7 +837,7 @@ def run_evolution(
     def make_propagator(key):
         basis = constraint_null_basis(contexts[key], truncation)
         (prop,) = build_propagator(contexts[key], basis, (include_geostrophic,))
-        return prop, basis
+        return prop, PairTransform(truncation).lift(basis[0])
 
     def start(each) -> SimulationState:
         """The projected initial data, holding the propagators; the bases go
@@ -890,8 +882,8 @@ def abscissa_lanes(bg: BackgroundField, lattice_modes: list, truncation: int, jo
     The restricted abscissa governs constrained data; uniform boundedness
     across |xi| is the computational signature of well-posedness, while
     the unconstrained column shows what the raw generator would allow.
-    Each mode factors its constraint basis once, which does not depend on
-    the lane, and builds both lanes' propagators from one assembly
+    Each mode factors its constrained subspace once, which does not depend
+    on the lane, and builds both lanes' propagators from one assembly
     (:func:`build_propagator`); a mode is finished before the next one
     starts.  With ``jobs > 1`` the modes are mapped over a thread pool;
     rows keep the input order.

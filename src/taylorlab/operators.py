@@ -624,19 +624,15 @@ def constraint_matrix(ctx: ModeContext, truncation: int) -> np.ndarray:
     return np.vstack([divergence_matrix(ctx, truncation), taylor_perp, taylor_3])
 
 
-def constraint_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the divergence + Taylor constraint subspace.
-
-    Every column v is fixed by the symmetry J of :class:`PairTransform`.
-    """
+def constraint_null_basis(ctx: ModeContext, truncation: int) -> tuple:
+    """(C, W) of the divergence + Taylor constraint subspace
+    (:func:`_null_space_by_blocks`); its Fourier basis V = U C is
+    ``PairTransform(truncation).lift(C)``."""
     return _null_space_by_blocks(constraint_matrix(ctx, truncation))
 
 
-def divergence_null_basis(ctx: ModeContext, truncation: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the divergence-free subspace alone.
-
-    Every column v is fixed by the symmetry J of :class:`PairTransform`.
-    """
+def divergence_null_basis(ctx: ModeContext, truncation: int) -> tuple:
+    """(C, W) of the divergence-free subspace alone."""
     return _null_space_by_blocks(divergence_matrix(ctx, truncation))
 
 
@@ -727,15 +723,15 @@ class PairTransform:
         out_zero[...] = zero * phase.conj()
         return out
 
-    def pair_form(self, a: np.ndarray, square: bool = True) -> tuple:
-        """(Re B, the largest |Im B| in each row) for B = U* a U, or B = U* a
-        when not ``square``: ``a`` in the basis U, real up to roundoff when
-        ``a`` commutes with J (or its columns are fixed by J).
+    def pair_form(self, a: np.ndarray) -> tuple:
+        """(Re B, the largest |Im B| in each row) for B = U* a U: the square
+        matrix ``a`` in the basis U, real up to roundoff when ``a`` commutes
+        with J.
 
         B is formed one component's rows at a time, so no complex matrix of
         the size of ``a`` is made.
         """
-        return self._lowered(a, self._times_u if square else lambda part: part)
+        return self._lowered(a, self._times_u)
 
     def pair_form_rows(self, a: np.ndarray) -> tuple:
         """:meth:`pair_form` of a square matrix at its rows |n| <= k of each
@@ -748,15 +744,16 @@ class PairTransform:
         """
         return PairTransform(_window(len(a)))._lowered(a, self._times_u)
 
-    def _lowered(self, a: np.ndarray, columns) -> tuple:
-        """(Re B, the largest |Im B| in each row) for B = U* columns(a), with
-        ``a``'s rows at this window, one component's rows at a time."""
+    def _lowered(self, a: np.ndarray, times_u) -> tuple:
+        """(Re B, the largest |Im B| in each row) for B = U* a U, with ``a``'s
+        rows at this window and ``times_u`` the a U of its columns' window,
+        one component's rows at a time."""
         w = 2 * self.truncation + 1
         real = np.empty(a.shape)
         imag = np.empty(len(a))
         for c in range(3):
             rows = slice(c * w, (c + 1) * w)
-            part = self.lower(columns(a[rows]), c)
+            part = self.lower(times_u(a[rows]), c)
             real[rows] = part.real
             imag[rows] = np.abs(part.imag).max(axis=1)
         return real, imag
@@ -885,22 +882,22 @@ def _block_labels(square: np.ndarray | None = None, rows: np.ndarray | None = No
         label = new
 
 
-def _null_space_by_blocks(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal J-fixed basis of the null space of J-invariant ``rows``.
+def _null_space_by_blocks(rows: np.ndarray) -> tuple:
+    """(C, W), read-only: real orthonormal bases of the null space of
+    [Re(rows U); Im(rows U)] and of its complement, U the unitary of
+    :class:`PairTransform`, for J-invariant ``rows``.  U C is then a basis
+    of the complex null space whose columns J fixes.
 
-    With U = T sqrt(D) the unitary of :class:`PairTransform`, the real
-    null space of [Re(rows U); Im(rows U)] is mapped by U onto a basis of the
-    complex null space whose columns J fixes.  Each block of
-    :func:`coupled_blocks` of those real rows is factored with the rows
-    inside it, by the rule of ``scipy.linalg.null_space``: the right
-    singular vectors beyond the singular values above max(shape) * eps *
-    the largest.  Blocks of one shape are factored by one stacked SVD.  An
-    unknown that no row touches contributes its unit vector.  Every column
-    is supported inside one block and its partners, so the basis also
-    splits along any coarser partition closed under n -> -n.
+    Each block of :func:`coupled_blocks` of the real rows is factored with
+    the rows inside it by one SVD (blocks of one shape by one stacked SVD):
+    its rank counts the singular values above max(shape) * eps * the
+    largest, the rule of ``scipy.linalg.null_space``.  The trailing right
+    singular vectors are the block's columns of C, and the leading ``rank``,
+    which span its row space, those of W (Golub and Van Loan, Matrix
+    Computations, 2.4).  An unknown that no row touches gives C its unit
+    vector.  Every column lies inside one block and its partners.
     """
-    pairs = PairTransform(_window(rows.shape[1]))
-    real = pairs.real_rows(rows)
+    real = PairTransform(_window(rows.shape[1])).real_rows(rows)
     touched = real != 0
     _, block = np.unique(_block_labels(rows=touched), return_inverse=True)
     live = np.flatnonzero(touched.any(axis=1))
@@ -926,11 +923,16 @@ def _null_space_by_blocks(rows: np.ndarray) -> np.ndarray:
         factored.append((group, vh))
     nullity = n_cols - rank
     offset = np.cumsum(nullity) - nullity
-    coords = np.zeros((len(col_order), nullity.sum()))
+    w_offset = np.cumsum(rank) - rank
+    null = np.zeros((len(col_order), nullity.sum()))
+    complement = np.zeros((len(col_order), rank.sum()))
     untouched = n_rows == 0  # a single unknown each
-    coords[col_order[col_start[untouched]], offset[untouched]] = 1.0
+    null[col_order[col_start[untouched]], offset[untouched]] = 1.0
     for group, vh in factored:
         for b, v in zip(group, vh):
             idx = col_order[col_start[b] : col_start[b] + n_cols[b]]
-            coords[idx, offset[b] : offset[b] + nullity[b]] = v[rank[b] :].T
-    return pairs.lift(coords)
+            null[idx, offset[b] : offset[b] + nullity[b]] = v[rank[b] :].T
+            complement[idx, w_offset[b] : w_offset[b] + rank[b]] = v[: rank[b]].T
+    null.setflags(write=False)
+    complement.setflags(write=False)
+    return null, complement

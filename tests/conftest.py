@@ -46,6 +46,13 @@ def wide_bg():
 
 
 @pytest.fixture(scope="session")
+def double_zero_bg():
+    # each D of mode (0, 1)'s split has a double zero eigenvalue, an exact
+    # two-dimensional kernel
+    return make_background([(1, 1, 1.0), (2, -1, 1.0), (1, 2, 0.3)])
+
+
+@pytest.fixture(scope="session")
 def ctx10(bg):
     return lattice_mode_context(bg, (1, 0))
 
@@ -67,12 +74,21 @@ def local64(ctx10):
 
 @pytest.fixture(scope="session")
 def v_con64(ctx10):
-    return op.constraint_null_basis(ctx10, 64)
+    return fourier_basis(op.constraint_null_basis, ctx10, 64)
 
 
 @pytest.fixture(scope="session")
 def v_div64(ctx10):
-    return op.divergence_null_basis(ctx10, 64)
+    return fourier_basis(op.divergence_null_basis, ctx10, 64)
+
+
+def fourier_basis(factor, ctx, truncation):
+    """The orthonormal J-fixed basis V = U C of a subspace in the stacked
+    coefficients, lifted from the C of the (C, W) that ``factor``
+    (:func:`operators.constraint_null_basis` or
+    :func:`operators.divergence_null_basis`) gives."""
+    c, _ = factor(ctx, truncation)
+    return op.PairTransform(truncation).lift(c)
 
 
 def assemble_by_columns(fn, truncation):
@@ -210,14 +226,16 @@ def propagator(ctx, truncation, include_geostrophic=True):
 def project(ctx, b):
     """:func:`evolution.project_constraints` of b onto the mode's
     constrained subspace at b's window, with the basis factored here."""
-    return evo.project_constraints(b, op.constraint_null_basis(ctx, b.truncation))
+    return evo.project_constraints(b, fourier_basis(op.constraint_null_basis, ctx, b.truncation))
 
 
 def start_state(bg, modes, truncation, seed=0):
     """:func:`evolution.initial_state` of the lattice ``modes`` at
     ``truncation``, with each mode's constraint basis factored here."""
     bases = {
-        tuple(key): op.constraint_null_basis(lattice_mode_context(bg, key), truncation)
+        tuple(key): fourier_basis(
+            op.constraint_null_basis, lattice_mode_context(bg, key), truncation
+        )
         for key in modes
     }
     return evo.initial_state(bases, seed)
@@ -234,12 +252,10 @@ def generator(ctx, truncation, include_geostrophic=True):
 
 def propagator_from_matrices(ctx, g, basis):
     """:meth:`evolution.ModePropagator.from_pair_forms` of the whole pair
-    forms of a generator ``g`` and a constraint ``basis``, with a cache of
-    its own."""
+    form of a generator ``g`` on the constrained subspace ``basis`` = (C,
+    W), with a cache of its own."""
     pairs = op.PairTransform(op._window(len(g)))
-    return evo.ModePropagator.from_pair_forms(
-        ctx, pairs.pair_form(g), pairs.pair_form(basis, square=False), {}
-    )
+    return evo.ModePropagator.from_pair_forms(ctx, pairs.pair_form(g), basis, {})
 
 
 def induction_power(ctx, b, include_geostrophic=True):

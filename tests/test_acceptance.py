@@ -21,6 +21,7 @@ from conftest import (
     PROJECTION_TOL,
     RESONANCE_TOL,
     TAIL_GATE,
+    fourier_basis,
     propagator,
     random_field,
     start_state,
@@ -48,7 +49,7 @@ def nf80(bg):
 def band_study(ctx10):
     basis = spectral.build_eigenbasis(ctx10, 40, 160, TAIL_GATE)
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx10, b), 160)
-    v_div = op.divergence_null_basis(ctx10, 160)
+    v_div = fourier_basis(op.divergence_null_basis, ctx10, 160)
     return basis, drive, v_div
 
 
@@ -121,7 +122,7 @@ def test_criterion_03_constrained_projection(bg):
     per_mode = 34  # three directions, >= 100 fields total
     for key in [(1, 0), (0, 1), (1, 1)]:
         ctx = lattice_mode_context(bg, key)
-        basis = op.constraint_null_basis(ctx, 24)
+        basis = fourier_basis(op.constraint_null_basis, ctx, 24)
         for _ in range(per_mode):
             proj = evo.project_constraints(evo.random_mode_field(24, rng), basis)
             r_perp, r_3 = op.taylor_residual(ctx, proj)
@@ -162,8 +163,8 @@ def test_criterion_06_remainder_and_drive_scalings(bg):
         remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), 64)
         local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), 64)
         profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), 64)
-        v_div = op.divergence_null_basis(ctx, 64)
-        v_con = op.constraint_null_basis(ctx, 64)
+        v_div = fourier_basis(op.divergence_null_basis, ctx, 64)
+        v_con = fourier_basis(op.constraint_null_basis, ctx, 64)
         diff = drive - perp @ drive @ perp
         c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
         rem_form = hermitian_part_norm(v_con.conj().T @ remainder @ v_con) / ctx.eps

@@ -23,7 +23,7 @@ from taylorlab.checks import (
 from taylorlab.config import validate
 from taylorlab.report import read_csv
 
-from conftest import induction_power, start_state
+from conftest import fourier_basis, induction_power, start_state
 
 
 def test_factored_radius_matches_dense_on_random_rank_3():
@@ -46,7 +46,7 @@ def dense_resonant_term_radius(ctx, m):
     perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m)
     profile = op.assemble_matrix(lambda b: op.proj_profile(ctx, b), m)
     local = op.assemble_matrix(lambda b: op.magnetostrophic_symmetric(ctx, b), m)
-    v_con = op.constraint_null_basis(ctx, m)
+    v_con = fourier_basis(op.constraint_null_basis, ctx, m)
     t_mat = (perp @ profile @ local @ profile @ perp) / ctx.eps
     return numerical_radius(v_con.conj().T @ t_mat @ v_con)
 
@@ -66,7 +66,7 @@ def test_resonant_term_radius_matches_full_matrix_route(request, background, m_e
     ctx = lattice_mode_context(bg, (m_eps, 0))
     m = 32
     dense = dense_resonant_term_radius(ctx, m)
-    factored = resonant_term_radius(ctx, op.constraint_null_basis(ctx, m))
+    factored = resonant_term_radius(ctx, fourier_basis(op.constraint_null_basis, ctx, m))
     if background == "mixed":
         assert dense > 1e-3
         assert abs(factored - dense) <= 1e-12 * dense
@@ -103,8 +103,8 @@ def dense_c2_and_remainder_form(ctx, m):
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
     perp = op.assemble_matrix(lambda b: op.proj_direction_perp(ctx, b), m)
     remainder = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
-    v_div = op.divergence_null_basis(ctx, m)
-    v_con = op.constraint_null_basis(ctx, m)
+    v_div = fourier_basis(op.divergence_null_basis, ctx, m)
+    v_con = fourier_basis(op.constraint_null_basis, ctx, m)
     diff = drive - perp @ drive @ perp
     c2 = float(np.linalg.norm(v_div.conj().T @ diff @ v_div, 2))
     rem_form = hermitian_part_norm(v_con.conj().T @ remainder @ v_con) / ctx.eps
@@ -127,9 +127,9 @@ def test_stacked_block_norms_equal_the_per_block_loop(bg):
     # of compressed blocks and of their shapes)
     cases = (
         (spectral_norm, lambda c: float(np.linalg.norm(c, 2)), diff,
-         op.divergence_null_basis(ctx, m), (128, 3)),
+         fourier_basis(op.divergence_null_basis, ctx, m), (128, 3)),
         (hermitian_part_norm, lambda c: float(np.abs(np.linalg.eigvalsh(0.5 * (c + c.conj().T))).max()),
-         remainder, op.constraint_null_basis(ctx, m), (2, 2)),
+         remainder, fourier_basis(op.constraint_null_basis, ctx, m), (2, 2)),
     )
     for stacked, single, square, basis, counts in cases:
         blocks = op.compression_blocks(square, basis)

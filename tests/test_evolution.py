@@ -172,12 +172,16 @@ def test_blockwise_abscissas_match_the_whole_matrix(request, background, m):
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     prop = propagator(ctx, m)
     assert len(prop.blocks) == 2
-    g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
+    pairs = op.PairTransform(m)
+    g, (c, _) = generator(ctx, m), op.constraint_null_basis(ctx, m)
+    v = pairs.lift(c)
     restricted = np.linalg.eigvals(v.conj().T @ g @ v).real.max()
     assert prop.restricted_abscissa == pytest.approx(restricted, rel=1e-12)
     # the raw generator's abscissa is a zero eigenvalue up to roundoff
     assert abs(prop.unconstrained_abscissa - np.linalg.eigvals(g).real.max()) < 1e-12
-    defect = np.linalg.norm(g @ v - v @ (v.conj().T @ g @ v), 2)
+    # the defect of the whole real R = U* G U and the same C
+    r = pairs.pair_form(g)[0]
+    defect = np.linalg.norm(r @ c - c @ (c.T @ r @ c), 2)
     assert constraint_invariance_defect(prop) == pytest.approx(defect, abs=1e-12)
 
 
@@ -242,13 +246,21 @@ def test_oracle_runs_on_the_default_evolve_modes(bg, monkeypatch):
 
 
 @pytest.mark.parametrize("key", [(1, 0), (0, 1), (1, 1), (2, 1), (4, 0)])
-@pytest.mark.parametrize("m", [8, 16, 40])
 @pytest.mark.parametrize(
-    "background,lane",
-    [(name, lane) for lane in (True, False) for name in ("bg", "alt_bg", "mixed_bg")],
-    ids=["bg", "alt_bg", "mixed_bg", "bg-off", "alt_bg-off", "mixed_bg-off"],
+    "background,lane,m",
+    [
+        (name, lane, m)
+        for lane in (True, False)
+        for name, windows in (
+            ("bg", (8, 16, 40)),
+            ("alt_bg", (8, 16, 40)),
+            ("mixed_bg", (8, 16, 40)),
+            ("double_zero_bg", (8, 16)),
+        )
+        for m in windows
+    ],
 )
-def test_oracle_passes_the_gate_wherever_the_complex_route_does(
+def test_oracle_passes_the_gate_wherever_complex_eig_of_the_fourier_blocks_does(
     request, background, lane, m, key
 ):
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
@@ -314,38 +326,40 @@ def test_propagator_holds_only_its_real_blocks(request, background):
     m = 16
     ctx = lattice_mode_context(request.getfixturevalue(background), (1, 0))
     prop = propagator(ctx, m)
-    g, v = generator(ctx, m), op.constraint_null_basis(ctx, m)
+    g, (c, w) = generator(ctx, m), op.constraint_null_basis(ctx, m)
     held = list(_held_arrays(list(vars(prop).values())))
     # the index sets are the only arrays that are not float64 matrices
     index_ids = {id(idx) for idx in prop.blocks}
     assert all(idx.dtype.kind == "i" for idx in prop.blocks)
     matrices = [a for a in held if id(a) not in index_ids]
     assert all(a.dtype == np.float64 for a in matrices)
-    assert not any(a.shape in (g.shape, v.shape) for a in held)
-    sizes = [(len(r), c.shape[1]) for r, c in zip(prop.generators, prop.bases)]
-    assert sum(a.nbytes for a in matrices) <= 8 * sum(n * n + n * c for n, c in sizes)
+    assert not any(a.shape in (g.shape, c.shape, w.shape) for a in held)
+    sizes = [(len(r), c_k.shape[1]) for r, c_k in zip(prop.generators, prop.bases)]
+    # R_k, C_k and W_k
+    assert sum(a.nbytes for a in matrices) <= 8 * sum(
+        n * n + n * k + n * (n - k) for n, k in sizes
+    )
     assert all(not r.flags.writeable for r in prop.generators)
 
 
-def test_propagator_forms_r_and_c_once(ctx10, monkeypatch):
-    # one pair_form of G and one of V at construction; no kernel forms a
-    # block again
+def test_propagator_forms_r_once(ctx10, monkeypatch):
+    # one pair_form of G at construction and none of the constraint basis,
+    # whose C and W the constraint's SVD gives in the pair basis; no kernel
+    # forms a block again
     calls = []
     pair_form = op.PairTransform.pair_form
     monkeypatch.setattr(
-        op.PairTransform,
-        "pair_form",
-        lambda self, a, square=True: calls.append(square) or pair_form(self, a, square),
+        op.PairTransform, "pair_form", lambda self, a: calls.append(a.shape) or pair_form(self, a)
     )
     prop = propagator(ctx10, 16)
-    assert calls == [True, False]
+    assert calls == [(99, 99)]
     prop.restricted_abscissa, prop.unconstrained_abscissa
     prop.exponential(0.01)
     prop.power(op.field_to_vector(evo.random_mode_field(16, np.random.default_rng(0))))
-    assert calls == [True, False]
-    # both lanes of a mode share C and R_off: one whole square pair_form and
-    # one basis pair_form, the balanced lane forming only its balancing rows
-    # again (PairTransform.pair_form_rows)
+    assert calls == [(99, 99)]
+    # both lanes of a mode share C, W and R_off: one whole pair_form, the
+    # balanced lane forming only its balancing rows again
+    # (PairTransform.pair_form_rows)
     calls.clear()
     rows = []
     pair_form_rows = op.PairTransform.pair_form_rows
@@ -356,9 +370,9 @@ def test_propagator_forms_r_and_c_once(ctx10, monkeypatch):
     )
     basis = op.constraint_null_basis(ctx10, 16)
     evo.build_propagator(ctx10, basis, (True, False))
-    assert calls == [True, False]
+    assert calls == [(99, 99)]
     k = ctx10.background.truncation
-    assert rows == [(3 * (2 * k + 1), len(basis))]
+    assert rows == [(3 * (2 * k + 1), 99)]
 
 
 @pytest.mark.parametrize("background", ["bg", "alt_bg", "mixed_bg"])
@@ -650,8 +664,7 @@ def test_unconstrained_abscissa_without_balancing_is_minus_xi_squared(bg, m):
 def invariance_ratios(prop):
     """max|W_k^T R_k C_k| over the deflation bound n_k eps max|R_k|, per block."""
     ratios = []
-    for r, c in zip(prop.generators, prop.bases):
-        w = evo._complement(c)
+    for r, c, w in zip(prop.generators, prop.bases, prop.complements):
         bound = len(r) * np.finfo(float).eps * np.abs(r).max()
         ratios.append(np.abs(w.T @ r @ c).max(initial=0.0) / bound)
     return ratios
@@ -675,8 +688,7 @@ def grown_deflation_margins(prop):
     values of the coupling W_k^T R_k C_k, the dropped ones, and the residual
     max|W'^T R_k [C_k, t]| of the grown span), each over the deflation bound."""
     margins = []
-    for r, c in zip(prop.generators, prop.bases):
-        w = evo._complement(c)
+    for r, c, w in zip(prop.generators, prop.bases, prop.complements):
         bound = len(r) * np.finfo(float).eps * np.abs(r).max()
         coupling = w.T @ r @ c
         if np.abs(coupling).max(initial=0.0) <= bound:
@@ -773,9 +785,9 @@ def test_lane_generators_derive_the_balanced_generator_bitwise(request, backgrou
 def test_shared_lane_build_matches_each_lanes_whole_pair_form_bitwise(
     request, background, mode, m
 ):
-    # the lanes built together, sharing C and re-forming only R_on's
-    # balancing rows, hold bitwise the blocks, R_k and C_k that the whole
-    # pair forms of each lane's own assembly give
+    # the lanes built together, sharing C and W and re-forming only R_on's
+    # balancing rows, hold bitwise the blocks, R_k, C_k and W_k that the
+    # whole pair form of each lane's own assembly gives
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
     basis = op.constraint_null_basis(ctx, m)
     for lane, prop in zip((True, False), evo.build_propagator(ctx, basis, (True, False))):
@@ -785,6 +797,7 @@ def test_shared_lane_build_matches_each_lanes_whole_pair_form_bitwise(
             (prop.blocks, want.blocks),
             (prop.generators, want.generators),
             (prop.bases, want.bases),
+            (prop.complements, want.complements),
         ):
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype and a.shape == b.shape
@@ -850,20 +863,20 @@ def test_abscissa_lanes_factor_each_distinct_block_once_per_mode(
 
 
 def test_abscissas_and_oracle_read_one_split_per_block(ctx10, monkeypatch):
-    # the deflation is decided once per block: the oracle built after the
-    # abscissas takes no QR of its own, and factors the very A and D whose
-    # abscissas were taken
-    prop = propagator(ctx10, 16)
+    # the deflation is decided once per block: W_k comes with C_k from the
+    # constraint's SVD, so nothing takes a QR, and the oracle built after the
+    # abscissas factors the very A and D whose abscissas were taken
     qrs, factored, oracles = [], [], []
     qr, eigvals, eigen_oracle = np.linalg.qr, np.linalg.eigvals, evo._eigen_oracle
-    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": qrs.append(a) or qr(a, mode))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(a) or qr(*a, **k))
+    prop = propagator(ctx10, 16)
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: factored.append(a.tobytes()) or eigvals(a))
     monkeypatch.setattr(
         evo, "_eigen_oracle", lambda a: oracles.append(a.tobytes()) or eigen_oracle(a)
     )
     prop.unconstrained_abscissa
     prop.exponential(0.125)
-    assert len(qrs) == len(prop.blocks)
+    assert qrs == []
     built = prop._oracles
     assert all(isinstance(o, evo._SplitOracle) for o in built)
     assert len(oracles) == 2 * len(prop.blocks)
@@ -881,9 +894,6 @@ def test_generator_off_j_symmetry_raises(ctx10):
     # the real R_k are formed at construction, so construction raises
     with pytest.raises(IllConditioned, match="generator is not real in the pair basis"):
         propagator_from_matrices(ctx10, g, basis)
-    # a basis whose columns J does not fix: i v for J-fixed v
-    with pytest.raises(IllConditioned, match="constraint basis is not real"):
-        propagator_from_matrices(ctx10, honest, 1j * basis)
 
 
 def test_frobenius_oracle_error_beyond_tolerance_passes_on_the_exact_norm():
@@ -961,12 +971,12 @@ def test_split_oracle_coupling_block_matches_expm(request, background, m):
 def test_split_oracle_is_exact_at_coincident_eigenvalues():
     # A = [[-1, 0], [0, -2]] and D = [-1] share the eigenvalue -1: phi1(0) = 1
     # gives F = h e^{-h} there, with no threshold; the other entry is the
-    # divided difference (e^{-2h} - e^{-h}) / (-2 + 1).  C = [e1, e2], whose
-    # complete QR is the identity, so T = R.
+    # divided difference (e^{-2h} - e^{-h}) / (-2 + 1).  C = [e1, e2] and
+    # W = e3, so T = R.
     h = 0.5
     r = np.array([[-1.0, 0.0, 3.0], [0.0, -2.0, 5.0], [0.0, 0.0, -1.0]])
-    c = np.eye(3)[:, :2]
-    split = evo._split(r, c, {})
+    c, w = np.eye(3)[:, :2], np.eye(3)[:, 2:]
+    split = evo._split(r, c, w)
     assert split.span is c and len(split.diagonal) == 2
     oracle = evo._SplitOracle.factor(r, split)
     assert np.array_equal(oracle.basis.T @ r @ oracle.basis, r)
@@ -1041,8 +1051,7 @@ def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
     )
     props = [state.propagators[key] for key in modes]
     assert ["_oracles" in vars(p) for p in props] == [True, False, False]
-    # the splits the oracles were factored from, and their complements, are
-    # held by no mode
+    # the splits the oracles were factored from are held by no mode
     assert not any("_splits" in vars(p) or p.block_cache for p in props)
     # every exponential was checked before its oracle was dropped, and an
     # exponential at a new h factors the dropped oracle again

@@ -13,6 +13,7 @@ from conftest import (
     apply_j,
     assemble_by_columns,
     conjugate_by_j,
+    fourier_basis,
     balanced_induction_by_velocity,
     balancing_velocity_full_window,
     geostrophic_velocity,
@@ -121,7 +122,7 @@ def test_drive_is_hermitian_only_on_the_constrained_subspace(ctx10):
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx10, b), m)
     gap_full = np.linalg.norm(drive - drive.conj().T, 2)
     assert gap_full > 0.1  # the constraint-substituted form is not globally symmetric
-    v = op.constraint_null_basis(ctx10, m)
+    v = fourier_basis(op.constraint_null_basis, ctx10, m)
     comp = v.conj().T @ drive @ v
     assert np.linalg.norm(comp - comp.conj().T, 2) < 1e-13
 
@@ -197,7 +198,7 @@ def test_profile_projection_formula_rejects_unconstrained(ctx10):
 def test_constraint_null_basis_shape_and_membership(ctx10):
     m = 12
     w = 2 * m + 1
-    v = op.constraint_null_basis(ctx10, m)
+    v = fourier_basis(op.constraint_null_basis, ctx10, m)
     assert v.shape == (3 * w, 2 * w - 2)
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-12
     rows = op.constraint_matrix(ctx10, m)
@@ -257,7 +258,7 @@ def test_compress_by_blocks_keeps_every_block(request, background, n_blocks):
     ctx = lattice_mode_context(request.getfixturevalue(background), (2, 0))
     m = 24
     rem = op.assemble_matrix(lambda b: op.induction_remainder(ctx, b), m)
-    v = op.constraint_null_basis(ctx, m)
+    v = fourier_basis(op.constraint_null_basis, ctx, m)
     blocks = op.compression_blocks(rem, v)
     assert len(blocks) == n_blocks
     compressed = op.compress_by_blocks(rem, v, blocks)
@@ -293,7 +294,7 @@ def test_constraint_null_basis_matches_the_whole_matrix_null_space(request, back
     ctx = lattice_mode_context(request.getfixturevalue(background), mode)
     m = 64
     rows = op.constraint_matrix(ctx, m)
-    v = op.constraint_null_basis(ctx, m)
+    v = fourier_basis(op.constraint_null_basis, ctx, m)
     reference = scipy.linalg.null_space(rows)
     assert v.shape == reference.shape
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-13
@@ -304,7 +305,7 @@ def test_constraint_null_basis_matches_the_whole_matrix_null_space(request, back
 
 def test_divergence_null_basis_matches_the_whole_matrix_null_space(ctx10):
     rows = op.divergence_matrix(ctx10, 16)
-    v = op.divergence_null_basis(ctx10, 16)
+    v = fourier_basis(op.divergence_null_basis, ctx10, 16)
     reference = scipy.linalg.null_space(rows)
     assert v.shape == reference.shape
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-13
@@ -315,7 +316,7 @@ def test_constraint_null_basis_columns_respect_the_parity_split(ctx10):
     # every column lives on one parity of the vertical wavenumber, so the
     # basis splits along the generator's blocks at the canonical background
     m = 16
-    v = op.constraint_null_basis(ctx10, m)
+    v = fourier_basis(op.constraint_null_basis, ctx10, m)
     n = np.tile(np.arange(-m, m + 1), 3)
     on_even = np.any(v[n % 2 == 0] != 0, axis=0)
     on_odd = np.any(v[n % 2 == 1] != 0, axis=0)
@@ -368,7 +369,7 @@ def test_geostrophic_term_is_invisible_on_constrained_fields_at_canonical(ctx10)
     # constrained compression of the generator is identical with the
     # balancing velocity on or off (the pairing vanishes identically)
     m = 24
-    v = op.constraint_null_basis(ctx10, m)
+    v = fourier_basis(op.constraint_null_basis, ctx10, m)
     g_on = op.assemble_matrix(lambda b: op.full_induction(ctx10, b, True), m)
     g_off = op.assemble_matrix(lambda b: op.full_induction(ctx10, b, False), m)
     diff = g_on - g_off
@@ -379,7 +380,7 @@ def test_geostrophic_term_is_invisible_on_constrained_fields_at_canonical(ctx10)
 def test_geostrophic_term_matters_at_alt_background(alt_bg):
     ctx = lattice_mode_context(alt_bg, (1, 0))
     m = 24
-    v = op.constraint_null_basis(ctx, m)
+    v = fourier_basis(op.constraint_null_basis, ctx, m)
     g_on = op.assemble_matrix(lambda b: op.full_induction(ctx, b, True), m)
     g_off = op.assemble_matrix(lambda b: op.full_induction(ctx, b, False), m)
     diff = g_on - g_off
@@ -617,12 +618,9 @@ def test_pair_transform_maps_into_and_out_of_the_unitary_basis():
     a = rng.standard_normal((len(u), len(u))) + 1j * rng.standard_normal((len(u), len(u)))
     assert np.allclose(pairs.lower(a), u.conj().T @ a, rtol=0, atol=1e-14)
     # pair_form returns the real part and the largest |imaginary part| per row
-    for got, want in (
-        (pairs.pair_form(a), u.conj().T @ a @ u),
-        (pairs.pair_form(a[:, :7], square=False), u.conj().T @ a[:, :7]),
-    ):
-        assert np.allclose(got[0], want.real, rtol=0, atol=1e-13)
-        assert np.allclose(got[1], np.abs(want.imag).max(axis=1), rtol=0, atol=1e-13)
+    got, want = pairs.pair_form(a), u.conj().T @ a @ u
+    assert np.allclose(got[0], want.real, rtol=0, atol=1e-13)
+    assert np.allclose(got[1], np.abs(want.imag).max(axis=1), rtol=0, atol=1e-13)
     # complex coordinates are lifted by parts, and lower undoes lift
     assert np.allclose(pairs.lift(a), u @ a, rtol=0, atol=1e-14)
     assert np.allclose(pairs.lift(pairs.lower(a)), a, rtol=0, atol=1e-14)
@@ -631,7 +629,7 @@ def test_pair_transform_maps_into_and_out_of_the_unitary_basis():
     sym = a + conjugate_by_j(m, a)
     assert pairs.pair_form(sym)[1].max() < 1e-14
     fixed = a + apply_j(m, a)
-    assert pairs.pair_form(fixed, square=False)[1].max() < 1e-14
+    assert np.abs(pairs.lower(fixed).imag).max() < 1e-14
 
 
 @pytest.mark.parametrize("key", [(1, 0), (2, 1)])
@@ -639,10 +637,21 @@ def test_pair_transform_maps_into_and_out_of_the_unitary_basis():
 @pytest.mark.parametrize("which", ["constraint", "divergence"])
 def test_null_bases_are_fixed_by_j_bitwise(request, background, key, which):
     m = 64
+    n = 3 * (2 * m + 1)
+    eps = np.finfo(float).eps
     ctx = lattice_mode_context(request.getfixturevalue(background), key)
-    if which == "constraint":
-        rows, basis = op.constraint_matrix(ctx, m), op.constraint_null_basis(ctx, m)
-    else:
-        rows, basis = op.divergence_matrix(ctx, m), op.divergence_null_basis(ctx, m)
+    rows = getattr(op, f"{which}_matrix")(ctx, m)
+    c, w = getattr(op, f"{which}_null_basis")(ctx, m)
+    pairs = op.PairTransform(m)
+    basis = pairs.lift(c)
     assert np.array_equal(apply_j(m, basis), basis)
     assert basis.shape == scipy.linalg.null_space(rows).shape
+    # C and its complement W, from one SVD per block, are together square and
+    # orthonormal
+    q = np.hstack([c, w])
+    assert q.shape == (n, n)
+    assert np.abs(q.T @ q - np.eye(n)).max() <= n * eps
+    # C solves the real rows to the rank rule's floor, max(shape) eps sigma_1
+    real = pairs.real_rows(rows)
+    floor = max(real.shape) * eps * np.linalg.norm(real, 2)
+    assert np.abs(real @ c).max() <= floor

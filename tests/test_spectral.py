@@ -11,6 +11,7 @@ from conftest import (
     allclose,
     count_calls,
     dense_high_mode_gap,
+    fourier_basis,
     phi_family_gram,
     proj_band,
     proj_band_complement,
@@ -171,7 +172,7 @@ def test_high_mode_gap_core_matches_the_dense_formula(request, background):
     m = 64
     basis = spectral.build_eigenbasis(ctx, 16, m, TAIL_GATE)
     drive = op.assemble_matrix(lambda b: op.symmetric_drive(ctx, b), m)
-    v_div = op.divergence_null_basis(ctx, m)
+    v_div = fourier_basis(op.divergence_null_basis, ctx, m)
     bands = (2, 4, 8)
     for band, core in zip(bands, spectral.high_mode_gap(basis, bands, drive, v_div)):
         dense = dense_high_mode_gap(basis, band, drive, v_div)
