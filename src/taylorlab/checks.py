@@ -349,13 +349,13 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
 
     # semigroup property on the first mode, with the propagator and initial
     # data of the evolution itself: three steps of h against one of 3h.  Not
-    # 2h: at every default block scipy's scaling and squaring reaches
+    # 2h: at every default block _expm's scaling and squaring reaches
     # exp(2h G) by one more squaring of the matrix it squares for exp(h G),
-    # so exp(2h G) is bitwise exp(h G)^2 and the probe would check only that
-    # two products associate.  At 3h the scaled matrix differs.  The
-    # other modes' propagators (and their cached exponentials) are released
-    # before the probe computes exp(3h G); their oracle margins are kept for
-    # the table below
+    # the same scaled matrix 2^-s h G, so exp(2h G) is bitwise exp(h G)^2
+    # and the probe would check only that two products associate.  At 3h
+    # the scaled matrix differs.  The other modes' propagators (and their
+    # cached exponentials) are released before the probe computes exp(3h G);
+    # their oracle margins are kept for the table below
     first = tuple(cfg.modes[0])
     prop = state.propagators[first]
     margins = [p.oracle_margins for p in state.propagators.values()]

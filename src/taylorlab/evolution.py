@@ -10,10 +10,12 @@ R, C and W are split into coupled blocks R_k, C_k and W_k, all that a
 canonical background the even and the odd vertical wavenumbers, at a
 background with cosines only in B1 and sines only in B2 a split that the
 Fourier pattern does not show, and one block where nothing splits.  Both
-spectral abscissas, one dense ``expm`` per block and step size (cached and
-reused) and the exponentials' eigendecomposition oracle are computed in
+spectral abscissas, one dense exponential per block and step size (cached
+and reused) and the exponentials' eigendecomposition oracle are computed in
 real arithmetic on those blocks; the oracle deflates each matrix's exact
-kernel before real ``eig`` (:func:`_eigen_oracle`).
+kernel before real ``eig`` (:func:`_eigen_oracle`).  The exponential is
+:func:`_expm`, scaling and squaring with the degree-13 Padé approximant in
+numpy alone: the package does not load scipy.
 The zero horizontal mode decouples into a scalar heat equation and is
 propagated in closed form.
 
@@ -329,11 +331,91 @@ def _subnormals_flushed():
         fesetenv(saved)
 
 
-def _checked_expm(blocks, oracles, h: float) -> tuple:
-    """scipy expm of h times each block, cross-checked against eigendecompositions.
+# The degree-13 Padé approximant's coefficients b_0..b_13, its scaled-norm
+# bound theta_13, and |c_27|^-1, the reciprocal of the leading coefficient of
+# its backward error series (Higham, SIAM J. Matrix Anal. Appl. 26, 2005,
+# (2.2), (2.6) and table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_THETA13 = 4.25
+_C13 = 1.1325077560602111e35
 
-    Subnormals are flushed inside each expm call alone
+
+def _onenorm(a: np.ndarray) -> float:
+    """The 1-norm, the largest absolute column sum."""
+    return float(np.abs(a).sum(axis=0).max(initial=0.0))
+
+
+def _extra_squarings(b: np.ndarray) -> int:
+    """ell(B, 13) of Al-Mohy and Higham (SIAM J. Matrix Anal. Appl. 31, 2009,
+    (5.1)): the squarings to add where the backward error bound of B, read
+    from ||B||_1 and the exact ||abs(B)^27||_1, exceeds the unit roundoff."""
+    abs_b = np.abs(b)
+    v = np.ones(len(b))
+    for _ in range(27):
+        v = v @ abs_b
+    power = float(v.max(initial=0.0))
+    if not power:
+        return 0
+    alpha = power / (_onenorm(b) * _C13)
+    if not np.isfinite(alpha):
+        raise IllConditioned("matrix exponential: the scaled matrix's powers overflow")
+    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / 26)), 0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real square matrix by scaling and squaring with the
+    degree-13 Padé approximant (Higham, 2005; Al-Mohy and Higham, 2009), the
+    rule of scipy's ``sparse.linalg.expm`` with exact 1-norms.
+
+    The squarings s are the fewest that bring eta = min(max(d6, d8), max(d8,
+    d10)), d_k = ||a^k||_1^(1/k), to at most theta_13, plus
+    :func:`_extra_squarings` of the scaled matrix B = 2^-s a.  The
+    approximant r_13(B) = (V - U)^-1 (V + U) is evaluated as I + 2 (V -
+    U)^-1 U, which keeps the solve's rounding off the identity, and squared
+    s times.  A matrix with an inf or NaN entry, or whose powers overflow,
+    raises :class:`IllConditioned`.
+    """
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    d6, d8, d10 = (
+        _onenorm(power) ** (1 / k) for k, power in ((6, a6), (8, a4 @ a4), (10, a4 @ a6))
+    )
+    eta = min(max(d6, d8), max(d8, d10))
+    if not np.isfinite(eta):
+        raise IllConditioned("matrix exponential of a matrix with non-finite powers")
+    s = max(int(np.ceil(np.log2(eta / _THETA13))), 0) if eta else 0
+    s += _extra_squarings(a * 2.0**-s)
+    b = _PADE13
+    b1, b2, b4, b6 = (power * 2.0 ** (-k * s) for k, power in ((1, a), (2, a2), (4, a4), (6, a6)))
+    u = b1 @ (
+        b6 @ (b[13] * b6 + b[11] * b4 + b[9] * b2)
+        + b[7] * b6 + b[5] * b4 + b[3] * b2 + b[1] * ident
+    )
+    v = (
+        b6 @ (b[12] * b6 + b[10] * b4 + b[8] * b2)
+        + b[6] * b6 + b[4] * b4 + b[2] * b2 + b[0] * ident
+    )
+    x = ident + 2 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
+def _checked_expm(blocks, oracles, h: float) -> tuple:
+    """:func:`_expm` of h times each block, cross-checked against
+    eigendecompositions.
+
+    Subnormals are flushed inside each :func:`_expm` call alone
     (:func:`_subnormals_flushed`); the oracle runs in IEEE arithmetic.
+    ``_expm`` is looked up at each call, so a function rebound on the module
+    is the one that runs.
 
     ``oracles`` is a function that returns each block's oracle, factored
     once for every h: :func:`_eigen_oracle` of the whole block, or a
@@ -349,20 +431,11 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     Returns the exponentials, that condition, and the largest Frobenius
     block error, which is None where the check did not run.
     """
-    # A local import on purpose, where the rest of the package imports at the
-    # top: this is the package's only call into scipy, and only evolve
-    # reaches it.  With numpy loaded, importing scipy.linalg costs 0.25-0.33 s
-    # and about 22 MB of resident memory (2-vCPU Xeon, Python 3.11, scipy
-    # 1.17), close to half of a cold spectral-check.  ``scipy.linalg.expm`` is
-    # looked up on the module at each call, so a function rebound there is
-    # the one that runs.
-    import scipy.linalg
-
     outs = []
     for block in blocks:
         scaled = h * block
         with _subnormals_flushed():
-            outs.append(scipy.linalg.expm(scaled))
+            outs.append(_expm(scaled))
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise IllConditioned("matrix exponential produced non-finite entries")
     oracles = oracles()
@@ -755,17 +828,18 @@ class SimulationState:
         return float(total)
 
 
-def initial_state(bases: dict, seed: int) -> SimulationState:
+def initial_state(bases, seed: int) -> SimulationState:
     """Constrained random initial data with recorded seed.
 
-    ``bases`` maps each mode key, in the order of the modes, to its
-    constraint basis, all at one window: every field is drawn at that
-    window, and each mode's is projected by its basis.
+    ``bases`` yields (mode key, constraint basis) pairs in the order of the
+    modes, all at one window: every field is drawn at that window, and each
+    mode's is projected by its basis.  A lazy ``bases`` need not keep the
+    bases it has yielded.
     """
     rng = np.random.default_rng(seed)
-    truncation = _window(len(next(iter(bases.values()))))
     modes = {}
-    for key, basis in bases.items():
+    for key, basis in bases:
+        truncation = _window(len(basis))
         modes[key] = project_constraints(random_mode_field(truncation, rng), basis)
     zero = random_zero_mode(truncation, rng)
     return SimulationState(
@@ -826,26 +900,28 @@ def run_evolution(
     order follows the input mode list, so results are deterministic for a
     fixed seed regardless of the jobs count.  Each mode's constrained
     subspace is factored once: its propagator keeps C and W, and U C
-    projects its initial data and is dropped before the first step.  Every mode but the
-    first drops its expm oracle once its exponential is cached: only the
-    first mode's is read again, by the semigroup check of
-    :func:`.checks.run_evolve`.
+    projects its initial data as the propagator is built and is dropped
+    before the next mode's is built (with ``jobs > 1``, before the first
+    step).  Every mode but the first drops its expm oracle once its
+    exponential is cached: only the first mode's is read again, by the
+    semigroup check of :func:`.checks.run_evolve`.
     """
     contexts = {tuple(k): lattice_mode_context(bg, k) for k in lattice_modes}
     keys = list(contexts)
 
-    def make_propagator(key):
-        basis = constraint_null_basis(contexts[key], truncation)
-        (prop,) = build_propagator(contexts[key], basis, (include_geostrophic,))
-        return prop, PairTransform(truncation).lift(basis[0])
-
     def start(each) -> SimulationState:
-        """The projected initial data, holding the propagators; the bases go
-        out of scope on return."""
-        built = dict(zip(keys, each(make_propagator, keys)))
-        bases = {key: basis for key, (_, basis) in built.items()}
-        state = initial_state(bases, seed)
-        state.propagators = {key: prop for key, (prop, _) in built.items()}
+        """The projected initial data, holding the propagators.  Each mode's
+        lifted basis U C projects its initial data as soon as its propagator
+        is built, so with the builtin ``map`` one basis is alive at a time."""
+        propagators = dict.fromkeys(keys)
+
+        def make_propagator(key):
+            basis = constraint_null_basis(contexts[key], truncation)
+            (propagators[key],) = build_propagator(contexts[key], basis, (include_geostrophic,))
+            return key, PairTransform(truncation).lift(basis[0])
+
+        state = initial_state(each(make_propagator, keys), seed)
+        state.propagators = propagators
         return state
 
     with thread_map(jobs, len(keys)) as each:

@@ -238,7 +238,7 @@ def start_state(bg, modes, truncation, seed=0):
         )
         for key in modes
     }
-    return evo.initial_state(bases, seed)
+    return evo.initial_state(bases.items(), seed)
 
 
 def generator(ctx, truncation, include_geostrophic=True):

@@ -96,8 +96,9 @@ def _dense_exponential(prop, h):
 
 
 def test_propagator_semigroup_property(ctx10):
-    # three steps against one of 3h: scipy forms exp(2h R_k) here by squaring
-    # exp(h R_k), so a 2h step would compare a product with itself
+    # three steps against one of 3h: _expm forms exp(2h R_k) here by one more
+    # squaring of the matrix it squares for exp(h R_k), so a 2h step would
+    # compare a product with itself
     prop = propagator(ctx10, 12)
     h = 0.01
     one = _dense_exponential(prop, h)
@@ -423,7 +424,7 @@ def test_oracle_deflates_an_exact_kernel():
     h = 0.5
     (out,), condition, error = evo._checked_expm([block], lambda: [oracle], h)
     assert condition < 10 and error <= evo.EXPM_ORACLE_TOL
-    assert np.array_equal(out, scipy.linalg.expm(h * block))
+    assert np.array_equal(out, evo._expm(h * block))
 
 
 def test_oracle_is_skipped_for_a_defective_block():
@@ -934,8 +935,8 @@ def test_oracle_is_factored_after_the_exponentials(ctx10, monkeypatch):
     # the propagator hands _checked_expm a function for its oracles, so the
     # eigendecompositions start only once every expm of the same h has returned; a second h factors nothing
     order = []
-    expm, oracle = scipy.linalg.expm, evo._eigen_oracle
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: order.append("expm") or expm(a))
+    expm, oracle = evo._expm, evo._eigen_oracle
+    monkeypatch.setattr(evo, "_expm", lambda a: order.append("expm") or expm(a))
     monkeypatch.setattr(evo, "_eigen_oracle", lambda a: order.append("eig") or oracle(a))
     prop = propagator(ctx10, 8)
     prop.exponential(0.01)
@@ -1061,6 +1062,54 @@ def test_run_evolution_keeps_only_the_first_modes_oracle(bg, jobs):
 
 
 # ----------------------------------------------------------------------
+# the scaling-and-squaring kernel against references
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("h", [0.125, 0.375])
+def test_expm_matches_scipy_on_the_default_evolve_blocks(bg, h):
+    # scipy's expm is a reference only: the same Pade degree and squarings,
+    # a different association of U, and an oracle error no larger than its
+    for key in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+        prop = propagator(lattice_mode_context(bg, key), 64)
+        for r, oracle in zip(prop.generators, prop._oracles):
+            ours, want = evo._expm(h * r), scipy.linalg.expm(h * r)
+            assert np.abs(ours - want).max() <= 1e-12 * np.abs(want).max()
+            ref_error = evo._oracle_error(want, oracle, h)
+            assert evo._oracle_error(ours, oracle, h) <= 1.1 * ref_error
+
+
+def test_expm_closed_forms():
+    # the zero matrix and a nilpotent one take no squaring; the solve's
+    # rounding is all that moves them.  A diagonal stays diagonal, and its
+    # squarings scale the relative error of each entry by at most 2^s
+    assert np.array_equal(evo._expm(np.zeros((4, 4))), np.eye(4))
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    eps = np.finfo(float).eps
+    assert np.allclose(evo._expm(nilpotent), [[1.0, 1.0], [0.0, 1.0]], rtol=0, atol=eps)
+    d = np.array([-30.0, -2.5, 0.0, 0.75, 6.0])
+    out = evo._expm(np.diag(d))
+    assert np.array_equal(out, np.diag(np.diag(out)))
+    assert np.allclose(np.diag(out), np.exp(d), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("planted", [np.inf, np.nan])
+def test_non_finite_block_raises(planted):
+    block = -np.eye(5)
+    block[1, 3] = planted
+    with np.errstate(invalid="ignore"), pytest.raises(IllConditioned):
+        evo._checked_expm([block], lambda: [evo._eigen_oracle(block)], 0.125)
+
+
+def test_block_whose_absolute_powers_overflow_raises():
+    # B^2 = 0, so no squaring is asked for, but |B|^27 overflows and the
+    # extra squarings cannot be read from it
+    block = 1e13 * np.array([[1.0, 1.0], [-1.0, -1.0]])
+    with np.errstate(over="ignore"), pytest.raises(IllConditioned, match="overflow"):
+        evo._checked_expm([block], lambda: [evo._eigen_oracle(block)], 0.125)
+
+
+# ----------------------------------------------------------------------
 # the floating-point environment around expm
 # ----------------------------------------------------------------------
 
@@ -1084,8 +1133,8 @@ def test_subnormals_are_flushed_only_inside_expm(ctx10, monkeypatch):
     before = _mxcsr()
     assert before & evo._FTZ_DAZ == 0
     inside = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: inside.append(_mxcsr()) or expm(a))
+    expm = evo._expm
+    monkeypatch.setattr(evo, "_expm", lambda a: inside.append(_mxcsr()) or expm(a))
     prop = propagator(ctx10, 8)
     prop.exponential(0.125)
     assert inside == [before | evo._FTZ_DAZ] * len(prop.blocks)
@@ -1101,7 +1150,7 @@ def test_environment_is_restored_when_expm_raises(ctx10, monkeypatch):
         inside.append(_mxcsr())
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(scipy.linalg, "expm", fail)
+    monkeypatch.setattr(evo, "_expm", fail)
     prop = propagator(ctx10, 8)
     with pytest.raises(RuntimeError, match="planted"):
         prop.exponential(0.125)
@@ -1143,8 +1192,8 @@ def test_environment_is_read_only_on_x86_64(ctx10, monkeypatch, machine):
 
 def test_default_exponentials_are_bitwise_ieee_expm(ctx10):
     # flushing subnormals moves no entry of the default exponentials: mode
-    # (1, 0) at M = 64 and h = 0.125 against expm outside the flushed scope
+    # (1, 0) at M = 64 and h = 0.125 against _expm outside the flushed scope
     prop = propagator(ctx10, 64)
     outs = prop.exponential(0.125)
     for r, out in zip(prop.generators, outs):
-        assert np.array_equal(out, scipy.linalg.expm(0.125 * r))
+        assert np.array_equal(out, evo._expm(0.125 * r))

@@ -1,9 +1,8 @@
-"""Cold start: only evolve loads scipy.
+"""Cold start: no kind loads scipy.
 
-The package calls scipy in one place, the matrix exponential of
-``evolution._checked_expm``, and imports it there; every other kind runs on
-numpy alone and does not pay scipy's import.  Each kind runs in a fresh
-interpreter, because the test process itself has scipy loaded.
+The package runs on numpy alone, the matrix exponential of evolve included
+(``evolution._expm``); scipy is a test-only reference.  Each kind runs in a
+fresh interpreter, because the test process itself has scipy loaded.
 """
 
 import json
@@ -28,7 +27,7 @@ print(json.dumps([report.passed, "scipy" in sys.modules]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_only_evolve_imports_scipy(tmp_path, kind):
+def test_no_kind_imports_scipy(tmp_path, kind):
     raw = {
         "kind": kind, "truncation": 40, "band": 2, "eps_modes": [2, 8], "modes": [[2, 0]],
         "t_final": 0.01, "output_step": 0.01, "out_dir": str(tmp_path),
@@ -44,4 +43,4 @@ def test_only_evolve_imports_scipy(tmp_path, kind):
     assert proc.returncode == 0, proc.stderr
     passed, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert passed
-    assert loaded == (kind == "evolve")
+    assert not loaded
