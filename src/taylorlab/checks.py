@@ -615,7 +615,7 @@ _PLOTTABLE = {
         "t",
         "energy",
         [("total energy", "energy")],
-        "energy decay of the constrained evolution",
+        "energy of the evolution",
         False,
     ),
     **{

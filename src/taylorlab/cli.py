@@ -4,7 +4,8 @@
     taylorlab plot REPORT_DIR
 
 Exit codes: 0 all checks passed, 1 a check failed or a numerical guard
-tripped, 2 the configuration was rejected.
+tripped, 2 the configuration was rejected, 3 an unexpected error (such as
+running out of memory) stopped the command: no verdict on the mathematics.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ def main(argv=None) -> int:
         except TaylorLabError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         for path in made:
             print(path)
         return 0
@@ -69,6 +73,9 @@ def main(argv=None) -> int:
     except TaylorLabError as exc:
         print(f"check aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     for outcome in report.outcomes:
         status = "PASS" if outcome.passed else "FAIL"

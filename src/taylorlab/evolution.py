@@ -47,9 +47,7 @@ mode's logged power is read from the blocks R_k.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import platform
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -282,55 +280,6 @@ def _oracle_error(out: np.ndarray, oracle, h: float, ord=None) -> float:
     return np.linalg.norm(out - vecs @ (np.exp(h * w)[:, None] * inverse), ord)
 
 
-# Flush-to-zero and denormals-are-zero, bits 15 and 6 of the SSE control
-# register MXCSR.  On x86-64 glibc fenv_t is 32 bytes, MXCSR its unsigned int
-# at byte offset 28 (bits/fenv.h).  The saved environment is edited rather
-# than replaced by FE_DFL_DISABLE_SSE_DENORMS_ENV, which glibc 2.36 does not
-# provide: fesetenv of it segfaults there.
-_FTZ_DAZ = 0x8040
-_Fenv = ctypes.c_uint * 8
-_MXCSR = 7
-
-
-@functools.cache
-def _fenv_functions() -> tuple:
-    """libm's (fegetenv, fesetenv), typed for :data:`_Fenv`."""
-    libm = ctypes.CDLL("libm.so.6")
-    for fn in (libm.fegetenv, libm.fesetenv):
-        fn.argtypes = [ctypes.POINTER(ctypes.c_uint)]
-        fn.restype = ctypes.c_int
-    return libm.fegetenv, libm.fesetenv
-
-
-@contextmanager
-def _subnormals_flushed():
-    """Set FTZ and DAZ in the calling thread's MXCSR for the body, and restore
-    the thread's saved floating-point environment on the way out, also when
-    the body raises.
-
-    Each generator is strongly damped, so scaling and squaring ends in
-    squarings whose products underflow, and subnormal arithmetic costs far
-    more than normal.  Only this thread's own register changes: neither
-    another thread (OpenBLAS's workers among them) nor the machine sees it.
-    Off x86-64 glibc this does nothing.
-    """
-    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
-        yield
-        return
-    fegetenv, fesetenv = _fenv_functions()
-    saved = _Fenv()
-    if fegetenv(saved) != 0:
-        raise OSError("fegetenv failed")
-    flushed = _Fenv(*saved)
-    flushed[_MXCSR] |= _FTZ_DAZ
-    try:
-        if fesetenv(flushed) != 0:
-            raise OSError("fesetenv failed")
-        yield
-    finally:
-        fesetenv(saved)
-
-
 # The degree-13 Padé approximant's coefficients b_0..b_13, its scaled-norm
 # bound theta_13, and |c_27|^-1, the reciprocal of the leading coefficient of
 # its backward error series (Higham, SIAM J. Matrix Anal. Appl. 26, 2005,
@@ -343,6 +292,10 @@ _PADE13 = (
 )
 _THETA13 = 4.25
 _C13 = 1.1325077560602111e35
+
+# Entries below this are set to zero before each squaring: the product of
+# two entries at or above it is a normal number.
+_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def _onenorm(a: np.ndarray) -> float:
@@ -379,6 +332,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     U)^-1 U, which keeps the solve's rounding off the identity, and squared
     s times.  A matrix with an inf or NaN entry, or whose powers overflow,
     raises :class:`IllConditioned`.
+
+    Each generator is strongly damped, so the last squarings' products
+    underflow, and subnormal arithmetic costs far more than normal.  Before
+    each squaring the entries below :data:`_FLOOR`, sqrt of the smallest
+    normal number, are set to zero, so no product of two entries is
+    subnormal.  That moves the square of x by less than n * _FLOOR *
+    max|x|, and it holds in every BLAS thread and on every machine.
     """
     ident = np.eye(len(a))
     a2 = a @ a
@@ -404,6 +364,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     )
     x = ident + 2 * np.linalg.solve(v - u, u)
     for _ in range(s):
+        x[np.abs(x) < _FLOOR] = 0.0
         x = x @ x
     return x
 
@@ -412,10 +373,9 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     """:func:`_expm` of h times each block, cross-checked against
     eigendecompositions.
 
-    Subnormals are flushed inside each :func:`_expm` call alone
-    (:func:`_subnormals_flushed`); the oracle runs in IEEE arithmetic.
-    ``_expm`` is looked up at each call, so a function rebound on the module
-    is the one that runs.
+    Only :func:`_expm` floors its squarings; the oracle runs unfloored and
+    checks each result independently.  ``_expm`` is looked up at each call,
+    so a function rebound on the module is the one that runs.
 
     ``oracles`` is a function that returns each block's oracle, factored
     once for every h: :func:`_eigen_oracle` of the whole block, or a
@@ -431,11 +391,7 @@ def _checked_expm(blocks, oracles, h: float) -> tuple:
     Returns the exponentials, that condition, and the largest Frobenius
     block error, which is None where the check did not run.
     """
-    outs = []
-    for block in blocks:
-        scaled = h * block
-        with _subnormals_flushed():
-            outs.append(_expm(scaled))
+    outs = [_expm(h * block) for block in blocks]
     if not all(np.all(np.isfinite(out)) for out in outs):
         raise IllConditioned("matrix exponential produced non-finite entries")
     oracles = oracles()

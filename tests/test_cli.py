@@ -296,3 +296,17 @@ def test_artifacts_list_the_run_directory(small_runs, kind):
 def test_plot_empty_directory_exits_1(tmp_path, capsys):
     assert cli.main(["plot", str(tmp_path)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_unexpected_error_exits_3(tmp_path, capsys, monkeypatch, command):
+    # an error that is no verdict on the mathematics, such as running out of
+    # memory, stops the command with one line and exit code 3
+    def fail(*args):
+        raise MemoryError("planted")
+
+    monkeypatch.setattr(cli, "execute", fail)
+    monkeypatch.setattr(cli, "emit_plots", fail)
+    target = write_config(tmp_path) if command == "run" else str(tmp_path)
+    assert cli.main([command, target]) == 3
+    assert capsys.readouterr().err == "error: MemoryError: planted\n"

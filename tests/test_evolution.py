@@ -1,7 +1,5 @@
 """Time stepping: projection, exact flow, averaged profile, snapshots."""
 
-import platform
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -1110,90 +1108,31 @@ def test_block_whose_absolute_powers_overflow_raises():
 
 
 # ----------------------------------------------------------------------
-# the floating-point environment around expm
+# the floor on expm's squarings
 # ----------------------------------------------------------------------
 
-x86_64_glibc = pytest.mark.skipif(
-    platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
-    reason="MXCSR is read through glibc's x86-64 fenv_t",
-)
 
-
-def _mxcsr() -> int:
-    """The calling thread's MXCSR control bits, without the sticky
-    exception flags (bits 0-5) that any arithmetic may raise."""
-    fegetenv, _ = evo._fenv_functions()
-    env = evo._Fenv()
-    assert fegetenv(env) == 0
-    return env[evo._MXCSR] & ~0x3F
-
-
-@x86_64_glibc
-def test_subnormals_are_flushed_only_inside_expm(ctx10, monkeypatch):
-    before = _mxcsr()
-    assert before & evo._FTZ_DAZ == 0
-    inside = []
-    expm = evo._expm
-    monkeypatch.setattr(evo, "_expm", lambda a: inside.append(_mxcsr()) or expm(a))
-    prop = propagator(ctx10, 8)
-    prop.exponential(0.125)
-    assert inside == [before | evo._FTZ_DAZ] * len(prop.blocks)
-    assert _mxcsr() == before
-
-
-@x86_64_glibc
-def test_environment_is_restored_when_expm_raises(ctx10, monkeypatch):
-    before = _mxcsr()
-    inside = []
-
-    def fail(a):
-        inside.append(_mxcsr())
-        raise RuntimeError("planted")
-
-    monkeypatch.setattr(evo, "_expm", fail)
-    prop = propagator(ctx10, 8)
-    with pytest.raises(RuntimeError, match="planted"):
-        prop.exponential(0.125)
-    assert inside == [before | evo._FTZ_DAZ]
-    assert _mxcsr() == before
-
-
-@x86_64_glibc
-def test_environment_is_restored_in_each_pool_thread(bg):
-    # each thread sets and restores its own register: the main thread's is
-    # never touched, and a pool thread's is as it was after its exponential
-    before = _mxcsr()
-    props = [propagator(lattice_mode_context(bg, key), 8) for key in [(1, 0), (0, 1)]]
-
-    def run(prop):
-        start = _mxcsr()
-        prop.exponential(0.125)
-        return start, _mxcsr()
-
-    with evo.thread_map(2, len(props)) as each:
-        for start, end in each(run, props):
-            assert start == end == before
-    assert _mxcsr() == before
-
-
-@x86_64_glibc
-@pytest.mark.parametrize("machine", ["x86_64", "aarch64"])
-def test_environment_is_read_only_on_x86_64(ctx10, monkeypatch, machine):
-    calls = []
-    fegetenv, fesetenv = evo._fenv_functions()
-    monkeypatch.setattr(platform, "machine", lambda: machine)
-    monkeypatch.setattr(
-        evo, "_fenv_functions", lambda: (lambda env: calls.append(1) or fegetenv(env), fesetenv)
-    )
-    prop = propagator(ctx10, 8)
-    prop.exponential(0.125)
-    assert len(calls) == (len(prop.blocks) if machine == "x86_64" else 0)
-
-
-def test_default_exponentials_are_bitwise_ieee_expm(ctx10):
-    # flushing subnormals moves no entry of the default exponentials: mode
-    # (1, 0) at M = 64 and h = 0.125 against _expm outside the flushed scope
+def test_default_exponentials_are_bitwise_ieee_expm(ctx10, monkeypatch):
+    # the floor moves no entry of the default exponentials: mode (1, 0) at
+    # M = 64, at the default step and the semigroup probe's, against _expm
+    # with every squaring taken in IEEE arithmetic
     prop = propagator(ctx10, 64)
-    outs = prop.exponential(0.125)
-    for r, out in zip(prop.generators, outs):
-        assert np.array_equal(out, evo._expm(0.125 * r))
+    steps = [0.125, 0.375]
+    floored = [[evo._expm(h * r) for r in prop.generators] for h in steps]
+    monkeypatch.setattr(evo, "_FLOOR", 0.0)
+    for h, outs in zip(steps, floored):
+        for r, out in zip(prop.generators, outs):
+            assert np.array_equal(out, evo._expm(h * r))
+
+
+def test_floor_keeps_subnormals_out_of_expm(monkeypatch):
+    # exp(-715) = 3.0e-311 is subnormal: floored, that entry is exactly
+    # zero, and the unfloored squarings return it
+    tiny = np.finfo(float).tiny
+    a = np.diag([-715.0, -1.0])
+    out = evo._expm(a)
+    assert out[0, 0] == 0.0
+    assert not np.any((np.abs(out) > 0) & (np.abs(out) < tiny))
+    assert out[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-13, abs=0)
+    monkeypatch.setattr(evo, "_FLOOR", 0.0)
+    assert 0.0 < evo._expm(a)[0, 0] < tiny
