@@ -1136,3 +1136,45 @@ def test_floor_keeps_subnormals_out_of_expm(monkeypatch):
     assert out[1, 1] == pytest.approx(np.exp(-1.0), rel=1e-13, abs=0)
     monkeypatch.setattr(evo, "_FLOOR", 0.0)
     assert 0.0 < evo._expm(a)[0, 0] < tiny
+
+
+def test_floor_is_the_least_whose_products_are_normal():
+    # the product of two entries at the floor is the smallest normal number,
+    # and below the floor a product may be subnormal
+    tiny = np.finfo(float).tiny
+    assert evo._FLOOR * evo._FLOOR == tiny
+    below = np.nextafter(evo._FLOOR, 0.0)
+    assert 0.0 < below * below < tiny
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[-715.0, 1e3], [0.0, -1.0]]),
+        np.array([[-712.0, 1.0, 0.0], [0.0, -712.0, 1.0], [0.0, 0.0, -712.0]]),
+        -np.diag(np.linspace(1.0, 720.0, 8)) + np.triu(np.ones((8, 8)), 1),
+    ],
+    ids=["nonnormal", "jordan", "graded"],
+)
+def test_floored_expm_matches_scipy_within_oracle_tolerance(a):
+    # strongly damped matrices whose exact exponentials hold subnormal
+    # entries: the floor zeroes them, which moves the result by far less
+    # than the oracle's absolute gate
+    out = evo._expm(a)
+    assert np.abs(out - scipy.linalg.expm(a)).max() <= evo.EXPM_ORACLE_TOL
+    tiny = np.finfo(float).tiny
+    assert not np.any((np.abs(out) > 0) & (np.abs(out) < tiny))
+
+
+def test_floor_holds_in_pool_threads(ctx10):
+    # the floor is arithmetic, not a per-thread CPU mode: each pool thread
+    # returns the main thread's bits, with no subnormal entry
+    prop = propagator(ctx10, 16)
+    mats = [np.diag([-715.0, -1.0])] + [0.375 * r for r in prop.generators]
+    serial = [evo._expm(m) for m in mats]
+    with evo.thread_map(2, len(mats)) as each:
+        pooled = list(each(evo._expm, mats))
+    tiny = np.finfo(float).tiny
+    for out, ref in zip(pooled, serial):
+        assert np.array_equal(out, ref)
+        assert not np.any((np.abs(out) > 0) & (np.abs(out) < tiny))
