@@ -360,20 +360,22 @@ def run_evolve(cfg: RunConfig, bg, report: RunReport) -> None:
     prop = state.propagators[first]
     margins = [p.oracle_margins for p in state.propagators.values()]
     state.propagators.clear()
-    probe = state.initial_modes[first]
+    # in the pair coordinates that the run evolved the mode in
+    pairs = op.PairTransform(cfg.truncation)
+    probe = pairs.lower(op.field_to_vector(state.initial_modes[first])[:, None])
     h = cfg.output_step
     steps = [probe]
     for _ in range(3):
-        steps.append(evo.step(prop, steps[-1], h))
-    once = evo.step(prop, probe, 3 * h)
-    semi = (steps[-1] - once).norm() / max(probe.norm(), 1e-300)
+        steps.append(prop.advance(steps[-1], h))
+    once = prop.advance(probe, 3 * h)
+    semi = np.linalg.norm(steps[-1] - once) / max(np.linalg.norm(probe), 1e-300)
 
     # the residual gates read every state the run computed, the probe's too:
     # a flow that drifts off the constraints fails them in a written report
     tol_step = cfg.tolerance("step_residual")
-    probed = [evo.constraint_residuals(prop.ctx, b) for b in steps[1:] + [once]]
-    worst_tay = max([row[4] for row in state.mode_rows] + [tay for tay, _ in probed])
-    worst_div = max([row[5] for row in state.mode_rows] + [div for _, div in probed])
+    probed = prop.diagnostics(np.hstack(steps[1:] + [once]))
+    worst_tay = max([row[4] for row in state.mode_rows] + probed[2].tolist())
+    worst_div = max([row[5] for row in state.mode_rows] + probed[3].tolist())
     report.add("taylor_residual_max", worst_tay < tol_step, worst_tay, tol_step)
     report.add("divergence_residual_max", worst_div < tol_step, worst_div, tol_step)
     tol_semi = cfg.tolerance("semigroup")

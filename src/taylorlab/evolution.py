@@ -41,8 +41,12 @@ the real pattern splits its matrices finer at a higher cost.
 
 Initial data are drawn with a fixed spectral decay and projected onto the
 intersection of the divergence-free and averaged-momentum-balance
-subspaces by the basis U C, C the one its propagator is built from.  Each
-mode's logged power is read from the blocks R_k.
+subspaces by the basis U C, C the one its propagator is built from.  A run
+keeps each mode in its pair coordinates y = U* x from its first step to its
+last (:func:`run_evolution`): the blocks' exponentials advance y
+(:meth:`ModePropagator.advance`), and the logged energy, seminorm and power
+are read from stacked states and the blocks R_k, the two constraint
+residuals from the lifted states (:meth:`ModePropagator.diagnostics`).
 """
 
 from __future__ import annotations
@@ -102,12 +106,6 @@ def project_constraints(b: ModeField, basis: np.ndarray) -> ModeField:
     vec = field_to_vector(b)
     # conj(vec* basis) is basis* vec without a conjugated copy of the basis
     return vector_to_field(basis @ (vec.conj() @ basis).conj())
-
-
-def grad_energy(ctx: ModeContext, b: ModeField) -> float:
-    """Squared H1 seminorm of one mode: |xi|^2 ||b||^2 + ||d3 b||^2."""
-    vertical = sum(c.derivative().norm() ** 2 for c in b.components)
-    return float(ctx.xi_norm**2 * b.norm() ** 2 + vertical)
 
 
 # ----------------------------------------------------------------------
@@ -468,8 +466,9 @@ class ModePropagator:
     index order of the pair basis; ``generators`` the dense read-only R_k,
     ``bases`` the C_k and ``complements`` the W_k of each block.  G is not
     kept: every kernel runs on the blocks, and exp(h G) is kept as the
-    blocks' exponentials exp(h R_k), applied by :meth:`propagate`.  Build
-    one with :meth:`from_pair_forms`.
+    blocks' exponentials exp(h R_k), applied to pair coordinates y = U* x
+    by :meth:`advance`; :meth:`diagnostics` reads a run's logged quantities
+    from them.  Build one with :meth:`from_pair_forms`.
 
     At the canonical background the blocks are the even and the odd vertical
     wavenumbers.  A background with cosines only in B1 and sines only in
@@ -596,32 +595,53 @@ class ModePropagator:
             self.oracle_margins[key] = (cond, error is not None, error)
         return self.propagator_cache[key]
 
-    def propagate(self, x: np.ndarray, h: float) -> np.ndarray:
-        """exp(h G) x, for stacked coefficient vectors x along the first axis.
+    def advance(self, y: np.ndarray, h: float) -> np.ndarray:
+        """exp(h R) y: the exact flow over a time h of the fields x = U y
+        whose pair coordinates are the complex columns of ``y``.
 
-        x is lowered to y = U* x once, each block of y is multiplied by its
-        exponential, and the result is lifted by U once.  Each exponential is
-        real, so it acts on the real and imaginary parts of its block of y as
-        the columns of one real product.
+        Each block of y is multiplied by its exponential, with no lowering or
+        lifting.  Each exponential is real, so it acts on the real and
+        imaginary parts of its block of y as the columns of one real product.
+        Nothing here checks that the result stays constrained: the flow
+        without the balancing velocity drifts off the constrained subspace,
+        and a run reports that as its residual gates.
         """
-        pairs = PairTransform(_window(len(x)))
-        y = pairs.lower(x.reshape(len(x), -1))
+        out = np.empty_like(y)
         for idx, block in zip(self.blocks, self.exponential(h)):
-            y[idx] = (block @ y[idx].view(np.float64)).view(np.complex128)
-        return pairs.lift(y).reshape(x.shape)
+            out[idx] = (block @ y[idx].view(np.float64)).view(np.complex128)
+        return out
 
-    def power(self, x: np.ndarray) -> float:
-        """Re <x, G x> for one coefficient vector x.
+    def diagnostics(self, ys: np.ndarray) -> np.ndarray:
+        """Rows (energy, squared H1 seminorm, Taylor residual, divergence
+        residual, power) of the fields x = U y, y the complex columns of ``ys``.
 
-        With y = U* x, <x, G x> = y* R y, and R is real: with a + ib = y_k
-        per block, the real part is the sum of a^T R_k a + b^T R_k b.
+        U is unitary and keeps |n|: the energy is sum |y|^2 and the seminorm
+        sum (|xi|^2 + 4 pi^2 n^2) |y|^2.  The power is Re <x, G x> = Re y* R y,
+        the sum of a^T R_k a + b^T R_k b over the blocks, a + ib = y_k, plus
+        that dissipation.  The residuals are the functionals of
+        :mod:`.operators` on the lifted columns as one block of fields (the
+        larger Taylor residual in absolute value), so they do not read the
+        basis C whose subspace they check.
         """
-        y = PairTransform(_window(len(x))).lower(x[:, None])
-        total = 0.0
+        pairs = PairTransform(_window(len(ys)))
+        n = np.tile(np.arange(-pairs.truncation, pairs.truncation + 1), 3)
+        squares = ys.real**2 + ys.imag**2
+        grad = (self.ctx.xi_norm**2 + 4 * np.pi**2 * n**2) @ squares
+        power = 0.0
         for idx, r in zip(self.blocks, self.generators):
-            ab = y[idx].view(np.float64)  # the columns a and b
-            total += float(np.sum(ab * (r @ ab)))
-        return total
+            ab = ys[idx].view(np.float64)  # each field's columns a and b, side by side
+            power += np.sum(ab * (r @ ab), axis=0).reshape(-1, 2).sum(axis=1)
+        fields = vector_to_field(pairs.lift(ys))
+        r_perp, r_3 = taylor_residual(self.ctx, fields)
+        return np.array(
+            [
+                squares.sum(axis=0),
+                grad,
+                np.maximum(np.abs(r_perp), np.abs(r_3)),
+                divergence_residual(self.ctx, fields),
+                power + grad,
+            ]
+        )
 
 
 def lane_generators(ctx: ModeContext, truncation: int, balanced: bool) -> tuple:
@@ -689,25 +709,6 @@ def build_propagator(ctx: ModeContext, basis: tuple, lanes: tuple) -> tuple:
     return tuple(ModePropagator.from_pair_forms(ctx, forms[lane], basis, shared) for lane in lanes)
 
 
-def step(propagator: ModePropagator, b: ModeField, h: float) -> ModeField:
-    """Advance one mode, given at the propagator's window, by the exact flow
-    over a time h.
-
-    Nothing here checks that the result stays constrained: the flow without
-    the balancing velocity drifts off the constrained subspace, and a run
-    reports that as its residual gates (:func:`constraint_residuals`).
-    """
-    return vector_to_field(propagator.propagate(field_to_vector(b), h))
-
-
-def constraint_residuals(ctx: ModeContext, b: ModeField) -> tuple:
-    """(Taylor residual, divergence residual) of one mode: the larger of the
-    two averaged balance residuals in absolute value, and the divergence
-    residual."""
-    r_perp, r_3 = taylor_residual(ctx, b)
-    return float(max(abs(r_perp), abs(r_3))), float(divergence_residual(ctx, b))
-
-
 def heat_zero_mode(
     profiles: tuple[FourierSeries, FourierSeries, FourierSeries], t: float
 ) -> tuple[FourierSeries, FourierSeries, FourierSeries]:
@@ -762,9 +763,11 @@ def random_zero_mode(
 class SimulationState:
     """Evolving collection of horizontal modes plus the averaged profile.
 
+    modes / zero_mode: the fields at ``time``, the end of a run.
     diagnostics_log rows: (t, energy, grad_energy, taylor_max, div_max).
     mode_rows: per-mode diagnostics
-    (t, mode_index, energy, grad_energy, taylor_res, div_res, power).
+    (t, mode_index, energy, grad_energy, taylor_res, div_res, power), as
+    :meth:`ModePropagator.diagnostics` reads them.
     initial_modes / initial_zero_mode: the data at t = 0.
     propagators: the per-mode propagators that advanced the modes.
     """
@@ -777,11 +780,6 @@ class SimulationState:
     initial_modes: dict = field(default_factory=dict)
     initial_zero_mode: tuple = ()
     propagators: dict = field(default_factory=dict)
-
-    def energy(self) -> float:
-        total = sum(b.norm() ** 2 for b in self.modes.values())
-        total += sum(p.norm() ** 2 for p in self.zero_mode)
-        return float(total)
 
 
 def initial_state(bases, seed: int) -> SimulationState:
@@ -807,27 +805,6 @@ def initial_state(bases, seed: int) -> SimulationState:
     )
 
 
-def _log_state(state: SimulationState, t: float) -> None:
-    """Append the diagnostics at time t, each mode's read with its
-    propagator's context; its power is Re <b, G b> plus its dissipation,
-    with G the generator of its propagator (:meth:`ModePropagator.power`)."""
-    taylor_max = 0.0
-    div_max = 0.0
-    grad_total = sum(p.derivative().norm() ** 2 for p in state.zero_mode)
-    for idx, (key, b) in enumerate(state.modes.items()):
-        prop = state.propagators[key]
-        tay, div = constraint_residuals(prop.ctx, b)
-        grad = grad_energy(prop.ctx, b)
-        power = prop.power(field_to_vector(b)) + grad
-        state.mode_rows.append((t, idx, float(b.norm() ** 2), grad, tay, div, power))
-        taylor_max = max(taylor_max, tay)
-        div_max = max(div_max, div)
-        grad_total += grad
-    state.diagnostics_log.append(
-        (t, state.energy(), float(grad_total), float(taylor_max), float(div_max))
-    )
-
-
 @contextmanager
 def thread_map(jobs: int, n_items: int):
     """Yield the ``map`` for ``n_items`` independent items: a thread pool's
@@ -837,6 +814,12 @@ def thread_map(jobs: int, n_items: int):
             yield pool.map
     else:
         yield map
+
+
+# Output times read out at once in a run: the readout's arrays stay this
+# wide whatever the number of steps (unchunked, a 2,048-step run of one mode
+# at M = 64 peaked at 110 MB).
+READOUT_CHUNK = 64
 
 
 def run_evolution(
@@ -851,55 +834,86 @@ def run_evolution(
 ) -> SimulationState:
     """Propagate constrained random data and log diagnostics at each output time.
 
-    Modes evolve independently; with ``jobs > 1`` one thread pool builds
-    their propagators and advances them at every output step.  Aggregation
-    order follows the input mode list, so results are deterministic for a
-    fixed seed regardless of the jobs count.  Each mode's constrained
-    subspace is factored once: its propagator keeps C and W, and U C
-    projects its initial data as the propagator is built and is dropped
-    before the next mode's is built (with ``jobs > 1``, before the first
-    step).  Every mode but the first drops its expm oracle once its
-    exponential is cached: only the first mode's is read again, by the
-    semigroup check of :func:`.checks.run_evolve`.
+    Modes evolve independently, each in its pair coordinates y = U* x:
+    lowered once, advanced at every output step, read out
+    ``READOUT_CHUNK`` output times at a time and lifted once at the end.
+    With ``jobs > 1`` one thread pool builds the propagators, then evolves
+    whole modes; rows follow the input mode list, so results do not depend
+    on the jobs count.  Each mode's constrained subspace is factored once:
+    its propagator keeps C and W, and U C projects its initial data as the
+    propagator is built.  Every mode but the first drops its expm oracle
+    once it has evolved: only the first mode's is read again, by the
+    semigroup check of :func:`.checks.run_evolve`.  The averaged field's
+    rows come from :func:`_heat_diagnostics`, and :func:`heat_zero_mode`
+    gives its final profiles.
     """
     contexts = {tuple(k): lattice_mode_context(bg, k) for k in lattice_modes}
     keys = list(contexts)
+    pairs = PairTransform(truncation)
+    propagators = dict.fromkeys(keys)
+    n_steps = int(round(t_final / output_step))
+    times = np.arange(n_steps + 1) * output_step
 
-    def start(each) -> SimulationState:
-        """The projected initial data, holding the propagators.  Each mode's
-        lifted basis U C projects its initial data as soon as its propagator
-        is built, so with the builtin ``map`` one basis is alive at a time."""
-        propagators = dict.fromkeys(keys)
+    def make_propagator(key):
+        """The mode's lifted basis U C, which projects its initial data as
+        soon as its propagator is built, so with the builtin ``map`` one
+        basis is alive at a time."""
+        basis = constraint_null_basis(contexts[key], truncation)
+        (propagators[key],) = build_propagator(contexts[key], basis, (include_geostrophic,))
+        return key, pairs.lift(basis[0])
 
-        def make_propagator(key):
-            basis = constraint_null_basis(contexts[key], truncation)
-            (propagators[key],) = build_propagator(contexts[key], basis, (include_geostrophic,))
-            return key, PairTransform(truncation).lift(basis[0])
-
-        state = initial_state(each(make_propagator, keys), seed)
-        state.propagators = propagators
-        return state
+    def evolve(key, b: ModeField) -> tuple:
+        """(The mode's diagnostics rows at every output time, its final pair
+        coordinates.)"""
+        prop = propagators[key]
+        y = pairs.lower(field_to_vector(b)[:, None])
+        rows = np.empty((5, n_steps + 1))
+        chunk = np.empty((len(y), READOUT_CHUNK), dtype=y.dtype)
+        for first in range(0, n_steps + 1, READOUT_CHUNK):
+            width = min(READOUT_CHUNK, n_steps + 1 - first)
+            for j in range(width):
+                if first + j:
+                    y = prop.advance(y, output_step)
+                chunk[:, j] = y[:, 0]
+            rows[:, first : first + width] = prop.diagnostics(chunk[:, :width])
+        if key != keys[0]:
+            prop.release_oracles()
+        return rows, y
 
     with thread_map(jobs, len(keys)) as each:
-        state = start(each)
-
-        def advance(key):
-            prop = state.propagators[key]
-            out = step(prop, state.modes[key], output_step)
-            if key != keys[0]:
-                prop.release_oracles()
-            return out
-
-        n_steps = int(round(t_final / output_step))
-        _log_state(state, 0.0)
-        for k in range(1, n_steps + 1):
-            t = k * output_step
-            for key, b in zip(keys, list(each(advance, keys))):
-                state.modes[key] = b
-            state.zero_mode = heat_zero_mode(state.initial_zero_mode, t)
-            state.time = t
-            _log_state(state, t)
+        state = initial_state(each(make_propagator, keys), seed)
+        evolved = list(each(evolve, keys, state.modes.values()))
+    state.propagators = propagators
+    rows = np.stack([mode_rows for mode_rows, _ in evolved])  # (mode, quantity, t)
+    energy, grad = _heat_diagnostics(state.initial_zero_mode, times) + rows[:, :2].sum(axis=0)
+    state.mode_rows = [
+        (t, idx, *quantities)
+        for t, per_mode in zip(times.tolist(), rows.transpose(2, 0, 1).tolist())
+        for idx, quantities in enumerate(per_mode)
+    ]
+    log = np.vstack([times, energy, grad, rows[:, 2:4].max(axis=0)])
+    state.diagnostics_log = [tuple(row) for row in log.T.tolist()]
+    for key, (_, y) in zip(keys, evolved):
+        state.modes[key] = vector_to_field(pairs.lift(y)[:, 0])
+    state.time = n_steps * output_step
+    state.zero_mode = heat_zero_mode(state.initial_zero_mode, state.time)
     return state
+
+
+def _heat_diagnostics(profiles: tuple, times: np.ndarray) -> np.ndarray:
+    """Rows (energy, squared H1 seminorm) of the averaged field at each of
+    ``times`` under :func:`heat_zero_mode`, from the outer product of the
+    decay rates -8 pi^2 n^2 of its squared coefficients with ``times``,
+    taken ``READOUT_CHUNK`` times at a time."""
+    n = np.arange(-profiles[0].truncation, profiles[0].truncation + 1)
+    squares = sum(np.abs(p.coeffs) ** 2 for p in profiles)
+    weights = np.array([squares, 4 * np.pi**2 * n**2 * squares])
+    rates = -8 * np.pi**2 * n**2
+    out = np.empty((2, len(times)))
+    for first in range(0, len(times), READOUT_CHUNK):
+        span = slice(first, first + READOUT_CHUNK)
+        out[:, span] = weights @ np.exp(np.multiply.outer(rates, times[span]))
+    return out
 
 
 # ----------------------------------------------------------------------

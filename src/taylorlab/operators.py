@@ -352,7 +352,8 @@ def symmetric_drive(ctx: ModeContext, b: ModeField) -> ModeField:
 
 
 def taylor_residual(ctx: ModeContext, b: ModeField):
-    """Reduced Taylor residual pair (r_perp, r_3).
+    """Reduced Taylor residual pair (r_perp, r_3): two numbers, or two rows
+    with one value per column of a block of fields.
 
     r_perp = eta_perp . int (i beta b_h + eps b3 B_h') dx3
            = i int beta (eta_perp . b_h) + eps int beta_perp' b3,
@@ -368,7 +369,7 @@ def taylor_residual(ctx: ModeContext, b: ModeField):
         p1 * integrate_product(ctx.beta, b.c1) + p2 * integrate_product(ctx.beta, b.c2)
     ) + ctx.eps * integrate_product(ctx.beta_perp_prime, b.c3)
     r_3 = integrate_product(ctx.beta, b.c3)
-    return complex(r_perp), complex(r_3)
+    return r_perp, r_3
 
 
 def divergence_series(ctx: ModeContext, b: ModeField) -> FourierSeries:
@@ -377,8 +378,13 @@ def divergence_series(ctx: ModeContext, b: ModeField) -> FourierSeries:
     return _add(_add(1j * e1 * b.c1, 1j * e2 * b.c2), ctx.eps * b.c3.derivative())
 
 
-def divergence_residual(ctx: ModeContext, b: ModeField) -> float:
-    return divergence_series(ctx, b).norm()
+def divergence_residual(ctx: ModeContext, b: ModeField):
+    """The L2 norm of :func:`divergence_series`: a number, or a row with one
+    value per column of a block of fields."""
+    series = divergence_series(ctx, b)
+    if series.coeffs.ndim == 1:
+        return series.norm()
+    return np.linalg.norm(series.coeffs, axis=0)
 
 
 def curl_mode(ctx: ModeContext, v: ModeField) -> ModeField:

@@ -258,13 +258,40 @@ def propagator_from_matrices(ctx, g, basis):
     return evo.ModePropagator.from_pair_forms(ctx, pairs.pair_form(g), basis, {})
 
 
+def grad_energy(ctx, b):
+    """Squared H1 seminorm of one mode, |xi|^2 ||b||^2 + ||d3 b||^2, by the
+    functional route: the oracle for the seminorm
+    :meth:`evolution.ModePropagator.diagnostics` reads from pair coordinates."""
+    vertical = sum(c.derivative().norm() ** 2 for c in b.components)
+    return float(ctx.xi_norm**2 * b.norm() ** 2 + vertical)
+
+
 def induction_power(ctx, b, include_geostrophic=True):
     """Re <curl(u x B) b, b>, the mode-wise power input of the induction term,
     by the functional route: Re <L b, b> plus the (exactly known)
     dissipation.  The oracle for the power :func:`evolution.run_evolution`
     logs from each propagator's blocks."""
     lb = op.full_induction(ctx, b, include_geostrophic=include_geostrophic)
-    return float(np.real(lb.inner(b.resample(lb.truncation))) + evo.grad_energy(ctx, b))
+    return float(np.real(lb.inner(b.resample(lb.truncation))) + grad_energy(ctx, b))
+
+
+def lower_field(b):
+    """The pair coordinates y = U* x of one field, as a single column: the
+    state that :meth:`evolution.ModePropagator.advance` moves."""
+    return op.PairTransform(b.truncation).lower(op.field_to_vector(b)[:, None])
+
+
+def lift_field(y):
+    """The field x = U y of pair coordinates given as a single column."""
+    return op.vector_to_field(op.PairTransform(op._window(len(y))).lift(y)[:, 0])
+
+
+def dense_exponential(prop, h):
+    """exp(h G) as one matrix, U exp(h R) U*: the identity lowered to pair
+    coordinates, advanced by the propagator and lifted."""
+    pairs = op.PairTransform(op._window(sum(len(idx) for idx in prop.blocks)))
+    eye = np.eye(3 * (2 * pairs.truncation + 1))
+    return pairs.lift(prop.advance(pairs.lower(eye), h))
 
 
 def abscissa_sweep(bg, modes, truncation, include_geostrophic):

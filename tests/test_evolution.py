@@ -18,10 +18,14 @@ from conftest import (
     conjugate_by_j,
     constraint_invariance_defect,
     count_calls,
+    dense_exponential,
     fourier_blocks,
     generator,
+    grad_energy,
     induction_power,
     is_real,
+    lift_field,
+    lower_field,
     project,
     propagator,
     propagator_from_matrices,
@@ -55,11 +59,16 @@ def test_projection_output_satisfies_constraints(ctx10):
 
 
 def test_grad_energy_formula(ctx10):
+    # the energy and the seminorm that the diagnostics read from the pair
+    # coordinates, against their formulas in Fourier coefficients
     rng = np.random.default_rng(1)
     b = random_field(10, rng)
     expected = ctx10.xi_norm**2 * b.norm() ** 2
     expected += sum(c.derivative().norm() ** 2 for c in b.components)
-    assert evo.grad_energy(ctx10, b) == pytest.approx(expected, rel=1e-14)
+    assert grad_energy(ctx10, b) == pytest.approx(expected, rel=1e-14)
+    energy, grad = propagator(ctx10, 10).diagnostics(lower_field(b))[:2, 0]
+    assert energy == pytest.approx(b.norm() ** 2, rel=1e-14)
+    assert grad == pytest.approx(expected, rel=1e-14)
 
 
 def test_heat_zero_mode_exact_factors():
@@ -88,19 +97,14 @@ def test_heat_zero_mode_preserves_mean():
     assert out[0].coefficient(0) == 3.0
 
 
-def _dense_exponential(prop, h):
-    """exp(h G) as one matrix: the propagator applied to the identity."""
-    return prop.propagate(np.eye(sum(len(idx) for idx in prop.blocks)), h)
-
-
 def test_propagator_semigroup_property(ctx10):
     # three steps against one of 3h: _expm forms exp(2h R_k) here by one more
     # squaring of the matrix it squares for exp(h R_k), so a 2h step would
     # compare a product with itself
     prop = propagator(ctx10, 12)
     h = 0.01
-    one = _dense_exponential(prop, h)
-    three = _dense_exponential(prop, 3 * h)
+    one = dense_exponential(prop, h)
+    three = dense_exponential(prop, 3 * h)
     rel = np.linalg.norm(one @ one @ one - three, 2) / np.linalg.norm(three, 2)
     assert rel < 1e-10
 
@@ -114,7 +118,7 @@ def test_blockwise_exponential_matches_the_whole_matrix(ctx10, h):
     for idx in prop.blocks:
         assert len(set(n[idx] % 2)) == 1
     full = scipy.linalg.expm(h * generator(ctx10, m))
-    rel = np.linalg.norm(_dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
+    rel = np.linalg.norm(dense_exponential(prop, h) - full, 2) / np.linalg.norm(full, 2)
     assert rel < 1e-12
 
 
@@ -132,7 +136,7 @@ def test_single_block_exponential_matches_the_whole_matrix(request, background, 
     assert [len(idx) for idx in fourier_blocks(g, m)] == [51]
     assert [len(idx) for idx in prop.blocks] == sizes
     full = scipy.linalg.expm(0.125 * g)
-    rel = np.linalg.norm(_dense_exponential(prop, 0.125) - full, 2) / np.linalg.norm(full, 2)
+    rel = np.linalg.norm(dense_exponential(prop, 0.125) - full, 2) / np.linalg.norm(full, 2)
     assert rel < 1e-12
 
 
@@ -162,7 +166,7 @@ def test_exponential_runs_forward_only(ctx10, h):
     with pytest.raises(ValueError, match="forward only"):
         prop.exponential(h)
     with pytest.raises(ValueError, match="forward only"):
-        evo.step(prop, evo.random_mode_field(8, np.random.default_rng(0)), h)
+        prop.advance(lower_field(evo.random_mode_field(8, np.random.default_rng(0))), h)
     assert prop.propagator_cache == {} and prop.oracle_margins == {}
 
 
@@ -354,7 +358,7 @@ def test_propagator_forms_r_once(ctx10, monkeypatch):
     assert calls == [(99, 99)]
     prop.restricted_abscissa, prop.unconstrained_abscissa
     prop.exponential(0.01)
-    prop.power(op.field_to_vector(evo.random_mode_field(16, np.random.default_rng(0))))
+    prop.diagnostics(lower_field(evo.random_mode_field(16, np.random.default_rng(0))))
     assert calls == [(99, 99)]
     # both lanes of a mode share C, W and R_off: one whole pair_form, the
     # balanced lane forming only its balancing rows again
@@ -383,10 +387,12 @@ def test_power_from_the_blocks_matches_the_generator(request, background):
         prop = propagator(ctx, m)
         g = generator(ctx, m)
         bound_per_norm = 3 * (2 * m + 1) * np.finfo(float).eps * np.abs(g).max()
-        for _ in range(3):
-            x = rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
-            want = np.vdot(x, g @ x).real
-            assert abs(prop.power(x) - want) <= bound_per_norm * np.vdot(x, x).real
+        # three fields as the columns of one block
+        x = rng.standard_normal((len(g), 3)) + 1j * rng.standard_normal((len(g), 3))
+        want = np.einsum("ij,ij->j", x.conj(), g @ x).real
+        _, grad, _, _, power = prop.diagnostics(op.PairTransform(m).lower(x))
+        norms = np.sum(np.abs(x) ** 2, axis=0)
+        assert np.all(np.abs(power - grad - want) <= bound_per_norm * norms)
 
 
 def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
@@ -400,6 +406,78 @@ def test_induction_power_of_the_evolution_matches_the_functional_route(bg):
         for idx, key in enumerate(modes):
             want = induction_power(lattice_mode_context(bg, key), fields[key])
             assert logged[t, idx] == pytest.approx(want, rel=1e-12)
+
+
+def test_readout_matches_the_functional_route_across_chunks(bg, monkeypatch):
+    # two modes for 2 READOUT_CHUNK + 3 output steps, so the readout crosses
+    # two chunk boundaries.  The spy sees every state the run evolved, never
+    # more than READOUT_CHUNK at a time; each logged row matches the
+    # per-field route on the lifted state within the rounding of its sums
+    modes = [(1, 0), (2, 1)]
+    m, h = 12, 1e-3
+    n_steps = 2 * evo.READOUT_CHUNK + 3
+    calls = []
+    diagnostics = evo.ModePropagator.diagnostics
+    monkeypatch.setattr(
+        evo.ModePropagator,
+        "diagnostics",
+        lambda self, ys: calls.append((self, ys.copy())) or diagnostics(self, ys),
+    )
+    kwargs = dict(
+        t_final=n_steps * h, output_step=h, truncation=m, seed=4, include_geostrophic=True
+    )
+    state = evo.run_evolution(bg, modes, jobs=1, **kwargs)
+    assert max(ys.shape[1] for _, ys in calls) == evo.READOUT_CHUNK
+    eps = np.finfo(float).eps
+    n = 3 * (2 * m + 1)
+    totals = np.zeros((n_steps + 1, 4))  # energy, grad, Taylor and divergence maxima
+    for idx, key in enumerate(modes):
+        ctx = lattice_mode_context(bg, key)
+        prop = state.propagators[key]
+        chunks = [ys for p, ys in calls if p is prop]
+        assert [c.shape[1] for c in chunks] == [evo.READOUT_CHUNK, evo.READOUT_CHUNK, 4]
+        # each chunk continues the flow where the one before stopped
+        for before, after in zip(chunks, chunks[1:]):
+            assert np.array_equal(prop.advance(before[:, -1:], h), after[:, :1])
+        states = np.hstack(chunks)
+        # sums of n terms, |<x, G x>| <= max|G| ||x||^2, and each Taylor
+        # residual sums 2k + 1 products of the profiles, of window k, with x;
+        # the divergence profile's coefficients are formed alike in a block
+        size = np.abs(generator(ctx, m)).max()
+        profiles = ctx.beta.norm() + ctx.eps * ctx.beta_perp_prime.norm()
+        products = 2 * ctx.background.truncation + 1
+        for j in range(n_steps + 1):
+            b = lift_field(states[:, j : j + 1])
+            t, i, energy, grad, tay, div, power = state.mode_rows[j * len(modes) + idx]
+            assert (t, i) == (j * h, idx)
+            want = b.norm() ** 2
+            want_grad = grad_energy(ctx, b)
+            r_perp, r_3 = op.taylor_residual(ctx, b)
+            want_div = op.divergence_residual(ctx, b)
+            assert abs(energy - want) <= n * eps * want
+            assert abs(grad - want_grad) <= n * eps * want_grad
+            assert abs(power - induction_power(ctx, b)) <= n * eps * size * want
+            want_tay = max(abs(r_perp), abs(r_3))
+            assert abs(tay - want_tay) <= products * eps * profiles * np.sqrt(want)
+            assert abs(div - want_div) <= n * eps * want_div
+            totals[j] += (energy, grad, 0.0, 0.0)
+            totals[j, 2:] = np.maximum(totals[j, 2:], (tay, div))
+        assert all(
+            np.array_equal(got.coeffs, want.coeffs)
+            for got, want in zip(state.modes[key].components, lift_field(states[:, -1:]).components)
+        )
+    # the averaged field by heat_zero_mode at each output time
+    for j, row in enumerate(state.diagnostics_log):
+        zero = evo.heat_zero_mode(state.initial_zero_mode, j * h)
+        energy = totals[j, 0] + sum(p.norm() ** 2 for p in zero)
+        grad = totals[j, 1] + sum(p.derivative().norm() ** 2 for p in zero)
+        assert row[0] == j * h and row[3:] == tuple(totals[j, 2:])
+        assert abs(row[1] - energy) <= n * eps * energy
+        assert abs(row[2] - grad) <= n * eps * grad
+    monkeypatch.undo()
+    pooled = evo.run_evolution(bg, modes, jobs=2, **kwargs)
+    assert pooled.mode_rows == state.mode_rows
+    assert pooled.diagnostics_log == state.diagnostics_log
 
 
 def test_oracle_deflates_an_exact_kernel():
@@ -445,10 +523,11 @@ def test_exact_flow_matches_rk4(ctx10):
     g = generator(ctx10, 8)
     rng = np.random.default_rng(4)
     b = project(ctx10, evo.random_mode_field(8, rng))
-    exact, rk = b, b
+    y, rk = lower_field(b), b
     for _ in range(20):
-        exact = evo.step(prop, exact, 1e-5)
+        y = prop.advance(y, 1e-5)
         rk = rk4_step(g, rk, 1e-5)
+    exact = lift_field(y)
     assert (exact - rk).norm() / exact.norm() < 1e-9
 
 
@@ -462,10 +541,11 @@ def test_energy_identity_central_difference(ctx10):
     rng = np.random.default_rng(3)
     b = project(ctx10, evo.random_mode_field(12, rng))
     v = op.field_to_vector(b)
-    analytic = 2.0 * (induction_power(ctx10, b) - evo.grad_energy(ctx10, b))
+    analytic = 2.0 * (induction_power(ctx10, b) - grad_energy(ctx10, b))
     errs = []
     for h in (1e-5, 1e-6):
-        ep = np.linalg.norm(prop.propagate(v, h)) ** 2
+        # U is unitary: the norm of the pair coordinates is the field's
+        ep = np.linalg.norm(prop.advance(lower_field(b), h)) ** 2
         em = np.linalg.norm(scipy.linalg.expm(-h * g) @ v) ** 2
         errs.append(abs((ep - em) / (2 * h) - analytic) / abs(analytic))
     assert errs[1] < 1e-5
@@ -485,15 +565,15 @@ def test_step_without_balancing_drifts(ctx10):
     prop = propagator(ctx10, 24, include_geostrophic=False)
     rng = np.random.default_rng(5)
     b = project(ctx10, evo.random_mode_field(24, rng))
-    out = evo.step(prop, b, 0.05)
-    assert max(evo.constraint_residuals(ctx10, out)) > 1e-7
+    out = prop.advance(lower_field(b), 0.05)
+    assert prop.diagnostics(out)[2:4, 0].max() > 1e-7
 
 
 def test_step_with_balancing_stays_constrained(ctx10):
     prop = propagator(ctx10, 24)
     rng = np.random.default_rng(5)
     b = project(ctx10, evo.random_mode_field(24, rng))
-    out = evo.step(prop, b, 0.05)
+    out = lift_field(prop.advance(lower_field(b), 0.05))
     r_perp, r_3 = op.taylor_residual(ctx10, out)
     assert max(abs(r_perp), abs(r_3)) < 1e-10
     assert op.divergence_residual(ctx10, out) < 1e-10

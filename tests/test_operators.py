@@ -177,6 +177,32 @@ def test_taylor_residual_agrees_with_curl_form(bg):
         assert abs(m_3 - 1j * ctx.xi_norm * r_3) < 1e-12
 
 
+@pytest.mark.parametrize("key", [(1, 0), (2, 1)])
+def test_residual_functionals_serve_a_block_column_by_column(bg, key):
+    # a block of fields gives one residual per column, each the single
+    # field's up to the rounding of its sums; a single field still gives
+    # numbers, the divergence residual its series' norm
+    ctx = lattice_mode_context(bg, key)
+    rng = np.random.default_rng(13)
+    m, k = 12, 3
+    fields = [random_field(m, rng) for _ in range(k)]
+    block = op.vector_to_field(np.column_stack([op.field_to_vector(b) for b in fields]))
+    r_perp, r_3 = op.taylor_residual(ctx, block)
+    div = op.divergence_residual(ctx, block)
+    assert r_perp.shape == r_3.shape == div.shape == (k,)
+    # sums of 2m + 1 products, each bounded by Cauchy-Schwarz
+    bound = (2 * m + 1) * np.finfo(float).eps
+    profiles = ctx.beta.norm() + ctx.eps * ctx.beta_perp_prime.norm()
+    for j, b in enumerate(fields):
+        single_perp, single_3 = op.taylor_residual(ctx, b)
+        single_div = op.divergence_residual(ctx, b)
+        assert np.ndim(single_perp) == np.ndim(single_3) == np.ndim(single_div) == 0
+        assert single_div == op.divergence_series(ctx, b).norm()
+        assert abs(r_perp[j] - single_perp) <= bound * profiles * b.norm()
+        assert abs(r_3[j] - single_3) <= bound * profiles * b.norm()
+        assert abs(div[j] - single_div) <= bound * single_div
+
+
 def test_profile_projection_formula_on_constrained_fields(ctx10, v_con64):
     from taylorlab.evolution import project_constraints
 
